@@ -34,9 +34,6 @@ class ContactMap:
         """Voxels whose value clears the threshold, lexicographic order."""
         return sorted(i for i, v in self.values.items() if v >= self.threshold)
 
-    def total_weight(self) -> float:
-        return float(sum(self.values[i] for i in self.contact_indices()))
-
     @property
     def is_binary(self) -> bool:
         return all(v in (0.0, 1.0) for v in self.values.values())

@@ -146,7 +146,6 @@ class OrientationCandidate:
     feasible: bool
     objective: float | None
     reason: str | None  # set when infeasible
-    source: tuple[float, float, float] | None = None  # (az, el, roll) if known
 
 
 @dataclass

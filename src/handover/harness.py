@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -113,8 +114,10 @@ class Scene:
     start_distance: float = 2.0  # receiver stands this far behind the robot start
     standoff: float = 1.2  # robot delivers from this far in front of the receiver
     params: PipelineParams = field(default_factory=PipelineParams)
-    # grasp sampling is pure in (grid, seed, count); reruns across modes reuse it
+    # grasp sampling is pure in (grid, seed, count); reruns across modes reuse
+    # it, and parallel bench workers fill it under the lock, so only one samples
     _grasp_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grasp_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     @property
     def robot_base(self) -> np.ndarray:
@@ -274,10 +277,10 @@ def run_pipeline(
         stages.append(stage)
         normals = grid.normals
         cache_key = (seed, params.max_grasps)
-        candidates = scene._grasp_cache.get(cache_key)
-        if candidates is None:
-            candidates = sample_grasps(grid, normals, gripper, params.max_grasps, seed)
-            scene._grasp_cache[cache_key] = candidates
+        with scene._grasp_lock:
+            if cache_key not in scene._grasp_cache:
+                scene._grasp_cache[cache_key] = sample_grasps(grid, normals, gripper, params.max_grasps, seed)
+            candidates = scene._grasp_cache[cache_key]
         if not candidates:
             raise StageError(stage, "no grasp candidates")
 

@@ -1,10 +1,12 @@
 """Command line behavior: exit codes, output contracts, file side effects."""
 import json
 import re
+import sys
 
 import pytest
 
-from handover import cli
+from handover import cli, harness
+from handover.grasping import sample_grasps
 from handover.voxelgeom import load_vgrid
 
 from conftest import cube_mesh, write_obj
@@ -166,6 +168,28 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
         if i:
             assert (out / "summary.json").read_bytes() == (tmp_path / "run0" / "summary.json").read_bytes()
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
+    """Workers of one (scene, seed) share its grasp cache: however the
+    threads interleave, only one of them samples."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_grasps(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_grasps", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        code, _, _ = run_cli(["bench", str(suite_dir / "hammer.scene.json"), "--seeds", "0",
+                              "--jobs", "3", "--out", str(tmp_path / "out")], capsys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
+    assert len(list((tmp_path / "out").glob("hammer_*_0.json"))) == 5
+    assert len(calls) == 1
 
 
 def test_bench_accepts_glob(suite_dir, tmp_path, capsys):

@@ -1,10 +1,19 @@
 """Antipodal sampling, gripper collision, occlusion scoring, ranking."""
+import math
+
 import numpy as np
 import pytest
 
 from conftest import box_grid, make_grid
-from handover.contacts import ContactCluster
+from handover import suite
+from handover.contacts import ContactCluster, cluster_contacts, largest_cluster
 from handover.grasping import (
+    MAX_NORMAL_OPPOSITION_DEG,
+    MIN_CONFIDENCE,
+    OCCLUSION_BLOCK_PAIRS,
+    OCCLUSION_RAY_FACTOR,
+    REGION_EPS,
+    ROLL_STEP_DEG,
     GraspCandidate,
     GripperModel,
     contact_score,
@@ -216,3 +225,194 @@ class TestScoringAndRanking:
         grid, cluster, normals, _ = synthetic_ranked_set()
         with pytest.raises(ValueError, match="no grasp candidates"):
             rank_grasps([], cluster, 0.5, normals, GRIPPER, grid)
+
+
+# -- batched kernels against the per-roll / per-candidate reference -------------
+
+
+def oracle_sample_grasps(grid, normals, gripper, max_candidates, seed):
+    """Reference sampler: one frame and one collision test per roll, the probe
+    walk as a Python loop over cells (the unbatched form of sample_grasps)."""
+    surface = grid.surface
+    vs = grid.voxel_size
+    order = np.random.default_rng(seed).permutation(len(surface))
+    occupied = grid.occupied_centers
+    cos_limit = math.cos(math.radians(MAX_NORMAL_OPPOSITION_DEG))
+    rolls = np.radians(np.arange(0.0, 360.0, ROLL_STEP_DEG))
+    surface_set = set(surface)
+    pool = []
+    pool_cap = max(8 * max_candidates, 64)
+    step_lens = np.arange(0.5 * vs, gripper.max_width + 2 * vs, 0.5 * vs)
+    axial_max = gripper.max_width / 2 + gripper.finger_thickness + 2 * REGION_EPS
+    radial_max = math.hypot(
+        gripper.finger_thickness / 2, gripper.finger_length / 2 + gripper.palm_depth
+    ) + 2 * REGION_EPS
+    for si in order:
+        p = surface[si]
+        n_p = normals[p]
+        c_p = grid.center(p)
+        cells = np.floor((c_p - np.outer(step_lens, n_p) - grid.origin) / vs).astype(int)
+        seen, seen_set = [], {p}
+        for row in cells:
+            q = (int(row[0]), int(row[1]), int(row[2]))
+            if q in seen_set:
+                continue
+            seen_set.add(q)
+            if q in surface_set:
+                seen.append(q)
+        for q in seen:
+            n_q = normals[q]
+            if float(np.dot(n_p, -n_q)) < cos_limit:
+                continue
+            c_q = grid.center(q)
+            width = float(np.linalg.norm(c_q - c_p))
+            if width > gripper.max_width or width < 0.5 * vs:
+                continue
+            axis = (c_q - c_p) / width
+            confidence = 0.5 * float(np.dot(n_p, -axis)) + 0.5 * float(np.dot(n_q, axis))
+            confidence = min(max(confidence, 0.0), 1.0)
+            if confidence < MIN_CONFIDENCE:
+                continue
+            mid = (c_p + c_q) / 2.0
+            rel = occupied - mid
+            along = rel @ axis
+            r2 = np.einsum("ij,ij->i", rel, rel) - along * along
+            near = occupied[(np.abs(along) <= axial_max) & (r2 <= radial_max * radial_max)]
+            seed_axis = np.zeros(3)
+            seed_axis[int(np.argmin(np.abs(axis)))] = 1.0
+            b0 = seed_axis - np.dot(seed_axis, axis) * axis
+            b0 = b0 / np.linalg.norm(b0)
+            b1 = np.cross(axis, b0)
+            for theta in rolls:
+                z = -(math.cos(theta) * b0 + math.sin(theta) * b1)
+                rot = np.column_stack([np.cross(axis, z), axis, z])
+                if oracle_collides(gripper, rot, mid, width, near):
+                    continue
+                pool.append(GraspCandidate(rot, mid, width, confidence, (p, q)))
+        if len(pool) >= pool_cap:
+            break
+    ranked = sorted(range(len(pool)), key=lambda i: (-pool[i].confidence, i))
+    return [pool[i] for i in ranked[:max_candidates]]
+
+
+def oracle_collides(gripper, rotation, translation, width, points) -> bool:
+    if len(points) == 0:
+        return False
+    local = (points - translation) @ rotation
+    ax, ay, z = np.abs(local[:, 0]), np.abs(local[:, 1]), local[:, 2]
+    az = np.abs(z)
+    ft, hfl, hw = gripper.finger_thickness, gripper.finger_length / 2.0, width / 2.0
+    hx = ft / 2.0
+    in_x = ax <= hx
+    finger = in_x & (ay >= hw) & (ay <= hw + ft) & (az <= hfl)
+    palm = in_x & (ay <= hw + ft) & (z >= hfl) & (z <= hfl + gripper.palm_depth)
+    in_region = (ax <= hx + REGION_EPS) & (ay <= hw + REGION_EPS) & (az <= hfl + REGION_EPS)
+    return bool(((finger | palm) & ~in_region).any())
+
+
+def oracle_occlusions(cands, cluster, normals, gripper, grid) -> list[float]:
+    """Reference occlusion: one candidate at a time, box after box."""
+    centers = np.array([grid.center(i) for i in cluster.member_indices])
+    nrm = np.array([normals[i] for i in cluster.member_indices])
+    return [oracle_occlusion(c, centers, nrm, gripper, grid.voxel_size) for c in cands]
+
+
+def oracle_occlusion(grasp, centers, nrm, gripper, voxel_size) -> float:
+    max_dist = OCCLUSION_RAY_FACTOR * gripper.finger_length
+    rot, t = grasp.rotation, grasp.translation
+    covered = gripper.in_closing_region(rot, t, grasp.width, centers)
+    o_loc = (centers + 1.5 * voxel_size * nrm - t) @ rot
+    d_loc = nrm @ rot
+    hit = np.zeros(len(centers), dtype=bool)
+    for lo, hi in gripper.boxes(grasp.width):
+        t0 = np.zeros(len(centers))
+        t1 = np.full(len(centers), max_dist)
+        ok = ~covered & ~hit
+        for a in range(3):
+            d, o = d_loc[:, a], o_loc[:, a]
+            zero = d == 0.0
+            ok &= ~zero | ((o >= lo[a]) & (o <= hi[a]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ta = (lo[a] - o) / d
+                tb = (hi[a] - o) / d
+            swap = ta > tb
+            t0 = np.where(zero, t0, np.maximum(t0, np.where(swap, tb, ta)))
+            t1 = np.where(zero, t1, np.minimum(t1, np.where(swap, ta, tb)))
+            ok &= zero | (t0 <= t1)
+        hit |= ok
+    return int(np.count_nonzero(covered | hit)) / len(centers)
+
+
+@pytest.fixture(scope="module")
+def bundled_grasps(scenes):
+    """Per bundled scene at seed 1 and the scene's max_grasps: (scene,
+    sampled candidates, planning cluster)."""
+    out = {}
+    for name, scene in scenes.items():
+        grid, params = scene.grid, scene.params
+        cands = sample_grasps(grid, grid.normals, scene.gripper, params.max_grasps, 1)
+        clusters = cluster_contacts(scene.planning_contact_map(), params.eps, params.min_pts)
+        out[name] = (scene, cands, largest_cluster(clusters))
+    return out
+
+
+@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
+def test_sampler_matches_per_roll_oracle_bitwise(bundled_grasps, name):
+    scene, cands, _ = bundled_grasps[name]
+    grid = scene.grid
+    expect = oracle_sample_grasps(grid, grid.normals, scene.gripper, scene.params.max_grasps, 1)
+    assert cands and len(cands) == len(expect)
+    for got, ref in zip(cands, expect):
+        assert got.rotation.tobytes() == ref.rotation.tobytes()
+        assert got.translation.tobytes() == ref.translation.tobytes()
+        assert (got.width, got.confidence, got.contact_pair) == (
+            ref.width,
+            ref.confidence,
+            ref.contact_pair,
+        )
+
+
+def assert_ranking_matches_oracle(cands, cluster, scene, lam):
+    grid, gripper = scene.grid, scene.gripper
+    ranked = rank_grasps(cands, cluster, lam, grid.normals, gripper, grid)
+    occ = oracle_occlusions(cands, cluster, grid.normals, gripper, grid)
+    order = sorted(
+        range(len(cands)),
+        key=lambda i: (-contact_score(cands[i].confidence, occ[i], lam), -cands[i].confidence, occ[i], i),
+    )
+    assert [id(rg.candidate) for rg in ranked] == [id(cands[i]) for i in order]
+    assert [rg.occlusion for rg in ranked] == [occ[i] for i in order]
+
+
+@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
+def test_rank_occlusions_match_per_candidate_oracle(bundled_grasps, name):
+    scene, cands, cluster = bundled_grasps[name]
+    assert_ranking_matches_oracle(cands, cluster, scene, scene.params.lam)
+
+
+def test_block_boundaries_change_nothing(bundled_grasps):
+    scene, cands, cluster = bundled_grasps["hammer"]
+    block = OCCLUSION_BLOCK_PAIRS // cluster.size
+    assert 2 <= block < len(cands)
+    for n in (1, block - 1, block, block + 1):
+        assert_ranking_matches_oracle(cands[:n], cluster, scene, 0.5)
+    grid = scene.grid
+    expect = oracle_occlusions(cands[:3], cluster, grid.normals, scene.gripper, grid)
+    got = [occlusion_fraction(c, cluster, grid.normals, scene.gripper, grid) for c in cands[:3]]
+    assert got == expect
+
+
+def test_rank_rejects_empty_cluster():
+    grid, _, normals, cands = synthetic_ranked_set()
+    with pytest.raises(ValueError, match="empty contact map"):
+        rank_grasps(cands, ContactCluster([], np.zeros(3)), 0.5, normals, GRIPPER, grid)
+
+
+def test_rank_checks_lam_before_any_occlusion_work():
+    grid, _, normals, cands = synthetic_ranked_set()
+    # an empty cluster fails as soon as occlusion is scored, so the lam error
+    # shows that the check came first
+    empty = ContactCluster([], np.zeros(3))
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="lam must lie in"):
+            rank_grasps(cands, empty, lam, normals, GRIPPER, grid)
