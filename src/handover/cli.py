@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import glob
 import json
 import os
@@ -33,7 +34,7 @@ def _apply_overrides(scene, pairs):
         raw = raw.strip()
         value = None if raw.lower() in ("none", "null") else raw
         scene.params = harness.PipelineParams.from_dict(
-            {**scene.params.to_dict(), key: value}
+            {**dataclasses.asdict(scene.params), key: value}
         )
     return scene
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contacts import ContactCluster
-from .voxelgeom import Index, VoxelGrid
+from .voxelgeom import Index, VoxelGrid, segments_hit_boxes
 
 MAX_NORMAL_OPPOSITION_DEG = 30.0  # antipodal pair filter
 MIN_CONFIDENCE = 0.23  # alignment score floor for kept candidates
@@ -65,32 +65,6 @@ class GripperModel:
         1e-9 boundary inflation so grasped-pair centers count as inside)."""
         local = (np.atleast_2d(points) - translation) @ rotation
         return _inside(local, *self.closing_region(width))
-
-    def ray_blocked(self, rotation, translation, width, origin, direction, max_distance) -> bool:
-        """Does a world-frame ray hit any gripper box within max_distance?"""
-        o = rotation.T @ (np.asarray(origin, dtype=float) - translation)
-        d = rotation.T @ np.asarray(direction, dtype=float)
-        for lo, hi in self.boxes(width):
-            t0, t1 = 0.0, max_distance
-            ok = True
-            for a in range(3):
-                if d[a] == 0.0:
-                    if o[a] < lo[a] or o[a] > hi[a]:
-                        ok = False
-                        break
-                    continue
-                ta = (lo[a] - o[a]) / d[a]
-                tb = (hi[a] - o[a]) / d[a]
-                if ta > tb:
-                    ta, tb = tb, ta
-                t0 = max(t0, ta)
-                t1 = min(t1, tb)
-                if t0 > t1:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
 
     def surface_points(self, width: float, pitch: float) -> np.ndarray:
         """Points sampled on the faces of all three boxes at the given pitch,
@@ -325,30 +299,9 @@ def _occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
         o_loc = (origins - t) @ rot
         d_loc = nrm @ rot
         for b in range(boxes.shape[1]):
-            hit |= _slab_hits(o_loc, d_loc, boxes[:, b, 0], boxes[:, b, 1], max_dist)
+            hit |= segments_hit_boxes(o_loc, d_loc, max_dist, boxes[:, b, 0], boxes[:, b, 1])
         out.extend((np.count_nonzero(hit, axis=1) / cluster.size).tolist())
     return out
-
-
-def _slab_hits(o, d, lo, hi, t_max) -> np.ndarray:
-    """Slab test (Kay & Kajiya 1986) over the last axis: does the ray
-    o + t d, 0 <= t <= t_max, meet the closed box [lo, hi]? A ray parallel
-    to a slab hits only from inside it."""
-    t0 = np.zeros(o.shape[:-1])
-    t1 = np.full(o.shape[:-1], t_max)
-    ok = np.ones(o.shape[:-1], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(3):
-            da = d[..., a]
-            oa = o[..., a]
-            zero = da == 0.0
-            ok &= ~zero | ((oa >= lo[..., a]) & (oa <= hi[..., a]))
-            ta = (lo[..., a] - oa) / da
-            tb = (hi[..., a] - oa) / da
-            t0 = np.where(zero, t0, np.maximum(t0, np.minimum(ta, tb)))
-            t1 = np.where(zero, t1, np.minimum(t1, np.maximum(ta, tb)))
-    # t0 only grows and t1 only shrinks, so one final check covers every axis
-    return ok & (t0 <= t1)
 
 
 def contact_score(confidence: float, occlusion: float, lam: float) -> float:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .delivery import (
 )
 from .ergonomics import HumanModel, plan_handover_position, candidates_csv
 from .grasping import GripperModel, rank_grasps, sample_grasps
-from .metrics import evaluate_maps, reachability, visibility
+from .metrics import evaluate_maps
 from .voxelgeom import VoxelGrid, load_vgrid
 
 A4_FORWARD = 0.6  # tucked gripper: meters in front of the robot base
@@ -72,34 +73,45 @@ class PipelineParams:
     max_grasps: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        """Reject a value that would fail, or silently mislead, mid-run."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"parameter {f.name!r} must be finite, got {value!r}")
+        checks = [
+            ("lam", 0.0 <= self.lam <= 1.0, "lie in [0, 1]"),
+            ("alpha", 0.0 <= self.alpha <= 1.0, "lie in [0, 1]"),
+            ("k", 0.0 < self.k < 1.0, "lie in (0, 1)"),
+            ("eps", self.eps is None or self.eps > 0, "be positive or null"),
+            ("min_pts", self.min_pts >= 1, "be at least 1"),
+            ("orientation_step", self.orientation_step > 0 and 360.0 % self.orientation_step == 0,
+             "be positive and divide 360"),
+            ("position_step", self.position_step > 0, "be positive"),
+            ("object_mass", self.object_mass >= 0, "be non-negative"),
+            ("max_grasps", self.max_grasps >= 1, "be at least 1"),
+            ("seed", self.seed >= 0, "be non-negative"),
+        ]
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"parameter {name!r} must {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineParams":
-        p = cls()
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {}
         for key, value in data.items():
-            if not hasattr(p, key):
+            if key not in defaults:
                 raise ValueError(f"unknown parameter {key!r}")
-            current = getattr(p, key)
-            if key == "eps":
-                setattr(p, key, None if value is None else float(value))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(p, key, int(value))
-            else:
-                setattr(p, key, float(value))
-        return p
-
-    def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "alpha": self.alpha,
-            "k": self.k,
-            "eps": self.eps,
-            "min_pts": self.min_pts,
-            "orientation_step": self.orientation_step,
-            "position_step": self.position_step,
-            "object_mass": self.object_mass,
-            "max_grasps": self.max_grasps,
-            "seed": self.seed,
-        }
+            if key == "eps" and value is None:
+                values[key] = None
+                continue
+            kind = int if isinstance(defaults[key], int) else float
+            try:
+                values[key] = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"parameter {key!r}: {exc}") from exc
+        return cls(**values)
 
 
 @dataclass
@@ -110,7 +122,7 @@ class Scene:
     planning_map: int | str  # index into contact_maps, or "heuristic"
     human: HumanModel
     gripper: GripperModel
-    body_proxy_dims: tuple[float, float, float]
+    body_proxy_dims: tuple[float, float, float] | None
     start_distance: float = 2.0  # receiver stands this far behind the robot start
     standoff: float = 1.2  # robot delivers from this far in front of the receiver
     params: PipelineParams = field(default_factory=PipelineParams)
@@ -130,6 +142,22 @@ class Scene:
         return self.contact_maps[int(self.planning_map)]
 
 
+def _proxy_dims(value, path) -> tuple[float, float, float] | None:
+    """robot.body_proxy_dims: null drops the robot body, else three positive
+    finite numbers."""
+    if value is None:
+        return None
+    try:
+        dims = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        dims = ()
+    if len(dims) != 3 or not all(math.isfinite(v) and v > 0 for v in dims):
+        raise ValueError(
+            f"{path}: robot.body_proxy_dims must be null or 3 positive numbers, got {value!r}"
+        )
+    return dims
+
+
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -144,7 +172,7 @@ def load_scene(path) -> Scene:
         human = HumanModel(**cfg.get("human", {}))
         robot = cfg.get("robot", {})
         gripper = GripperModel(**robot.get("gripper", {}))
-        proxy = tuple(robot.get("body_proxy_dims", BODY_PROXY_DIMS))
+        proxy = _proxy_dims(robot.get("body_proxy_dims", BODY_PROXY_DIMS), path)
         layout = cfg.get("layout", {})
         params = PipelineParams.from_dict(cfg.get("params", {}))
     except KeyError as exc:
@@ -183,43 +211,22 @@ class HandoverReport:
     failure: str | None
     duration_seconds: float
 
+    # serialized under "object"; every other key is the field name
     def to_dict(self) -> dict:
-        return {
-            "object": self.object_name,
-            "mode": self.mode,
-            "seed": self.seed,
-            "params": self.params,
-            "stages": self.stages,
-            "grasp": self.grasp,
-            "position": self.position,
-            "delivery": self.delivery,
-            "metrics": self.metrics,
-            "success": self.success,
-            "failure": self.failure,
-            "duration_seconds": self.duration_seconds,
-        }
+        return {_report_key(f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "HandoverReport":
-        return cls(
-            object_name=data["object"],
-            mode=data["mode"],
-            seed=data["seed"],
-            params=data["params"],
-            stages=data["stages"],
-            grasp=data["grasp"],
-            position=data["position"],
-            delivery=data["delivery"],
-            metrics=data["metrics"],
-            success=data["success"],
-            failure=data["failure"],
-            duration_seconds=data["duration_seconds"],
-        )
+        return cls(**{f.name: data[_report_key(f.name)] for f in fields(cls)})
+
+
+def _report_key(name: str) -> str:
+    return "object" if name == "object_name" else name
 
 
 def save_report(report: HandoverReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -251,6 +258,10 @@ def _delivery_record(pose: HandoverPose, rejected: list | None = None) -> dict:
     if rejected is not None:
         rec["rejected_candidates"] = rejected
     return rec
+
+
+def _bitmap(flags: dict) -> dict:
+    return {",".join(map(str, idx)): v for idx, v in flags.items()}
 
 
 def run_pipeline(
@@ -308,23 +319,6 @@ def run_pipeline(
             stage = "metrics"
             forward = -human.facing  # robot faces the receiver
             ee = robot_base + A4_FORWARD * forward + np.array([0.0, 0.0, A4_HEIGHT])
-            rotation = np.eye(3)
-            ctx = DeliveryContext(
-                grid=grid,
-                gripper=gripper,
-                grasp_rotation=top.candidate.rotation,
-                held_point=top.candidate.translation,
-                width=top.candidate.width,
-                ee_position=ee,
-                human=human,
-                robot_base=robot_base,
-                body_proxy_dims=scene.body_proxy_dims,
-            )
-            pose = HandoverPose(
-                top, rotation, ee, exposure_objective(ctx, rotation, cluster),
-                top.candidate.translation,
-            )
-            delivery_rec = _delivery_record(pose)
         else:
             stage = "position"
             stages.append(stage)
@@ -341,44 +335,47 @@ def run_pipeline(
             }
             if emit_diagnostics:
                 diag["ergonomics_csv"] = candidates_csv(kept)
-
             stage = "orientation"
             stages.append(stage)
-            ctx = DeliveryContext(
-                grid=grid,
-                gripper=gripper,
-                grasp_rotation=top.candidate.rotation,
-                held_point=top.candidate.translation,
-                width=top.candidate.width,
-                ee_position=ee,
-                human=human,
-                robot_base=robot_base,
-                body_proxy_dims=scene.body_proxy_dims,
-            )
-            if mode in RANDOM_ORIENTATION_MODES:
+
+        ctx = DeliveryContext(
+            grid=grid,
+            gripper=gripper,
+            grasp_rotation=top.candidate.rotation,
+            held_point=top.candidate.translation,
+            width=top.candidate.width,
+            ee_position=ee,
+            human=human,
+            robot_base=robot_base,
+            body_proxy_dims=scene.body_proxy_dims,
+        )
+        if mode is AblationMode.A4 or mode in RANDOM_ORIENTATION_MODES:
+            if mode is AblationMode.A4:
+                rotation = np.eye(3)
+            else:
                 rotations = sample_orientations(params.orientation_step)
                 feas = [r for r in rotations if feasible(ctx, r)]
                 if not feas:
                     raise StageError(stage, "no feasible handover orientation")
                 rng = np.random.default_rng([seed, 7])
                 rotation = feas[int(rng.integers(len(feas)))]
-                pose = HandoverPose(
-                    top, rotation, ee, exposure_objective(ctx, rotation, cluster),
-                    top.candidate.translation,
-                )
-                delivery_rec = _delivery_record(pose)
-            else:
-                pose = plan_handover_orientation(ctx, cluster, params.orientation_step, top)
-                rejected = None
-                if emit_diagnostics:
-                    rejected = [
-                        {"rotation": c.rotation.tolist(), "reason": c.reason}
-                        for c in pose.candidates
-                        if not c.feasible
-                    ]
-                delivery_rec = _delivery_record(pose, rejected)
+            pose = HandoverPose(
+                top, rotation, ee, exposure_objective(ctx, rotation, cluster),
+                top.candidate.translation,
+            )
+            delivery_rec = _delivery_record(pose)
+        else:
+            pose = plan_handover_orientation(ctx, cluster, params.orientation_step, top)
+            rejected = None
+            if emit_diagnostics:
+                rejected = [
+                    {"rotation": c.rotation.tolist(), "reason": c.reason}
+                    for c in pose.candidates
+                    if not c.feasible
+                ]
+            delivery_rec = _delivery_record(pose, rejected)
             rotation = pose.object_rotation
-            stage = "metrics"
+        stage = "metrics"
 
         stages.append("metrics")
         scores = evaluate_maps(ctx, rotation, scene.contact_maps, params.k)
@@ -392,18 +389,8 @@ def run_pipeline(
             "k": params.k,
         }
         if emit_diagnostics:
-            vis_detail = [
-                visibility(ctx, rotation, cm, detail=True)[1] for cm in scene.contact_maps
-            ]
-            reach_detail = [
-                reachability(ctx, rotation, cm, detail=True)[1] for cm in scene.contact_maps
-            ]
-            metrics_rec["visibility_bitmaps"] = [
-                {",".join(map(str, k)): v for k, v in d.items()} for d in vis_detail
-            ]
-            metrics_rec["reachability_bitmaps"] = [
-                {",".join(map(str, k)): v for k, v in d.items()} for d in reach_detail
-            ]
+            metrics_rec["visibility_bitmaps"] = [_bitmap(d) for d in scores.visibility_flags]
+            metrics_rec["reachability_bitmaps"] = [_bitmap(d) for d in scores.reachability_flags]
         if emit_diagnostics and diag:
             metrics_rec["diagnostics"] = diag
         ok = scores.success
@@ -417,7 +404,7 @@ def run_pipeline(
         object_name=scene.name,
         mode=mode.value,
         seed=seed,
-        params={**params.to_dict(), "seed": seed},
+        params={**asdict(params), "seed": seed},
         stages=stages,
         grasp=grasp_rec,
         position=position_rec,

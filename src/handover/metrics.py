@@ -2,14 +2,13 @@
 seen, can it be reached, and does the handover count as successful."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contacts import ContactMap
 from .delivery import DeliveryContext
-from .voxelgeom import Ray, ray_cast
+from .voxelgeom import Ray, ray_cast, segments_hit_boxes
 
 AIM_OFFSET_VOXELS = 1.5  # sight lines aim this far off the contact face
 
@@ -22,6 +21,9 @@ class MetricScores:
     reachability_median: float
     threshold: float
     success: bool
+    # per map: contact voxel index -> visible / reachable
+    visibility_flags: list[dict]
+    reachability_flags: list[dict]
 
 
 def lower_median(values) -> float:
@@ -42,27 +44,6 @@ def success(visibility_scores, reachability_scores, threshold: float = 0.5) -> b
     )
 
 
-def _segment_hits_box(origin, target_dist, direction, lo, hi) -> bool:
-    """Does the segment origin + t*direction, t in (0, target_dist), pass
-    through the AABB?"""
-    t0, t1 = 0.0, target_dist
-    for a in range(3):
-        d = direction[a]
-        if d == 0.0:
-            if origin[a] < lo[a] or origin[a] > hi[a]:
-                return False
-            continue
-        ta = (lo[a] - origin[a]) / d
-        tb = (hi[a] - origin[a]) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return False
-    return t0 < target_dist
-
-
 def _robot_proxy_box(ctx: DeliveryContext):
     if ctx.body_proxy_dims is None:
         return None
@@ -71,6 +52,40 @@ def _robot_proxy_box(ctx: DeliveryContext):
     lo = np.array([base[0] - fx / 2, base[1] - fy / 2, base[2]])
     hi = np.array([base[0] + fx / 2, base[1] + fy / 2, base[2] + h])
     return lo, hi
+
+
+def _contacts(cm: ContactMap):
+    """Contact voxels in lexicographic order and their total weight."""
+    contact = cm.contact_indices()
+    denom = sum(cm.values[i] for i in contact)
+    if denom <= 0:
+        raise ValueError("empty contact map")
+    return contact, denom
+
+
+def _rotate(rotation: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """rotation @ v for every row v, rounded exactly as the per-row product
+    (vectors @ rotation.T can differ in the last bit)."""
+    return (rotation[None] @ vectors[..., None])[..., 0]
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row, rounded exactly as the per-row call."""
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+
+
+def _toward(off: np.ndarray) -> np.ndarray:
+    """Unit vector along `off`, +z when it vanishes: the sight-line normal
+    of a contact voxel that has no surface normal."""
+    n = float(np.linalg.norm(off))
+    return off / n if n > 0 else np.array([0.0, 0.0, 1.0])
+
+
+def _fold(cm: ContactMap, contact, denom, ok: np.ndarray, detail: bool):
+    """Weighted score of the flagged voxels, summed in contact order."""
+    flags = dict(zip(contact, ok.tolist()))
+    score = sum((cm.values[i] for i in contact if flags[i]), 0.0) / denom
+    return (score, flags) if detail else score
 
 
 def visibility(
@@ -88,56 +103,49 @@ def visibility(
     grazing rays clip the surface early. A contact voxel is visible when the
     segment from the eye to its aim point crosses no object voxel, no gripper
     box, and no robot body proxy, and the voxel center is not covered by the
-    closing region.
+    closing region. A voxel whose aim point is the eye itself counts as seen.
+
+    All sight lines are built as arrays and tested against the closing
+    region and each box at once (segments_hit_boxes; the proxy's far end is
+    open). Only the lines nothing else blocks walk the object grid
+    (ray_cast), one at a time.
     """
     grid = ctx.grid
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
-    if denom <= 0:
-        raise ValueError("empty contact map")
-    vs = grid.voxel_size
+    contact, denom = _contacts(cm)
     eye = ctx.human.eye_point
-    grip_rot, grip_t = ctx.gripper_pose(rotation)
-    proxy = _robot_proxy_box(ctx) if include_robot else None
-    normals = grid.normals
     # eye mapped into grid coordinates once; the grid never moves, the world does
     eye_grid = ctx.grid_frame_point(rotation, eye)
-    numer = 0.0
-    flags: dict = {}
-    for idx in contact:
-        c_grid = grid.center(idx)
-        world = ctx.ee_position + rotation @ (c_grid - ctx.held_point)
-        normal = normals.get(idx)
-        if normal is None:
-            off = eye_grid - c_grid
-            n = float(np.linalg.norm(off))
-            normal = off / n if n > 0 else np.array([0.0, 0.0, 1.0])
-        aim_grid = c_grid + AIM_OFFSET_VOXELS * vs * normal
-        to_aim = aim_grid - eye_grid
-        dist = float(np.linalg.norm(to_aim))
-        visible = True
-        if dist > 0:
-            if include_gripper:
-                if bool(ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)[0]):
-                    visible = False
-                else:
-                    world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
-                    direction = (world_aim - eye) / dist
-                    if ctx.gripper.ray_blocked(grip_rot, grip_t, ctx.width, eye, direction, dist):
-                        visible = False
-            if visible and proxy is not None:
-                world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
-                direction = (world_aim - eye) / dist
-                if _segment_hits_box(eye, dist, direction, proxy[0], proxy[1]):
-                    visible = False
-            if visible:
-                hit = ray_cast(grid, Ray(eye_grid, to_aim / dist, dist))
-                visible = hit is None
-        if visible:
-            numer += cm.values[idx]
-        flags[idx] = visible
-    score = numer / denom
-    return (score, flags) if detail else score
+    centers = grid.centers(contact)
+    normals = grid.normals
+    nrm = np.array([
+        normals[idx] if idx in normals else _toward(eye_grid - c)
+        for idx, c in zip(contact, centers)
+    ])
+    aims = centers + AIM_OFFSET_VOXELS * grid.voxel_size * nrm
+    to_aim = aims - eye_grid
+    dist = _norms(to_aim)
+    rays = np.flatnonzero(dist > 0)
+    t_max = dist[rays]
+    blocked = np.zeros(len(rays), dtype=bool)
+    proxy = _robot_proxy_box(ctx) if include_robot else None
+    if include_gripper or proxy is not None:
+        world_aims = ctx.ee_position + _rotate(rotation, aims[rays] - ctx.held_point)
+        dirs = (world_aims - eye) / t_max[:, None]
+    if include_gripper:
+        grip_rot, grip_t = ctx.gripper_pose(rotation)
+        world = ctx.ee_position + _rotate(rotation, centers[rays] - ctx.held_point)
+        blocked |= ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)
+        eye_loc = grip_rot.T @ (eye - grip_t)
+        dirs_loc = _rotate(grip_rot.T, dirs)
+        for lo, hi in ctx.gripper.boxes(ctx.width):
+            blocked |= segments_hit_boxes(eye_loc, dirs_loc, t_max, lo, hi)
+    if proxy is not None:
+        blocked |= segments_hit_boxes(eye, dirs, t_max, *proxy, open_end=True)
+    visible = np.ones(len(contact), dtype=bool)
+    visible[rays] = ~blocked
+    for r in rays[~blocked]:
+        visible[r] = ray_cast(grid, Ray(eye_grid, to_aim[r] / dist[r], dist[r])) is None
+    return _fold(cm, contact, denom, visible, detail)
 
 
 def reachability(
@@ -148,43 +156,37 @@ def reachability(
 ):
     """Weighted fraction of the contact map inside the receiver's grasp
     envelope: within arm's length of the shoulder AND horizontally closer to
-    the body axis than any part of the gripper."""
-    grid = ctx.grid
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
-    if denom <= 0:
-        raise ValueError("empty contact map")
+    the body axis than any part of the gripper. Every contact voxel is
+    tested at once."""
+    contact, denom = _contacts(cm)
     human = ctx.human
-    shoulder = human.shoulder_point
     base = human.base_position
     grip_pts = ctx.gripper_points(rotation)
     gripper_axis_dist = float(
         np.hypot(grip_pts[:, 0] - base[0], grip_pts[:, 1] - base[1]).min()
     )
-    numer = 0.0
-    flags: dict = {}
-    for idx in contact:
-        world = ctx.ee_position + rotation @ (grid.center(idx) - ctx.held_point)
-        d1 = float(np.linalg.norm(world - shoulder))
-        d2 = float(np.hypot(world[0] - base[0], world[1] - base[1]))
-        ok = d1 < human.arm_length and d2 < gripper_axis_dist
-        if ok:
-            numer += cm.values[idx]
-        flags[idx] = ok
-    score = numer / denom
-    return (score, flags) if detail else score
+    world = ctx.ee_position + _rotate(rotation, ctx.grid.centers(contact) - ctx.held_point)
+    d1 = _norms(world - human.shoulder_point)
+    d2 = np.hypot(world[:, 0] - base[0], world[:, 1] - base[1])
+    ok = (d1 < human.arm_length) & (d2 < gripper_axis_dist)
+    return _fold(cm, contact, denom, ok, detail)
 
 
 def evaluate_maps(ctx: DeliveryContext, rotation: np.ndarray, maps, threshold: float = 0.5):
     """Score every ground-truth map at the delivered pose and fold the lists
-    into the success verdict."""
-    vis = [visibility(ctx, rotation, cm) for cm in maps]
-    reach = [reachability(ctx, rotation, cm) for cm in maps]
+    into the success verdict. The per-voxel flags behind each score come
+    along, so diagnostics need no second pass."""
+    vis = [visibility(ctx, rotation, cm, detail=True) for cm in maps]
+    reach = [reachability(ctx, rotation, cm, detail=True) for cm in maps]
+    vis_scores = [score for score, _ in vis]
+    reach_scores = [score for score, _ in reach]
     return MetricScores(
-        visibility=vis,
-        reachability=reach,
-        visibility_median=lower_median(vis),
-        reachability_median=lower_median(reach),
+        visibility=vis_scores,
+        reachability=reach_scores,
+        visibility_median=lower_median(vis_scores),
+        reachability_median=lower_median(reach_scores),
         threshold=threshold,
-        success=success(vis, reach, threshold),
+        success=success(vis_scores, reach_scores, threshold),
+        visibility_flags=[flags for _, flags in vis],
+        reachability_flags=[flags for _, flags in reach],
     )

@@ -111,6 +111,35 @@ def test_plan_set_rejects_malformed_pair(suite_dir, capsys):
     assert "not key=value" in stderr
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eps", "-0.009"), ("eps", "0"), ("eps", "nan"), ("eps", "inf"),
+    ("k", "0"), ("k", "1"), ("k", "1.5"),
+    ("lam", "-0.1"), ("lam", "1.01"), ("lam", "nan"), ("lam", "null"), ("alpha", "2"),
+    ("orientation_step", "7"), ("orientation_step", "0"), ("orientation_step", "-45"),
+    ("position_step", "0"), ("object_mass", "inf"), ("object_mass", "-0.5"),
+    ("max_grasps", "0"), ("min_pts", "0"), ("min_pts", "inf"), ("min_pts", "four"),
+    ("seed", "-1"),
+])
+def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, key, value):
+    raw = None if value == "null" else value
+    with pytest.raises(ValueError, match=f"parameter '{key}'"):
+        harness.PipelineParams.from_dict({key: raw})
+    code, stdout, stderr = run_cli(
+        ["plan", str(suite_dir / "mug.scene.json"), "--set", f"{key}={value}"], capsys
+    )
+    assert code == 1
+    assert f"parameter '{key}'" in stderr
+    assert stdout == ""
+
+
+def test_parameter_range_edges_accepted():
+    p = harness.PipelineParams.from_dict(
+        {"eps": None, "lam": 0, "alpha": 1, "object_mass": 0, "min_pts": 1, "max_grasps": 1,
+         "orientation_step": 360, "k": 0.999}
+    )
+    assert (p.eps, p.lam, p.alpha, p.object_mass, p.orientation_step) == (None, 0.0, 1.0, 0.0, 360.0)
+
+
 def test_plan_stage_failure_exits_2(suite_dir, capsys):
     code, stdout, _ = run_cli(
         ["plan", str(suite_dir / "hammer.scene.json"), "--seed", "0",

@@ -1,10 +1,11 @@
 """Scene loading, the end-to-end pipeline, ablation modes, and aggregation."""
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from handover import metrics
 from handover.contacts import predict_contacts_heuristic
 from handover.delivery import DeliveryContext, feasible, sample_orientations
 from handover.harness import (
@@ -21,7 +22,7 @@ from handover.harness import (
 
 def scene_with(scene, **overrides):
     """Copy of a bundled scene with tweaked params, reusing its grasp cache."""
-    params = PipelineParams.from_dict({**scene.params.to_dict(), **overrides})
+    params = PipelineParams.from_dict({**asdict(scene.params), **overrides})
     twin = replace(scene, params=params)
     twin._grasp_cache = scene._grasp_cache
     return twin
@@ -71,6 +72,28 @@ def test_load_scene_planning_map_range(suite_dir, tmp_path):
     bad.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match="planning_map out of range"):
         load_scene(bad)
+
+
+def test_null_body_proxy_loads_and_plans(suite_dir, tmp_path):
+    cfg = absolutized_config(suite_dir, "hammer")
+    cfg["robot"]["body_proxy_dims"] = None
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg))
+    scene = load_scene(path)
+    assert scene.body_proxy_dims is None
+    report = run_pipeline(scene, "FULL", seed=0)
+    assert report.failure is None
+    assert report.metrics["visibility_median"] >= 0.0
+
+
+@pytest.mark.parametrize("dims", [[0.5, 0.5], [0.5, 0.5, 0.0], [0.5, -1.0, 1.1], "box", 3])
+def test_bad_body_proxy_rejected(suite_dir, tmp_path, dims):
+    cfg = absolutized_config(suite_dir, "hammer")
+    cfg["robot"]["body_proxy_dims"] = dims
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="body_proxy_dims"):
+        load_scene(path)
 
 
 def test_heuristic_planning_map(scenes):
@@ -139,6 +162,44 @@ def test_diagnostics_payload(scenes):
         assert entry["visibility"] == pytest.approx(
             sum(bitmap.values()) / len(bitmap)
         )
+
+
+def test_diagnostics_reuse_the_scoring_pass(scenes, monkeypatch):
+    # the bitmaps come from the flags evaluate_maps already computed: one
+    # visibility call per map, and the same bitmaps a second pass would give
+    scene = scenes["hammer"]
+    calls = []
+    real = metrics.visibility
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "visibility", counting)
+    report = run_pipeline(scene, "FULL", seed=0, emit_diagnostics=True)
+    assert len(calls) == len(scene.contact_maps) == 3
+    monkeypatch.undo()
+    pose = np.array(report.grasp["pose"])
+    ctx = DeliveryContext(
+        grid=scene.grid, gripper=scene.gripper, grasp_rotation=pose[:3, :3],
+        held_point=pose[:3, 3], width=report.grasp["width"],
+        ee_position=np.array(report.delivery["ee_position"]), human=scene.human,
+        robot_base=scene.robot_base, body_proxy_dims=scene.body_proxy_dims,
+    )
+    rotation = np.array(report.delivery["object_rotation"])
+    for name, fn in (("visibility", metrics.visibility), ("reachability", metrics.reachability)):
+        expect = [
+            {",".join(map(str, idx)): v for idx, v in fn(ctx, rotation, cm, detail=True)[1].items()}
+            for cm in scene.contact_maps
+        ]
+        assert report.metrics[f"{name}_bitmaps"] == expect
+
+
+def test_save_report_refuses_nan(scenes, tmp_path):
+    report = run_pipeline(scenes["hammer"], "A4", seed=0)
+    report.metrics["visibility_median"] = float("nan")
+    with pytest.raises(ValueError):
+        save_report(report, tmp_path / "r.json")
 
 
 # ----------------------------------------------------------------- ablations

@@ -8,6 +8,7 @@ from handover.contacts import ContactMap
 from handover.delivery import DeliveryContext
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
+from handover.harness import run_pipeline
 from handover.metrics import (
     evaluate_maps,
     lower_median,
@@ -15,6 +16,7 @@ from handover.metrics import (
     success,
     visibility,
 )
+from handover.voxelgeom import Ray, ray_cast
 
 from conftest import box_grid
 
@@ -233,3 +235,202 @@ def test_scores_bounded_on_slab_scene():
         for fn in (visibility, reachability):
             v = fn(ctx, I3, cm)
             assert 0.0 <= v <= 1.0
+
+
+# ------------------------------------------- per-voxel oracles, bundled scenes
+#
+# The per-voxel visibility and reachability as they were before the metrics
+# were batched, kept verbatim (with the gripper's and the robot proxy's own
+# slab tests inlined) so the array code can be held to them bit for bit.
+
+
+def oracle_segment_hits_box(origin, target_dist, direction, lo, hi) -> bool:
+    t0, t1 = 0.0, target_dist
+    for a in range(3):
+        d = direction[a]
+        if d == 0.0:
+            if origin[a] < lo[a] or origin[a] > hi[a]:
+                return False
+            continue
+        ta = (lo[a] - origin[a]) / d
+        tb = (hi[a] - origin[a]) / d
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return False
+    return t0 < target_dist
+
+
+def oracle_ray_blocked(gripper, rotation, translation, width, origin, direction, max_distance) -> bool:
+    o = rotation.T @ (np.asarray(origin, dtype=float) - translation)
+    d = rotation.T @ np.asarray(direction, dtype=float)
+    for lo, hi in gripper.boxes(width):
+        t0, t1 = 0.0, max_distance
+        ok = True
+        for a in range(3):
+            if d[a] == 0.0:
+                if o[a] < lo[a] or o[a] > hi[a]:
+                    ok = False
+                    break
+                continue
+            ta = (lo[a] - o[a]) / d[a]
+            tb = (hi[a] - o[a]) / d[a]
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 > t1:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def oracle_visibility(ctx, rotation, cm, include_gripper=True, include_robot=True):
+    grid = ctx.grid
+    contact = cm.contact_indices()
+    denom = sum(cm.values[i] for i in contact)
+    vs = grid.voxel_size
+    eye = ctx.human.eye_point
+    grip_rot, grip_t = ctx.gripper_pose(rotation)
+    proxy = None
+    if include_robot and ctx.body_proxy_dims is not None:
+        fx, fy, h = ctx.body_proxy_dims
+        base = ctx.robot_base
+        proxy = (np.array([base[0] - fx / 2, base[1] - fy / 2, base[2]]),
+                 np.array([base[0] + fx / 2, base[1] + fy / 2, base[2] + h]))
+    normals = grid.normals
+    eye_grid = ctx.grid_frame_point(rotation, eye)
+    numer = 0.0
+    flags = {}
+    for idx in contact:
+        c_grid = grid.center(idx)
+        world = ctx.ee_position + rotation @ (c_grid - ctx.held_point)
+        normal = normals.get(idx)
+        if normal is None:
+            off = eye_grid - c_grid
+            n = float(np.linalg.norm(off))
+            normal = off / n if n > 0 else np.array([0.0, 0.0, 1.0])
+        aim_grid = c_grid + 1.5 * vs * normal
+        to_aim = aim_grid - eye_grid
+        dist = float(np.linalg.norm(to_aim))
+        visible = True
+        if dist > 0:
+            if include_gripper:
+                if bool(ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)[0]):
+                    visible = False
+                else:
+                    world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
+                    direction = (world_aim - eye) / dist
+                    if oracle_ray_blocked(ctx.gripper, grip_rot, grip_t, ctx.width, eye,
+                                          direction, dist):
+                        visible = False
+            if visible and proxy is not None:
+                world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
+                direction = (world_aim - eye) / dist
+                if oracle_segment_hits_box(eye, dist, direction, proxy[0], proxy[1]):
+                    visible = False
+            if visible:
+                hit = ray_cast(grid, Ray(eye_grid, to_aim / dist, dist))
+                visible = hit is None
+        if visible:
+            numer += cm.values[idx]
+        flags[idx] = visible
+    return numer / denom, flags
+
+
+def oracle_reachability(ctx, rotation, cm):
+    grid = ctx.grid
+    contact = cm.contact_indices()
+    denom = sum(cm.values[i] for i in contact)
+    human = ctx.human
+    shoulder = human.shoulder_point
+    base = human.base_position
+    grip_pts = ctx.gripper_points(rotation)
+    gripper_axis_dist = float(
+        np.hypot(grip_pts[:, 0] - base[0], grip_pts[:, 1] - base[1]).min()
+    )
+    numer = 0.0
+    flags = {}
+    for idx in contact:
+        world = ctx.ee_position + rotation @ (grid.center(idx) - ctx.held_point)
+        d1 = float(np.linalg.norm(world - shoulder))
+        d2 = float(np.hypot(world[0] - base[0], world[1] - base[1]))
+        ok = d1 < human.arm_length and d2 < gripper_axis_dist
+        if ok:
+            numer += cm.values[idx]
+        flags[idx] = ok
+    return numer / denom, flags
+
+
+def delivered_context(scene, report, body_proxy_dims):
+    pose = np.array(report.grasp["pose"])
+    return DeliveryContext(
+        grid=scene.grid,
+        gripper=scene.gripper,
+        grasp_rotation=pose[:3, :3],
+        held_point=pose[:3, 3],
+        width=report.grasp["width"],
+        ee_position=np.array(report.delivery["ee_position"]),
+        human=scene.human,
+        robot_base=scene.robot_base,
+        body_proxy_dims=body_proxy_dims,
+    )
+
+
+def test_oracles_cover_every_branch_on_slab():
+    # the slab fixture exercises the closing region, a palm blocking sight
+    # lines and the robot proxy, and interior voxels have no surface normal;
+    # the batched code must agree on each
+    for kwargs, robot in (({}, None), ({"held_idx": (2, 5, 5)}, None),
+                          ({"grasp_rotation": rot_y(-90.0)}, None),
+                          ({}, ((0.3, 0.0, 0.0), (0.5, 0.5, 1.55)))):
+        grid, ctx = slab_ctx(**kwargs)
+        if robot is not None:
+            ctx.robot_base = np.array(robot[0])
+            ctx.body_proxy_dims = robot[1]
+        interior = {(3, 5, 5): 0.6, (3, 7, 4): 0.8}
+        cm = ContactMap(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.3 for i in FAR}, **interior},
+                        threshold=0.25)
+        assert not set(interior) & set(grid.normals)
+        for grip in (True, False):
+            for rob in (True, False):
+                assert visibility(ctx, I3, cm, grip, rob, detail=True) == \
+                    oracle_visibility(ctx, I3, cm, grip, rob)
+        assert reachability(ctx, I3, cm, detail=True) == oracle_reachability(ctx, I3, cm)
+
+
+@pytest.mark.parametrize("mode", ["FULL", "A4"])
+def test_batched_metrics_match_per_voxel_oracles(scenes, mode):
+    """Equal flags and bitwise-equal scores on every bundled scene, seeds 0-1,
+    all three maps, at the pose the pipeline delivers; the robot proxy is
+    also dropped once per scene, and the gripper left out."""
+    for name, scene in scenes.items():
+        for seed in (0, 1):
+            report = run_pipeline(scene, mode, seed=seed)
+            assert report.failure is None, (name, seed, report.failure)
+            rotation = np.array(report.delivery["object_rotation"])
+            ctx = delivered_context(scene, report, scene.body_proxy_dims)
+            for cm in scene.contact_maps:
+                assert visibility(ctx, rotation, cm, detail=True) == \
+                    oracle_visibility(ctx, rotation, cm), (name, seed)
+                assert reachability(ctx, rotation, cm, detail=True) == \
+                    oracle_reachability(ctx, rotation, cm), (name, seed)
+            if seed == 0:
+                bare = delivered_context(scene, report, None)
+                cm = scene.contact_maps[0]
+                assert visibility(bare, rotation, cm, detail=True) == \
+                    oracle_visibility(bare, rotation, cm), name
+                assert visibility(ctx, rotation, cm, include_gripper=False, detail=True) == \
+                    oracle_visibility(ctx, rotation, cm, include_gripper=False), name
+
+
+def test_evaluate_maps_carries_the_flags():
+    grid, ctx = slab_ctx()
+    maps = [ones_map(grid, NEAR), ones_map(grid, FAR)]
+    scores = evaluate_maps(ctx, I3, maps)
+    assert scores.visibility_flags == [visibility(ctx, I3, m, detail=True)[1] for m in maps]
+    assert scores.reachability_flags == [reachability(ctx, I3, m, detail=True)[1] for m in maps]

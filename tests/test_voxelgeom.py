@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import box_grid, cube_mesh, icosphere_mesh, make_grid
+from conftest import box_grid, cube_mesh, icosphere_mesh, make_grid, segment_hits_aabb
 from handover.voxelgeom import (
     Mesh,
     Ray,
@@ -13,6 +13,7 @@ from handover.voxelgeom import (
     load_vgrid,
     ray_cast,
     save_vgrid,
+    segments_hit_boxes,
     surface_voxels,
     voxelize_mesh,
 )
@@ -209,6 +210,69 @@ class TestRayCast:
             origin = grid.center(idx) + 2.0 * vs * n
             hit = ray_cast(grid, Ray(origin, n, 0.05), ignore={idx})
             assert hit is None or hit[0] != idx
+
+
+class TestSegmentsHitBoxes:
+    UNIT = (np.zeros(3), np.ones(3))
+
+    def test_random_segments_match_exact_oracle(self):
+        rng = np.random.default_rng(23)
+        n = 3000
+        starts = rng.uniform(-1.0, 2.0, size=(n, 3))
+        ends = rng.uniform(-1.0, 2.0, size=(n, 3))
+        lo = rng.uniform(-0.5, 0.5, size=(n, 3))
+        hi = lo + rng.uniform(0.05, 1.5, size=(n, 3))
+        expect = np.array([segment_hits_aabb(s, e, l, h) for s, e, l, h in zip(starts, ends, lo, hi)])
+        assert 0.1 < expect.mean() < 0.9  # both outcomes well represented
+        # end point as t_max = 1 on the raw offset, or as a per-ray length
+        # along a unit direction; the closure only matters on a boundary
+        length = np.linalg.norm(ends - starts, axis=1)
+        for dirs, t_max in ((ends - starts, 1.0), ((ends - starts) / length[:, None], length)):
+            for open_end in (False, True):
+                got = segments_hit_boxes(starts, dirs, t_max, lo, hi, open_end=open_end)
+                assert got.shape == (n,)
+                assert np.array_equal(got, expect)
+
+    def test_shared_origin_broadcasts(self):
+        rng = np.random.default_rng(5)
+        origin = np.array([-0.5, 0.3, 0.4])
+        ends = rng.uniform(-1.0, 2.0, size=(500, 3))
+        got = segments_hit_boxes(origin, ends - origin, 1.0, *self.UNIT)
+        expect = [segment_hits_aabb(origin, e, *self.UNIT) for e in ends]
+        assert got.tolist() == expect
+
+    def test_ray_grazing_an_edge_hits_the_closed_box(self):
+        # enters and leaves at the single point (0, 0, 0.5)
+        o, d = np.array([-1.0, 1.0, 0.5]), np.array([1.0, -1.0, 0.0])
+        assert segments_hit_boxes(o, d, 5.0, *self.UNIT)
+        assert not segments_hit_boxes(o - [0.0, 1e-9, 0.0], d, 5.0, *self.UNIT)
+
+    def test_parallel_ray_in_a_face_plane(self):
+        d = np.array([1.0, 0.0, 0.0])
+        for z, hit in ((1.0, True), (0.0, True), (1.0 + 1e-12, False), (-1e-12, False)):
+            assert bool(segments_hit_boxes(np.array([-1.0, 0.5, z]), d, 5.0, *self.UNIT)) is hit
+
+    def test_segment_ending_on_a_face(self):
+        o, d = np.array([-1.0, 0.5, 0.5]), np.array([1.0, 0.0, 0.0])
+        assert segments_hit_boxes(o, d, 1.0, *self.UNIT)
+        assert not segments_hit_boxes(o, d, 1.0, *self.UNIT, open_end=True)
+        assert not segments_hit_boxes(o, d, np.nextafter(1.0, 0.0), *self.UNIT)
+        assert segments_hit_boxes(o, d, np.nextafter(1.0, 2.0), *self.UNIT, open_end=True)
+
+    def test_per_ray_t_max(self):
+        o = np.array([-1.0, 0.5, 0.5])
+        d = np.tile([1.0, 0.0, 0.0], (4, 1))
+        t_max = np.array([0.5, 1.0, 1.5, 3.0])
+        closed = segments_hit_boxes(o, d, t_max, *self.UNIT)
+        open_ = segments_hit_boxes(o, d, t_max, *self.UNIT, open_end=True)
+        assert closed.tolist() == [False, True, True, True]
+        assert open_.tolist() == [False, False, True, True]
+
+    def test_start_inside_and_pointing_away(self):
+        lo, hi = self.UNIT
+        assert segments_hit_boxes(np.full(3, 0.5), np.array([0.0, 0.0, 1.0]), 0.1, lo, hi)
+        assert not segments_hit_boxes(np.array([-1.0, 0.5, 0.5]), np.array([-1.0, 0.0, 0.0]),
+                                      5.0, lo, hi)
 
 
 class TestVgridIO:
