@@ -65,9 +65,11 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _run_one(job):
-    scene, mode, seed, emit = job
-    return run_pipeline(scene, mode, seed, emit_diagnostics=emit)
+def _run_group(job):
+    """All modes of one (scene, seed), in order, sharing their mode-independent stages."""
+    scene, seed, modes, emit = job
+    shared = harness.SharedStages(scene, seed)
+    return [run_pipeline(scene, mode, seed, emit_diagnostics=emit, shared=shared) for mode in modes]
 
 
 def _cmd_bench(args) -> int:
@@ -79,23 +81,19 @@ def _cmd_bench(args) -> int:
                                        [m.value for m in AblationMode])]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(range(5))
     scenes = [load_scene(path) for path in scene_paths]
-    jobs = [
-        (scene, mode, seed, args.emit_diagnostics)
-        for scene in scenes
-        for mode in modes
-        for seed in seeds
-    ]
-    names = [
-        (path, mode, seed)
-        for path in scene_paths
-        for mode in modes
-        for seed in seeds
-    ]
+    groups = [(scene, seed, modes, args.emit_diagnostics) for scene in scenes for seed in seeds]
     if args.jobs and args.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_one, jobs))
+            runs = list(pool.map(_run_group, groups))
     else:
-        reports = [_run_one(job) for job in jobs]
+        runs = [_run_group(group) for group in groups]
+    # reports in (scene, mode, seed) order, which fixes the summary's float sums
+    names, reports = [], []
+    for i, path in enumerate(scene_paths):
+        for m, mode in enumerate(modes):
+            for j, seed in enumerate(seeds):
+                names.append((path, mode, seed))
+                reports.append(runs[i * len(seeds) + j][m])
     os.makedirs(args.out, exist_ok=True)
     for (path, mode, seed), report in zip(names, reports):
         stem = os.path.splitext(os.path.basename(path))[0]

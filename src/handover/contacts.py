@@ -223,21 +223,18 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
         buckets.setdefault((int(keys[i, 0]), int(keys[i, 1]), int(keys[i, 2])), []).append(i)
 
     def neighborhood(i: int) -> list[int]:
-        k = keys[i]
-        found = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    found.extend(
-                        buckets.get((int(k[0]) + dx, int(k[1]) + dy, int(k[2]) + dz), ())
-                    )
-        c = centers[i]
-        out = []
-        for j in found:
-            d = centers[j] - c
-            if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= eps2:
-                out.append(j)
-        return sorted(out)
+        kx, ky, kz = (int(v) for v in keys[i])
+        found = np.array([
+            j
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1)
+            for j in buckets.get((kx + dx, ky + dy, kz + dz), ())
+        ])
+        d = centers[found] - centers[i]
+        # summed in the order of the scalar d0*d0 + d1*d1 + d2*d2
+        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps2
+        return sorted(found[near].tolist())
 
     labels: list[int | None] = [None] * n
     NOISE = -1

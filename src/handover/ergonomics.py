@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,10 +44,32 @@ class HumanModel:
     arm_plane_offset: float = 0.18
 
     def __post_init__(self):
-        if not (self.height > 0):
-            raise ValueError("height must be positive")
-        self.base_position = np.asarray(self.base_position, dtype=float).reshape(3)
-        f = np.asarray(self.facing, dtype=float).reshape(3).copy()
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in ("base_position", "facing"):
+                try:
+                    vec = np.asarray(value, dtype=float).reshape(3)
+                except (TypeError, ValueError):
+                    vec = np.full(3, np.nan)
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"human field {spec.name!r} must be 3 finite numbers, got {value!r}")
+                setattr(self, spec.name, vec)
+            elif not (value is None and spec.default is None) and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ValueError(f"human field {spec.name!r} must be finite, got {value!r}")
+        checks = [
+            ("height", self.height > 0, "be positive"),
+            ("upper_arm_length", self.upper_arm_length is None or self.upper_arm_length > 0, "be positive"),
+            ("forearm_length", self.forearm_length is None or self.forearm_length > 0, "be positive"),
+            ("upper_arm_mass", self.upper_arm_mass >= 0, "be non-negative"),
+            ("forearm_mass", self.forearm_mass >= 0, "be non-negative"),
+            ("hand_mass", self.hand_mass >= 0, "be non-negative"),
+        ]
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"human field {name!r} must {rule}, got {getattr(self, name)!r}")
+        f = self.facing.copy()
         f[2] = 0.0
         n = float(np.linalg.norm(f))
         if n < 1e-9:

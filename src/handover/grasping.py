@@ -8,6 +8,7 @@ the midpoint of the grasped contact pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,9 @@ class GripperModel:
 
     def __post_init__(self):
         for name in ("finger_length", "finger_thickness", "max_width", "palm_depth"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"gripper field {name!r} must be finite and positive, got {value!r}")
 
     def boxes(self, width: float):
         """Finger/finger/palm boxes as (lo, hi) pairs at jaw opening `width`."""

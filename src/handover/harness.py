@@ -14,14 +14,21 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .contacts import ContactMap, cluster_contacts, largest_cluster, load_contact_map, predict_contacts_heuristic
+from .contacts import (
+    ContactCluster,
+    ContactMap,
+    cluster_contacts,
+    largest_cluster,
+    load_contact_map,
+    predict_contacts_heuristic,
+)
 from .delivery import (
     BODY_PROXY_DIMS,
     DeliveryContext,
@@ -126,10 +133,16 @@ class Scene:
     start_distance: float = 2.0  # receiver stands this far behind the robot start
     standoff: float = 1.2  # robot delivers from this far in front of the receiver
     params: PipelineParams = field(default_factory=PipelineParams)
-    # grasp sampling is pure in (grid, seed, count); reruns across modes reuse
-    # it, and parallel bench workers fill it under the lock, so only one samples
-    _grasp_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _grasp_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("standoff", lambda v: v > 0, "positive"),
+            ("start_distance", lambda v: v >= 0, "non-negative"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and ok(value)):
+                raise ValueError(f"layout field {name!r} must be finite and {rule}, got {value!r}")
+            setattr(self, name, float(value))
 
     @property
     def robot_base(self) -> np.ndarray:
@@ -177,11 +190,17 @@ def load_scene(path) -> Scene:
         params = PipelineParams.from_dict(cfg.get("params", {}))
     except KeyError as exc:
         raise ValueError(f"{path}: missing scene field {exc}") from exc
+    except TypeError as exc:  # an unknown human or gripper field
+        raise ValueError(f"{path}: {exc}") from exc
     if not maps:
         raise ValueError(f"{path}: scene needs at least one contact map")
     planning = cfg.get("planning_map", 0)
-    if planning != "heuristic" and not (0 <= int(planning) < len(maps)):
-        raise ValueError(f"{path}: planning_map out of range")
+    is_index = isinstance(planning, int) and not isinstance(planning, bool)
+    if planning != "heuristic" and not (is_index and 0 <= planning < len(maps)):
+        raise ValueError(
+            f'{path}: planning_map out of range: must be "heuristic" or an integer '
+            f"index below {len(maps)}, got {planning!r}"
+        )
     return Scene(
         name=cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
         grid=grid,
@@ -190,8 +209,8 @@ def load_scene(path) -> Scene:
         human=human,
         gripper=gripper,
         body_proxy_dims=proxy,
-        start_distance=float(layout.get("start_distance", 2.0)),
-        standoff=float(layout.get("standoff", 1.2)),
+        start_distance=layout.get("start_distance", 2.0),
+        standoff=layout.get("standoff", 1.2),
         params=params,
     )
 
@@ -264,17 +283,93 @@ def _bitmap(flags: dict) -> dict:
     return {",".join(map(str, idx)): v for idx, v in flags.items()}
 
 
+class SharedStages:
+    """The mode-independent stage results of one (scene, seed).
+
+    Grasp sampling, the largest cluster of the planning contact map, the
+    ranking for each `lam` and the arm plan do not depend on the ablation
+    mode. Each is computed the first time a mode asks for it and kept here,
+    together with the StageError or ValueError it raised, so every later
+    mode reports what a run of its own would report. The object is bound to
+    one scene object, that scene's params object and one seed. The caller
+    creates it and passes it to the run_pipeline calls of one (scene, seed),
+    all from one thread.
+    """
+
+    def __init__(self, scene: Scene, seed: int | None = None):
+        self.scene = scene
+        self.params = scene.params
+        self.seed = self.params.seed if seed is None else int(seed)
+        self._results: dict = {}
+
+    def _once(self, key, compute):
+        if key not in self._results:
+            try:
+                self._results[key] = (compute(), None)
+            except (StageError, ValueError) as exc:
+                self._results[key] = (None, exc)
+        value, exc = self._results[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    def candidates(self) -> list:
+        def sample():
+            grid = self.scene.grid
+            found = sample_grasps(grid, grid.normals, self.scene.gripper, self.params.max_grasps, self.seed)
+            if not found:
+                raise StageError("grasp", "no grasp candidates")
+            return found
+
+        return self._once("grasp", sample)
+
+    def cluster(self) -> ContactCluster:
+        def largest():
+            clusters = cluster_contacts(self.scene.planning_contact_map(), self.params.eps, self.params.min_pts)
+            if not clusters:
+                raise StageError("contacts", "empty contact map")
+            return largest_cluster(clusters)
+
+        return self._once("contacts", largest)
+
+    def ranking(self, lam: float) -> list:
+        grid = self.scene.grid
+        return self._once(("ranking", lam), lambda: rank_grasps(
+            self.candidates(), self.cluster(), lam, grid.normals, self.scene.gripper, grid
+        ))
+
+    def position(self):
+        """plan_handover_position's (hand_position, winner, kept)."""
+        p = self.params
+        return self._once("position", lambda: plan_handover_position(
+            self.scene.human, p.object_mass, p.alpha, p.position_step
+        ))
+
+
 def run_pipeline(
     scene: Scene,
     mode: AblationMode | str = AblationMode.FULL,
     seed: int | None = None,
     emit_diagnostics: bool = False,
+    shared: SharedStages | None = None,
 ) -> HandoverReport:
     """Execute one handover attempt. Never raises on a stage failure: the
-    report carries the failing stage and message instead."""
+    report carries the failing stage and message instead.
+
+    `shared` carries the mode-independent stages of this (scene, seed) from
+    one mode to the next; a fresh one is made when it is None. One bound to
+    another scene, params object or seed is a caller error (ValueError).
+    """
     mode = AblationMode(mode) if not isinstance(mode, AblationMode) else mode
     params = scene.params
     seed = params.seed if seed is None else int(seed)
+    if shared is None:
+        shared = SharedStages(scene, seed)
+    elif shared.scene is not scene or shared.params is not params or shared.seed != seed:
+        raise ValueError(
+            f"shared stages of scene {shared.scene.name!r} seed {shared.seed} "
+            f"passed to a run of scene {scene.name!r} seed {seed}"
+        )
     grid = scene.grid
     human = scene.human
     gripper = scene.gripper
@@ -286,28 +381,16 @@ def run_pipeline(
     try:
         stage = "grasp"
         stages.append(stage)
-        normals = grid.normals
-        cache_key = (seed, params.max_grasps)
-        with scene._grasp_lock:
-            if cache_key not in scene._grasp_cache:
-                scene._grasp_cache[cache_key] = sample_grasps(grid, normals, gripper, params.max_grasps, seed)
-            candidates = scene._grasp_cache[cache_key]
-        if not candidates:
-            raise StageError(stage, "no grasp candidates")
+        shared.candidates()  # ranking reads them; here only a failure matters
 
         stage = "contacts"
         stages.append(stage)
-        planning_cm = scene.planning_contact_map()
-        clusters = cluster_contacts(planning_cm, params.eps, params.min_pts)
-        if not clusters:
-            raise StageError(stage, "empty contact map")
-        cluster = largest_cluster(clusters)
+        cluster = shared.cluster()
 
         stage = "ranking"
         stages.append(stage)
         lam = 1.0 if mode in CONFIDENCE_ONLY_MODES else params.lam
-        ranked = rank_grasps(candidates, cluster, lam, normals, gripper, grid)
-        top = ranked[0]
+        top = shared.ranking(lam)[0]
         grasp_rec = _grasp_record(top)
 
         robot_base = scene.robot_base
@@ -322,9 +405,7 @@ def run_pipeline(
         else:
             stage = "position"
             stages.append(stage)
-            ee, winner, kept = plan_handover_position(
-                human, params.object_mass, params.alpha, params.position_step
-            )
+            ee, winner, kept = shared.position()
             position_rec = {
                 "hand_position": ee.tolist(),
                 "shoulder_deg": winner.config.shoulder_deg,

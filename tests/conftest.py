@@ -1,4 +1,6 @@
 """Shared builders: tiny meshes, voxel grids, and the bundled scene set."""
+import json
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,14 @@ def segment_hits_aabb(origin, end, lo, hi) -> bool:
     return t1 > 0.0 and t0 < 1.0
 
 
+def absolutized_config(suite_dir, name):
+    """A bundled scene's JSON with absolute data paths, to edit and write elsewhere."""
+    cfg = json.loads((suite_dir / f"{name}.scene.json").read_text())
+    cfg["object"]["vgrid"] = str(suite_dir / cfg["object"]["vgrid"])
+    cfg["contact_maps"] = [str(suite_dir / p) for p in cfg["contact_maps"]]
+    return cfg
+
+
 @pytest.fixture(scope="session")
 def suite_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("suite")
@@ -123,5 +133,5 @@ def suite_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def scenes(suite_dir) -> dict[str, Scene]:
-    """Bundled scenes, loaded once; grasp caches accumulate across tests."""
+    """Bundled scenes, loaded once per test run."""
     return {name: load_scene(suite_dir / f"{name}.scene.json") for name in suite.OBJECT_NAMES}

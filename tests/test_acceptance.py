@@ -38,7 +38,7 @@ from handover.grasping import (
     rank_grasps,
     sample_grasps,
 )
-from handover.harness import load_report, run_pipeline, save_report
+from handover.harness import SharedStages, load_report, run_pipeline, save_report
 from handover.metrics import reachability, success, visibility
 from handover.voxelgeom import load_vgrid, save_vgrid
 
@@ -521,9 +521,10 @@ def test_criterion_08_ablation_direction(scenes):
     succ = {m: [] for m in ("FULL", "A1", "A2", "A3", "A4")}
     a4_reach = []
     for scene in scenes.values():
-        for mode in succ:
-            for seed in range(5):
-                rep = run_pipeline(scene, mode, seed=seed)
+        for seed in range(5):
+            shared = SharedStages(scene, seed)
+            for mode in succ:
+                rep = run_pipeline(scene, mode, seed=seed, shared=shared)
                 succ[mode].append(1.0 if rep.success else 0.0)
                 if mode == "A4":
                     assert rep.success is False

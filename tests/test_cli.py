@@ -1,15 +1,13 @@
 """Command line behavior: exit codes, output contracts, file side effects."""
 import json
 import re
-import sys
 
 import pytest
 
 from handover import cli, harness
-from handover.grasping import sample_grasps
 from handover.voxelgeom import load_vgrid
 
-from conftest import cube_mesh, write_obj
+from conftest import absolutized_config, cube_mesh, write_obj
 
 
 def run_cli(argv, capsys):
@@ -132,6 +130,38 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
     assert stdout == ""
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("layout", "standoff", -1.2), ("layout", "standoff", 0.0), ("layout", "standoff", float("nan")),
+    ("layout", "standoff", "far"), ("layout", "start_distance", -0.5),
+    ("layout", "start_distance", float("inf")),
+    ("gripper", "max_width", float("inf")), ("gripper", "finger_length", 0.0),
+    ("gripper", "palm_depth", None),
+    ("human", "upper_arm_mass", -5.0), ("human", "hand_mass", float("nan")),
+    ("human", "arm_plane_offset", float("inf")), ("human", "forearm_length", -0.3),
+    ("human", "height", float("inf")), ("human", "base_position", [0.0, float("nan"), 0.0]),
+    ("human", "facing", "north"),
+    (None, "planning_map", 1.7), (None, "planning_map", None), (None, "planning_map", "abc"),
+    (None, "planning_map", True), (None, "planning_map", -1),
+])
+def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_path, capsys,
+                                                               section, key, value):
+    cfg = absolutized_config(suite_dir, "mug")
+    if section is None:
+        target = cfg
+    elif section == "gripper":
+        target = cfg["robot"].setdefault("gripper", {})
+    else:
+        target = cfg.setdefault(section, {})
+    target[key] = value
+    path = tmp_path / "bad.scene.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, stderr = run_cli(["plan", str(path), "--seed", "0"], capsys)
+    assert code == 1
+    assert stderr.startswith("error:")
+    assert (f"{section} field '{key}'" if section else f"{key} out of range") in stderr
+    assert stdout == ""
+
+
 def test_parameter_range_edges_accepted():
     p = harness.PipelineParams.from_dict(
         {"eps": None, "lam": 0, "alpha": 1, "object_mass": 0, "min_pts": 1, "max_grasps": 1,
@@ -200,25 +230,40 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
 
 
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
-    """Workers of one (scene, seed) share its grasp cache: however the
-    threads interleave, only one of them samples."""
-    calls = []
+    """Bench runs the modes of one (scene, seed) as one group that shares its
+    mode-independent stages: one sampling, one clustering of the planning
+    map, one arm plan, and one ranking per distinct lam (FULL/A2 use the
+    scene's lam, A1/A3/A4 use 1.0), whatever --jobs is."""
+    calls = {}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return sample_grasps(*args, **kwargs)
+    def counting(name):
+        real = getattr(harness, name)
 
-    monkeypatch.setattr(harness, "sample_grasps", counting)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        code, _, _ = run_cli(["bench", str(suite_dir / "hammer.scene.json"), "--seeds", "0",
-                              "--jobs", "3", "--out", str(tmp_path / "out")], capsys)
-    finally:
-        sys.setswitchinterval(interval)
-    assert code == 0
-    assert len(list((tmp_path / "out").glob("hammer_*_0.json"))) == 5
-    assert len(calls) == 1
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in ("sample_grasps", "cluster_contacts", "rank_grasps",
+                 "plan_handover_position", "predict_contacts_heuristic"):
+        counting(name)
+    cfg = absolutized_config(suite_dir, "hammer")
+    cfg["planning_map"] = "heuristic"
+    heuristic = tmp_path / "heuristic.scene.json"
+    heuristic.write_text(json.dumps(cfg))
+    once = {"sample_grasps": 1, "cluster_contacts": 1, "rank_grasps": 2, "plan_handover_position": 1}
+    for scene, stem, expect in (
+        (suite_dir / "hammer.scene.json", "hammer", once),
+        (heuristic, "heuristic", {**once, "predict_contacts_heuristic": 1}),
+    ):
+        calls.clear()
+        out = tmp_path / stem
+        code, _, _ = run_cli(["bench", str(scene), "--seeds", "0", "--jobs", "3",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        assert len(list(out.glob(f"{stem}_*_0.json"))) == 5
+        assert calls == expect
 
 
 def test_bench_accepts_glob(suite_dir, tmp_path, capsys):

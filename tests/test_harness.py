@@ -5,12 +5,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from handover import metrics
+from handover import harness, metrics
 from handover.contacts import predict_contacts_heuristic
 from handover.delivery import DeliveryContext, feasible, sample_orientations
 from handover.harness import (
+    AblationMode,
     HandoverReport,
     PipelineParams,
+    SharedStages,
     aggregate,
     load_report,
     load_scene,
@@ -19,13 +21,13 @@ from handover.harness import (
     summary_csv,
 )
 
+from conftest import absolutized_config
+
 
 def scene_with(scene, **overrides):
-    """Copy of a bundled scene with tweaked params, reusing its grasp cache."""
+    """Copy of a bundled scene with tweaked params."""
     params = PipelineParams.from_dict({**asdict(scene.params), **overrides})
-    twin = replace(scene, params=params)
-    twin._grasp_cache = scene._grasp_cache
-    return twin
+    return replace(scene, params=params)
 
 
 # ------------------------------------------------------------- scene loading
@@ -47,13 +49,6 @@ def test_load_scene_missing_field(tmp_path):
     cfg.write_text(json.dumps({"contact_maps": []}))
     with pytest.raises(ValueError, match="missing scene field"):
         load_scene(cfg)
-
-
-def absolutized_config(suite_dir, name):
-    cfg = json.loads((suite_dir / f"{name}.scene.json").read_text())
-    cfg["object"]["vgrid"] = str(suite_dir / cfg["object"]["vgrid"])
-    cfg["contact_maps"] = [str(suite_dir / p) for p in cfg["contact_maps"]]
-    return cfg
 
 
 def test_load_scene_requires_contact_map(suite_dir, tmp_path):
@@ -268,6 +263,74 @@ def test_mode_accepts_enum_and_string(scenes):
     a.pop("duration_seconds")
     b.pop("duration_seconds")
     assert a == b
+
+
+# ------------------------------------------------------------- shared stages
+
+MODES = [m.value for m in AblationMode]
+
+
+def report_bytes(report) -> str:
+    data = report.to_dict()
+    data.pop("duration_seconds")
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_shared_stages_reports_equal_fresh_runs(scenes):
+    # the mode order rotates per scene, so each mode is once the one that
+    # fills the shared stages
+    for i, scene in enumerate(scenes.values()):
+        shared = SharedStages(scene, 0)
+        for mode in MODES[i:] + MODES[:i]:
+            fresh = run_pipeline(scene, mode, 0, emit_diagnostics=True)
+            via_shared = run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared)
+            assert report_bytes(via_shared) == report_bytes(fresh), (scene.name, mode)
+
+
+def test_shared_position_failure_spares_a4(scenes, monkeypatch):
+    scene = scenes["hammer"]
+    a4 = report_bytes(run_pipeline(scene, "A4", 0))
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("arm model broken")
+
+    monkeypatch.setattr(harness, "plan_handover_position", broken)
+    shared = SharedStages(scene, 0)
+    for mode in MODES:
+        report = run_pipeline(scene, mode, 0, shared=shared)
+        if mode == "A4":
+            assert report_bytes(report) == a4
+        else:
+            assert report.failure == "position: arm model broken"
+            assert report.stages == ["grasp", "contacts", "ranking", "position"]
+            assert report.grasp is not None and report.metrics is None
+    assert len(calls) == 1
+
+
+def test_shared_empty_cluster_fails_every_mode_alike(scenes):
+    scene = scene_with(scenes["hammer"], min_pts=100000)
+    shared = SharedStages(scene, 0)
+    for mode in MODES:
+        fresh = run_pipeline(scene, mode, 0)
+        report = run_pipeline(scene, mode, 0, shared=shared)
+        assert (report.stages, report.failure) == (fresh.stages, fresh.failure) == (
+            ["grasp", "contacts"], "contacts: empty contact map"
+        )
+
+
+def test_shared_stages_bound_to_scene_params_and_seed(scenes):
+    scene = scenes["hammer"]
+    with pytest.raises(ValueError, match="seed 0 passed to a run of scene 'hammer' seed 1"):
+        run_pipeline(scene, "A4", 1, shared=SharedStages(scene, 0))
+    with pytest.raises(ValueError, match="scene 'mug'"):
+        run_pipeline(scene, "A4", 0, shared=SharedStages(scenes["mug"], 0))
+    twin = scene_with(scene)
+    shared = SharedStages(twin)  # seed None binds the scene's own seed
+    twin.params = PipelineParams.from_dict(asdict(twin.params))
+    with pytest.raises(ValueError, match="shared stages"):
+        run_pipeline(twin, "A4", shared=shared)
 
 
 # --------------------------------------------------------------- aggregation
