@@ -2,7 +2,7 @@
 
 The pipeline stages live in separate modules:
 
-  voxelgeom   meshes, voxel grids, ray casting, .vgrid files
+  voxelgeom   meshes, voxel grids, ray casting, .vgrid and .vcontact files
   contacts    contact maps, heuristic prediction, density clustering
   grasping    antipodal grasp sampling and contact-aware re-ranking
   ergonomics  receiver arm model and handover position planning

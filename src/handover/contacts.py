@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .voxelgeom import Index, VoxelGrid, _format_float, _parse_grid_header
+from .voxelgeom import Index, VoxelGrid, read_grid_file, write_grid_file
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_PTS = 4
@@ -33,10 +33,6 @@ class ContactMap:
     def contact_indices(self) -> list[Index]:
         """Voxels whose value clears the threshold, lexicographic order."""
         return sorted(i for i, v in self.values.items() if v >= self.threshold)
-
-    @property
-    def is_binary(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self.values.values())
 
 
 @dataclass
@@ -66,76 +62,40 @@ def _snap_to_surface(grid: VoxelGrid, idx: Index) -> Index:
 
 
 def load_contact_map(path, grid: VoxelGrid, threshold: float = DEFAULT_THRESHOLD) -> ContactMap:
-    """Read a contact annotation file and register it to `grid`.
-
-    Format mirrors the grid file: 'VCONTACT 1' header, then per-cell values
-    either as rows of {0,1} characters or as space-separated floats. Header
-    dims must match the grid. Nonzero values landing off the surface are
-    snapped to the nearest surface voxel (max value wins a collision).
+    """Read a 'VCONTACT 1' grid file (0/1 or float rows, values in [0, 1]) and
+    register it to `grid`, whose dims, voxel_size and origin the header must
+    repeat. Nonzero values landing off the surface are snapped to the nearest
+    surface voxel (max value wins a collision).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    dims, _, _ = _parse_grid_header(lines, path, "VCONTACT")
-    if dims != grid.dims:
-        raise ValueError(f"{path}: dims {dims} do not match grid dims {grid.dims}")
-    nx, ny, nz = dims
-    expected = nz * ny
-    body = lines[4 : 4 + expected]
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} data rows, found {len(body)}")
-    raw: dict[Index, float] = {}
-    r = 0
-    for z in range(nz):
-        for y in range(ny):
-            row = body[r]
-            r += 1
-            if " " in row:
-                vals = [float(t) for t in row.split()]
-            else:
-                if len(row) != nx or set(row) - {"0", "1"}:
-                    raise ValueError(f"{path}: row {4 + r} malformed")
-                vals = [1.0 if c == "1" else 0.0 for c in row]
-            if len(vals) != nx:
-                raise ValueError(f"{path}: row {4 + r} has {len(vals)} values, expected {nx}")
-            for x, v in enumerate(vals):
-                if v != 0.0:
-                    raw[(x, y, z)] = v
-    if not raw:
+    dims, voxel_size, origin, dense = read_grid_file(path, "VCONTACT", floats=True)
+    for key, got, want in (
+        ("dims", dims, grid.dims),
+        ("voxel_size", voxel_size, grid.voxel_size),
+        ("origin", tuple(origin.tolist()), tuple(grid.origin.tolist())),
+    ):
+        if got != want:
+            raise ValueError(f"{path}: {key} {got} does not match grid {key} {want}")
+    nonzero = dense != 0
+    if not nonzero.any():
         raise ValueError(f"{path}: empty contact map")
     surface_set = set(grid.surface)
     values: dict[Index, float] = {}
-    for idx in sorted(raw):
-        v = raw[idx]
+    # argwhere and the mask both walk cells in lexicographic (x, y, z) order
+    for idx, v in zip(map(tuple, np.argwhere(nonzero).tolist()), dense[nonzero].tolist()):
         key = idx if idx in surface_set else _snap_to_surface(grid, idx)
         values[key] = max(values.get(key, 0.0), v)
     return ContactMap(grid, values, threshold)
 
 
 def save_contact_map(cm: ContactMap, path) -> None:
-    """Inverse of load_contact_map: {0,1} rows for binary maps, float rows
-    otherwise."""
-    grid = cm.grid
-    nx, ny, nz = grid.dims
-    binary = cm.is_binary
-    header = [
-        "VCONTACT 1",
-        f"dims {nx} {ny} {nz}",
-        f"voxel_size {_format_float(grid.voxel_size)}",
-        "origin " + " ".join(_format_float(v) for v in grid.origin),
-    ]
-    rows = []
-    for z in range(nz):
-        for y in range(ny):
-            if binary:
-                rows.append(
-                    "".join("1" if cm.values.get((x, y, z), 0.0) == 1.0 else "0" for x in range(nx))
-                )
-            else:
-                rows.append(
-                    " ".join(_format_float(cm.values.get((x, y, z), 0.0)) for x in range(nx))
-                )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header + rows) + "\n")
+    """Inverse of load_contact_map: 0/1 rows when every value is 0 or 1,
+    float rows otherwise."""
+    keys = np.array(list(cm.values), dtype=int).reshape(-1, 3)
+    if ((keys < 0) | (keys >= cm.grid.dims)).any():
+        raise ValueError("contact map key outside its grid")
+    dense = np.zeros(cm.grid.dims)
+    dense[tuple(keys.T)] = list(cm.values.values())
+    write_grid_file(path, "VCONTACT", cm.grid, dense)
 
 
 # -- heuristic predictor ------------------------------------------------------

@@ -109,9 +109,11 @@ class VoxelGrid:
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1 per axis")
         self.voxel_size = float(self.voxel_size)
-        if not (self.voxel_size > 0):
-            raise ValueError("voxel_size must be positive")
+        if not (0 < self.voxel_size < math.inf):
+            raise ValueError("voxel_size must be positive and finite")
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
+        if not np.isfinite(self.origin).all():
+            raise ValueError("origin must be finite")
         occ = np.asarray(self.occupancy, dtype=bool)
         if occ.shape != self.dims:
             raise ValueError(f"occupancy shape {occ.shape} != dims {self.dims}")
@@ -445,74 +447,106 @@ def ray_cast(grid: VoxelGrid, ray: Ray, ignore=None):
 
 
 # -- file format -----------------------------------------------------------
+#
+# .vgrid and .vcontact files share one text layout, described in
+# docs/scene-format.md: a 'MAGIC 1' line, the dims / voxel_size / origin
+# header, then dims.z * dims.y rows with x fastest and z slowest.
+
+# (key, token parser, token count, per-token check, what the check means)
+_HEADER_FIELDS = (
+    ("dims", int, 3, lambda v: v >= 1, "3 integers >= 1"),
+    ("voxel_size", float, 1, lambda v: 0 < v < math.inf, "a finite number > 0"),
+    ("origin", float, 3, math.isfinite, "3 finite numbers"),
+)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def save_vgrid(grid: VoxelGrid, path) -> None:
-    """Write the plain-text grid format:
-
-        VGRID 1
-        dims dx dy dz
-        voxel_size s
-        origin ox oy oz
-        <dims.z * dims.y rows of dims.x chars in {0,1}; x fastest, z slowest>
-    """
+def write_grid_file(path, magic: str, grid: VoxelGrid, values) -> None:
+    """Write `values`, a dense array indexed [x, y, z] over `grid`, as rows of
+    0/1 characters when every value is 0 or 1, else as rows of repr floats."""
     nx, ny, nz = grid.dims
-    occ = grid.occupancy
-    rows = []
-    for z in range(nz):
-        for y in range(ny):
-            rows.append("".join("1" if occ[x, y, z] else "0" for x in range(nx)))
+    cells = np.asarray(values).transpose(2, 1, 0)  # [z, y, x], a view
+    if np.isin(cells, (0, 1)).all():
+        chars = (cells == 1).view(np.uint8) + ord("0")
+        rows = [row.tobytes().decode("ascii") for plane in chars for row in plane]
+    else:
+        # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
+        bits = np.ascontiguousarray(cells, dtype=float).view(np.uint64).ravel()
+        keys, inverse = np.unique(bits, return_inverse=True)
+        reprs = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+        rows = [" ".join(row) for row in reprs[inverse].reshape(nz * ny, nx).tolist()]
     header = [
-        "VGRID 1",
+        f"{magic} 1",
         f"dims {nx} {ny} {nz}",
-        f"voxel_size {_format_float(grid.voxel_size)}",
-        "origin " + " ".join(_format_float(v) for v in grid.origin),
+        f"voxel_size {grid.voxel_size!r}",
+        "origin " + " ".join(repr(v) for v in grid.origin.tolist()),
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(header + rows) + "\n")
 
 
-def _parse_grid_header(lines, path, magic):
+def _parse_header(lines, path, magic):
     if not lines or lines[0].strip() != f"{magic} 1":
         raise ValueError(f"{path}: expected '{magic} 1' header")
-    fields = {}
-    for i, key in ((1, "dims"), (2, "voxel_size"), (3, "origin")):
-        if i >= len(lines):
+    fields = []
+    for lineno, (key, parse, count, ok, want) in enumerate(_HEADER_FIELDS, start=2):
+        if lineno > len(lines):
             raise ValueError(f"{path}: truncated header")
-        tokens = lines[i].split()
-        if not tokens or tokens[0] != key:
-            raise ValueError(f"{path}: line {i + 1}: expected '{key}'")
-        fields[key] = tokens[1:]
-    dims = tuple(int(v) for v in fields["dims"])
-    if len(dims) != 3:
-        raise ValueError(f"{path}: dims needs 3 values")
-    voxel_size = float(fields["voxel_size"][0])
-    origin = np.array([float(v) for v in fields["origin"]], dtype=float)
-    if origin.shape != (3,):
-        raise ValueError(f"{path}: origin needs 3 values")
-    return dims, voxel_size, origin
+        name, *tokens = lines[lineno - 1].split() or [""]
+        if name != key:
+            raise ValueError(f"{path}: line {lineno}: expected '{key}'")
+        try:
+            vals = [parse(t) for t in tokens]
+        except ValueError:
+            vals = []
+        if len(vals) != count or not all(ok(v) for v in vals):
+            raise ValueError(
+                f"{path}: line {lineno}: {key} must be {want}, got {' '.join(tokens)!r}"
+            )
+        fields.append(vals)
+    dims, (voxel_size,), origin = fields
+    return tuple(dims), voxel_size, np.array(origin, dtype=float)
+
+
+def read_grid_file(path, magic: str, floats: bool = False):
+    """Parse a grid file; returns (dims, voxel_size, origin, values) with
+    values a float array indexed [x, y, z].
+
+    Every row must be dims.x characters of 0/1. With floats=True a row may
+    instead hold dims.x space-separated numbers, each finite and in [0, 1].
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    dims, voxel_size, origin = _parse_header(lines, path, magic)
+    nx, ny, nz = dims
+    body = lines[4:]
+    if len(body) != nz * ny:
+        raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(body)}")
+    is_bits = np.array([len(row) == nx and not row.strip("01") for row in body])
+    values = np.zeros((nz * ny, nx))
+    bits = "".join(row for row, ok in zip(body, is_bits) if ok).encode("ascii")
+    values[is_bits] = (np.frombuffer(bits, dtype=np.uint8) - ord("0")).reshape(-1, nx)
+    for r in np.flatnonzero(~is_bits).tolist():
+        where = f"{path}: line {r + 5}"
+        if not floats:
+            raise ValueError(f"{where}: expected {nx} characters of 0/1")
+        try:
+            row = np.array(body[r].split(), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if row.shape != (nx,):
+            raise ValueError(f"{where}: expected {nx} values, found {row.size}")
+        if not ((row >= 0) & (row <= 1)).all():
+            raise ValueError(f"{where}: values must be finite and in [0, 1]")
+        values[r] = row
+    return dims, voxel_size, origin, values.reshape(nz, ny, nx).transpose(2, 1, 0)
+
+
+def save_vgrid(grid: VoxelGrid, path) -> None:
+    """Write the occupancy as a 'VGRID 1' grid file of 0/1 rows."""
+    write_grid_file(path, "VGRID", grid, grid.occupancy)
 
 
 def load_vgrid(path) -> VoxelGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    dims, voxel_size, origin = _parse_grid_header(lines, path, "VGRID")
-    nx, ny, nz = dims
-    expected = nz * ny
-    body = lines[4 : 4 + expected]
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} data rows, found {len(body)}")
-    occ = np.zeros(dims, dtype=bool)
-    r = 0
-    for z in range(nz):
-        for y in range(ny):
-            row = body[r]
-            r += 1
-            if len(row) != nx or set(row) - {"0", "1"}:
-                raise ValueError(f"{path}: row {4 + r} malformed")
-            occ[:, y, z] = np.frombuffer(row.encode(), dtype=np.uint8) == ord("1")
-    return VoxelGrid(dims, voxel_size, origin, occ)
+    """Read a 'VGRID 1' grid file; every row must be 0/1 characters."""
+    dims, voxel_size, origin, values = read_grid_file(path, "VGRID")
+    return VoxelGrid(dims, voxel_size, origin, values == 1)

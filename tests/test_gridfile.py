@@ -1,0 +1,219 @@
+"""The shared .vgrid / .vcontact grid-file codec: byte-level oracles, every
+reader error path, and a save/load/save round-trip property."""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import box_grid, make_grid
+from handover import suite
+from handover.contacts import ContactMap, load_contact_map, predict_contacts_heuristic, save_contact_map
+from handover.voxelgeom import VoxelGrid, load_vgrid, save_vgrid
+
+
+# -- per-cell reference writers (the loops the array codec replaced) ----------
+
+
+def _oracle_header(magic, grid):
+    nx, ny, nz = grid.dims
+    return [
+        f"{magic} 1",
+        f"dims {nx} {ny} {nz}",
+        f"voxel_size {repr(float(grid.voxel_size))}",
+        "origin " + " ".join(repr(float(v)) for v in grid.origin),
+    ]
+
+
+def oracle_save_vgrid(grid, path):
+    nx, ny, nz = grid.dims
+    occ = grid.occupancy
+    rows = []
+    for z in range(nz):
+        for y in range(ny):
+            rows.append("".join("1" if occ[x, y, z] else "0" for x in range(nx)))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(_oracle_header("VGRID", grid) + rows) + "\n")
+
+
+def oracle_save_contact_map(cm, path):
+    nx, ny, nz = cm.grid.dims
+    binary = all(v in (0.0, 1.0) for v in cm.values.values())
+    rows = []
+    for z in range(nz):
+        for y in range(ny):
+            if binary:
+                rows.append(
+                    "".join("1" if cm.values.get((x, y, z), 0.0) == 1.0 else "0" for x in range(nx))
+                )
+            else:
+                rows.append(
+                    " ".join(repr(float(cm.values.get((x, y, z), 0.0))) for x in range(nx))
+                )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(_oracle_header("VCONTACT", cm.grid) + rows) + "\n")
+
+
+@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
+def test_bundled_object_files_match_per_cell_oracle(name, tmp_path):
+    grid, maps = suite.build_object(name)
+    save_vgrid(grid, tmp_path / "a.vgrid")
+    oracle_save_vgrid(grid, tmp_path / "b.vgrid")
+    assert (tmp_path / "a.vgrid").read_bytes() == (tmp_path / "b.vgrid").read_bytes()
+    for cm in maps:
+        save_contact_map(cm, tmp_path / "a.vcontact")
+        oracle_save_contact_map(cm, tmp_path / "b.vcontact")
+        assert (tmp_path / "a.vcontact").read_bytes() == (tmp_path / "b.vcontact").read_bytes()
+
+
+def test_float_map_matches_per_cell_oracle(tmp_path):
+    grid, _ = suite.build_object("mug")
+    cm = predict_contacts_heuristic(grid)
+    save_contact_map(cm, tmp_path / "a.vcontact")
+    oracle_save_contact_map(cm, tmp_path / "b.vcontact")
+    text = (tmp_path / "a.vcontact").read_text()
+    assert " " in text.splitlines()[4]  # float rows, not 0/1 rows
+    assert text == (tmp_path / "b.vcontact").read_text()
+
+
+# -- reader error paths ---------------------------------------------------------
+
+# 3 x 2 x 2 grid, cells (0..1, 0..1, 0..1) occupied; header line numbers 1-4,
+# data rows on lines 5-8 ordered (y, z) = (0, 0), (1, 0), (0, 1), (1, 1)
+_GRID = box_grid((3, 2, 2), (0, 0, 0), (1, 1, 1), voxel_size=0.5, origin=(1.0, -2.0, 0.25))
+_HEADER = ["dims 3 2 2", "voxel_size 0.5", "origin 1.0 -2.0 0.25"]
+_ROWS = ["110", "110", "110", "110"]
+
+
+def _lines(magic, header=_HEADER, rows=_ROWS):
+    return [f"{magic} 1", *header, *rows]
+
+
+def _with(field, value):
+    """The header with one field's tokens replaced."""
+    return [f"{field} {value}" if h.split()[0] == field else h for h in _HEADER]
+
+
+_BOTH = ("VGRID", "VCONTACT")
+_ERRORS = [
+    # (magic, file lines, message pattern)
+    *[(m, ["NOPE 1", *_HEADER, *_ROWS], f"expected '{m} 1' header") for m in _BOTH],
+    ("VCONTACT", _lines("VGRID"), "expected 'VCONTACT 1' header"),
+    *[(m, [f"{m} 1", "dims 3 2 2"], "truncated header") for m in _BOTH],
+    *[(m, _lines(m, header=["dims 3 2 2", "size 0.5", "origin 1.0 -2.0 0.25"]),
+       "line 3: expected 'voxel_size'") for m in _BOTH],
+    *[(m, _lines(m, header=_with(f, v)), f"line {n}: {f} must be")
+      for m in _BOTH
+      for f, n, v in [
+          ("dims", 2, "3 x 2"), ("dims", 2, "3 2"), ("dims", 2, "3 2 2 1"), ("dims", 2, "3 0 2"),
+          ("dims", 2, "3 2.0 2"), ("voxel_size", 3, "inf"), ("voxel_size", 3, "nan"),
+          ("voxel_size", 3, "0"), ("voxel_size", 3, "-0.5"), ("voxel_size", 3, ""),
+          ("voxel_size", 3, "0.5 0.5"), ("origin", 4, "nan 0.0 0.0"), ("origin", 4, "0 -inf 0"),
+          ("origin", 4, "0 0"), ("origin", 4, "0 0 zero"),
+      ]],
+    *[(m, _lines(m, rows=rows), f"expected 4 data rows, found {len(rows)}")
+      for m in _BOTH for rows in (_ROWS[:3], _ROWS + ["000"])],
+    *[(m, _lines(m, rows=["110", row, "110", "110"]), "line 6: expected 3 characters of 0/1")
+      for m, row in [("VGRID", "1100"), ("VGRID", "11"), ("VGRID", "1a0"), ("VGRID", ""),
+                     ("VGRID", "1.0 1.0 0.0")]],
+    ("VCONTACT", _lines("VCONTACT", rows=["110", "1.0 0.5", "110", "110"]),
+     "line 6: expected 3 values, found 2"),
+    ("VCONTACT", _lines("VCONTACT", rows=["110", "1100", "110", "110"]),
+     "line 6: expected 3 values, found 1"),
+    ("VCONTACT", _lines("VCONTACT", rows=["110", "110", "1.0 abc 0.0", "110"]),
+     "line 7: could not convert string to float: 'abc'"),
+    *[("VCONTACT", _lines("VCONTACT", rows=["110", "110", "110", f"1.0 {v} 0.0"]),
+       r"line 8: values must be finite and in \[0, 1\]")
+      for v in ("inf", "-inf", "nan", "1.5", "-0.25", "1e400")],
+]
+
+
+@pytest.mark.parametrize("magic,lines,message", _ERRORS)
+def test_reader_rejects_malformed_file_naming_file_and_field(magic, lines, message, tmp_path):
+    path = tmp_path / ("bad.vgrid" if magic == "VGRID" else "bad.vcontact")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        if magic == "VGRID":
+            load_vgrid(path)
+        else:
+            load_contact_map(path, _GRID)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dims", "3 2 3"),
+    ("voxel_size", "0.25"),
+    ("origin", "1.0 -2.0 0.5"),
+])
+def test_contact_header_must_match_the_grid(field, value, tmp_path):
+    path = tmp_path / "m.vcontact"
+    rows = _ROWS + ["110", "110"] if field == "dims" else _ROWS
+    path.write_text("\n".join(_lines("VCONTACT", header=_with(field, value), rows=rows)) + "\n")
+    with pytest.raises(ValueError, match=f"{field} .* does not match grid {field}"):
+        load_contact_map(path, _GRID)
+
+
+def test_contact_file_may_mix_bit_rows_and_float_rows(tmp_path):
+    path = tmp_path / "m.vcontact"
+    rows = ["100", "0.0 0.25 0", "0 0 0", "011"]
+    path.write_text("\n".join(_lines("VCONTACT", rows=rows)) + "\n")
+    cm = load_contact_map(path, _GRID)
+    # (1, 1, 1) is on the surface; (2, 1, 1) is empty and snaps to (1, 1, 1)
+    assert list(cm.values.items()) == [((0, 0, 0), 1.0), ((1, 1, 0), 0.25), ((1, 1, 1), 1.0)]
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (3, 0, 0), (0, 0, 2)])
+def test_saving_a_key_outside_the_grid_is_an_error(key, tmp_path):
+    with pytest.raises(ValueError, match="outside its grid"):
+        save_contact_map(ContactMap(_GRID, {(0, 0, 0): 1.0, key: 1.0}), tmp_path / "m.vcontact")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"voxel_size": float("inf")}, "voxel_size"),
+    ({"voxel_size": float("nan")}, "voxel_size"),
+    ({"origin": (0.0, float("nan"), 0.0)}, "origin"),
+    ({"origin": (float("-inf"), 0.0, 0.0)}, "origin"),
+])
+def test_voxel_grid_rejects_non_finite_geometry(kwargs, message):
+    base = {"dims": (1, 1, 1), "voxel_size": 0.1, "origin": (0.0, 0.0, 0.0),
+            "occupancy": np.ones((1, 1, 1), dtype=bool)}
+    with pytest.raises(ValueError, match=message):
+        VoxelGrid(**{**base, **kwargs})
+
+
+# -- round-trip property ----------------------------------------------------------
+
+
+@st.composite
+def grids_and_maps(draw):
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    occ = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(dims)),
+                                 max_size=int(np.prod(dims)))), dtype=bool).reshape(dims)
+    occ.flat[draw(st.integers(0, occ.size - 1))] = True
+    finite = st.floats(-10.0, 10.0, allow_subnormal=False)
+    grid = make_grid(occ, voxel_size=draw(st.floats(1e-4, 1.0)),
+                     origin=tuple(draw(finite) for _ in range(3)))
+    value = st.just(1.0) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    values = {idx: draw(value) for idx in grid.surface}
+    values = {idx: v for idx, v in values.items() if v != 0.0} or {grid.surface[0]: 1.0}
+    return grid, ContactMap(grid, values)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grids_and_maps())
+def test_save_load_save_is_exact(tmp_path, grid_and_map):
+    grid, cm = grid_and_map
+    a, b = tmp_path / "a", tmp_path / "b"
+    save_vgrid(grid, a)
+    loaded = load_vgrid(a)
+    assert loaded.dims == grid.dims and loaded.voxel_size == grid.voxel_size
+    assert np.array_equal(loaded.origin, grid.origin)
+    assert np.array_equal(loaded.occupancy, grid.occupancy)
+    save_vgrid(loaded, b)
+    assert a.read_bytes() == b.read_bytes()
+
+    save_contact_map(cm, a)
+    loaded_cm = load_contact_map(a, loaded)
+    assert list(loaded_cm.values.items()) == list(cm.values.items())
+    save_contact_map(loaded_cm, b)
+    assert a.read_bytes() == b.read_bytes()
