@@ -62,7 +62,6 @@ from .harness import (
 from .metrics import MetricScores, evaluate_maps, lower_median, reachability, success, visibility
 from .voxelgeom import (
     Mesh,
-    Ray,
     VoxelGrid,
     estimate_normals,
     load_obj,
@@ -70,7 +69,6 @@ from .voxelgeom import (
     ray_cast,
     save_vgrid,
     surface_voxels,
-    traverse,
     voxelize_mesh,
 )
 

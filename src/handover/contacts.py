@@ -29,6 +29,9 @@ class ContactMap:
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
+        for key, v in self.values.items():
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"contact value at {key} must be finite and in [0, 1], got {v!r}")
 
     def contact_indices(self) -> list[Index]:
         """Voxels whose value clears the threshold, lexicographic order."""

@@ -58,17 +58,18 @@ def _sample_orientations_cached(step: float):
     n_el = int(math.floor(90.0 / step + 1e-9))
     elevations = [k * step for k in range(-n_el, n_el + 1)]
     rolls = azimuths
-    mats: list[np.ndarray] = []
+    kept = np.empty((len(azimuths) * len(elevations) * len(rolls), 3, 3))
+    n = 0
     for az in azimuths:
         for el in elevations:
             for roll in rolls:
                 r = _direction_frame(az, el) @ _rot_x(roll)
-                if any(np.abs(r - m).max() <= DEDUP_TOL for m in mats):
-                    continue
-                mats.append(r)
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
+                if not (np.abs(kept[:n] - r).max(axis=(1, 2)) <= DEDUP_TOL).any():
+                    kept[n] = r
+                    n += 1
+    kept = kept[:n]
+    kept.setflags(write=False)
+    return tuple(kept)
 
 
 def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:

@@ -289,8 +289,8 @@ class SharedStages:
     Grasp sampling, the largest cluster of the planning contact map, the
     ranking for each `lam` and the arm plan do not depend on the ablation
     mode. Each is computed the first time a mode asks for it and kept here,
-    together with the StageError or ValueError it raised, so every later
-    mode reports what a run of its own would report. The object is bound to
+    together with any exception it raised, so every later mode reports what
+    a run of its own would report. The object is bound to
     one scene object, that scene's params object and one seed. The caller
     creates it and passes it to the run_pipeline calls of one (scene, seed),
     all from one thread.
@@ -306,7 +306,7 @@ class SharedStages:
         if key not in self._results:
             try:
                 self._results[key] = (compute(), None)
-            except (StageError, ValueError) as exc:
+            except Exception as exc:
                 self._results[key] = (None, exc)
         value, exc = self._results[key]
         if exc is not None:
@@ -475,11 +475,12 @@ def run_pipeline(
         if emit_diagnostics and diag:
             metrics_rec["diagnostics"] = diag
         ok = scores.success
-    except (StageError, ValueError) as exc:
-        if isinstance(exc, StageError):
-            failure = str(exc)
-        else:
-            failure = f"{stage}: {exc}"
+    except StageError as exc:
+        failure = str(exc)
+    except ValueError as exc:
+        failure = f"{stage}: {exc}"
+    except Exception as exc:  # any other fault still names its stage
+        failure = f"{stage}: {type(exc).__name__}: {exc}"
     duration = time.perf_counter() - t_start
     return HandoverReport(
         object_name=scene.name,

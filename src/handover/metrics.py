@@ -8,7 +8,7 @@ import numpy as np
 
 from .contacts import ContactMap
 from .delivery import DeliveryContext
-from .voxelgeom import Ray, ray_cast, segments_hit_boxes
+from .voxelgeom import ray_cast, segments_hit_boxes
 
 AIM_OFFSET_VOXELS = 1.5  # sight lines aim this far off the contact face
 
@@ -107,8 +107,8 @@ def visibility(
 
     All sight lines are built as arrays and tested against the closing
     region and each box at once (segments_hit_boxes; the proxy's far end is
-    open). Only the lines nothing else blocks walk the object grid
-    (ray_cast), one at a time.
+    open). The lines nothing else blocks then walk the object grid together,
+    in one ray_cast call.
     """
     grid = ctx.grid
     contact, denom = _contacts(cm)
@@ -141,10 +141,10 @@ def visibility(
             blocked |= segments_hit_boxes(eye_loc, dirs_loc, t_max, lo, hi)
     if proxy is not None:
         blocked |= segments_hit_boxes(eye, dirs, t_max, *proxy, open_end=True)
+    clear = ~blocked
+    blocked[clear] = ray_cast(grid, eye_grid, to_aim[rays[clear]] / t_max[clear, None], t_max[clear])
     visible = np.ones(len(contact), dtype=bool)
     visible[rays] = ~blocked
-    for r in rays[~blocked]:
-        visible[r] = ray_cast(grid, Ray(eye_grid, to_aim[r] / dist[r], dist[r])) is None
     return _fold(cm, contact, denom, visible, detail)
 
 

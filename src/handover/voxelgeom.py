@@ -154,23 +154,6 @@ class VoxelGrid:
         return estimate_normals(self, self.surface)
 
 
-@dataclass
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray  # unit vector
-    max_distance: float
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-        self.direction = np.asarray(self.direction, dtype=float).reshape(3)
-        n = float(np.linalg.norm(self.direction))
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError("direction must be unit length")
-        self.max_distance = float(self.max_distance)
-        if not (self.max_distance > 0):
-            raise ValueError("max_distance must be positive")
-
-
 # -- voxelization ----------------------------------------------------------
 
 
@@ -326,15 +309,11 @@ def estimate_normals(grid: VoxelGrid, surface=None) -> dict[Index, np.ndarray]:
 # -- ray casting -----------------------------------------------------------
 
 
-def segments_hit_boxes(origins, dirs, t_max, lo, hi, open_end=False) -> np.ndarray:
-    """Batched slab test (Kay & Kajiya 1986) over the last axis: does the
-    segment o + t d, 0 <= t <= t_max, meet the closed box [lo, hi]?
-
-    All arguments broadcast against each other (xyz on the last axis; t_max
-    without it). A segment parallel to a slab hits only from inside it. With
-    `open_end` the segment must enter the box strictly before t_max, so one
-    that only touches it at its end point misses.
-    """
+def _slab(origins, dirs, t_max, lo, hi):
+    """Slab clip (Kay & Kajiya 1986) of o + t d, 0 <= t <= t_max, against the
+    closed box [lo, hi]; returns (t0, t1, ok) with [t0, t1] the clipped range.
+    A direction component of exactly 0 keeps the segment only from inside
+    that slab."""
     shape = np.broadcast_shapes(np.shape(origins), np.shape(dirs), np.shape(lo), np.shape(hi))[:-1]
     t0 = np.zeros(shape)
     t1 = np.full(shape, t_max, dtype=float)
@@ -350,100 +329,67 @@ def segments_hit_boxes(origins, dirs, t_max, lo, hi, open_end=False) -> np.ndarr
             t0 = np.where(zero, t0, np.maximum(t0, np.minimum(ta, tb)))
             t1 = np.where(zero, t1, np.minimum(t1, np.maximum(ta, tb)))
     # t0 only grows and t1 only shrinks, so one final check covers every axis
-    ok &= t0 <= t1
-    if open_end:
-        ok &= t0 < t_max
-    return ok
+    return t0, t1, ok & (t0 <= t1)
 
 
-def _clip_to_box(origin, direction, lo, hi, t_max):
-    """Intersect ray parameter range [0, t_max] with an AABB. Returns
-    (t_enter, t_exit) or None.
+def segments_hit_boxes(origins, dirs, t_max, lo, hi, open_end=False) -> np.ndarray:
+    """Batched slab test over the last axis: does the segment o + t d,
+    0 <= t <= t_max, meet the closed box [lo, hi]?
 
-    The scalar twin of segments_hit_boxes, kept because the DDA clips one
-    ray at a time: on a single ray this loop takes about 3 us and the numpy
-    kernel about 80 us (2-core x86_64 VM, Python 3.11, numpy 2.4). One
-    `bench` pass over the five bundled scenes in all five modes casts about
-    21000 sight lines, so the kernel would add about 1.6 s to it. Unlike the
-    kernel, the grid box is half-open on its upper faces, like the cells it holds."""
-    t0, t1 = 0.0, t_max
-    for a in range(3):
-        d = direction[a]
-        if d == 0.0:
-            if origin[a] < lo[a] or origin[a] >= hi[a]:
-                return None
-            continue
-        ta = (lo[a] - origin[a]) / d
-        tb = (hi[a] - origin[a]) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        if ta > t0:
-            t0 = ta
-        if tb < t1:
-            t1 = tb
-        if t0 > t1:
-            return None
-    return t0, t1
+    All arguments broadcast against each other (xyz on the last axis; t_max
+    without it). A segment parallel to a slab hits only from inside it. With
+    `open_end` the segment must enter the box strictly before t_max, so one
+    that only touches it at its end point misses.
+    """
+    t0, _, ok = _slab(origins, dirs, t_max, lo, hi)
+    return ok & (t0 < t_max) if open_end else ok
 
 
-def traverse(grid: VoxelGrid, origin, direction, max_distance):
-    """Yield (index, entry_distance) for every cell the ray passes through,
-    in order, using incremental grid stepping. Distances are world meters."""
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
+def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
+    """Blocked mask: does the segment o + t d, 0 <= t <= t_max, pass through
+    an occupied cell of `grid`? One entry per segment.
+
+    origins and dirs broadcast to (n, 3); t_max is a scalar or one length
+    per segment. All segments step through the grid together, each by the
+    incremental walk of Amanatides & Woo (1987): clip to the grid box, start
+    in the cell holding the entry point (clamped into the grid), then move
+    to the neighbour across the nearest cell face until the clipped end or
+    the grid's edge. Like the cells it holds, the grid box is half-open on
+    its upper faces: a segment with a direction component of exactly 0 that
+    lies on such a face misses it.
+    """
+    origins, dirs, t_max = np.broadcast_arrays(
+        np.atleast_2d(origins), np.atleast_2d(dirs), np.asarray(t_max, dtype=float)[..., None]
+    )
     vs = grid.voxel_size
     lo = grid.origin
-    hi = grid.origin + np.asarray(grid.dims, dtype=float) * vs
-    clipped = _clip_to_box(origin, direction, lo, hi, max_distance)
-    if clipped is None:
-        return
-    t0, t1 = clipped
-    p = origin + direction * t0
-    idx = [0, 0, 0]
-    step = [0, 0, 0]
-    t_next = [math.inf] * 3
-    t_delta = [math.inf] * 3
-    for a in range(3):
-        i = int(math.floor((p[a] - lo[a]) / vs))
-        i = min(max(i, 0), grid.dims[a] - 1)
-        idx[a] = i
-        d = direction[a]
-        if d > 0:
-            step[a] = 1
-            t_next[a] = ((i + 1) * vs + lo[a] - origin[a]) / d
-            t_delta[a] = vs / d
-        elif d < 0:
-            step[a] = -1
-            t_next[a] = (i * vs + lo[a] - origin[a]) / d
-            t_delta[a] = -vs / d
-    t = t0
-    while t <= t1:
-        yield (idx[0], idx[1], idx[2]), t
-        a = 0
-        if t_next[1] < t_next[a]:
-            a = 1
-        if t_next[2] < t_next[a]:
-            a = 2
-        t = t_next[a]
-        idx[a] += step[a]
-        if idx[a] < 0 or idx[a] >= grid.dims[a]:
-            return
-        t_next[a] += t_delta[a]
-
-
-def ray_cast(grid: VoxelGrid, ray: Ray, ignore=None):
-    """First occupied voxel along the ray, skipping indices in `ignore`.
-
-    Returns (index, entry_distance) or None. The entry distance of a ray
-    starting inside the grid is the clipped start (0 when the origin is
-    interior).
-    """
+    dims = np.asarray(grid.dims)
+    hi = lo + dims * vs
+    t0, t1, live = _slab(origins, dirs, t_max[:, 0], lo, hi)
+    live &= ~((dirs == 0.0) & (origins >= hi)).any(axis=-1)
+    blocked = np.zeros(len(live), dtype=bool)
+    rows = np.flatnonzero(live)
+    o, d, t1 = origins[rows], dirs[rows], t1[rows]
+    p = o + d * t0[rows, None]
+    cell = np.clip(np.floor((p - lo) / vs), 0, dims - 1).astype(int)
+    step = np.sign(d).astype(int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_next = np.where(d == 0.0, np.inf, ((cell + (d > 0)) * vs + lo - o) / d)
+        t_delta = np.where(d == 0.0, np.inf, np.abs(vs / d))
     occ = grid.occupancy
-    skip = ignore if ignore else ()
-    for idx, t in traverse(grid, ray.origin, ray.direction, ray.max_distance):
-        if occ[idx] and idx not in skip:
-            return idx, t
-    return None
+    while len(rows):
+        hit = occ[cell[:, 0], cell[:, 1], cell[:, 2]]
+        blocked[rows[hit]] = True
+        k = np.arange(len(rows))
+        a = np.argmin(t_next, axis=1)  # first minimum on ties
+        t = t_next[k, a]
+        cell[k, a] += step[k, a]
+        t_next[k, a] += t_delta[k, a]
+        go = ~hit & (cell[k, a] >= 0) & (cell[k, a] < dims[a]) & (t <= t1)
+        rows, cell, step, t_next, t_delta, t1 = (
+            v[go] for v in (rows, cell, step, t_next, t_delta, t1)
+        )
+    return blocked
 
 
 # -- file format -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared builders: tiny meshes, voxel grids, and the bundled scene set."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,82 @@ def segment_hits_aabb(origin, end, lo, hi) -> bool:
         if t0 > t1:
             return False
     return t1 > 0.0 and t0 < 1.0
+
+
+def _clip_to_box(origin, direction, lo, hi, t_max):
+    """Scalar slab clip of [0, t_max] to [lo, hi); (t_enter, t_exit) or None.
+    The box is half-open on its upper faces, like the grid cells it holds."""
+    t0, t1 = 0.0, t_max
+    for a in range(3):
+        d = direction[a]
+        if d == 0.0:
+            if origin[a] < lo[a] or origin[a] >= hi[a]:
+                return None
+            continue
+        ta = (lo[a] - origin[a]) / d
+        tb = (hi[a] - origin[a]) / d
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+        if t0 > t1:
+            return None
+    return t0, t1
+
+
+def traverse(grid: VoxelGrid, origin, direction, max_distance):
+    """Scalar Amanatides & Woo walk: yield (index, entry_distance) for every
+    cell the ray passes through, in order. The oracle for voxelgeom.ray_cast."""
+    origin = np.asarray(origin, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    vs = grid.voxel_size
+    lo = grid.origin
+    hi = grid.origin + np.asarray(grid.dims, dtype=float) * vs
+    clipped = _clip_to_box(origin, direction, lo, hi, max_distance)
+    if clipped is None:
+        return
+    t0, t1 = clipped
+    p = origin + direction * t0
+    idx = [0, 0, 0]
+    step = [0, 0, 0]
+    t_next = [math.inf] * 3
+    t_delta = [math.inf] * 3
+    for a in range(3):
+        i = int(math.floor((p[a] - lo[a]) / vs))
+        i = min(max(i, 0), grid.dims[a] - 1)
+        idx[a] = i
+        d = direction[a]
+        if d > 0:
+            step[a] = 1
+            t_next[a] = ((i + 1) * vs + lo[a] - origin[a]) / d
+            t_delta[a] = vs / d
+        elif d < 0:
+            step[a] = -1
+            t_next[a] = (i * vs + lo[a] - origin[a]) / d
+            t_delta[a] = -vs / d
+    t = t0
+    while t <= t1:
+        yield (idx[0], idx[1], idx[2]), t
+        a = 0
+        if t_next[1] < t_next[a]:
+            a = 1
+        if t_next[2] < t_next[a]:
+            a = 2
+        t = t_next[a]
+        idx[a] += step[a]
+        if idx[a] < 0 or idx[a] >= grid.dims[a]:
+            return
+        t_next[a] += t_delta[a]
+
+
+def oracle_ray_cast(grid: VoxelGrid, origin, direction, max_distance):
+    """First occupied cell along the ray as (index, entry_distance), or None."""
+    for idx, t in traverse(grid, origin, direction, max_distance):
+        if grid.occupancy[idx]:
+            return idx, t
+    return None
 
 
 def absolutized_config(suite_dir, name):

@@ -1,4 +1,6 @@
 """Contact map ingestion, the thickness heuristic, and density clustering."""
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,13 @@ class TestIngestion:
         grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
         with pytest.raises(ValueError, match="threshold"):
             ContactMap(grid, {grid.surface[0]: 1.0}, threshold=1.0)
+
+    @pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
+    def test_values_outside_the_unit_interval_are_rejected(self, bad):
+        grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
+        key = grid.surface[3]
+        with pytest.raises(ValueError, match=re.escape(f"contact value at {key} must be finite and in [0, 1]")):
+            ContactMap(grid, {grid.surface[0]: 1.0, key: bad})
 
 
 class TestHeuristic:

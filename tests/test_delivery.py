@@ -6,7 +6,10 @@ import pytest
 
 from handover.contacts import ContactCluster
 from handover.delivery import (
+    DEDUP_TOL,
     DeliveryContext,
+    _direction_frame,
+    _rot_x,
     HandoverPose,
     exposure_objective,
     feasibility_reason,
@@ -87,6 +90,28 @@ def test_rotations_orthonormal_and_distinct():
 def test_coarser_grid_is_strictly_smaller():
     assert len(sample_orientations(90.0)) < len(sample_orientations(45.0))
     assert len(sample_orientations(90.0)) == len(brute_force_rotations(90.0))
+
+
+def list_dedup_rotations(step):
+    """The pairwise list scan sample_orientations used before it compared
+    each rotation against the kept stack in one expression."""
+    azimuths = [k * step for k in range(int(360.0 // step))]
+    n_el = int(math.floor(90.0 / step + 1e-9))
+    mats = []
+    for az in azimuths:
+        for el in [k * step for k in range(-n_el, n_el + 1)]:
+            for roll in azimuths:
+                r = _direction_frame(az, el) @ _rot_x(roll)
+                if not any(np.abs(r - m).max() <= DEDUP_TOL for m in mats):
+                    mats.append(r)
+    return mats
+
+
+@pytest.mark.parametrize("step", [45.0, 30.0, 90.0])
+def test_stack_dedup_is_bitwise_the_list_scan(step):
+    got = sample_orientations(step)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in list_dedup_rotations(step)]
+    assert not any(r.flags.writeable for r in got)
 
 
 def test_step_must_divide_360():

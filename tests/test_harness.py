@@ -309,6 +309,25 @@ def test_shared_position_failure_spares_a4(scenes, monkeypatch):
     assert len(calls) == 1
 
 
+def test_any_stage_exception_names_the_stage(scenes, monkeypatch):
+    scene = scenes["hammer"]
+    a4 = report_bytes(run_pipeline(scene, "A4", 0))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setattr(harness, "plan_handover_position", broken)
+    shared = SharedStages(scene, 0)
+    for mode in MODES:
+        for report in (run_pipeline(scene, mode, 0), run_pipeline(scene, mode, 0, shared=shared)):
+            if mode == "A4":
+                assert report_bytes(report) == a4
+            else:
+                assert report.failure == "position: RuntimeError: solver diverged"
+                assert report.stages == ["grasp", "contacts", "ranking", "position"]
+                assert not report.success and report.metrics is None
+
+
 def test_shared_empty_cluster_fails_every_mode_alike(scenes):
     scene = scene_with(scenes["hammer"], min_pts=100000)
     shared = SharedStages(scene, 0)

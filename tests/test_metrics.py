@@ -8,7 +8,8 @@ from handover.contacts import ContactMap
 from handover.delivery import DeliveryContext
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
-from handover.harness import run_pipeline
+from handover import metrics
+from handover.harness import AblationMode, SharedStages, run_pipeline
 from handover.metrics import (
     evaluate_maps,
     lower_median,
@@ -16,9 +17,8 @@ from handover.metrics import (
     success,
     visibility,
 )
-from handover.voxelgeom import Ray, ray_cast
-
-from conftest import box_grid
+from handover.voxelgeom import ray_cast
+from conftest import box_grid, oracle_ray_cast
 
 I3 = np.eye(3)
 
@@ -334,7 +334,7 @@ def oracle_visibility(ctx, rotation, cm, include_gripper=True, include_robot=Tru
                 if oracle_segment_hits_box(eye, dist, direction, proxy[0], proxy[1]):
                     visible = False
             if visible:
-                hit = ray_cast(grid, Ray(eye_grid, to_aim / dist, dist))
+                hit = oracle_ray_cast(grid, eye_grid, to_aim / dist, dist)
                 visible = hit is None
         if visible:
             numer += cm.values[idx]
@@ -434,3 +434,30 @@ def test_evaluate_maps_carries_the_flags():
     scores = evaluate_maps(ctx, I3, maps)
     assert scores.visibility_flags == [visibility(ctx, I3, m, detail=True)[1] for m in maps]
     assert scores.reachability_flags == [reachability(ctx, I3, m, detail=True)[1] for m in maps]
+
+
+def test_ray_cast_matches_the_scalar_walk_on_every_bundled_sight_line(scenes, monkeypatch):
+    """Every visibility call of the bundled scenes, seeds 0-1, all five modes:
+    the lockstep walk blocks exactly the sight lines the scalar walk does."""
+    calls = []
+
+    def recorded(grid, origins, dirs, t_max):
+        blocked = ray_cast(grid, origins, dirs, t_max)
+        calls.append((grid, origins, dirs, t_max, blocked))
+        return blocked
+
+    monkeypatch.setattr(metrics, "ray_cast", recorded)
+    scored = 0
+    for scene in scenes.values():
+        for seed in (0, 1):
+            shared = SharedStages(scene, seed)
+            for mode in AblationMode:
+                if run_pipeline(scene, mode, seed, shared=shared).metrics is not None:
+                    scored += len(scene.contact_maps)
+    assert len(calls) == scored >= 100
+    lines = 0
+    for grid, eye, dirs, t_max, blocked in calls:
+        scalar = [oracle_ray_cast(grid, eye, d, t) is not None for d, t in zip(dirs, t_max)]
+        assert blocked.tolist() == scalar
+        lines += len(scalar)
+    assert lines > 10000

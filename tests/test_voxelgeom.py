@@ -4,10 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import box_grid, cube_mesh, icosphere_mesh, make_grid, segment_hits_aabb
+from conftest import (
+    box_grid,
+    cube_mesh,
+    icosphere_mesh,
+    make_grid,
+    oracle_ray_cast,
+    segment_hits_aabb,
+)
 from handover.voxelgeom import (
     Mesh,
-    Ray,
     VoxelGrid,
     estimate_normals,
     load_vgrid,
@@ -125,33 +131,76 @@ class TestNormals:
             assert abs(np.linalg.norm(n) - 1.0) < 1e-6
 
 
+def _cells(dims, *occupied):
+    occ = np.zeros(dims, dtype=bool)
+    for idx in occupied:
+        occ[idx] = True
+    return occ
+
+
+# (occupancy, origins, directions, t_max, blocked); a grid of 0.25 m cells at
+# the origin, so every face, edge and end point below is exact in binary
+_EDGE_CASES = {
+    "parallel on the upper face misses": (
+        np.ones((4, 4, 4)), [[-0.5, 0.5, 1.0], [0.5, 1.0, 0.5]], [[1, 0, 0], [0, 0, -1]], 3.0,
+        [False, False],
+    ),
+    "parallel on the lower face walks": (
+        _cells((4, 4, 4), (3, 1, 0), (2, 0, 1)), [[-0.5, 0.3, 0.0], [0.6, 0.0, -0.5]],
+        [[1, 0, 0], [0, 0, 1]], 3.0, [True, True],
+    ),
+    "origin inside an occupied cell": (
+        _cells((4, 4, 4), (1, 2, 3)), [[0.3, 0.6, 0.8]] * 3,
+        [[1, 0, 0], [-0.6, 0.0, 0.8], [0, 0, 1]], 0.01, [True, True, True],
+    ),
+    "segment ending exactly on a cell face": (
+        _cells((4, 4, 4), (2, 1, 1)), [[0.125, 0.3, 0.3]] * 2, [[1, 0, 0]] * 2,
+        np.array([0.375, np.nextafter(0.375, 0.0)]), [True, False],
+    ),
+    # both lines cross the edge x = y = 0.25 of cell (0, 0, 0); the walk steps
+    # x first on the tie there, so only the second one enters that cell
+    "grazing ray through a cell edge": (
+        _cells((4, 4, 4), (0, 0, 0)), [[-0.25, 0.75, 0.125], [0.75, -0.25, 0.125]],
+        [[1, -1, 0], [-1, 1, 0]], 1.0, [False, True],
+    ),
+    "batch mixing misses and hits": (
+        _cells((4, 4, 4), (0, 0, 0), (3, 3, 3), (1, 2, 1)),
+        [[-0.5, 0.1, 0.1], [-0.5, 0.1, 0.1], [2.0, 2.0, 2.0], [0.9, 0.9, 0.9], [1.5, 0.6, 0.3],
+         [-0.1, -0.1, -0.1]],
+        [[1, 0, 0], [-1, 0, 0], [1, 1, 1], [-1, -1, -1], [-1, 0, 0], [1, 1, 1]],
+        np.array([1.0, 1.0, 5.0, 0.5, 1.2, 0.2]), [True, False, False, True, True, True],
+    ),
+}
+
+
 class TestRayCast:
     def test_empty_grid_no_hit(self):
         grid = make_grid(np.zeros((10, 10, 10), dtype=bool))
-        assert ray_cast(grid, Ray((-1, 0.05, 0.05), (1, 0, 0), 5.0)) is None
+        assert ray_cast(grid, (-1, 0.05, 0.05), (1, 0, 0), 5.0).tolist() == [False]
 
     def test_single_voxel_hit_distance(self):
         occ = np.zeros((220, 8, 8), dtype=bool)
-        occ[203, 3, 3] = True  # center x = 2.035
+        occ[203, 3, 3] = True  # center x = 2.035, entered 0.995 m from the start
         grid = make_grid(occ, voxel_size=0.01, origin=(0.0, 0.0, 0.0))
         start = np.array([1.035, 0.035, 0.035])
-        hit = ray_cast(grid, Ray(start, (1, 0, 0), 3.0))
-        assert hit is not None
-        idx, t = hit
+        idx, t = oracle_ray_cast(grid, start, (1, 0, 0), 3.0)
         assert idx == (203, 3, 3)
         assert abs(t - 1.0) <= grid.voxel_size
+        t_max = np.array([0.99, 1.0, 3.0])
+        assert ray_cast(grid, start, (1, 0, 0), t_max).tolist() == [False, True, True]
 
     def test_random_rays_match_marching_and_slab_oracles(self):
         rng = np.random.default_rng(11)
         occ = rng.random((16, 16, 16)) < 0.12
         grid = make_grid(occ, voxel_size=0.01)
         vs = grid.voxel_size
-        for _ in range(100):
-            origin = rng.uniform(-0.05, 0.21, size=3)
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            ray = Ray(origin, direction, 0.5)
-            got = ray_cast(grid, ray)
+        origins = rng.uniform(-0.05, 0.21, size=(100, 3))
+        dirs = rng.normal(size=(100, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        got = ray_cast(grid, origins, dirs, 0.5)
+        assert got.shape == (100,) and 0 < got.sum() < 100
+        for origin, direction, blocked in zip(origins, dirs, got.tolist()):
+            scalar = oracle_ray_cast(grid, origin, direction, 0.5)
             # oracle 1: fine-step marching
             march = None
             for k in range(int(0.5 / (0.1 * vs))):
@@ -182,34 +231,41 @@ class TestRayCast:
                         break
                 if ok and (best is None or t0 < best[1]):
                     best = (idx, t0)
-            got_idx = got[0] if got else None
-            assert got_idx == march
-            assert got_idx == (best[0] if best else None)
+            scalar_idx = scalar[0] if scalar else None
+            assert scalar_idx == march
+            assert scalar_idx == (best[0] if best else None)
+            assert blocked is (scalar is not None)
 
     def test_reversed_ray_visibility_is_symmetric(self):
         occ = np.zeros((12, 12, 12), dtype=bool)
         occ[6, 4:8, 4:8] = True  # wall between the two probe points
-        grid = make_grid(occ, voxel_size=0.01)
         a = np.array([0.02, 0.055, 0.055])
         b = np.array([0.10, 0.055, 0.055])
         d = (b - a) / np.linalg.norm(b - a)
         dist = float(np.linalg.norm(b - a))
-        assert ray_cast(grid, Ray(a, d, dist)) is not None
-        assert ray_cast(grid, Ray(b, -d, dist)) is not None
+        both = (np.stack([a, b]), np.stack([d, -d]), dist)
+        assert ray_cast(make_grid(occ, voxel_size=0.01), *both).tolist() == [True, True]
         occ[6] = False  # open the wall: both directions clear
-        grid2 = make_grid(occ, voxel_size=0.01)
-        assert ray_cast(grid2, Ray(a, d, dist)) is None
-        assert ray_cast(grid2, Ray(b, -d, dist)) is None
+        assert ray_cast(make_grid(occ, voxel_size=0.01), *both).tolist() == [False, False]
 
-    def test_self_hit_exclusion(self):
+    def test_ray_floated_off_the_surface_hits_nothing(self):
         grid = box_grid((10, 10, 10), (3, 3, 3), (6, 6, 6))
         normals = estimate_normals(grid)
-        vs = grid.voxel_size
-        for idx in surface_voxels(grid):
-            n = normals[idx]
-            origin = grid.center(idx) + 2.0 * vs * n
-            hit = ray_cast(grid, Ray(origin, n, 0.05), ignore={idx})
-            assert hit is None or hit[0] != idx
+        surface = surface_voxels(grid)
+        n = np.array([normals[idx] for idx in surface])
+        origins = grid.centers(surface) + 2.0 * grid.voxel_size * n
+        assert not ray_cast(grid, origins, n, 0.05).any()
+        assert ray_cast(grid, origins, -n, 0.05).all()  # turned back, each hits the box
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_edge_cases_match_the_scalar_oracle(self, case):
+        occ, origins, dirs, t_max, expect = _EDGE_CASES[case]
+        grid = make_grid(occ, voxel_size=0.25)
+        origins, dirs = np.array(origins, dtype=float), np.array(dirs, dtype=float)
+        t_max = np.broadcast_to(t_max, len(origins))
+        scalar = [oracle_ray_cast(grid, o, d, t) is not None for o, d, t in zip(origins, dirs, t_max)]
+        assert scalar == expect
+        assert ray_cast(grid, origins, dirs, t_max).tolist() == expect
 
 
 class TestSegmentsHitBoxes:
