@@ -87,19 +87,17 @@ def _cmd_bench(args) -> int:
             runs = list(pool.map(_run_group, groups))
     else:
         runs = [_run_group(group) for group in groups]
-    # reports in (scene, mode, seed) order, which fixes the summary's float sums
-    names, reports = [], []
-    for i, path in enumerate(scene_paths):
-        for m, mode in enumerate(modes):
-            for j, seed in enumerate(seeds):
-                names.append((path, mode, seed))
-                reports.append(runs[i * len(seeds) + j][m])
+    # run order is (scene, seed, mode): each mode's reports come in (scene,
+    # seed) order, which fixes the summary's float sums
     os.makedirs(args.out, exist_ok=True)
-    for (path, mode, seed), report in zip(names, reports):
+    reports = []
+    for path, group in zip((p for p in scene_paths for _ in seeds), runs):
         stem = os.path.splitext(os.path.basename(path))[0]
         if stem.endswith(".scene"):
             stem = stem[: -len(".scene")]
-        save_report(report, os.path.join(args.out, f"{stem}_{mode.value}_{seed}.json"))
+        for report in group:
+            save_report(report, os.path.join(args.out, f"{stem}_{report.mode}_{report.seed}.json"))
+        reports += group
     summary = aggregate(reports)
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -108,22 +108,13 @@ def _run_lengths(occ: np.ndarray, axis: int) -> np.ndarray:
     """Length of the maximal consecutive occupied run containing each cell,
     along one axis. Zero on unoccupied cells."""
     moved = np.moveaxis(occ, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.zeros(flat.shape, dtype=int)
-    n = flat.shape[1]
-    for r in range(flat.shape[0]):
-        row = flat[r]
-        i = 0
-        while i < n:
-            if not row[i]:
-                i += 1
-                continue
-            j = i
-            while j < n and row[j]:
-                j += 1
-            out[r, i:j] = j - i
-            i = j
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    rows = moved.reshape(-1, moved.shape[-1])
+    starts = np.diff(np.pad(rows, ((0, 0), (1, 0))).view(np.int8), axis=1) == 1  # 0 -> 1 edges
+    run_id = np.cumsum(starts, dtype=np.int32).reshape(rows.shape)  # runs never span two rows
+    run_id[~rows] = 0  # id 0: unoccupied, length 0
+    lengths = np.bincount(run_id.ravel())
+    lengths[0] = 0
+    return np.moveaxis(lengths[run_id].reshape(moved.shape), -1, axis)
 
 
 def predict_contacts_heuristic(grid: VoxelGrid, threshold: float = DEFAULT_THRESHOLD) -> ContactMap:

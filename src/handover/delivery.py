@@ -5,6 +5,9 @@ Candidate rotations are deltas applied to the grasp-time pose (identity =
 keep it). They are parameterized by pointing a canonical axis at each
 (azimuth, elevation) node of a spherical grid, then rolling about it; the
 (0, 0, 0) node contributes the identity, so it is always in the set.
+
+A DeliveryContext and one such rotation are the whole description of a
+delivered pose; the search returns only the rotation and what it scored.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from .contacts import ContactCluster
 from .ergonomics import HumanModel
-from .grasping import GraspCandidate, GripperModel, RankedGrasp
+from .grasping import GripperModel
 from .voxelgeom import VoxelGrid
 
 DEFAULT_STEP_DEG = 45.0
@@ -82,7 +85,8 @@ def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
 @dataclass
 class DeliveryContext:
     """Everything feasibility and metric checks need about the final scene:
-    the grasped object, where it is held, and who stands where."""
+    the grasped object, where it is held, and who stands where. With one
+    delta rotation it describes the whole delivered pose."""
 
     grid: VoxelGrid
     gripper: GripperModel
@@ -92,10 +96,7 @@ class DeliveryContext:
     ee_position: np.ndarray  # where the held point sits at delivery
     human: HumanModel
     robot_base: np.ndarray
-    body_proxy_dims: tuple[float, float, float] | None = BODY_PROXY_DIMS
-    min_object_height: float = MIN_OBJECT_HEIGHT
-    capsule_radius: float = BODY_CAPSULE_RADIUS
-    approach_cone_deg: float = APPROACH_CONE_DEG
+    body_proxy_dims: tuple[float, float, float] | None = BODY_PROXY_DIMS  # None: no robot body
 
     def __post_init__(self):
         self.grasp_rotation = np.asarray(self.grasp_rotation, dtype=float).reshape(3, 3)
@@ -151,35 +152,14 @@ class OrientationCandidate:
 
 @dataclass
 class HandoverPose:
-    grasp: RankedGrasp | None
-    object_rotation: np.ndarray  # delta about the held point
-    ee_position: np.ndarray
+    """What the orientation search found: the chosen delta rotation about
+    the held point, its exposure objective, and every rotation it scored.
+    The delivered object and gripper poses follow from the rotation and the
+    DeliveryContext the search ran on."""
+
+    object_rotation: np.ndarray
     objective: float
-    held_point: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    candidates: list = field(default_factory=list, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.object_rotation = np.asarray(self.object_rotation, dtype=float).reshape(3, 3)
-        self.ee_position = np.asarray(self.ee_position, dtype=float).reshape(3)
-        self.held_point = np.asarray(self.held_point, dtype=float).reshape(3)
-
-    @property
-    def object_pose(self) -> np.ndarray:
-        """4x4 world-from-grid transform of the delivered object."""
-        m = np.eye(4)
-        m[:3, :3] = self.object_rotation
-        m[:3, 3] = self.ee_position - self.object_rotation @ self.held_point
-        return m
-
-    @property
-    def gripper_pose(self) -> np.ndarray:
-        """4x4 world pose of the gripper at delivery (requires a grasp)."""
-        if self.grasp is None:
-            raise ValueError("pose carries no grasp")
-        m = np.eye(4)
-        m[:3, :3] = self.object_rotation @ self.grasp.candidate.rotation
-        m[:3, 3] = self.ee_position
-        return m
+    candidates: list[OrientationCandidate] = field(repr=False)
 
 
 def _capsule_hit(points: np.ndarray, base: np.ndarray, height: float, radius: float) -> bool:
@@ -193,16 +173,16 @@ def _capsule_hit(points: np.ndarray, base: np.ndarray, height: float, radius: fl
 def feasibility_reason(ctx: DeliveryContext, rotation: np.ndarray) -> str | None:
     """None when the rotation is deliverable, else a short reason label."""
     obj_pts = ctx.object_points(rotation)
-    if float(obj_pts[:, 2].min()) < ctx.min_object_height:
+    if float(obj_pts[:, 2].min()) < MIN_OBJECT_HEIGHT:
         return "object below clearance height"
     base = ctx.human.base_position
-    if _capsule_hit(obj_pts, base, ctx.human.height, ctx.capsule_radius):
+    if _capsule_hit(obj_pts, base, ctx.human.height, BODY_CAPSULE_RADIUS):
         return "object penetrates receiver"
-    if _capsule_hit(ctx.gripper_points(rotation), base, ctx.human.height, ctx.capsule_radius):
+    if _capsule_hit(ctx.gripper_points(rotation), base, ctx.human.height, BODY_CAPSULE_RADIUS):
         return "gripper penetrates receiver"
     approach = ctx.approach_axis(rotation)
     cos_angle = float(np.dot(approach, ctx.robot_to_human))
-    if math.degrees(math.acos(min(max(cos_angle, -1.0), 1.0))) > ctx.approach_cone_deg:
+    if math.degrees(math.acos(min(max(cos_angle, -1.0), 1.0))) > APPROACH_CONE_DEG:
         return "approach axis outside delivery cone"
     return None
 
@@ -224,20 +204,19 @@ def plan_handover_orientation(
     ctx: DeliveryContext,
     cluster: ContactCluster,
     step: float = DEFAULT_STEP_DEG,
-    grasp: RankedGrasp | None = None,
 ) -> HandoverPose:
     """Exhaustive search over the sampled rotation set.
 
     Minimizes the contact-to-eye exposure objective over feasible rotations.
     Objectives within 1e-9 of each other count as tied; ties break by the
-    smaller geodesic angle from identity, then by sample order.
+    smaller geodesic angle from identity, then by sample order. Returns the
+    winning rotation, its objective and the trace of every sampled rotation.
     """
     if cluster.size == 0:
         raise ValueError("empty contact map")
     rotations = sample_orientations(step)
     candidates: list[OrientationCandidate] = []
-    best = None  # (quantized objective, angle, index)
-    best_raw = None
+    best = None  # ((quantized objective, angle, index), rotation, objective)
     for k, rot in enumerate(rotations):
         reason = feasibility_reason(ctx, rot)
         if reason is not None:
@@ -246,10 +225,9 @@ def plan_handover_orientation(
         obj = exposure_objective(ctx, rot, cluster)
         candidates.append(OrientationCandidate(rot, True, obj, None))
         key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(rot), k)
-        if best is None or key < best:
-            best = key
-            best_raw = (rot, obj)
-    if best_raw is None:
+        if best is None or key < best[0]:
+            best = (key, rot, obj)
+    if best is None:
         raise ValueError("no feasible handover orientation")
-    rot, obj = best_raw
-    return HandoverPose(grasp, rot, ctx.ee_position.copy(), obj, ctx.held_point.copy(), candidates)
+    _, rot, obj = best
+    return HandoverPose(rot, obj, candidates)

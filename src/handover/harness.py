@@ -32,7 +32,6 @@ from .contacts import (
 from .delivery import (
     BODY_PROXY_DIMS,
     DeliveryContext,
-    HandoverPose,
     exposure_objective,
     feasible,
     plan_handover_orientation,
@@ -57,14 +56,6 @@ class AblationMode(enum.Enum):
 
 CONFIDENCE_ONLY_MODES = (AblationMode.A1, AblationMode.A3, AblationMode.A4)
 RANDOM_ORIENTATION_MODES = (AblationMode.A2, AblationMode.A3)
-
-
-class StageError(RuntimeError):
-    """Pipeline failure attributed to a named stage."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"{stage}: {message}")
-        self.stage = stage
 
 
 @dataclass
@@ -266,13 +257,20 @@ def _grasp_record(rg) -> dict:
     }
 
 
-def _delivery_record(pose: HandoverPose, rejected: list | None = None) -> dict:
+def _delivery_record(ctx: DeliveryContext, rotation: np.ndarray, objective: float,
+                     rejected: list | None = None) -> dict:
+    """The delivered pose: `rotation` about the held point of `ctx`. The
+    object pose is the 4x4 world-from-grid transform [R | ee - R held]."""
+    object_pose, gripper_pose = np.eye(4), np.eye(4)
+    object_pose[:3, :3] = rotation
+    object_pose[:3, 3] = ctx.ee_position - rotation @ ctx.held_point
+    gripper_pose[:3, :3], gripper_pose[:3, 3] = ctx.gripper_pose(rotation)
     rec = {
-        "object_rotation": pose.object_rotation.tolist(),
-        "object_pose": pose.object_pose.tolist(),
-        "gripper_pose": pose.gripper_pose.tolist() if pose.grasp is not None else None,
-        "ee_position": pose.ee_position.tolist(),
-        "objective": pose.objective,
+        "object_rotation": rotation.tolist(),
+        "object_pose": object_pose.tolist(),
+        "gripper_pose": gripper_pose.tolist(),
+        "ee_position": ctx.ee_position.tolist(),
+        "objective": objective,
     }
     if rejected is not None:
         rec["rejected_candidates"] = rejected
@@ -318,19 +316,15 @@ class SharedStages:
             grid = self.scene.grid
             found = sample_grasps(grid, grid.normals, self.scene.gripper, self.params.max_grasps, self.seed)
             if not found:
-                raise StageError("grasp", "no grasp candidates")
+                raise ValueError("no grasp candidates")
             return found
 
         return self._once("grasp", sample)
 
     def cluster(self) -> ContactCluster:
-        def largest():
-            clusters = cluster_contacts(self.scene.planning_contact_map(), self.params.eps, self.params.min_pts)
-            if not clusters:
-                raise StageError("contacts", "empty contact map")
-            return largest_cluster(clusters)
-
-        return self._once("contacts", largest)
+        return self._once("contacts", lambda: largest_cluster(cluster_contacts(
+            self.scene.planning_contact_map(), self.params.eps, self.params.min_pts
+        )))
 
     def ranking(self, lam: float) -> list:
         grid = self.scene.grid
@@ -374,21 +368,18 @@ def run_pipeline(
     human = scene.human
     gripper = scene.gripper
     t_start = time.perf_counter()
-    stages: list[str] = []
+    stages: list[str] = []  # each stage is appended as it starts
     grasp_rec = position_rec = delivery_rec = metrics_rec = None
     failure = None
     ok = False
     try:
-        stage = "grasp"
-        stages.append(stage)
+        stages.append("grasp")
         shared.candidates()  # ranking reads them; here only a failure matters
 
-        stage = "contacts"
-        stages.append(stage)
+        stages.append("contacts")
         cluster = shared.cluster()
 
-        stage = "ranking"
-        stages.append(stage)
+        stages.append("ranking")
         lam = 1.0 if mode in CONFIDENCE_ONLY_MODES else params.lam
         top = shared.ranking(lam)[0]
         grasp_rec = _grasp_record(top)
@@ -398,13 +389,13 @@ def run_pipeline(
 
         if mode is AblationMode.A4:
             # tucked pose: grasp orientation kept, held point parked in front
-            # of the base; position/orientation planners intentionally skipped
-            stage = "metrics"
+            # of the base; position/orientation planners intentionally
+            # skipped, so the rest of the run is the metrics stage
+            stages.append("metrics")
             forward = -human.facing  # robot faces the receiver
             ee = robot_base + A4_FORWARD * forward + np.array([0.0, 0.0, A4_HEIGHT])
         else:
-            stage = "position"
-            stages.append(stage)
+            stages.append("position")
             ee, winner, kept = shared.position()
             position_rec = {
                 "hand_position": ee.tolist(),
@@ -416,8 +407,7 @@ def run_pipeline(
             }
             if emit_diagnostics:
                 diag["ergonomics_csv"] = candidates_csv(kept)
-            stage = "orientation"
-            stages.append(stage)
+            stages.append("orientation")
 
         ctx = DeliveryContext(
             grid=grid,
@@ -430,6 +420,7 @@ def run_pipeline(
             robot_base=robot_base,
             body_proxy_dims=scene.body_proxy_dims,
         )
+        rejected = None
         if mode is AblationMode.A4 or mode in RANDOM_ORIENTATION_MODES:
             if mode is AblationMode.A4:
                 rotation = np.eye(3)
@@ -437,28 +428,23 @@ def run_pipeline(
                 rotations = sample_orientations(params.orientation_step)
                 feas = [r for r in rotations if feasible(ctx, r)]
                 if not feas:
-                    raise StageError(stage, "no feasible handover orientation")
+                    raise ValueError("no feasible handover orientation")
                 rng = np.random.default_rng([seed, 7])
                 rotation = feas[int(rng.integers(len(feas)))]
-            pose = HandoverPose(
-                top, rotation, ee, exposure_objective(ctx, rotation, cluster),
-                top.candidate.translation,
-            )
-            delivery_rec = _delivery_record(pose)
+            objective = exposure_objective(ctx, rotation, cluster)
         else:
-            pose = plan_handover_orientation(ctx, cluster, params.orientation_step, top)
-            rejected = None
+            pose = plan_handover_orientation(ctx, cluster, params.orientation_step)
+            rotation, objective = pose.object_rotation, pose.objective
             if emit_diagnostics:
                 rejected = [
                     {"rotation": c.rotation.tolist(), "reason": c.reason}
                     for c in pose.candidates
                     if not c.feasible
                 ]
-            delivery_rec = _delivery_record(pose, rejected)
-            rotation = pose.object_rotation
-        stage = "metrics"
+        delivery_rec = _delivery_record(ctx, rotation, objective, rejected)
 
-        stages.append("metrics")
+        if stages[-1] != "metrics":
+            stages.append("metrics")
         scores = evaluate_maps(ctx, rotation, scene.contact_maps, params.k)
         metrics_rec = {
             "per_map": [
@@ -475,12 +461,10 @@ def run_pipeline(
         if emit_diagnostics and diag:
             metrics_rec["diagnostics"] = diag
         ok = scores.success
-    except StageError as exc:
-        failure = str(exc)
     except ValueError as exc:
-        failure = f"{stage}: {exc}"
+        failure = f"{stages[-1]}: {exc}"
     except Exception as exc:  # any other fault still names its stage
-        failure = f"{stage}: {type(exc).__name__}: {exc}"
+        failure = f"{stages[-1]}: {type(exc).__name__}: {exc}"
     duration = time.perf_counter() - t_start
     return HandoverReport(
         object_name=scene.name,

@@ -1,5 +1,9 @@
 """Receiver-centric evaluation of a delivered pose: can the contact region be
-seen, can it be reached, and does the handover count as successful."""
+seen, can it be reached, and does the handover count as successful.
+
+Every score takes the pose as a DeliveryContext plus one delta rotation. The
+context also says what may block a sight line: the gripper, and the robot
+body proxy unless its body_proxy_dims is None."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -19,7 +23,6 @@ class MetricScores:
     reachability: list[float]
     visibility_median: float
     reachability_median: float
-    threshold: float
     success: bool
     # per map: contact voxel index -> visible / reachable
     visibility_flags: list[dict]
@@ -93,7 +96,6 @@ def visibility(
     rotation: np.ndarray,
     cm: ContactMap,
     include_gripper: bool = True,
-    include_robot: bool = True,
     detail: bool = False,
 ):
     """Weighted fraction of the contact map the receiver's eye can see.
@@ -102,8 +104,9 @@ def visibility(
     along its outward normal; aiming at the buried voxel center would make
     grazing rays clip the surface early. A contact voxel is visible when the
     segment from the eye to its aim point crosses no object voxel, no gripper
-    box, and no robot body proxy, and the voxel center is not covered by the
-    closing region. A voxel whose aim point is the eye itself counts as seen.
+    box, and no robot body proxy (none when ctx.body_proxy_dims is None), and
+    the voxel center is not covered by the closing region. A voxel whose aim
+    point is the eye itself counts as seen.
 
     All sight lines are built as arrays and tested against the closing
     region and each box at once (segments_hit_boxes; the proxy's far end is
@@ -127,7 +130,7 @@ def visibility(
     rays = np.flatnonzero(dist > 0)
     t_max = dist[rays]
     blocked = np.zeros(len(rays), dtype=bool)
-    proxy = _robot_proxy_box(ctx) if include_robot else None
+    proxy = _robot_proxy_box(ctx)
     if include_gripper or proxy is not None:
         world_aims = ctx.ee_position + _rotate(rotation, aims[rays] - ctx.held_point)
         dirs = (world_aims - eye) / t_max[:, None]
@@ -174,8 +177,8 @@ def reachability(
 
 def evaluate_maps(ctx: DeliveryContext, rotation: np.ndarray, maps, threshold: float = 0.5):
     """Score every ground-truth map at the delivered pose and fold the lists
-    into the success verdict. The per-voxel flags behind each score come
-    along, so diagnostics need no second pass."""
+    into the success verdict against `threshold`. The per-voxel flags behind
+    each score come along, so diagnostics need no second pass."""
     vis = [visibility(ctx, rotation, cm, detail=True) for cm in maps]
     reach = [reachability(ctx, rotation, cm, detail=True) for cm in maps]
     vis_scores = [score for score, _ in vis]
@@ -185,7 +188,6 @@ def evaluate_maps(ctx: DeliveryContext, rotation: np.ndarray, maps, threshold: f
         reachability=reach_scores,
         visibility_median=lower_median(vis_scores),
         reachability_median=lower_median(reach_scores),
-        threshold=threshold,
         success=success(vis_scores, reach_scores, threshold),
         visibility_flags=[flags for _, flags in vis],
         reachability_flags=[flags for _, flags in reach],

@@ -215,6 +215,22 @@ def test_bench_grid_and_summary(suite_dir, tmp_path, capsys):
     assert len(summary["runs"]) == 8
 
 
+def test_bench_summary_is_aggregate_in_scene_mode_seed_order(suite_dir, tmp_path, capsys):
+    stems, modes, seeds = ("hammer", "knife"), ("FULL", "A2", "A4"), (0, 1)
+    out = tmp_path / "bench"
+    code, _, _ = run_cli(
+        ["bench", *(str(suite_dir / f"{stem}.scene.json") for stem in stems), "--out", str(out),
+         "--modes", ",".join(modes), "--seeds", ",".join(map(str, seeds))], capsys
+    )
+    assert code == 0
+    reports = [harness.load_report(out / f"{stem}_{mode}_{seed}.json")
+               for stem in stems for mode in modes for seed in seeds]
+    summary = harness.aggregate(reports)
+    want = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert (out / "summary.json").read_bytes() == want.encode()
+    assert (out / "summary.csv").read_bytes() == harness.summary_csv(summary).encode()
+
+
 def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
     paths = [str(suite_dir / "hammer.scene.json"), str(suite_dir / "knife.scene.json")]
     outputs = []

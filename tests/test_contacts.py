@@ -7,6 +7,7 @@ import pytest
 from conftest import box_grid, make_grid
 from handover.contacts import (
     ContactMap,
+    _run_lengths,
     cluster_contacts,
     largest_cluster,
     load_contact_map,
@@ -138,6 +139,45 @@ class TestHeuristic:
         single[2, 2, 2] = True
         cm2 = predict_contacts_heuristic(make_grid(single))
         assert cm2.values == {(2, 2, 2): 1.0}
+
+    def test_run_lengths_match_the_scalar_scan_on_bundled_objects(self, scenes):
+        for name, scene in scenes.items():
+            occ = scene.grid.occupancy
+            for axis in range(3):
+                got = _run_lengths(occ, axis)
+                assert got.dtype == int and np.array_equal(got, oracle_run_lengths(occ, axis)), \
+                    (name, axis)
+
+    def test_run_lengths_match_the_scalar_scan_on_random_grids(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            dims = tuple(int(d) for d in rng.integers(1, 9, size=3))
+            occ = rng.random(dims) < rng.uniform(0.0, 1.0)
+            for axis in range(3):
+                assert np.array_equal(_run_lengths(occ, axis), oracle_run_lengths(occ, axis)), \
+                    (trial, axis)
+
+
+def oracle_run_lengths(occ, axis):
+    """The scalar run scan: walk each row along `axis`, write each run's
+    length over its cells."""
+    moved = np.moveaxis(occ, axis, -1)
+    flat = moved.reshape(-1, moved.shape[-1])
+    out = np.zeros(flat.shape, dtype=int)
+    n = flat.shape[1]
+    for r in range(flat.shape[0]):
+        row = flat[r]
+        i = 0
+        while i < n:
+            if not row[i]:
+                i += 1
+                continue
+            j = i
+            while j < n and row[j]:
+                j += 1
+            out[r, i:j] = j - i
+            i = j
+    return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 
 def reference_dbscan(points, eps, min_pts):

@@ -10,7 +10,6 @@ from handover.delivery import (
     DeliveryContext,
     _direction_frame,
     _rot_x,
-    HandoverPose,
     exposure_objective,
     feasibility_reason,
     feasible,
@@ -20,6 +19,7 @@ from handover.delivery import (
 )
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
+from handover.harness import _delivery_record
 
 from conftest import box_grid
 
@@ -314,16 +314,17 @@ def test_all_rotations_infeasible_raises():
 def test_object_pose_maps_held_point_to_ee():
     ctx, cluster = rod_setup()
     pose = plan_handover_orientation(ctx, cluster)
-    world = pose.object_pose @ np.append(ctx.held_point, 1.0)
+    rec = _delivery_record(ctx, pose.object_rotation, pose.objective)
+    object_pose = np.array(rec["object_pose"])
+    world = object_pose @ np.append(ctx.held_point, 1.0)
     assert np.allclose(world[:3], ctx.ee_position, atol=1e-12)
     # a generic grid point lands at ee + R (p - held)
     p = ctx.grid.centers(np.array([[12, 3, 3]], dtype=float))[0]
-    world = pose.object_pose @ np.append(p, 1.0)
+    world = object_pose @ np.append(p, 1.0)
     expect = ctx.ee_position + pose.object_rotation @ (p - ctx.held_point)
     assert np.allclose(world[:3], expect, atol=1e-12)
-
-
-def test_gripper_pose_requires_grasp():
-    pose = HandoverPose(None, np.eye(3), np.zeros(3), 0.0)
-    with pytest.raises(ValueError, match="no grasp"):
-        pose.gripper_pose
+    # the gripper turns with the object about the held point
+    gripper_pose = np.array(rec["gripper_pose"])
+    assert np.array_equal(gripper_pose[:3, :3], pose.object_rotation @ ctx.grasp_rotation)
+    assert np.array_equal(gripper_pose[:3, 3], ctx.ee_position)
+    assert np.array_equal(gripper_pose[3], [0.0, 0.0, 0.0, 1.0])

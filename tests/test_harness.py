@@ -328,6 +328,20 @@ def test_any_stage_exception_names_the_stage(scenes, monkeypatch):
                 assert not report.success and report.metrics is None
 
 
+def test_failure_after_ranking_is_labelled_with_the_last_stage(scenes, monkeypatch):
+    # A4 scores its tucked pose inside the metrics stage; A2 and A3 draw
+    # their rotation inside the orientation stage
+    def broken(*args, **kwargs):
+        raise RuntimeError("objective broken")
+
+    monkeypatch.setattr(harness, "exposure_objective", broken)
+    for mode, last in (("A4", "metrics"), ("A2", "orientation"), ("A3", "orientation")):
+        report = run_pipeline(scenes["hammer"], mode, 0)
+        assert report.stages[-1] == last, mode
+        assert report.failure == f"{last}: RuntimeError: objective broken", mode
+        assert report.delivery is None and report.metrics is None
+
+
 def test_shared_empty_cluster_fails_every_mode_alike(scenes):
     scene = scene_with(scenes["hammer"], min_pts=100000)
     shared = SharedStages(scene, 0)

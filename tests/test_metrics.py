@@ -1,11 +1,12 @@
 """Visibility/reachability scoring and the success rule."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from handover.contacts import ContactMap
-from handover.delivery import DeliveryContext
+from handover.delivery import BODY_PROXY_DIMS, DeliveryContext
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
 from handover import metrics
@@ -69,7 +70,8 @@ NEAR = [(2, y, z) for y in (4, 5, 6) for z in (4, 5, 6)]
 FAR = [(4, y, z) for y in (4, 5, 6) for z in (4, 5, 6)]
 
 
-def slab_ctx(origin=(0.55, -0.06, 1.14), held_idx=(3, 5, 5), grasp_rotation=None):
+def slab_ctx(origin=(0.55, -0.06, 1.14), held_idx=(3, 5, 5), grasp_rotation=None,
+             body_proxy_dims=BODY_PROXY_DIMS):
     grid = box_grid((7, 12, 12), (2, 2, 2), (4, 9, 9), voxel_size=0.01, origin=origin)
     held = grid.centers(np.array([held_idx], dtype=float))[0]
     ctx = DeliveryContext(
@@ -81,6 +83,7 @@ def slab_ctx(origin=(0.55, -0.06, 1.14), held_idx=(3, 5, 5), grasp_rotation=None
         ee_position=held.copy(),
         human=HumanModel(),
         robot_base=np.array([1.2, 0.0, 0.0]),
+        body_proxy_dims=body_proxy_dims,
     )
     return grid, ctx
 
@@ -92,33 +95,32 @@ def ones_map(grid, indices):
 # ---------------------------------------------------------------- visibility
 
 def test_eye_facing_face_fully_visible():
-    grid, ctx = slab_ctx()
+    grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False, include_robot=False) == 1.0
+    assert visibility(ctx, I3, cm, include_gripper=False) == 1.0
 
 
 def test_face_behind_slab_invisible():
-    grid, ctx = slab_ctx()
+    grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, FAR)
-    assert visibility(ctx, I3, cm, include_gripper=False, include_robot=False) == 0.0
+    assert visibility(ctx, I3, cm, include_gripper=False) == 0.0
 
 
 def test_visibility_weights_mixed_faces():
-    grid, ctx = slab_ctx()
+    grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ContactMap(
         grid,
         {**{i: 0.9 for i in NEAR}, **{i: 0.3 for i in FAR}},
         threshold=0.25,
     )
-    got = visibility(ctx, I3, cm, include_gripper=False, include_robot=False)
+    got = visibility(ctx, I3, cm, include_gripper=False)
     assert got == pytest.approx((9 * 0.9) / (9 * 0.9 + 9 * 0.3), abs=1e-12)
 
 
 def test_visibility_detail_flags_consistent():
-    grid, ctx = slab_ctx()
+    grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR + FAR)
-    score, flags = visibility(ctx, I3, cm, include_gripper=False,
-                              include_robot=False, detail=True)
+    score, flags = visibility(ctx, I3, cm, include_gripper=False, detail=True)
     assert set(flags) == set(cm.contact_indices())
     assert score == pytest.approx(sum(flags.values()) / len(flags))
     assert all(flags[i] for i in NEAR)
@@ -129,19 +131,19 @@ def test_closing_region_hides_held_contacts():
     # held point on the visible face: the whole face sits inside the closing
     # region (offsets within finger thickness/width/length), while the
     # gripper boxes themselves never cross the sight lines
-    grid, ctx = slab_ctx(held_idx=(2, 5, 5))
+    grid, ctx = slab_ctx(held_idx=(2, 5, 5), body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False, include_robot=False) == 1.0
-    assert visibility(ctx, I3, cm, include_gripper=True, include_robot=False) == 0.0
+    assert visibility(ctx, I3, cm, include_gripper=False) == 1.0
+    assert visibility(ctx, I3, cm, include_gripper=True) == 0.0
 
 
 def test_palm_toward_eye_blocks_sight_lines():
     # rotating the approach axis toward the receiver parks the palm slab
     # between eye and contacts
-    grid, ctx = slab_ctx(grasp_rotation=rot_y(-90.0))
+    grid, ctx = slab_ctx(grasp_rotation=rot_y(-90.0), body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    clear = visibility(ctx, I3, cm, include_gripper=False, include_robot=False)
-    blocked = visibility(ctx, I3, cm, include_gripper=True, include_robot=False)
+    clear = visibility(ctx, I3, cm, include_gripper=False)
+    blocked = visibility(ctx, I3, cm, include_gripper=True)
     assert clear == 1.0
     assert blocked < clear
 
@@ -151,8 +153,8 @@ def test_robot_proxy_blocks_sight_lines():
     ctx.robot_base = np.array([0.3, 0.0, 0.0])
     ctx.body_proxy_dims = (0.5, 0.5, 1.55)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False, include_robot=False) == 1.0
-    assert visibility(ctx, I3, cm, include_gripper=False, include_robot=True) == 0.0
+    assert visibility(replace(ctx, body_proxy_dims=None), I3, cm, include_gripper=False) == 1.0
+    assert visibility(ctx, I3, cm, include_gripper=False) == 0.0
 
 
 def test_empty_contact_map_rejected():
@@ -213,7 +215,6 @@ def test_evaluate_maps_folds_lists_and_verdict():
     assert scores.reachability == [reachability(ctx, I3, m) for m in maps]
     assert scores.visibility_median == lower_median(scores.visibility)
     assert scores.reachability_median == lower_median(scores.reachability)
-    assert scores.threshold == 0.5
     # reach medians land exactly on 0.5: strictness makes this a failure
     assert scores.reachability_median == 0.5
     assert scores.success is False
@@ -289,7 +290,7 @@ def oracle_ray_blocked(gripper, rotation, translation, width, origin, direction,
     return False
 
 
-def oracle_visibility(ctx, rotation, cm, include_gripper=True, include_robot=True):
+def oracle_visibility(ctx, rotation, cm, include_gripper=True):
     grid = ctx.grid
     contact = cm.contact_indices()
     denom = sum(cm.values[i] for i in contact)
@@ -297,7 +298,7 @@ def oracle_visibility(ctx, rotation, cm, include_gripper=True, include_robot=Tru
     eye = ctx.human.eye_point
     grip_rot, grip_t = ctx.gripper_pose(rotation)
     proxy = None
-    if include_robot and ctx.body_proxy_dims is not None:
+    if ctx.body_proxy_dims is not None:
         fx, fy, h = ctx.body_proxy_dims
         base = ctx.robot_base
         proxy = (np.array([base[0] - fx / 2, base[1] - fy / 2, base[2]]),
@@ -396,10 +397,10 @@ def test_oracles_cover_every_branch_on_slab():
         cm = ContactMap(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.3 for i in FAR}, **interior},
                         threshold=0.25)
         assert not set(interior) & set(grid.normals)
-        for grip in (True, False):
-            for rob in (True, False):
-                assert visibility(ctx, I3, cm, grip, rob, detail=True) == \
-                    oracle_visibility(ctx, I3, cm, grip, rob)
+        for c in (ctx, replace(ctx, body_proxy_dims=None)):
+            for grip in (True, False):
+                assert visibility(c, I3, cm, grip, detail=True) == \
+                    oracle_visibility(c, I3, cm, grip)
         assert reachability(ctx, I3, cm, detail=True) == oracle_reachability(ctx, I3, cm)
 
 
