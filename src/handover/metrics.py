@@ -12,7 +12,7 @@ import numpy as np
 
 from .contacts import ContactMap
 from .delivery import DeliveryContext
-from .voxelgeom import ray_cast, segments_hit_boxes
+from .voxelgeom import ray_cast, row_dots, segments_hit_boxes
 
 AIM_OFFSET_VOXELS = 1.5  # sight lines aim this far off the contact face
 
@@ -72,11 +72,6 @@ def _rotate(rotation: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (rotation[None] @ vectors[..., None])[..., 0]
 
 
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of every row, rounded exactly as the per-row call."""
-    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
-
-
 def _toward(off: np.ndarray) -> np.ndarray:
     """Unit vector along `off`, +z when it vanishes: the sight-line normal
     of a contact voxel that has no surface normal."""
@@ -126,7 +121,7 @@ def visibility(
     ])
     aims = centers + AIM_OFFSET_VOXELS * grid.voxel_size * nrm
     to_aim = aims - eye_grid
-    dist = _norms(to_aim)
+    dist = np.sqrt(row_dots(to_aim, to_aim))  # np.linalg.norm per row
     rays = np.flatnonzero(dist > 0)
     t_max = dist[rays]
     blocked = np.zeros(len(rays), dtype=bool)
@@ -169,7 +164,8 @@ def reachability(
         np.hypot(grip_pts[:, 0] - base[0], grip_pts[:, 1] - base[1]).min()
     )
     world = ctx.ee_position + _rotate(rotation, ctx.grid.centers(contact) - ctx.held_point)
-    d1 = _norms(world - human.shoulder_point)
+    arm = world - human.shoulder_point
+    d1 = np.sqrt(row_dots(arm, arm))
     d2 = np.hypot(world[:, 0] - base[0], world[:, 1] - base[1])
     ok = (d1 < human.arm_length) & (d2 < gripper_axis_dist)
     return _fold(cm, contact, denom, ok, detail)

@@ -309,6 +309,12 @@ def estimate_normals(grid: VoxelGrid, surface=None) -> dict[Index, np.ndarray]:
 # -- ray casting -----------------------------------------------------------
 
 
+def row_dots(a, b) -> np.ndarray:
+    """np.dot of each row pair of two (n, 3) stacks, rounded exactly as the
+    per-row call (einsum and (a * b).sum can differ in the last bit)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _slab(origins, dirs, t_max, lo, hi):
     """Slab clip (Kay & Kajiya 1986) of o + t d, 0 <= t <= t_max, against the
     closed box [lo, hi]; returns (t0, t1, ok) with [t0, t1] the clipped range.
@@ -386,9 +392,8 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
         cell[k, a] += step[k, a]
         t_next[k, a] += t_delta[k, a]
         go = ~hit & (cell[k, a] >= 0) & (cell[k, a] < dims[a]) & (t <= t1)
-        rows, cell, step, t_next, t_delta, t1 = (
-            v[go] for v in (rows, cell, step, t_next, t_delta, t1)
-        )
+        if not go.all():  # about half the steps drop no line
+            rows, cell, step, t_next, t_delta, t1 = (v[go] for v in (rows, cell, step, t_next, t_delta, t1))
     return blocked
 
 

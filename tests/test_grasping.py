@@ -1,11 +1,12 @@
 """Antipodal sampling, gripper collision, occlusion scoring, ranking."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import box_grid, make_grid
-from handover import suite
+from handover import grasping, suite
 from handover.contacts import ContactCluster, cluster_contacts, largest_cluster
 from handover.grasping import (
     MAX_NORMAL_OPPOSITION_DEG,
@@ -356,11 +357,23 @@ def bundled_grasps(scenes):
     return out
 
 
-@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
-def test_sampler_matches_per_roll_oracle_bitwise(bundled_grasps, name):
-    scene, cands, _ = bundled_grasps[name]
-    grid = scene.grid
-    expect = oracle_sample_grasps(grid, grid.normals, scene.gripper, scene.params.max_grasps, 1)
+def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypatch):
+    """Bitwise the same candidates, and the same number of pairs
+    collision-tested: both samplers stop after the same surface voxel."""
+    tests = {"sampler": 0, "oracle": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            tests[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(grasping, "_collisions", counted("sampler", grasping._collisions))
+    monkeypatch.setitem(globals(), "oracle_collides", counted("oracle", oracle_collides))
+    cands = sample_grasps(grid, grid.normals, gripper, max_candidates, seed)
+    expect = oracle_sample_grasps(grid, grid.normals, gripper, max_candidates, seed)
+    assert tests["oracle"] == round(360 / ROLL_STEP_DEG) * tests["sampler"]  # one test per roll
     assert cands and len(cands) == len(expect)
     for got, ref in zip(cands, expect):
         assert got.rotation.tobytes() == ref.rotation.tobytes()
@@ -370,6 +383,81 @@ def test_sampler_matches_per_roll_oracle_bitwise(bundled_grasps, name):
             ref.confidence,
             ref.contact_pair,
         )
+
+
+@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
+def test_sampler_matches_per_roll_oracle_bitwise(scenes, name, monkeypatch):
+    """At the scene's max_grasps the pool cap is never reached."""
+    scene = scenes[name]
+    assert_sampler_matches_oracle(scene.grid, scene.gripper, scene.params.max_grasps, 1, monkeypatch)
+
+
+@pytest.mark.parametrize("max_candidates", [20, 1])
+@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
+def test_sampler_stops_where_the_per_roll_oracle_stops(scenes, name, max_candidates, monkeypatch):
+    """At 20 and 1 (pool caps 160 and 64) both samplers stop early."""
+    scene = scenes[name]
+    assert_sampler_matches_oracle(scene.grid, scene.gripper, max_candidates, 1, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampler_finishes_the_voxel_that_fills_the_pool(seed, monkeypatch):
+    """Two stacked 3 cm cubes: a probe from the top face pairs with the
+    bottom of the upper cube and then with the bottom of the lower one, so
+    the pool can fill before a voxel's last pair, which is still tested."""
+    occ = np.zeros((12, 12, 20), dtype=bool)
+    occ[4:7, 4:7, 2:5] = occ[4:7, 4:7, 7:10] = True
+    assert_sampler_matches_oracle(make_grid(occ), GRIPPER, 1, seed, monkeypatch)
+
+
+def test_collision_cull_keeps_every_answer(scenes, monkeypatch):
+    """Each pair's collision batch is culled to the finger bands and palm
+    ring; on every pair of the bundled scenes at seed 0 it must give the same
+    answers as the whole slab that a box can reach at any roll."""
+    calls = []
+
+    def recorded(gripper, rotations, translation, width, points):
+        out = collisions(gripper, rotations, translation, width, points)
+        calls.append((rotations, translation, width, len(points), out))
+        return out
+
+    collisions = grasping._collisions
+    monkeypatch.setattr(grasping, "_collisions", recorded)
+    culled = near_total = 0
+    for scene in scenes.values():
+        grid, gripper = scene.grid, scene.gripper
+        occupied = grid.occupied_centers
+        axial_max = gripper.max_width / 2 + gripper.finger_thickness + 2 * REGION_EPS
+        radial_max = math.hypot(
+            gripper.finger_thickness / 2, gripper.finger_length / 2 + gripper.palm_depth
+        ) + 2 * REGION_EPS
+        calls.clear()
+        sample_grasps(grid, grid.normals, gripper, scene.params.max_grasps, 0)
+        assert calls
+        for rotations, mid, width, n_culled, out in calls:
+            rel = occupied - mid
+            along = rel @ rotations[0][:, 1]
+            r2 = np.einsum("ij,ij->i", rel, rel) - along * along
+            near = occupied[(np.abs(along) <= axial_max) & (r2 <= radial_max * radial_max)]
+            assert np.array_equal(out, collisions(gripper, rotations, mid, width, near))
+            culled += n_culled
+            near_total += len(near)
+    assert culled < near_total
+
+
+def test_sampler_memory_peak_on_mug(scenes):
+    """Probing in chunks bounds the temporaries: with every surface voxel of
+    mug in one chunk the sampler peaked at 7.8 MB, with chunks of 64 at 1.7 MB."""
+    scene = scenes["mug"]
+    grid = scene.grid
+    _ = grid.normals, grid.occupied_centers  # fill the grid's caches: they are not the sampler's
+    tracemalloc.start()
+    try:
+        sample_grasps(grid, grid.normals, scene.gripper, 600, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def assert_ranking_matches_oracle(cands, cluster, scene, lam):
