@@ -29,6 +29,7 @@ MIN_OBJECT_HEIGHT = 0.40
 BODY_CAPSULE_RADIUS = 0.20
 APPROACH_CONE_DEG = 120.0
 BODY_PROXY_DIMS = (0.5, 0.5, 1.1)  # robot stand-in box: footprint x, y, height
+BOUND_MARGIN = 1e-6  # m; a check is skipped only when its bound clears by this
 
 
 def _rot_x(deg: float) -> np.ndarray:
@@ -82,11 +83,12 @@ def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
     return list(_sample_orientations_cached(float(step)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeliveryContext:
     """Everything feasibility and metric checks need about the final scene:
     the grasped object, where it is held, and who stands where. With one
-    delta rotation it describes the whole delivered pose."""
+    delta rotation it describes the whole delivered pose. Frozen, because
+    the offsets and bounds below are cached from its fields."""
 
     grid: VoxelGrid
     gripper: GripperModel
@@ -99,10 +101,9 @@ class DeliveryContext:
     body_proxy_dims: tuple[float, float, float] | None = BODY_PROXY_DIMS  # None: no robot body
 
     def __post_init__(self):
-        self.grasp_rotation = np.asarray(self.grasp_rotation, dtype=float).reshape(3, 3)
-        self.held_point = np.asarray(self.held_point, dtype=float).reshape(3)
-        self.ee_position = np.asarray(self.ee_position, dtype=float).reshape(3)
-        self.robot_base = np.asarray(self.robot_base, dtype=float).reshape(3)
+        for name, shape in (("grasp_rotation", (3, 3)), ("held_point", 3), ("ee_position", 3),
+                            ("robot_base", 3)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(shape))
 
     @cached_property
     def object_offsets(self) -> np.ndarray:
@@ -128,7 +129,22 @@ class DeliveryContext:
     def approach_axis(self, rotation: np.ndarray) -> np.ndarray:
         return rotation @ (-self.grasp_rotation[:, 2])
 
-    @property
+    @cached_property
+    def always_clear(self) -> tuple[bool, bool, bool]:
+        """Whether the height, object-capsule and gripper-capsule checks of
+        feasibility_reason pass for every rotation. A rotation about the held
+        point keeps each offset's length, so with r the longest object offset
+        no object point lies below `ee_z - r` or nearer the receiver's
+        segment than `dist(ee, segment) - r`; the gripper likewise with its
+        own r. A check is clear when its bound passes by BOUND_MARGIN."""
+        ee, human = self.ee_position, self.human
+        r_obj, r_grip = (np.linalg.norm(o, axis=1).max() for o in (self.object_offsets, self.gripper_offsets))
+        to_axis = math.sqrt(_capsule_d2(ee[None], human.base_position, human.height)[0])
+        limit = BODY_CAPSULE_RADIUS + BOUND_MARGIN
+        return (bool(ee[2] - r_obj >= MIN_OBJECT_HEIGHT + BOUND_MARGIN),
+                bool(to_axis - r_obj >= limit), bool(to_axis - r_grip >= limit))
+
+    @cached_property
     def robot_to_human(self) -> np.ndarray:
         d = self.human.base_position - self.robot_base
         d = np.array([d[0], d[1], 0.0])
@@ -162,26 +178,33 @@ class HandoverPose:
     candidates: list[OrientationCandidate] = field(repr=False)
 
 
-def _capsule_hit(points: np.ndarray, base: np.ndarray, height: float, radius: float) -> bool:
-    """Any point within `radius` of the vertical segment base..base+height?"""
+def _capsule_d2(points: np.ndarray, base: np.ndarray, height: float) -> np.ndarray:
+    """Squared distance of each point to the vertical segment base..base+height."""
     rel = points - base
     z = np.clip(rel[:, 2], 0.0, height)
-    d2 = rel[:, 0] ** 2 + rel[:, 1] ** 2 + (rel[:, 2] - z) ** 2
-    return bool((d2 < radius * radius).any())
+    return rel[:, 0] ** 2 + rel[:, 1] ** 2 + (rel[:, 2] - z) ** 2
+
+
+def _hits_receiver(ctx: DeliveryContext, points: np.ndarray) -> bool:
+    """Any point within the receiver's body capsule?"""
+    d2 = _capsule_d2(points, ctx.human.base_position, ctx.human.height)
+    return bool((d2 < BODY_CAPSULE_RADIUS * BODY_CAPSULE_RADIUS).any())
 
 
 def feasibility_reason(ctx: DeliveryContext, rotation: np.ndarray) -> str | None:
-    """None when the rotation is deliverable, else a short reason label."""
-    obj_pts = ctx.object_points(rotation)
-    if float(obj_pts[:, 2].min()) < MIN_OBJECT_HEIGHT:
-        return "object below clearance height"
-    base = ctx.human.base_position
-    if _capsule_hit(obj_pts, base, ctx.human.height, BODY_CAPSULE_RADIUS):
-        return "object penetrates receiver"
-    if _capsule_hit(ctx.gripper_points(rotation), base, ctx.human.height, BODY_CAPSULE_RADIUS):
+    """None when the rotation is deliverable, else a short reason label.
+    The checks run in the order of their reasons below; a per-point check
+    that `ctx.always_clear` proves passes is skipped."""
+    above, object_clear, gripper_clear = ctx.always_clear
+    if not (above and object_clear):
+        obj_pts = ctx.object_points(rotation)
+        if not above and float(obj_pts[:, 2].min()) < MIN_OBJECT_HEIGHT:
+            return "object below clearance height"
+        if not object_clear and _hits_receiver(ctx, obj_pts):
+            return "object penetrates receiver"
+    if not gripper_clear and _hits_receiver(ctx, ctx.gripper_points(rotation)):
         return "gripper penetrates receiver"
-    approach = ctx.approach_axis(rotation)
-    cos_angle = float(np.dot(approach, ctx.robot_to_human))
+    cos_angle = float(np.dot(ctx.approach_axis(rotation), ctx.robot_to_human))
     if math.degrees(math.acos(min(max(cos_angle, -1.0), 1.0))) > APPROACH_CONE_DEG:
         return "approach axis outside delivery cone"
     return None
@@ -194,10 +217,15 @@ def feasible(ctx: DeliveryContext, rotation: np.ndarray) -> bool:
 def exposure_objective(ctx: DeliveryContext, rotation: np.ndarray, cluster: ContactCluster) -> float:
     """Sum of contact-voxel distances to the receiver's eye at the delivered
     pose. Lower is better: the contact region swings toward the viewer."""
+    return _exposure(ctx, cluster)(rotation)
+
+
+def _exposure(ctx: DeliveryContext, cluster: ContactCluster):
+    """exposure_objective as a function of the rotation alone: the contact
+    offsets and the eye point are worked out once."""
     rel = ctx.grid.centers(np.asarray(cluster.member_indices, dtype=float)) - ctx.held_point
-    pts = ctx.ee_position + rel @ rotation.T
     eye = ctx.human.eye_point
-    return float(np.linalg.norm(pts - eye, axis=1).sum())
+    return lambda rotation: float(np.linalg.norm(ctx.ee_position + rel @ rotation.T - eye, axis=1).sum())
 
 
 def plan_handover_orientation(
@@ -215,6 +243,7 @@ def plan_handover_orientation(
     if cluster.size == 0:
         raise ValueError("empty contact map")
     rotations = sample_orientations(step)
+    objective = _exposure(ctx, cluster)
     candidates: list[OrientationCandidate] = []
     best = None  # ((quantized objective, angle, index), rotation, objective)
     for k, rot in enumerate(rotations):
@@ -222,7 +251,7 @@ def plan_handover_orientation(
         if reason is not None:
             candidates.append(OrientationCandidate(rot, False, None, reason))
             continue
-        obj = exposure_objective(ctx, rot, cluster)
+        obj = objective(rot)
         candidates.append(OrientationCandidate(rot, True, obj, None))
         key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(rot), k)
         if best is None or key < best[0]:

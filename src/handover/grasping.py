@@ -330,7 +330,12 @@ def rank_grasps(
         raise ValueError("no grasp candidates")
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    occlusions = _occlusions(candidates, cluster, normals, gripper, grid)
+    return order_grasps(candidates, _occlusions(candidates, cluster, normals, gripper, grid), lam)
+
+
+def order_grasps(candidates, occlusions, lam: float) -> list[RankedGrasp]:
+    """rank_grasps for occlusions already scored, one per candidate in input
+    order: score each pair at `lam` and sort best-first with its tie-breaks."""
     ranked = [
         (i, RankedGrasp(cand, occ, contact_score(cand.confidence, occ, lam)))
         for i, (cand, occ) in enumerate(zip(candidates, occlusions))

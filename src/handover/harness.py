@@ -38,7 +38,7 @@ from .delivery import (
     sample_orientations,
 )
 from .ergonomics import HumanModel, plan_handover_position, candidates_csv
-from .grasping import GripperModel, rank_grasps, sample_grasps
+from .grasping import GripperModel, order_grasps, rank_grasps, sample_grasps
 from .metrics import evaluate_maps
 from .voxelgeom import VoxelGrid, load_vgrid
 
@@ -285,10 +285,10 @@ class SharedStages:
     """The mode-independent stage results of one (scene, seed).
 
     Grasp sampling, the largest cluster of the planning contact map, the
-    ranking for each `lam` and the arm plan do not depend on the ablation
-    mode. Each is computed the first time a mode asks for it and kept here,
-    together with any exception it raised, so every later mode reports what
-    a run of its own would report. The object is bound to
+    occlusion scores behind every ranking and the arm plan do not depend on
+    the ablation mode. Each is computed the first time a mode asks for it
+    and kept here, together with any exception it raised, so every later
+    mode reports what a run of its own would report. The object is bound to
     one scene object, that scene's params object and one seed. The caller
     creates it and passes it to the run_pipeline calls of one (scene, seed),
     all from one thread.
@@ -327,10 +327,19 @@ class SharedStages:
         )))
 
     def ranking(self, lam: float) -> list:
+        """rank_grasps at the first `lam` asked. Occlusion does not depend on
+        `lam`, so any other `lam` re-sorts the same (candidate, occlusion) pairs."""
         grid = self.scene.grid
-        return self._once(("ranking", lam), lambda: rank_grasps(
-            self.candidates(), self.cluster(), lam, grid.normals, self.scene.gripper, grid
-        ))
+        first, ranked = self._once("ranking", lambda: (lam, rank_grasps(
+            self.candidates(), self.cluster(), lam, grid.normals, self.scene.gripper, grid)))
+        if lam == first:
+            return ranked
+
+        def resort():
+            occlusion = {id(rg.candidate): rg.occlusion for rg in ranked}
+            return order_grasps(self.candidates(), [occlusion[id(c)] for c in self.candidates()], lam)
+
+        return self._once(("ranking", lam), resort)
 
     def position(self):
         """plan_handover_position's (hand_position, winner, kept)."""

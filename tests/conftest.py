@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from handover import suite
-from handover.harness import Scene, load_scene
+from handover import harness, suite
+from handover.delivery import (
+    APPROACH_CONE_DEG,
+    BODY_CAPSULE_RADIUS,
+    MIN_OBJECT_HEIGHT,
+    DeliveryContext,
+)
+from handover.harness import Scene, SharedStages, load_scene
 from handover.voxelgeom import Mesh, VoxelGrid
 
 
@@ -193,6 +199,39 @@ def oracle_ray_cast(grid: VoxelGrid, origin, direction, max_distance):
     return None
 
 
+def oracle_feasibility_reason(ctx: DeliveryContext, rotation) -> str | None:
+    """The scalar feasibility check with no bound: every test on every point.
+    The oracle for delivery.feasibility_reason."""
+
+    def capsule_hit(points):
+        rel = points - ctx.human.base_position
+        z = np.clip(rel[:, 2], 0.0, ctx.human.height)
+        d2 = rel[:, 0] ** 2 + rel[:, 1] ** 2 + (rel[:, 2] - z) ** 2
+        return bool((d2 < BODY_CAPSULE_RADIUS * BODY_CAPSULE_RADIUS).any())
+
+    obj_pts = ctx.ee_position + (ctx.grid.occupied_centers - ctx.held_point) @ rotation.T
+    if float(obj_pts[:, 2].min()) < MIN_OBJECT_HEIGHT:
+        return "object below clearance height"
+    if capsule_hit(obj_pts):
+        return "object penetrates receiver"
+    if capsule_hit(ctx.gripper_points(rotation)):
+        return "gripper penetrates receiver"
+    cos_angle = float(np.dot(ctx.approach_axis(rotation), ctx.robot_to_human))
+    if math.degrees(math.acos(min(max(cos_angle, -1.0), 1.0))) > APPROACH_CONE_DEG:
+        return "approach axis outside delivery cone"
+    return None
+
+
+def pipeline_context(scene: Scene, shared: SharedStages, lam: float) -> DeliveryContext:
+    """The DeliveryContext run_pipeline plans on, for the top grasp at `lam`."""
+    top = shared.ranking(lam)[0].candidate
+    return DeliveryContext(
+        grid=scene.grid, gripper=scene.gripper, grasp_rotation=top.rotation,
+        held_point=top.translation, width=top.width, ee_position=shared.position()[0],
+        human=scene.human, robot_base=scene.robot_base, body_proxy_dims=scene.body_proxy_dims,
+    )
+
+
 def absolutized_config(suite_dir, name):
     """A bundled scene's JSON with absolute data paths, to edit and write elsewhere."""
     cfg = json.loads((suite_dir / f"{name}.scene.json").read_text())
@@ -212,3 +251,29 @@ def suite_dir(tmp_path_factory):
 def scenes(suite_dir) -> dict[str, Scene]:
     """Bundled scenes, loaded once per test run."""
     return {name: load_scene(suite_dir / f"{name}.scene.json") for name in suite.OBJECT_NAMES}
+
+
+@pytest.fixture(scope="session")
+def bundled_stages(scenes):
+    """Per bundled scene and seed 0-4: a SharedStages ranked FULL-first (the
+    scene's lam, then 1.0), one ranked A1-first (1.0, then the scene's lam),
+    and the list each got back from its one rank_grasps call, by lam."""
+    out = {}
+    for name, scene in scenes.items():
+        for seed in range(5):
+            pair, fresh = [], {}
+            for lams in ((scene.params.lam, 1.0), (1.0, scene.params.lam)):
+                shared = SharedStages(scene, seed)
+                real = harness.rank_grasps
+
+                def recording(candidates, cluster, lam, *args):
+                    fresh[lam] = real(candidates, cluster, lam, *args)
+                    return fresh[lam]
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(harness, "rank_grasps", recording)
+                    for lam in lams:
+                        shared.ranking(lam)
+                pair.append(shared)
+            out[name, seed] = (scene, *pair, fresh)
+    return out

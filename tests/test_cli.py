@@ -248,8 +248,9 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
     """Bench runs the modes of one (scene, seed) as one group that shares its
     mode-independent stages: one sampling, one clustering of the planning
-    map, one arm plan, and one ranking per distinct lam (FULL/A2 use the
-    scene's lam, A1/A3/A4 use 1.0), whatever --jobs is."""
+    map, one arm plan, and one rank_grasps call, whatever --jobs is. FULL/A2
+    rank at the scene's lam and A1/A3/A4 at 1.0; the second lam re-sorts the
+    occlusions the first one scored."""
     calls = {}
 
     def counting(name):
@@ -268,7 +269,7 @@ def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys
     cfg["planning_map"] = "heuristic"
     heuristic = tmp_path / "heuristic.scene.json"
     heuristic.write_text(json.dumps(cfg))
-    once = {"sample_grasps": 1, "cluster_contacts": 1, "rank_grasps": 2, "plan_handover_position": 1}
+    once = {"sample_grasps": 1, "cluster_contacts": 1, "rank_grasps": 1, "plan_handover_position": 1}
     for scene, stem, expect in (
         (suite_dir / "hammer.scene.json", "hammer", once),
         (heuristic, "heuristic", {**once, "predict_contacts_heuristic": 1}),

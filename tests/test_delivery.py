@@ -1,12 +1,16 @@
 """Orientation sampling, delivery feasibility, and final-pose selection."""
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from handover.contacts import ContactCluster
 from handover.delivery import (
+    BODY_CAPSULE_RADIUS,
+    BOUND_MARGIN,
     DEDUP_TOL,
+    MIN_OBJECT_HEIGHT,
     DeliveryContext,
     _direction_frame,
     _rot_x,
@@ -21,7 +25,7 @@ from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
 from handover.harness import _delivery_record
 
-from conftest import box_grid
+from conftest import box_grid, oracle_feasibility_reason, pipeline_context
 
 
 def rot_y(deg):
@@ -129,11 +133,13 @@ def test_rotation_angle_examples():
 
 # --------------------------------------------------------------- feasibility
 
-def make_ctx(ee, grasp_rotation=None, width=0.03, dims=(3, 3, 3), lo=(1, 1, 1), hi=(1, 1, 1)):
-    """Single-voxel (by default) object held at its center, receiver at the
-    origin facing +x, robot base 1.2 m in front."""
+def make_ctx(ee, grasp_rotation=None, width=0.03, dims=(3, 3, 3), lo=(1, 1, 1), hi=(1, 1, 1),
+             held=None):
+    """Single-voxel (by default) object held at the center of voxel `held`
+    (default `lo`), receiver at the origin facing +x, robot base 1.2 m in
+    front."""
     grid = box_grid(dims, lo, hi, voxel_size=0.01)
-    held = grid.centers(np.array([lo], dtype=float))[0]
+    held = grid.centers(np.array([lo if held is None else held], dtype=float))[0]
     return DeliveryContext(
         grid=grid,
         gripper=GripperModel(),
@@ -190,9 +196,94 @@ def test_capsule_radius_strict():
 
 def test_coincident_bases_rejected():
     ctx = make_ctx([0.6, 0.0, 1.0])
-    ctx.robot_base = ctx.human.base_position.copy()
+    ctx = replace(ctx, robot_base=ctx.human.base_position.copy())
     with pytest.raises(ValueError, match="coincide"):
         feasibility_reason(ctx, np.eye(3))
+
+
+def test_context_is_frozen():
+    ctx = make_ctx([0.6, 0.0, 1.0])
+    ctx.object_offsets, ctx.always_clear  # fill the caches a reassignment would leave stale
+    with pytest.raises(FrozenInstanceError):
+        ctx.held_point = np.zeros(3)
+    moved = replace(ctx, ee_position=np.array([0.6, 0.0, 0.35]))
+    assert feasibility_reason(moved, np.eye(3)) == "object below clearance height"
+
+
+@pytest.mark.parametrize("step", [45.0, 30.0])
+def test_feasibility_matches_scalar_oracle_on_bundled_contexts(bundled_stages, step):
+    """The FULL and A1 contexts of every bundled scene at seeds 0-4: the same
+    reason as the unbounded scalar check for every sampled rotation."""
+    rotations = sample_orientations(step)
+    for (name, seed), (scene, shared, _, _) in bundled_stages.items():
+        for lam in (scene.params.lam, 1.0):
+            ctx = pipeline_context(scene, shared, lam)
+            got = [feasibility_reason(ctx, r) for r in rotations]
+            assert got == [oracle_feasibility_reason(ctx, r) for r in rotations], (name, seed, lam)
+
+
+def basis_to(a, b) -> np.ndarray:
+    """A rotation taking the unit vector a to the unit vector b."""
+    def frame(u):
+        helper = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        v = np.cross(u, helper)
+        v /= np.linalg.norm(v)
+        return np.column_stack([u, v, np.cross(u, v)])
+    return frame(b) @ frame(a).T
+
+
+def bound_contexts(slack):
+    """For each per-point check, a context whose bound lies `slack` above
+    that check's limit and whose longest offset meets the limit at the
+    identity rotation: (check index, its reason, context)."""
+    rod = 0.14  # a 15-voxel rod held at one end voxel
+    down = make_ctx([0.8, 0.0, MIN_OBJECT_HEIGHT + rod + slack],
+                    dims=(3, 3, 17), lo=(1, 1, 1), hi=(1, 1, 15), held=(1, 1, 15))
+    toward = make_ctx([BODY_CAPSULE_RADIUS + rod + slack, 0.0, 1.0],
+                      dims=(17, 3, 3), lo=(1, 1, 1), hi=(15, 1, 1), held=(15, 1, 1))
+    local = GripperModel().surface_points(0.03, 0.01)
+    far = local[np.argmax(np.linalg.norm(local, axis=1))]
+    r_grip = float(np.linalg.norm(far))
+    grip = make_ctx([BODY_CAPSULE_RADIUS + r_grip + slack, 0.0, 1.0],
+                    grasp_rotation=basis_to(far / r_grip, np.array([-1.0, 0.0, 0.0])))
+    for ctx in (down, toward):
+        assert np.linalg.norm(ctx.object_offsets, axis=1).max() == pytest.approx(rod, abs=1e-15)
+    return [(0, "object below clearance height", down),
+            (1, "object penetrates receiver", toward),
+            (2, "gripper penetrates receiver", grip)]
+
+
+@pytest.mark.parametrize("margins", [-2.0, -0.5, 0.5, 1.5, 2.0])
+def test_bound_edges_skip_or_fall_back_like_the_oracle(margins, monkeypatch):
+    """Each bound within 2 margins of its limit: a check is skipped only when
+    its bound clears by BOUND_MARGIN, a check that runs rejects exactly when
+    a point crosses the limit, and every reason equals the oracle's."""
+    rotations = sample_orientations(45.0) + sample_orientations(30.0)
+    skipped = margins > 1.0
+    runs = {"object_points": 0, "gripper_points": 0}
+    for method in ("object_points", "gripper_points"):
+        def counting(self, rotation, method=method, real=getattr(DeliveryContext, method)):
+            runs[method] += 1
+            return real(self, rotation)
+
+        monkeypatch.setattr(DeliveryContext, method, counting)
+    reasons = set()
+    for check, reason, ctx in bound_contexts(margins * BOUND_MARGIN):
+        assert ctx.always_clear == tuple(i != check or skipped for i in range(3))
+        assert (feasibility_reason(ctx, np.eye(3)) == reason) is (margins < 0)
+        expect = [oracle_feasibility_reason(ctx, r) for r in rotations]
+        runs.update(object_points=0, gripper_points=0)
+        got = [feasibility_reason(ctx, r) for r in rotations]
+        assert got == expect, check
+        # the points of a check are built once per rotation, and only if it runs
+        ran = 0 if skipped else len(rotations)
+        assert runs == {"object_points": ran if check < 2 else 0,
+                        "gripper_points": ran if check == 2 else 0}
+        reasons.update(got)
+    assert "approach axis outside delivery cone" in reasons and None in reasons
+    if margins < 0:
+        assert {"object below clearance height", "object penetrates receiver",
+                "gripper penetrates receiver"} <= reasons
 
 
 # ------------------------------------------------------------- pose planning

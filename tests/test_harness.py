@@ -342,6 +342,39 @@ def test_failure_after_ranking_is_labelled_with_the_last_stage(scenes, monkeypat
         assert report.delivery is None and report.metrics is None
 
 
+def ranking_bits(ranking) -> list:
+    return [(rg.candidate.pose.tobytes(), rg.candidate.contact_pair, rg.candidate.confidence,
+             rg.occlusion, rg.score) for rg in ranking]
+
+
+def test_shared_ranking_equals_fresh_rank_grasps_bitwise(bundled_stages):
+    # each lam is scored by rank_grasps in one SharedStages and re-sorted
+    # from the other lam's occlusions in the other; both must agree bitwise
+    for (name, seed), (scene, full_first, a1_first, fresh) in bundled_stages.items():
+        assert set(fresh) == {scene.params.lam, 1.0}
+        for lam in fresh:
+            expect = ranking_bits(fresh[lam])
+            assert ranking_bits(full_first.ranking(lam)) == expect, (name, seed, lam)
+            assert ranking_bits(a1_first.ranking(lam)) == expect, (name, seed, lam)
+            assert {id(rg.candidate) for rg in full_first.ranking(lam)} == \
+                {id(c) for c in full_first.candidates()}
+
+
+def test_shared_ranking_failure_is_raised_for_every_lam(scenes, monkeypatch):
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args[2])
+        raise RuntimeError("occlusion kernel broken")
+
+    monkeypatch.setattr(harness, "rank_grasps", broken)
+    shared = SharedStages(scenes["hammer"], 0)
+    for mode in ("FULL", "A1", "A4"):
+        report = run_pipeline(scenes["hammer"], mode, 0, shared=shared)
+        assert report.failure == "ranking: RuntimeError: occlusion kernel broken", mode
+    assert calls == [scenes["hammer"].params.lam]
+
+
 def test_shared_empty_cluster_fails_every_mode_alike(scenes):
     scene = scene_with(scenes["hammer"], min_pts=100000)
     shared = SharedStages(scene, 0)

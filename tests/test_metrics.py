@@ -150,8 +150,7 @@ def test_palm_toward_eye_blocks_sight_lines():
 
 def test_robot_proxy_blocks_sight_lines():
     grid, ctx = slab_ctx()
-    ctx.robot_base = np.array([0.3, 0.0, 0.0])
-    ctx.body_proxy_dims = (0.5, 0.5, 1.55)
+    ctx = replace(ctx, robot_base=np.array([0.3, 0.0, 0.0]), body_proxy_dims=(0.5, 0.5, 1.55))
     cm = ones_map(grid, NEAR)
     assert visibility(replace(ctx, body_proxy_dims=None), I3, cm, include_gripper=False) == 1.0
     assert visibility(ctx, I3, cm, include_gripper=False) == 0.0
@@ -391,8 +390,7 @@ def test_oracles_cover_every_branch_on_slab():
                           ({}, ((0.3, 0.0, 0.0), (0.5, 0.5, 1.55)))):
         grid, ctx = slab_ctx(**kwargs)
         if robot is not None:
-            ctx.robot_base = np.array(robot[0])
-            ctx.body_proxy_dims = robot[1]
+            ctx = replace(ctx, robot_base=np.array(robot[0]), body_proxy_dims=robot[1])
         interior = {(3, 5, 5): 0.6, (3, 7, 4): 0.8}
         cm = ContactMap(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.3 for i in FAR}, **interior},
                         threshold=0.25)
