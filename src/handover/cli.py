@@ -36,7 +36,6 @@ def _apply_overrides(scene, pairs):
         scene.params = harness.PipelineParams.from_dict(
             {**dataclasses.asdict(scene.params), key: value}
         )
-    return scene
 
 
 def _cmd_voxelize(args) -> int:
@@ -159,8 +158,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

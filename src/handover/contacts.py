@@ -2,13 +2,13 @@
 density clustering of contact voxels."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .voxelgeom import Index, VoxelGrid, read_grid_file, write_grid_file
 
-DEFAULT_THRESHOLD = 0.5
+CONTACT_THRESHOLD = 0.5  # a voxel whose value reaches this is a contact
 DEFAULT_MIN_PTS = 4
 EPS_VOXELS = 3.0  # default neighborhood radius, in voxel edge lengths
 
@@ -18,30 +18,26 @@ class ContactMap:
     """Per-voxel contact annotation over a grid.
 
     values holds only nonzero entries, keyed by voxel index; after ingestion
-    every key is a surface voxel of the grid. threshold binarizes
+    every key is a surface voxel of the grid. CONTACT_THRESHOLD binarizes
     probabilistic maps for clustering and metric evaluation.
     """
 
     grid: VoxelGrid
     values: dict[Index, float]
-    threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError("threshold must lie in (0, 1)")
         for key, v in self.values.items():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"contact value at {key} must be finite and in [0, 1], got {v!r}")
 
     def contact_indices(self) -> list[Index]:
-        """Voxels whose value clears the threshold, lexicographic order."""
-        return sorted(i for i, v in self.values.items() if v >= self.threshold)
+        """Voxels whose value reaches CONTACT_THRESHOLD, lexicographic order."""
+        return sorted(i for i, v in self.values.items() if v >= CONTACT_THRESHOLD)
 
 
 @dataclass
 class ContactCluster:
     member_indices: list[Index]
-    centroid: np.ndarray
 
     @property
     def size(self) -> int:
@@ -56,15 +52,11 @@ def _snap_to_surface(grid: VoxelGrid, idx: Index) -> Index:
     (x, y, z) index."""
     surf = np.asarray(grid.surface, dtype=float)
     d2 = ((surf - np.asarray(idx, dtype=float)) ** 2).sum(axis=1)
-    best = float(d2.min())
-    # grid.surface is already lexicographically sorted, so first hit wins ties
-    for i, dist in enumerate(d2):
-        if dist == best:
-            return grid.surface[i]
-    raise AssertionError("unreachable")
+    # grid.surface is lexicographically sorted and argmin returns the first minimum
+    return grid.surface[int(np.argmin(d2))]
 
 
-def load_contact_map(path, grid: VoxelGrid, threshold: float = DEFAULT_THRESHOLD) -> ContactMap:
+def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     """Read a 'VCONTACT 1' grid file (0/1 or float rows, values in [0, 1]) and
     register it to `grid`, whose dims, voxel_size and origin the header must
     repeat. Nonzero values landing off the surface are snapped to the nearest
@@ -87,7 +79,7 @@ def load_contact_map(path, grid: VoxelGrid, threshold: float = DEFAULT_THRESHOLD
     for idx, v in zip(map(tuple, np.argwhere(nonzero).tolist()), dense[nonzero].tolist()):
         key = idx if idx in surface_set else _snap_to_surface(grid, idx)
         values[key] = max(values.get(key, 0.0), v)
-    return ContactMap(grid, values, threshold)
+    return ContactMap(grid, values)
 
 
 def save_contact_map(cm: ContactMap, path) -> None:
@@ -117,7 +109,7 @@ def _run_lengths(occ: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(lengths[run_id].reshape(moved.shape), -1, axis)
 
 
-def predict_contacts_heuristic(grid: VoxelGrid, threshold: float = DEFAULT_THRESHOLD) -> ContactMap:
+def predict_contacts_heuristic(grid: VoxelGrid) -> ContactMap:
     """Grip-affordance stand-in: thin parts of an object attract contact.
 
     thickness(v) = min over the three axis directions of the occupied run
@@ -136,15 +128,10 @@ def predict_contacts_heuristic(grid: VoxelGrid, threshold: float = DEFAULT_THRES
     thick = runs[surf_arr[:, 0], surf_arr[:, 1], surf_arr[:, 2]].astype(float)
     t_min = float(thick.min())
     t_max = float(thick.max())
-    values: dict[Index, float] = {}
-    for i, idx in enumerate(surface):
-        if t_max == t_min:
-            p = 1.0
-        else:
-            p = (t_max - thick[i]) / (t_max - t_min)
-            p = min(max(p, 0.0), 1.0)
-        values[idx] = p
-    return ContactMap(grid, values, threshold)
+    if t_max == t_min:
+        return ContactMap(grid, dict.fromkeys(surface, 1.0))
+    p = np.clip((t_max - thick) / (t_max - t_min), 0.0, 1.0)
+    return ContactMap(grid, dict(zip(surface, p.tolist())))
 
 
 # -- clustering ---------------------------------------------------------------
@@ -218,9 +205,7 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
 
     clusters = []
     for c in range(cid):
-        members = sorted(points[i] for i in range(n) if labels[i] == c)
-        centroid = grid.centers(np.asarray(members, dtype=float)).mean(axis=0)
-        clusters.append(ContactCluster(members, centroid))
+        clusters.append(ContactCluster(sorted(points[i] for i in range(n) if labels[i] == c)))
     clusters.sort(key=lambda cl: (-cl.size, cl.member_indices[0]))
     return clusters
 

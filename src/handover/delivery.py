@@ -87,8 +87,9 @@ def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
 class DeliveryContext:
     """Everything feasibility and metric checks need about the final scene:
     the grasped object, where it is held, and who stands where. With one
-    delta rotation it describes the whole delivered pose. Frozen, because
-    the offsets and bounds below are cached from its fields."""
+    delta rotation it describes the whole delivered pose. Frozen, with
+    read-only copies of the array fields, because the offsets and bounds
+    below are cached from its fields."""
 
     grid: VoxelGrid
     gripper: GripperModel
@@ -103,7 +104,9 @@ class DeliveryContext:
     def __post_init__(self):
         for name, shape in (("grasp_rotation", (3, 3)), ("held_point", 3), ("ee_position", 3),
                             ("robot_base", 3)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(shape))
+            value = np.array(getattr(self, name), dtype=float).reshape(shape)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @cached_property
     def object_offsets(self) -> np.ndarray:

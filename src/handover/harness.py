@@ -121,19 +121,14 @@ class Scene:
     human: HumanModel
     gripper: GripperModel
     body_proxy_dims: tuple[float, float, float] | None
-    start_distance: float = 2.0  # receiver stands this far behind the robot start
     standoff: float = 1.2  # robot delivers from this far in front of the receiver
     params: PipelineParams = field(default_factory=PipelineParams)
 
     def __post_init__(self):
-        for name, ok, rule in (
-            ("standoff", lambda v: v > 0, "positive"),
-            ("start_distance", lambda v: v >= 0, "non-negative"),
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and ok(value)):
-                raise ValueError(f"layout field {name!r} must be finite and {rule}, got {value!r}")
-            setattr(self, name, float(value))
+        value = self.standoff
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            raise ValueError(f"layout field 'standoff' must be finite and positive, got {value!r}")
+        self.standoff = float(value)
 
     @property
     def robot_base(self) -> np.ndarray:
@@ -162,27 +157,46 @@ def _proxy_dims(value, path) -> tuple[float, float, float] | None:
     return dims
 
 
+# the keys each scene section may hold; params checks its own
+SCENE_FIELDS = {
+    "scene": {"name", "object", "contact_maps", "planning_map", "human", "robot", "layout", "params"},
+    "object": {"vgrid"},
+    "robot": {"body_proxy_dims", "gripper"},
+    "layout": {"standoff"},
+    "human": {f.name for f in fields(HumanModel)},
+    "gripper": {f.name for f in fields(GripperModel)},
+}
+
+
+def _section(path, name: str, data) -> dict:
+    """`data`, once it is a JSON object holding only SCENE_FIELDS[name] keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {name} section must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - SCENE_FIELDS[name])
+    if unknown:
+        raise ValueError(f"{path}: unknown {name} field {unknown[0]!r}")
+    return data
+
+
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _section(path, "scene", json.load(fh))
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(rel):
         return rel if os.path.isabs(rel) else os.path.join(base, rel)
 
     try:
-        grid = load_vgrid(resolve(cfg["object"]["vgrid"]))
+        grid = load_vgrid(resolve(_section(path, "object", cfg["object"])["vgrid"]))
         maps = [load_contact_map(resolve(p), grid) for p in cfg["contact_maps"]]
-        human = HumanModel(**cfg.get("human", {}))
-        robot = cfg.get("robot", {})
-        gripper = GripperModel(**robot.get("gripper", {}))
+        human = HumanModel(**_section(path, "human", cfg.get("human", {})))
+        robot = _section(path, "robot", cfg.get("robot", {}))
+        gripper = GripperModel(**_section(path, "gripper", robot.get("gripper", {})))
         proxy = _proxy_dims(robot.get("body_proxy_dims", BODY_PROXY_DIMS), path)
-        layout = cfg.get("layout", {})
+        layout = _section(path, "layout", cfg.get("layout", {}))
         params = PipelineParams.from_dict(cfg.get("params", {}))
     except KeyError as exc:
         raise ValueError(f"{path}: missing scene field {exc}") from exc
-    except TypeError as exc:  # an unknown human or gripper field
-        raise ValueError(f"{path}: {exc}") from exc
     if not maps:
         raise ValueError(f"{path}: scene needs at least one contact map")
     planning = cfg.get("planning_map", 0)
@@ -200,7 +214,6 @@ def load_scene(path) -> Scene:
         human=human,
         gripper=gripper,
         body_proxy_dims=proxy,
-        start_distance=layout.get("start_distance", 2.0),
         standoff=layout.get("standoff", 1.2),
         params=params,
     )
@@ -373,9 +386,7 @@ def run_pipeline(
             f"shared stages of scene {shared.scene.name!r} seed {shared.seed} "
             f"passed to a run of scene {scene.name!r} seed {seed}"
         )
-    grid = scene.grid
     human = scene.human
-    gripper = scene.gripper
     t_start = time.perf_counter()
     stages: list[str] = []  # each stage is appended as it starts
     grasp_rec = position_rec = delivery_rec = metrics_rec = None
@@ -394,7 +405,6 @@ def run_pipeline(
         grasp_rec = _grasp_record(top)
 
         robot_base = scene.robot_base
-        diag = {}
 
         if mode is AblationMode.A4:
             # tucked pose: grasp orientation kept, held point parked in front
@@ -405,7 +415,7 @@ def run_pipeline(
             ee = robot_base + A4_FORWARD * forward + np.array([0.0, 0.0, A4_HEIGHT])
         else:
             stages.append("position")
-            ee, winner, kept = shared.position()
+            ee, winner, _ = shared.position()
             position_rec = {
                 "hand_position": ee.tolist(),
                 "shoulder_deg": winner.config.shoulder_deg,
@@ -414,13 +424,11 @@ def run_pipeline(
                 "displacement_cost": winner.displacement_cost,
                 "total_cost": winner.total_cost,
             }
-            if emit_diagnostics:
-                diag["ergonomics_csv"] = candidates_csv(kept)
             stages.append("orientation")
 
         ctx = DeliveryContext(
-            grid=grid,
-            gripper=gripper,
+            grid=scene.grid,
+            gripper=scene.gripper,
             grasp_rotation=top.candidate.rotation,
             held_point=top.candidate.translation,
             width=top.candidate.width,
@@ -467,8 +475,8 @@ def run_pipeline(
         if emit_diagnostics:
             metrics_rec["visibility_bitmaps"] = [_bitmap(d) for d in scores.visibility_flags]
             metrics_rec["reachability_bitmaps"] = [_bitmap(d) for d in scores.reachability_flags]
-        if emit_diagnostics and diag:
-            metrics_rec["diagnostics"] = diag
+        if emit_diagnostics and position_rec is not None:
+            metrics_rec["diagnostics"] = {"ergonomics_csv": candidates_csv(shared.position()[2])}
         ok = scores.success
     except ValueError as exc:
         failure = f"{stages[-1]}: {exc}"

@@ -1,9 +1,11 @@
 """Receiver-centric evaluation of a delivered pose: can the contact region be
 seen, can it be reached, and does the handover count as successful.
 
-Every score takes the pose as a DeliveryContext plus one delta rotation. The
-context also says what may block a sight line: the gripper, and the robot
-body proxy unless its body_proxy_dims is None."""
+Every score takes the pose as a DeliveryContext plus one delta rotation and
+returns (score, flags): the weighted fraction of the map's contact voxels
+that pass, and each voxel's flag by index. The context also says what may
+block a sight line: the gripper, and the robot body proxy unless its
+body_proxy_dims is None."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -79,21 +81,15 @@ def _toward(off: np.ndarray) -> np.ndarray:
     return off / n if n > 0 else np.array([0.0, 0.0, 1.0])
 
 
-def _fold(cm: ContactMap, contact, denom, ok: np.ndarray, detail: bool):
-    """Weighted score of the flagged voxels, summed in contact order."""
+def _fold(cm: ContactMap, contact, denom, ok: np.ndarray):
+    """(score, flags) of the flagged voxels; the score is summed in contact order."""
     flags = dict(zip(contact, ok.tolist()))
-    score = sum((cm.values[i] for i in contact if flags[i]), 0.0) / denom
-    return (score, flags) if detail else score
+    return sum((cm.values[i] for i in contact if flags[i]), 0.0) / denom, flags
 
 
-def visibility(
-    ctx: DeliveryContext,
-    rotation: np.ndarray,
-    cm: ContactMap,
-    include_gripper: bool = True,
-    detail: bool = False,
-):
-    """Weighted fraction of the contact map the receiver's eye can see.
+def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
+               include_gripper: bool = True):
+    """(score, flags) for the contact voxels the receiver's eye can see.
 
     Sight lines aim at a point floated 1.5 voxel edges off the contact face
     along its outward normal; aiming at the buried voxel center would make
@@ -143,16 +139,11 @@ def visibility(
     blocked[clear] = ray_cast(grid, eye_grid, to_aim[rays[clear]] / t_max[clear, None], t_max[clear])
     visible = np.ones(len(contact), dtype=bool)
     visible[rays] = ~blocked
-    return _fold(cm, contact, denom, visible, detail)
+    return _fold(cm, contact, denom, visible)
 
 
-def reachability(
-    ctx: DeliveryContext,
-    rotation: np.ndarray,
-    cm: ContactMap,
-    detail: bool = False,
-):
-    """Weighted fraction of the contact map inside the receiver's grasp
+def reachability(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap):
+    """(score, flags) for the contact voxels inside the receiver's grasp
     envelope: within arm's length of the shoulder AND horizontally closer to
     the body axis than any part of the gripper. Every contact voxel is
     tested at once."""
@@ -168,15 +159,15 @@ def reachability(
     d1 = np.sqrt(row_dots(arm, arm))
     d2 = np.hypot(world[:, 0] - base[0], world[:, 1] - base[1])
     ok = (d1 < human.arm_length) & (d2 < gripper_axis_dist)
-    return _fold(cm, contact, denom, ok, detail)
+    return _fold(cm, contact, denom, ok)
 
 
 def evaluate_maps(ctx: DeliveryContext, rotation: np.ndarray, maps, threshold: float = 0.5):
     """Score every ground-truth map at the delivered pose and fold the lists
     into the success verdict against `threshold`. The per-voxel flags behind
     each score come along, so diagnostics need no second pass."""
-    vis = [visibility(ctx, rotation, cm, detail=True) for cm in maps]
-    reach = [reachability(ctx, rotation, cm, detail=True) for cm in maps]
+    vis = [visibility(ctx, rotation, cm) for cm in maps]
+    reach = [reachability(ctx, rotation, cm) for cm in maps]
     vis_scores = [score for score, _ in vis]
     reach_scores = [score for score, _ in reach]
     return MetricScores(

@@ -37,10 +37,9 @@ def _box(occ, x0, x1, y0, y1, z0, z1):
     occ[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] = True
 
 
-def _cylinder_z(occ, cx, cy, radius, z0, z1, inner=0.0):
+def _cylinder_z(occ, cx, cy, radius, z0, z1):
     xs, ys = np.meshgrid(np.arange(DIMS[0]), np.arange(DIMS[1]), indexing="ij")
-    r2 = (xs - cx) ** 2 + (ys - cy) ** 2
-    disk = (r2 <= radius * radius) & (r2 >= inner * inner)
+    disk = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius
     occ[:, :, z0 : z1 + 1] |= disk[:, :, None]
 
 
@@ -164,7 +163,7 @@ def default_scene_config(name: str) -> dict:
                 "palm_depth": 0.04,
             },
         },
-        "layout": {"start_distance": 2.0, "standoff": 1.2},
+        "layout": {"standoff": 1.2},
         "params": {
             "lam": 0.5,
             "alpha": 0.5,

@@ -151,7 +151,7 @@ class VoxelGrid:
 
     @cached_property
     def normals(self) -> dict[Index, np.ndarray]:
-        return estimate_normals(self, self.surface)
+        return estimate_normals(self)
 
 
 # -- voxelization ----------------------------------------------------------
@@ -173,8 +173,6 @@ def voxelize_mesh(mesh: Mesh, dims=(64, 64, 64), padding: float = 0.05) -> Voxel
     crossings below it along z. Shared triangle edges are resolved with a
     consistent perturbation rule so watertight meshes fill without seams.
     """
-    if isinstance(dims, int):
-        dims = (dims, dims, dims)
     dims = tuple(int(d) for d in dims)
     if len(mesh.faces) == 0:
         raise ValueError("empty mesh")
@@ -271,19 +269,17 @@ def surface_voxels(grid: VoxelGrid) -> list[Index]:
     return [tuple(int(v) for v in row) for row in np.argwhere(surf)]
 
 
-def estimate_normals(grid: VoxelGrid, surface=None) -> dict[Index, np.ndarray]:
-    """Outward normal per surface voxel.
+def estimate_normals(grid: VoxelGrid) -> dict[Index, np.ndarray]:
+    """Outward normal per surface voxel of `grid` (grid.surface).
 
     Primary estimate is the negative local occupancy gradient: the sum of
     directions from occupied 26-neighbors to the voxel. When that sum
     vanishes, fall back to the direction from the occupied centroid to the
     voxel center; a lone voxel (centroid == center) gets +z.
     """
-    if surface is None:
-        surface = surface_voxels(grid)
     occ = grid.occupancy
     padded = np.pad(occ, 1, mode="constant", constant_values=False)
-    surf_arr = np.asarray(surface, dtype=int).reshape(-1, 3)
+    surf_arr = np.asarray(grid.surface, dtype=int).reshape(-1, 3)
     n = len(surf_arr)
     acc = np.zeros((n, 3), dtype=float)
     base = surf_arr + 1  # padded coordinates

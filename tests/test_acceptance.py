@@ -58,7 +58,7 @@ def test_criterion_01_scoring_exactness():
     candidates = sample_grasps(grid, normals, gripper, 60, seed=0)
     assert candidates
     members = [i for i in grid.surface if 8 <= i[0] <= 12]
-    cluster = ContactCluster(members, grid.centers(np.asarray(members, dtype=float)).mean(axis=0))
+    cluster = ContactCluster(members)
     rng = np.random.default_rng(3)
     triples = 0
     draws = max(1, math.ceil(1000 / len(candidates)))
@@ -131,8 +131,7 @@ def test_criterion_02_occlusion_oracle():
         normals = grid.normals
         m = int(rng.integers(8, min(26, len(surface) + 1)))
         members = [surface[j] for j in rng.choice(len(surface), size=m, replace=False)]
-        centroid = grid.centers(np.asarray(members, dtype=float)).mean(axis=0)
-        cluster = ContactCluster(members, centroid)
+        cluster = ContactCluster(members)
         anchor = grid.center(surface[int(rng.integers(len(surface)))])
         grasp = GraspCandidate(
             rotation=random_rotation(rng),
@@ -302,7 +301,7 @@ def test_criterion_06_orientation_optimality():
                        rng.uniform(0.95, 1.20)])
         m = int(rng.integers(4, 11))
         members = [surface[j] for j in rng.choice(len(surface), size=m, replace=False)]
-        cluster = ContactCluster(members, grid.centers(np.asarray(members, dtype=float)).mean(axis=0))
+        cluster = ContactCluster(members)
         ctx = DeliveryContext(
             grid=grid, gripper=gripper, grasp_rotation=grasp_rot,
             held_point=held, width=width, ee_position=ee, human=human,
@@ -492,8 +491,8 @@ def test_criterion_07_metric_oracles(scenes):
         rotation = np.array(report.delivery["object_rotation"])
         ctx = rebuild_context(scene, report)
         for cm in scene.contact_maps:
-            v_mod, v_flags = visibility(ctx, rotation, cm, detail=True)
-            r_mod, r_flags = reachability(ctx, rotation, cm, detail=True)
+            v_mod, v_flags = visibility(ctx, rotation, cm)
+            r_mod, r_flags = reachability(ctx, rotation, cm)
             assert 0.0 <= v_mod <= 1.0 and 0.0 <= r_mod <= 1.0
             v_orc, v_orc_flags = oracle_visibility(scene, ctx, rotation, cm)
             r_orc, r_orc_flags = oracle_reachability(ctx, rotation, cm)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output contracts, file side effects."""
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -142,11 +143,15 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
     ("human", "facing", "north"),
     (None, "planning_map", 1.7), (None, "planning_map", None), (None, "planning_map", "abc"),
     (None, "planning_map", True), (None, "planning_map", -1),
+    # unknown keys, one per section; start_distance is no longer a layout key
+    ("layout", "standof", 3.0), ("robot", "body_proxy_dim", [0.5, 0.5, 1.1]),
+    ("object", "grid", "mug.vgrid"), ("human", "heigth", 1.8), ("gripper", "finger_len", 0.05),
+    ("scene", "planing_map", 0),
 ])
 def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_path, capsys,
                                                                section, key, value):
     cfg = absolutized_config(suite_dir, "mug")
-    if section is None:
+    if section in (None, "scene"):
         target = cfg
     elif section == "gripper":
         target = cfg["robot"].setdefault("gripper", {})
@@ -159,6 +164,8 @@ def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_pa
     assert code == 1
     assert stderr.startswith("error:")
     assert (f"{section} field '{key}'" if section else f"{key} out of range") in stderr
+    if key not in harness.SCENE_FIELDS[section or "scene"]:
+        assert f"unknown {section} field '{key}'" in stderr
     assert stdout == ""
 
 
@@ -310,7 +317,7 @@ def test_suite_writes_all_objects(tmp_path, capsys):
     lines = stdout.strip().split("\n")
     assert len(lines) == 5
     for line in lines:
-        assert json.loads(open(line).read())["object"]["vgrid"]
+        assert json.loads(Path(line).read_text())["object"]["vgrid"]
 
 
 def test_suite_subset(tmp_path, capsys):

@@ -75,15 +75,10 @@ class TestIngestion:
         for cm in (binary, probs):
             p1, p2 = tmp_path / "a.vcontact", tmp_path / "b.vcontact"
             save_contact_map(cm, p1)
-            loaded = load_contact_map(p1, grid, threshold=0.2)
+            loaded = load_contact_map(p1, grid)
             assert loaded.values == cm.values
             save_contact_map(loaded, p2)
             assert p1.read_bytes() == p2.read_bytes()
-
-    def test_threshold_validation(self):
-        grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
-        with pytest.raises(ValueError, match="threshold"):
-            ContactMap(grid, {grid.surface[0]: 1.0}, threshold=1.0)
 
     @pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
     def test_values_outside_the_unit_interval_are_rejected(self, bad):

@@ -23,7 +23,7 @@ from handover.delivery import (
 )
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
-from handover.harness import _delivery_record
+from handover.harness import SharedStages, _delivery_record
 
 from conftest import box_grid, oracle_feasibility_reason, pipeline_context
 
@@ -210,6 +210,25 @@ def test_context_is_frozen():
     assert feasibility_reason(moved, np.eye(3)) == "object below clearance height"
 
 
+def test_context_owns_read_only_copies_of_its_arrays(scenes):
+    """The hammer's FULL context at seed 0 shares no memory with the arm plan
+    every mode reads or with the top candidate, and refuses in-place writes."""
+    scene = scenes["hammer"]
+    shared = SharedStages(scene, 0)
+    top = shared.ranking(scene.params.lam)[0].candidate
+    base = scene.robot_base
+    ctx = replace(pipeline_context(scene, shared, scene.params.lam), robot_base=base)
+    ee = shared.position()[0]
+    plan_z = float(ee[2])
+    for name, source in (("ee_position", ee), ("held_point", top.translation),
+                         ("grasp_rotation", top.rotation), ("robot_base", base)):
+        value = getattr(ctx, name)
+        assert not np.shares_memory(value, source), name
+        with pytest.raises(ValueError, match="read-only"):
+            value[2] -= 1.0
+    assert float(shared.position()[0][2]) == plan_z
+
+
 @pytest.mark.parametrize("step", [45.0, 30.0])
 def test_feasibility_matches_scalar_oracle_on_bundled_contexts(bundled_stages, step):
     """The FULL and A1 contexts of every bundled scene at seeds 0-4: the same
@@ -293,8 +312,7 @@ def rod_setup(ee=(0.55, 0.0, 1.0)):
     grid = box_grid((20, 7, 7), (2, 3, 3), (13, 3, 3), voxel_size=0.01)
     held = grid.centers(np.array([[2, 3, 3]], dtype=float))[0]
     members = [(x, 3, 3) for x in (11, 12, 13)]
-    centroid = grid.centers(np.asarray(members, dtype=float)).mean(axis=0)
-    cluster = ContactCluster(members, centroid)
+    cluster = ContactCluster(members)
     ctx = DeliveryContext(
         grid=grid,
         gripper=GripperModel(),
@@ -348,7 +366,7 @@ def test_contact_at_held_point_keeps_identity():
     # every rotation leaves a held-point contact fixed, so all objectives tie
     # and the identity wins on geodesic angle
     ctx = make_ctx([0.6, 0.0, 1.0])
-    cluster = ContactCluster([(1, 1, 1)], ctx.held_point.copy())
+    cluster = ContactCluster([(1, 1, 1)])
     pose = plan_handover_orientation(ctx, cluster)
     assert np.array_equal(pose.object_rotation, np.eye(3))
     assert pose.objective == pytest.approx(float(np.linalg.norm(ctx.ee_position - ctx.human.eye_point)))
@@ -360,7 +378,7 @@ def test_planner_translation_equivariant():
     grid1 = box_grid((20, 7, 7), (2, 3, 3), (13, 3, 3), voxel_size=0.01,
                      origin=tuple(shift))
     members = [(x, 3, 3) for x in (11, 12, 13)]
-    cluster1 = ContactCluster(members, grid1.centers(np.asarray(members, dtype=float)).mean(axis=0))
+    cluster1 = ContactCluster(members)
     ctx1 = DeliveryContext(
         grid=grid1,
         gripper=GripperModel(),
@@ -391,7 +409,7 @@ def test_candidate_trace_covers_whole_sample_set():
 def test_empty_cluster_rejected():
     ctx, _ = rod_setup()
     with pytest.raises(ValueError, match="empty contact map"):
-        plan_handover_orientation(ctx, ContactCluster([], np.zeros(3)))
+        plan_handover_orientation(ctx, ContactCluster([]))
 
 
 def test_all_rotations_infeasible_raises():

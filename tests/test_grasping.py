@@ -107,8 +107,7 @@ class TestSampling:
 
 def line_cluster(grid, indices):
     members = sorted(indices)
-    centroid = grid.centers(np.asarray(members, dtype=float)).mean(axis=0)
-    return ContactCluster(members, centroid)
+    return ContactCluster(members)
 
 
 class TestOcclusion:
@@ -146,7 +145,7 @@ class TestOcclusion:
         grid = box_grid((6, 6, 6), (1, 1, 1), (4, 4, 4))
         cand = GraspCandidate(np.eye(3), (0, 0, 0), 0.02, 1.0, ((0, 0, 0), (1, 0, 0)))
         with pytest.raises(ValueError, match="empty contact map"):
-            occlusion_fraction(cand, ContactCluster([], np.zeros(3)), {}, GRIPPER, grid)
+            occlusion_fraction(cand, ContactCluster([]), {}, GRIPPER, grid)
 
     def test_translation_equivariance(self):
         occ = np.zeros((8, 12, 8), dtype=bool)
@@ -493,14 +492,14 @@ def test_block_boundaries_change_nothing(bundled_grasps):
 def test_rank_rejects_empty_cluster():
     grid, _, normals, cands = synthetic_ranked_set()
     with pytest.raises(ValueError, match="empty contact map"):
-        rank_grasps(cands, ContactCluster([], np.zeros(3)), 0.5, normals, GRIPPER, grid)
+        rank_grasps(cands, ContactCluster([]), 0.5, normals, GRIPPER, grid)
 
 
 def test_rank_checks_lam_before_any_occlusion_work():
     grid, _, normals, cands = synthetic_ranked_set()
     # an empty cluster fails as soon as occlusion is scored, so the lam error
     # shows that the check came first
-    empty = ContactCluster([], np.zeros(3))
+    empty = ContactCluster([])
     for lam in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="lam must lie in"):
             rank_grasps(cands, empty, lam, normals, GRIPPER, grid)

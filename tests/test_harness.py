@@ -184,7 +184,7 @@ def test_diagnostics_reuse_the_scoring_pass(scenes, monkeypatch):
     rotation = np.array(report.delivery["object_rotation"])
     for name, fn in (("visibility", metrics.visibility), ("reachability", metrics.reachability)):
         expect = [
-            {",".join(map(str, idx)): v for idx, v in fn(ctx, rotation, cm, detail=True)[1].items()}
+            {",".join(map(str, idx)): v for idx, v in fn(ctx, rotation, cm)[1].items()}
             for cm in scene.contact_maps
         ]
         assert report.metrics[f"{name}_bitmaps"] == expect

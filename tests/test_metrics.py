@@ -97,30 +97,29 @@ def ones_map(grid, indices):
 def test_eye_facing_face_fully_visible():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False) == 1.0
+    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 1.0
 
 
 def test_face_behind_slab_invisible():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, FAR)
-    assert visibility(ctx, I3, cm, include_gripper=False) == 0.0
+    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 0.0
 
 
 def test_visibility_weights_mixed_faces():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ContactMap(
         grid,
-        {**{i: 0.9 for i in NEAR}, **{i: 0.3 for i in FAR}},
-        threshold=0.25,
+        {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}},
     )
-    got = visibility(ctx, I3, cm, include_gripper=False)
-    assert got == pytest.approx((9 * 0.9) / (9 * 0.9 + 9 * 0.3), abs=1e-12)
+    got, _ = visibility(ctx, I3, cm, include_gripper=False)
+    assert got == pytest.approx((9 * 0.9) / (9 * 0.9 + 9 * 0.6), abs=1e-12)
 
 
 def test_visibility_detail_flags_consistent():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR + FAR)
-    score, flags = visibility(ctx, I3, cm, include_gripper=False, detail=True)
+    score, flags = visibility(ctx, I3, cm, include_gripper=False)
     assert set(flags) == set(cm.contact_indices())
     assert score == pytest.approx(sum(flags.values()) / len(flags))
     assert all(flags[i] for i in NEAR)
@@ -133,8 +132,8 @@ def test_closing_region_hides_held_contacts():
     # gripper boxes themselves never cross the sight lines
     grid, ctx = slab_ctx(held_idx=(2, 5, 5), body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False) == 1.0
-    assert visibility(ctx, I3, cm, include_gripper=True) == 0.0
+    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 1.0
+    assert visibility(ctx, I3, cm, include_gripper=True)[0] == 0.0
 
 
 def test_palm_toward_eye_blocks_sight_lines():
@@ -142,8 +141,8 @@ def test_palm_toward_eye_blocks_sight_lines():
     # between eye and contacts
     grid, ctx = slab_ctx(grasp_rotation=rot_y(-90.0), body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    clear = visibility(ctx, I3, cm, include_gripper=False)
-    blocked = visibility(ctx, I3, cm, include_gripper=True)
+    clear, _ = visibility(ctx, I3, cm, include_gripper=False)
+    blocked, _ = visibility(ctx, I3, cm, include_gripper=True)
     assert clear == 1.0
     assert blocked < clear
 
@@ -152,13 +151,13 @@ def test_robot_proxy_blocks_sight_lines():
     grid, ctx = slab_ctx()
     ctx = replace(ctx, robot_base=np.array([0.3, 0.0, 0.0]), body_proxy_dims=(0.5, 0.5, 1.55))
     cm = ones_map(grid, NEAR)
-    assert visibility(replace(ctx, body_proxy_dims=None), I3, cm, include_gripper=False) == 1.0
-    assert visibility(ctx, I3, cm, include_gripper=False) == 0.0
+    assert visibility(replace(ctx, body_proxy_dims=None), I3, cm, include_gripper=False)[0] == 1.0
+    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 0.0
 
 
 def test_empty_contact_map_rejected():
     grid, ctx = slab_ctx()
-    weak = ContactMap(grid, {NEAR[0]: 0.1}, threshold=0.5)
+    weak = ContactMap(grid, {NEAR[0]: 0.1})
     with pytest.raises(ValueError, match="empty contact map"):
         visibility(ctx, I3, weak)
     with pytest.raises(ValueError, match="empty contact map"):
@@ -169,29 +168,29 @@ def test_empty_contact_map_rejected():
 
 def test_near_face_reachable():
     grid, ctx = slab_ctx()
-    assert reachability(ctx, I3, ones_map(grid, NEAR)) == 1.0
+    assert reachability(ctx, I3, ones_map(grid, NEAR))[0] == 1.0
 
 
 def test_far_face_shadowed_by_gripper():
     # far-face contacts sit farther from the body axis than the gripper does
     grid, ctx = slab_ctx()
-    assert reachability(ctx, I3, ones_map(grid, FAR)) == 0.0
+    assert reachability(ctx, I3, ones_map(grid, FAR))[0] == 0.0
 
 
 def test_mixed_faces_split_score():
     grid, ctx = slab_ctx()
-    assert reachability(ctx, I3, ones_map(grid, NEAR + FAR)) == pytest.approx(0.5)
+    assert reachability(ctx, I3, ones_map(grid, NEAR + FAR))[0] == pytest.approx(0.5)
 
 
 def test_out_of_reach_scene_scores_zero():
     grid, ctx = slab_ctx(origin=(1.95, -0.06, 1.14))
-    assert reachability(ctx, I3, ones_map(grid, NEAR + FAR)) == 0.0
+    assert reachability(ctx, I3, ones_map(grid, NEAR + FAR))[0] == 0.0
 
 
 def test_reachability_flags_match_per_point_rule():
     grid, ctx = slab_ctx()
     cm = ones_map(grid, NEAR + FAR)
-    score, flags = reachability(ctx, I3, cm, detail=True)
+    score, flags = reachability(ctx, I3, cm)
     human = ctx.human
     grip_pts = ctx.gripper_points(I3)
     grip_d = min(math.hypot(p[0] - human.base_position[0], p[1] - human.base_position[1])
@@ -210,8 +209,8 @@ def test_evaluate_maps_folds_lists_and_verdict():
     grid, ctx = slab_ctx()
     maps = [ones_map(grid, NEAR), ones_map(grid, FAR), ones_map(grid, NEAR + FAR)]
     scores = evaluate_maps(ctx, I3, maps)
-    assert scores.visibility == [visibility(ctx, I3, m) for m in maps]
-    assert scores.reachability == [reachability(ctx, I3, m) for m in maps]
+    assert scores.visibility == [visibility(ctx, I3, m)[0] for m in maps]
+    assert scores.reachability == [reachability(ctx, I3, m)[0] for m in maps]
     assert scores.visibility_median == lower_median(scores.visibility)
     assert scores.reachability_median == lower_median(scores.reachability)
     # reach medians land exactly on 0.5: strictness makes this a failure
@@ -233,7 +232,7 @@ def test_scores_bounded_on_slab_scene():
     grid, ctx = slab_ctx()
     for cm in (ones_map(grid, NEAR), ones_map(grid, FAR), ones_map(grid, NEAR + FAR)):
         for fn in (visibility, reachability):
-            v = fn(ctx, I3, cm)
+            v, _ = fn(ctx, I3, cm)
             assert 0.0 <= v <= 1.0
 
 
@@ -392,14 +391,13 @@ def test_oracles_cover_every_branch_on_slab():
         if robot is not None:
             ctx = replace(ctx, robot_base=np.array(robot[0]), body_proxy_dims=robot[1])
         interior = {(3, 5, 5): 0.6, (3, 7, 4): 0.8}
-        cm = ContactMap(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.3 for i in FAR}, **interior},
-                        threshold=0.25)
+        cm = ContactMap(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}, **interior})
         assert not set(interior) & set(grid.normals)
         for c in (ctx, replace(ctx, body_proxy_dims=None)):
             for grip in (True, False):
-                assert visibility(c, I3, cm, grip, detail=True) == \
+                assert visibility(c, I3, cm, grip) == \
                     oracle_visibility(c, I3, cm, grip)
-        assert reachability(ctx, I3, cm, detail=True) == oracle_reachability(ctx, I3, cm)
+        assert reachability(ctx, I3, cm) == oracle_reachability(ctx, I3, cm)
 
 
 @pytest.mark.parametrize("mode", ["FULL", "A4"])
@@ -414,16 +412,16 @@ def test_batched_metrics_match_per_voxel_oracles(scenes, mode):
             rotation = np.array(report.delivery["object_rotation"])
             ctx = delivered_context(scene, report, scene.body_proxy_dims)
             for cm in scene.contact_maps:
-                assert visibility(ctx, rotation, cm, detail=True) == \
+                assert visibility(ctx, rotation, cm) == \
                     oracle_visibility(ctx, rotation, cm), (name, seed)
-                assert reachability(ctx, rotation, cm, detail=True) == \
+                assert reachability(ctx, rotation, cm) == \
                     oracle_reachability(ctx, rotation, cm), (name, seed)
             if seed == 0:
                 bare = delivered_context(scene, report, None)
                 cm = scene.contact_maps[0]
-                assert visibility(bare, rotation, cm, detail=True) == \
+                assert visibility(bare, rotation, cm) == \
                     oracle_visibility(bare, rotation, cm), name
-                assert visibility(ctx, rotation, cm, include_gripper=False, detail=True) == \
+                assert visibility(ctx, rotation, cm, include_gripper=False) == \
                     oracle_visibility(ctx, rotation, cm, include_gripper=False), name
 
 
@@ -431,8 +429,8 @@ def test_evaluate_maps_carries_the_flags():
     grid, ctx = slab_ctx()
     maps = [ones_map(grid, NEAR), ones_map(grid, FAR)]
     scores = evaluate_maps(ctx, I3, maps)
-    assert scores.visibility_flags == [visibility(ctx, I3, m, detail=True)[1] for m in maps]
-    assert scores.reachability_flags == [reachability(ctx, I3, m, detail=True)[1] for m in maps]
+    assert scores.visibility_flags == [visibility(ctx, I3, m)[1] for m in maps]
+    assert scores.reachability_flags == [reachability(ctx, I3, m)[1] for m in maps]
 
 
 def test_ray_cast_matches_the_scalar_walk_on_every_bundled_sight_line(scenes, monkeypatch):
