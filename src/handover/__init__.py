@@ -31,8 +31,7 @@ from .delivery import (
     sample_orientations,
 )
 from .ergonomics import (
-    ArmConfig,
-    ErgonomicCandidate,
+    ArmPoses,
     HumanModel,
     forward_kinematics,
     joint_torques,

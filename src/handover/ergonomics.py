@@ -8,12 +8,13 @@ forearm forward/up. All angles in degrees.
 """
 from __future__ import annotations
 
-import io
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .voxelgeom import row_dots
 
 GRAVITY = 9.81
 
@@ -21,6 +22,7 @@ SHOULDER_RANGE_DEG = (0.0, 135.0)
 ELBOW_RANGE_DEG = (0.0, 140.0)
 SHOULDER_MID_DEG = 67.5  # rest posture used by the displacement cost
 ELBOW_MID_DEG = 62.5
+MIN_POSITION_STEP = 0.5  # degrees; the sweep holds the whole grid, ~1/step^2 points
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -51,13 +53,13 @@ class HumanModel:
                     vec = np.asarray(value, dtype=float).reshape(3)
                 except (TypeError, ValueError):
                     vec = np.full(3, np.nan)
-                if not np.isfinite(vec).all():
+                if not np.isfinite(vec).all() or any(isinstance(v, bool) for v in value):
                     raise ValueError(f"human field {spec.name!r} must be 3 finite numbers, got {value!r}")
                 setattr(self, spec.name, vec)
             elif not (value is None and spec.default is None) and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
+                isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
             ):
-                raise ValueError(f"human field {spec.name!r} must be finite, got {value!r}")
+                raise ValueError(f"human field {spec.name!r} must be a finite number, got {value!r}")
         checks = [
             ("height", self.height > 0, "be positive"),
             ("upper_arm_length", self.upper_arm_length is None or self.upper_arm_length > 0, "be positive"),
@@ -118,47 +120,57 @@ class HumanModel:
         return self.base_position + (self.eye_height - self.base_position[2]) * UP
 
 
-@dataclass
-class ArmConfig:
-    shoulder_deg: float
-    elbow_deg: float
+@dataclass(frozen=True)
+class ArmPoses:
+    """Arm configurations and their costs, one array per field, in sweep
+    order (shoulder angle major). `poses[i]` is the i-th configuration alone,
+    with a scalar in each field and hand_position a 3-vector."""
 
-    def __post_init__(self):
-        if not (SHOULDER_RANGE_DEG[0] <= self.shoulder_deg <= SHOULDER_RANGE_DEG[1]):
-            raise ValueError(f"shoulder angle outside {SHOULDER_RANGE_DEG}")
-        if not (ELBOW_RANGE_DEG[0] <= self.elbow_deg <= ELBOW_RANGE_DEG[1]):
-            raise ValueError(f"elbow angle outside {ELBOW_RANGE_DEG}")
+    shoulder_deg: np.ndarray
+    elbow_deg: np.ndarray
+    hand_position: np.ndarray  # (n, 3)
+    torque_raw: np.ndarray  # sum of squared joint torques, N^2 m^2
+    displacement_raw: np.ndarray  # squared angular distance from rest posture, deg^2
+    effort_cost: np.ndarray  # torque_raw normalized over the kept set
+    displacement_cost: np.ndarray
+    total_cost: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.total_cost)
 
-@dataclass
-class ErgonomicCandidate:
-    config: ArmConfig
-    hand_position: np.ndarray
-    torque_raw: float  # sum of squared joint torques, N^2 m^2
-    displacement_raw: float  # squared angular distance from rest posture, deg^2
-    effort_cost: float  # torque_raw normalized over the kept set
-    displacement_cost: float
-    total_cost: float
-
-
-def _plane_dir(phi_deg: float, facing: np.ndarray) -> np.ndarray:
-    """In-plane direction at angle phi from straight-down toward facing."""
-    phi = math.radians(phi_deg)
-    return math.sin(phi) * facing - math.cos(phi) * UP
+    def __getitem__(self, i) -> "ArmPoses":
+        return ArmPoses(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
-def forward_kinematics(config: ArmConfig, human: HumanModel):
-    """Return (shoulder, elbow, hand) world points for an arm configuration."""
+def _plane_dirs(deg: np.ndarray, facing: np.ndarray) -> np.ndarray:
+    """In-plane directions at angles `deg` from straight down toward facing,
+    shape deg.shape + (3,). sin and cos come from math, once per distinct
+    angle: np.sin can round differently."""
+    angles, inverse = np.unique(deg, return_inverse=True)
+    rad = [math.radians(a) for a in angles.tolist()]
+    shape = deg.shape + (1,)
+    sin = np.array([math.sin(r) for r in rad])[inverse].reshape(shape)
+    cos = np.array([math.cos(r) for r in rad])[inverse].reshape(shape)
+    return sin * facing - cos * UP
+
+
+def forward_kinematics(shoulder_deg, elbow_deg, human: HumanModel):
+    """(shoulder, elbow, hand) world points for arm angles in degrees. The
+    angles broadcast together; elbow and hand have their shape plus a last
+    axis of 3, and shoulder is one point."""
+    ts, te = np.broadcast_arrays(np.asarray(shoulder_deg, dtype=float), np.asarray(elbow_deg, dtype=float))
+    for name, deg, (lo, hi) in (("shoulder", ts, SHOULDER_RANGE_DEG), ("elbow", te, ELBOW_RANGE_DEG)):
+        if not ((lo <= deg) & (deg <= hi)).all():
+            raise ValueError(f"{name} angle outside {(lo, hi)}")
     shoulder = human.shoulder_point
-    elbow = shoulder + human.upper_arm_length * _plane_dir(config.shoulder_deg, human.facing)
-    hand = elbow + human.forearm_length * _plane_dir(
-        config.shoulder_deg + config.elbow_deg, human.facing
-    )
+    elbow = shoulder + human.upper_arm_length * _plane_dirs(ts, human.facing)
+    hand = elbow + human.forearm_length * _plane_dirs(ts + te, human.facing)
     return shoulder, elbow, hand
 
 
-def joint_torques(config: ArmConfig, object_mass: float, human: HumanModel):
-    """Static gravity torque magnitudes (shoulder, elbow) in N m.
+def joint_torques(shoulder_deg, elbow_deg, object_mass: float, human: HumanModel):
+    """Static gravity torque magnitudes (shoulder, elbow) in N m, one per
+    broadcast pair of arm angles.
 
     Each distal point mass contributes m * g * (signed horizontal offset from
     the joint, measured along the facing axis); the net sum is returned as an
@@ -166,30 +178,27 @@ def joint_torques(config: ArmConfig, object_mass: float, human: HumanModel):
     """
     if object_mass < 0:
         raise ValueError("object_mass must be nonnegative")
-    shoulder, elbow, hand = forward_kinematics(config, human)
-    f = human.facing
+    shoulder, elbow, hand = forward_kinematics(shoulder_deg, elbow_deg, human)
 
-    def x(p):
-        return float(np.dot(p, f))
+    def x(p):  # np.dot(p, facing) per point, rounded as the per-point call
+        rows = p.reshape(-1, 3)
+        return row_dots(rows, np.broadcast_to(human.facing, rows.shape)).reshape(p.shape[:-1])
 
-    m_upper = (human.upper_arm_mass, (shoulder + elbow) / 2.0)
-    m_fore = (human.forearm_mass, (elbow + hand) / 2.0)
-    m_hand = (human.hand_mass + object_mass, hand)
-    tau_shoulder = sum(m * GRAVITY * (x(p) - x(shoulder)) for m, p in (m_upper, m_fore, m_hand))
-    tau_elbow = sum(m * GRAVITY * (x(p) - x(elbow)) for m, p in (m_fore, m_hand))
-    return abs(tau_shoulder), abs(tau_elbow)
+    x_shoulder, x_elbow, x_hand = x(shoulder), x(elbow), x(hand)
+    x_upper, x_fore = x((shoulder + elbow) / 2.0), x((elbow + hand) / 2.0)
+    m_upper, m_fore = human.upper_arm_mass * GRAVITY, human.forearm_mass * GRAVITY
+    m_hand = (human.hand_mass + object_mass) * GRAVITY
+    # upper arm, forearm, hand: this order rounds as the per-point sum() does
+    tau_shoulder = (m_upper * (x_upper - x_shoulder) + m_fore * (x_fore - x_shoulder)
+                    + m_hand * (x_hand - x_shoulder))
+    tau_elbow = m_fore * (x_fore - x_elbow) + m_hand * (x_hand - x_elbow)
+    return np.abs(tau_shoulder), np.abs(tau_elbow)
 
 
-def _angle_grid(lo: float, hi: float, step: float) -> list[float]:
-    out = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-9:
-            break
-        out.append(min(v, hi))
-        k += 1
-    return out
+def _angle_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi (clamped to it within 1e-9)."""
+    v = lo + np.arange(int((hi - lo) / step) + 2) * step
+    return np.minimum(v[v <= hi + 1e-9], hi)
 
 
 def plan_handover_position(
@@ -200,55 +209,43 @@ def plan_handover_position(
 ):
     """Pick the hand placement minimizing blended effort and posture costs.
 
-    Sweeps the joint grid at `step` degrees, keeps configurations whose hand
-    height lies strictly between waist and shoulder, normalizes both raw
-    costs by their maxima over the kept set, and minimizes
-    (1 - alpha) * effort + alpha * displacement. Ties break by lower effort
-    cost, then lower shoulder angle, then lower elbow angle.
+    Evaluates the joint grid at `step` degrees as arrays, keeps
+    configurations whose hand height lies strictly between waist and
+    shoulder, normalizes both raw costs by their maxima over the kept set,
+    and minimizes (1 - alpha) * effort + alpha * displacement. Ties break by
+    lower effort cost, then lower shoulder angle, then lower elbow angle.
 
-    Returns (hand_position, winner, kept_candidates).
+    Returns (hand_position, winner, kept): kept is an ArmPoses table and
+    winner its winning row.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if not (step > 0):
-        raise ValueError("step must be positive")
-    kept = []
-    for ts in _angle_grid(*SHOULDER_RANGE_DEG, step):
-        for te in _angle_grid(*ELBOW_RANGE_DEG, step):
-            cfg = ArmConfig(ts, te)
-            _, _, hand = forward_kinematics(cfg, human)
-            if not (human.waist_height < hand[2] < human.shoulder_height):
-                continue
-            tau_s, tau_e = joint_torques(cfg, object_mass, human)
-            torque_raw = tau_s * tau_s + tau_e * tau_e
-            disp_raw = (SHOULDER_MID_DEG - ts) ** 2 + (ELBOW_MID_DEG - te) ** 2
-            kept.append((cfg, hand, torque_raw, disp_raw))
-    if not kept:
+    if not (step >= MIN_POSITION_STEP):
+        raise ValueError(f"step must be at least {MIN_POSITION_STEP} degrees, got {step!r}")
+    ts, te = np.meshgrid(_angle_grid(*SHOULDER_RANGE_DEG, step), _angle_grid(*ELBOW_RANGE_DEG, step),
+                         indexing="ij")
+    hand = forward_kinematics(ts, te, human)[2]
+    keep = (human.waist_height < hand[..., 2]) & (hand[..., 2] < human.shoulder_height)
+    if not keep.any():
         raise ValueError("empty ergonomic candidate set")
-    t_max = max(item[2] for item in kept)
-    d_max = max(item[3] for item in kept)
-    candidates = []
-    for cfg, hand, traw, draw in kept:
-        ft = traw / t_max if t_max > 0 else 0.0
-        fd = draw / d_max if d_max > 0 else 0.0
-        total = (1.0 - alpha) * ft + alpha * fd
-        candidates.append(ErgonomicCandidate(cfg, hand, traw, draw, ft, fd, total))
-    winner = min(
-        candidates,
-        key=lambda c: (c.total_cost, c.effort_cost, c.config.shoulder_deg, c.config.elbow_deg),
-    )
-    return winner.hand_position, winner, candidates
+    ts, te, hand = ts[keep], te[keep], hand[keep]
+    tau_s, tau_e = joint_torques(ts, te, object_mass, human)
+    torque_raw = tau_s * tau_s + tau_e * tau_e
+    disp_raw = (SHOULDER_MID_DEG - ts) ** 2 + (ELBOW_MID_DEG - te) ** 2
+    t_max, d_max = torque_raw.max(), disp_raw.max()
+    effort = torque_raw / t_max if t_max > 0 else np.zeros_like(torque_raw)
+    posture = disp_raw / d_max if d_max > 0 else np.zeros_like(disp_raw)
+    total = (1.0 - alpha) * effort + alpha * posture
+    kept = ArmPoses(ts, te, hand, torque_raw, disp_raw, effort, posture, total)
+    winner = kept[np.lexsort((te, ts, effort, total))[0]]
+    return winner.hand_position, winner, kept
 
 
-def candidates_csv(candidates) -> str:
+def candidates_csv(kept: ArmPoses) -> str:
     """Diagnostic table of the kept grid (one row per configuration)."""
-    buf = io.StringIO()
-    buf.write("shoulder_deg,elbow_deg,hand_x,hand_y,hand_z,effort_cost,displacement_cost,total_cost\n")
-    for c in candidates:
-        h = c.hand_position
-        buf.write(
-            f"{c.config.shoulder_deg:.1f},{c.config.elbow_deg:.1f},"
-            f"{h[0]:.6f},{h[1]:.6f},{h[2]:.6f},"
-            f"{c.effort_cost:.9f},{c.displacement_cost:.9f},{c.total_cost:.9f}\n"
-        )
-    return buf.getvalue()
+    rows = zip(kept.shoulder_deg.tolist(), kept.elbow_deg.tolist(), kept.hand_position.tolist(),
+               kept.effort_cost.tolist(), kept.displacement_cost.tolist(), kept.total_cost.tolist())
+    return "shoulder_deg,elbow_deg,hand_x,hand_y,hand_z,effort_cost,displacement_cost,total_cost\n" + "".join(
+        f"{ts:.1f},{te:.1f},{h[0]:.6f},{h[1]:.6f},{h[2]:.6f},{ft:.9f},{fd:.9f},{tot:.9f}\n"
+        for ts, te, h, ft, fd, tot in rows
+    )

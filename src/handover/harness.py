@@ -37,7 +37,7 @@ from .delivery import (
     plan_handover_orientation,
     sample_orientations,
 )
-from .ergonomics import HumanModel, plan_handover_position, candidates_csv
+from .ergonomics import MIN_POSITION_STEP, HumanModel, candidates_csv, plan_handover_position
 from .grasping import GripperModel, order_grasps, rank_grasps, sample_grasps
 from .metrics import evaluate_maps
 from .voxelgeom import VoxelGrid, load_vgrid
@@ -85,7 +85,8 @@ class PipelineParams:
             ("min_pts", self.min_pts >= 1, "be at least 1"),
             ("orientation_step", self.orientation_step > 0 and 360.0 % self.orientation_step == 0,
              "be positive and divide 360"),
-            ("position_step", self.position_step > 0, "be positive"),
+            ("position_step", self.position_step >= MIN_POSITION_STEP,
+             f"be at least {MIN_POSITION_STEP} degrees"),
             ("object_mass", self.object_mass >= 0, "be non-negative"),
             ("max_grasps", self.max_grasps >= 1, "be at least 1"),
             ("seed", self.seed >= 0, "be non-negative"),
@@ -104,6 +105,8 @@ class PipelineParams:
             if key == "eps" and value is None:
                 values[key] = None
                 continue
+            if isinstance(value, bool):
+                raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
             kind = int if isinstance(defaults[key], int) else float
             try:
                 values[key] = kind(value)
@@ -188,13 +191,20 @@ def load_scene(path) -> Scene:
 
     try:
         grid = load_vgrid(resolve(_section(path, "object", cfg["object"])["vgrid"]))
-        maps = [load_contact_map(resolve(p), grid) for p in cfg["contact_maps"]]
+        paths = cfg["contact_maps"]
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ValueError(
+                f"{path}: scene field 'contact_maps' must be a list of file paths, got {paths!r}")
+        maps = [load_contact_map(resolve(p), grid) for p in paths]
         human = HumanModel(**_section(path, "human", cfg.get("human", {})))
         robot = _section(path, "robot", cfg.get("robot", {}))
         gripper = GripperModel(**_section(path, "gripper", robot.get("gripper", {})))
         proxy = _proxy_dims(robot.get("body_proxy_dims", BODY_PROXY_DIMS), path)
         layout = _section(path, "layout", cfg.get("layout", {}))
-        params = PipelineParams.from_dict(cfg.get("params", {}))
+        params = cfg.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"{path}: scene field 'params' must be a JSON object, got {params!r}")
+        params = PipelineParams.from_dict(params)
     except KeyError as exc:
         raise ValueError(f"{path}: missing scene field {exc}") from exc
     if not maps:
@@ -416,13 +426,9 @@ def run_pipeline(
         else:
             stages.append("position")
             ee, winner, _ = shared.position()
-            position_rec = {
-                "hand_position": ee.tolist(),
-                "shoulder_deg": winner.config.shoulder_deg,
-                "elbow_deg": winner.config.elbow_deg,
-                "effort_cost": winner.effort_cost,
-                "displacement_cost": winner.displacement_cost,
-                "total_cost": winner.total_cost,
+            position_rec = {"hand_position": ee.tolist()} | {
+                key: float(getattr(winner, key))
+                for key in ("shoulder_deg", "elbow_deg", "effort_cost", "displacement_cost", "total_cost")
             }
             stages.append("orientation")
 

@@ -130,13 +130,6 @@ class VoxelGrid:
         arr = np.asarray(indices, dtype=float).reshape(-1, 3)
         return self.origin + (arr + 0.5) * self.voxel_size
 
-    def world_to_index(self, point) -> Index:
-        g = np.floor((np.asarray(point, dtype=float) - self.origin) / self.voxel_size)
-        return (int(g[0]), int(g[1]), int(g[2]))
-
-    def in_bounds(self, idx) -> bool:
-        return all(0 <= idx[a] < self.dims[a] for a in range(3))
-
     @property
     def occupied_count(self) -> int:
         return int(self.occupancy.sum())

@@ -12,6 +12,14 @@ from handover.delivery import (
     MIN_OBJECT_HEIGHT,
     DeliveryContext,
 )
+from handover.ergonomics import (
+    ELBOW_MID_DEG,
+    ELBOW_RANGE_DEG,
+    GRAVITY,
+    SHOULDER_MID_DEG,
+    SHOULDER_RANGE_DEG,
+    UP,
+)
 from handover.harness import Scene, SharedStages, load_scene
 from handover.voxelgeom import Mesh, VoxelGrid
 
@@ -220,6 +228,78 @@ def oracle_feasibility_reason(ctx: DeliveryContext, rotation) -> str | None:
     if math.degrees(math.acos(min(max(cos_angle, -1.0), 1.0))) > APPROACH_CONE_DEG:
         return "approach axis outside delivery cone"
     return None
+
+
+def _oracle_plane_dir(phi_deg, facing):
+    phi = math.radians(phi_deg)
+    return math.sin(phi) * facing - math.cos(phi) * UP
+
+
+def oracle_forward_kinematics(shoulder_deg, elbow_deg, human):
+    """Per-point (shoulder, elbow, hand) world points for one arm
+    configuration. The oracle for ergonomics.forward_kinematics."""
+    shoulder = human.shoulder_point
+    elbow = shoulder + human.upper_arm_length * _oracle_plane_dir(shoulder_deg, human.facing)
+    hand = elbow + human.forearm_length * _oracle_plane_dir(shoulder_deg + elbow_deg, human.facing)
+    return shoulder, elbow, hand
+
+
+def oracle_joint_torques(shoulder_deg, elbow_deg, object_mass, human):
+    """Per-point |gravity torque| at (shoulder, elbow). The oracle for
+    ergonomics.joint_torques."""
+    shoulder, elbow, hand = oracle_forward_kinematics(shoulder_deg, elbow_deg, human)
+    f = human.facing
+
+    def x(p):
+        return float(np.dot(p, f))
+
+    m_upper = (human.upper_arm_mass, (shoulder + elbow) / 2.0)
+    m_fore = (human.forearm_mass, (elbow + hand) / 2.0)
+    m_hand = (human.hand_mass + object_mass, hand)
+    tau_shoulder = sum(m * GRAVITY * (x(p) - x(shoulder)) for m, p in (m_upper, m_fore, m_hand))
+    tau_elbow = sum(m * GRAVITY * (x(p) - x(elbow)) for m, p in (m_fore, m_hand))
+    return abs(tau_shoulder), abs(tau_elbow)
+
+
+def oracle_angle_grid(lo, hi, step):
+    out, k = [], 0
+    while lo + k * step <= hi + 1e-9:
+        out.append(min(lo + k * step, hi))
+        k += 1
+    return out
+
+
+def oracle_plan_position(human, object_mass, alpha, step):
+    """The per-point arm sweep: (winner row, kept rows), each row a tuple
+    (shoulder_deg, elbow_deg, hand, torque_raw, displacement_raw,
+    effort_cost, displacement_cost, total_cost). The oracle for
+    ergonomics.plan_handover_position."""
+    kept = []
+    for ts in oracle_angle_grid(*SHOULDER_RANGE_DEG, step):
+        for te in oracle_angle_grid(*ELBOW_RANGE_DEG, step):
+            _, _, hand = oracle_forward_kinematics(ts, te, human)
+            if not (human.waist_height < hand[2] < human.shoulder_height):
+                continue
+            tau_s, tau_e = oracle_joint_torques(ts, te, object_mass, human)
+            disp_raw = (SHOULDER_MID_DEG - ts) ** 2 + (ELBOW_MID_DEG - te) ** 2
+            kept.append((ts, te, hand, tau_s * tau_s + tau_e * tau_e, disp_raw))
+    t_max = max(row[3] for row in kept)
+    d_max = max(row[4] for row in kept)
+    rows = []
+    for ts, te, hand, traw, draw in kept:
+        ft = traw / t_max if t_max > 0 else 0.0
+        fd = draw / d_max if d_max > 0 else 0.0
+        rows.append((ts, te, hand, traw, draw, ft, fd, (1.0 - alpha) * ft + alpha * fd))
+    winner = min(rows, key=lambda r: (r[7], r[5], r[0], r[1]))
+    return winner, rows
+
+
+def oracle_candidates_csv(rows) -> str:
+    """The per-row ergonomics diagnostic table of oracle_plan_position rows."""
+    out = ["shoulder_deg,elbow_deg,hand_x,hand_y,hand_z,effort_cost,displacement_cost,total_cost\n"]
+    for ts, te, h, _, _, ft, fd, total in rows:
+        out.append(f"{ts:.1f},{te:.1f},{h[0]:.6f},{h[1]:.6f},{h[2]:.6f},{ft:.9f},{fd:.9f},{total:.9f}\n")
+    return "".join(out)
 
 
 def pipeline_context(scene: Scene, shared: SharedStages, lam: float) -> DeliveryContext:

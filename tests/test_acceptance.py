@@ -26,7 +26,6 @@ from handover.ergonomics import (
     SHOULDER_MID_DEG,
     SHOULDER_RANGE_DEG,
     HumanModel,
-    ArmConfig,
     joint_torques,
     plan_handover_position,
 )
@@ -225,22 +224,22 @@ def test_criterion_04_position_equivalence():
     human = HumanModel()
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         _, winner, kept = plan_handover_position(human, 0.5, alpha, 5.0)
-        got = (winner.config.shoulder_deg, winner.config.elbow_deg)
+        got = (winner.shoulder_deg, winner.elbow_deg)
         assert got == exhaustive_position_winner(human, 0.5, alpha, 5.0), alpha
-        for c in kept:
-            assert 0.0 <= c.effort_cost <= 1.0
-            assert 0.0 <= c.displacement_cost <= 1.0
+        for effort, displacement in zip(kept.effort_cost.tolist(), kept.displacement_cost.tolist()):
+            assert 0.0 <= effort <= 1.0
+            assert 0.0 <= displacement <= 1.0
         assert human.waist_height < winner.hand_position[2] < human.shoulder_height
     # a shorter forearm drops the rest-midpoint hand below the shoulder, so
     # the midpoint is kept; on a 2.5-degree grid pure posture lands exactly on
     # it with zero displacement cost
     short = HumanModel(forearm_length=0.15)
     _, winner, _ = plan_handover_position(short, 0.5, alpha=1.0, step=2.5)
-    assert (winner.config.shoulder_deg, winner.config.elbow_deg) == (
+    assert (winner.shoulder_deg, winner.elbow_deg) == (
         SHOULDER_MID_DEG, ELBOW_MID_DEG,
     )
     assert winner.displacement_cost == 0.0
-    assert (winner.config.shoulder_deg, winner.config.elbow_deg) == \
+    assert (winner.shoulder_deg, winner.elbow_deg) == \
         exhaustive_position_winner(short, 0.5, 1.0, 2.5)
     elapsed = time.perf_counter() - t_start
     assert elapsed < 5.0
@@ -253,14 +252,14 @@ def test_criterion_05_torque_analytic():
     """Hanging arm carries no gravity moment; a massless arm holding a point
     mass reproduces the lever formula to 1e-9 relative."""
     human = HumanModel()
-    tau_s, tau_e = joint_torques(ArmConfig(0.0, 0.0), object_mass=2.0, human=human)
+    tau_s, tau_e = joint_torques(0.0, 0.0, object_mass=2.0, human=human)
     assert tau_s < 1e-9 and tau_e < 1e-9
 
     massless = HumanModel(upper_arm_mass=0.0, forearm_mass=0.0, hand_mass=0.0)
     m = 1.3
     ua, fa = massless.upper_arm_length, massless.forearm_length
     for ts, te in ((90.0, 0.0), (45.0, 0.0), (30.0, 40.0)):
-        tau_s, tau_e = joint_torques(ArmConfig(ts, te), object_mass=m, human=massless)
+        tau_s, tau_e = joint_torques(ts, te, object_mass=m, human=massless)
         x_hand = ua * math.sin(math.radians(ts)) + fa * math.sin(math.radians(ts + te))
         x_fore = fa * math.sin(math.radians(ts + te))
         assert tau_s == pytest.approx(m * GRAVITY * x_hand, rel=1e-9)

@@ -115,7 +115,7 @@ def test_plan_set_rejects_malformed_pair(suite_dir, capsys):
     ("k", "0"), ("k", "1"), ("k", "1.5"),
     ("lam", "-0.1"), ("lam", "1.01"), ("lam", "nan"), ("lam", "null"), ("alpha", "2"),
     ("orientation_step", "7"), ("orientation_step", "0"), ("orientation_step", "-45"),
-    ("position_step", "0"), ("object_mass", "inf"), ("object_mass", "-0.5"),
+    ("position_step", "0"), ("position_step", "0.001"), ("object_mass", "inf"), ("object_mass", "-0.5"),
     ("max_grasps", "0"), ("min_pts", "0"), ("min_pts", "inf"), ("min_pts", "four"),
     ("seed", "-1"),
 ])
@@ -147,6 +147,12 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
     ("layout", "standof", 3.0), ("robot", "body_proxy_dim", [0.5, 0.5, 1.1]),
     ("object", "grid", "mug.vgrid"), ("human", "heigth", 1.8), ("gripper", "finger_len", 0.05),
     ("scene", "planing_map", 0),
+    # wrong JSON types: a non-object params, one path string for the list, bool for a number
+    ("scene", "params", [["lam", 0.5]]), ("scene", "contact_maps", "mug_contacts_0.vcontact"),
+    ("scene", "contact_maps", None), ("human", "height", True), ("human", "base_position", [0.0, True, 0.0]),
+    ("params", "lam", True),
+    # loads as a number, but asks the arm sweep for ~1.9e10 configurations; never run
+    ("params", "position_step", 0.001),
 ])
 def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_path, capsys,
                                                                section, key, value):
@@ -163,9 +169,12 @@ def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_pa
     code, stdout, stderr = run_cli(["plan", str(path), "--seed", "0"], capsys)
     assert code == 1
     assert stderr.startswith("error:")
-    assert (f"{section} field '{key}'" if section else f"{key} out of range") in stderr
-    if key not in harness.SCENE_FIELDS[section or "scene"]:
-        assert f"unknown {section} field '{key}'" in stderr
+    if section == "params":  # PipelineParams names its fields as parameters
+        assert f"parameter '{key}'" in stderr
+    else:
+        assert (f"{section} field '{key}'" if section else f"{key} out of range") in stderr
+        if key not in harness.SCENE_FIELDS[section or "scene"]:
+            assert f"unknown {section} field '{key}'" in stderr
     assert stdout == ""
 
 

@@ -25,6 +25,16 @@ from handover.voxelgeom import (
 )
 
 
+def world_to_index(grid, point):
+    """The grid cell holding a world point (it may lie outside the grid)."""
+    g = np.floor((np.asarray(point, dtype=float) - grid.origin) / grid.voxel_size)
+    return (int(g[0]), int(g[1]), int(g[2]))
+
+
+def in_bounds(grid, idx) -> bool:
+    return all(0 <= idx[a] < grid.dims[a] for a in range(3))
+
+
 class TestVoxelize:
     def test_unit_cube_containment(self):
         grid = voxelize_mesh(cube_mesh(1.0), dims=(64, 64, 64), padding=0.05)
@@ -38,7 +48,7 @@ class TestVoxelize:
         for x in xs:
             for y in xs:
                 for z in xs:
-                    assert grid.occupancy[grid.world_to_index((x, y, z))]
+                    assert grid.occupancy[world_to_index(grid, (x, y, z))]
 
     def test_empty_mesh_error(self):
         mesh = Mesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
@@ -205,8 +215,8 @@ class TestRayCast:
             march = None
             for k in range(int(0.5 / (0.1 * vs))):
                 p = origin + direction * (k * 0.1 * vs)
-                idx = grid.world_to_index(p)
-                if grid.in_bounds(idx) and grid.occupancy[idx]:
+                idx = world_to_index(grid, p)
+                if in_bounds(grid, idx) and grid.occupancy[idx]:
                     march = idx
                     break
             # oracle 2: exact first-entry over per-voxel AABBs
