@@ -30,11 +30,13 @@ def _apply_overrides(scene, pairs):
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not key=value")
         key, _, raw = pair.partition("=")
-        key = key.strip()
         raw = raw.strip()
-        value = None if raw.lower() in ("none", "null") else raw
+        try:  # a JSON scalar; anything else stays a string, which no parameter accepts
+            value = None if raw.lower() in ("none", "null") else json.loads(raw)
+        except ValueError:
+            value = raw
         scene.params = harness.PipelineParams.from_dict(
-            {**dataclasses.asdict(scene.params), key: value}
+            {**dataclasses.asdict(scene.params), key.strip(): value}
         )
 
 

@@ -23,6 +23,7 @@ from .grasping import GripperModel
 from .voxelgeom import VoxelGrid
 
 DEFAULT_STEP_DEG = 45.0
+MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, deduplicated in O(n^2)
 DEDUP_TOL = 1e-9
 OBJECTIVE_TIE_TOL = 1e-9  # objectives this close are tie-broken by rotation angle
 MIN_OBJECT_HEIGHT = 0.40

@@ -9,12 +9,11 @@ forearm forward/up. All angles in degrees.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .voxelgeom import row_dots
+from .voxelgeom import check_fields, row_dots, rule
 
 GRAVITY = 9.81
 
@@ -30,59 +29,37 @@ UP = np.array([0.0, 0.0, 1.0])
 @dataclass
 class HumanModel:
     """Standing receiver. Segment lengths default to stature fractions;
-    masses are point masses at segment midpoints (hand mass at the hand)."""
+    masses are point masses at segment midpoints (hand mass at the hand).
+    Lengths and positions in meters, masses in kilograms."""
 
-    height: float = 1.70
-    base_position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    facing: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    shoulder_height_fraction: float = 0.82
-    waist_height_fraction: float = 0.60
-    head_height_fraction: float = 0.13
-    upper_arm_length: float | None = None
-    forearm_length: float | None = None
-    upper_arm_mass: float = 2.1
-    forearm_mass: float = 1.2
-    hand_mass: float = 0.5
-    arm_plane_offset: float = 0.18
+    height: float = rule(1.70, "number", "(0, 3]")
+    base_position: tuple[float, float, float] = rule((0.0, 0.0, 0.0), "vector", "[-1000, 1000]")
+    facing: tuple[float, float, float] = rule((1.0, 0.0, 0.0), "vector", "[-1000, 1000]")
+    shoulder_height_fraction: float = rule(0.82, "number", "(0, 1)")
+    waist_height_fraction: float = rule(0.60, "number", "(0, 1)")
+    head_height_fraction: float = rule(0.13, "number", "[0, 1]")
+    upper_arm_length: float | None = rule(None, "number?", "(0, 3]")
+    forearm_length: float | None = rule(None, "number?", "(0, 3]")
+    upper_arm_mass: float = rule(2.1, "number", "[0, 100]")
+    forearm_mass: float = rule(1.2, "number", "[0, 100]")
+    hand_mass: float = rule(0.5, "number", "[0, 100]")
+    arm_plane_offset: float = rule(0.18, "number", "[-3, 3]")
 
     def __post_init__(self):
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in ("base_position", "facing"):
-                try:
-                    vec = np.asarray(value, dtype=float).reshape(3)
-                except (TypeError, ValueError):
-                    vec = np.full(3, np.nan)
-                if not np.isfinite(vec).all() or any(isinstance(v, bool) for v in value):
-                    raise ValueError(f"human field {spec.name!r} must be 3 finite numbers, got {value!r}")
-                setattr(self, spec.name, vec)
-            elif not (value is None and spec.default is None) and not (
-                isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-            ):
-                raise ValueError(f"human field {spec.name!r} must be a finite number, got {value!r}")
-        checks = [
-            ("height", self.height > 0, "be positive"),
-            ("upper_arm_length", self.upper_arm_length is None or self.upper_arm_length > 0, "be positive"),
-            ("forearm_length", self.forearm_length is None or self.forearm_length > 0, "be positive"),
-            ("upper_arm_mass", self.upper_arm_mass >= 0, "be non-negative"),
-            ("forearm_mass", self.forearm_mass >= 0, "be non-negative"),
-            ("hand_mass", self.hand_mass >= 0, "be non-negative"),
-        ]
-        for name, ok, rule in checks:
-            if not ok:
-                raise ValueError(f"human field {name!r} must {rule}, got {getattr(self, name)!r}")
-        f = self.facing.copy()
-        f[2] = 0.0
+        check_fields(self, "human field")
+        if not self.waist_height_fraction < self.shoulder_height_fraction:
+            raise ValueError(f"human field 'waist_height_fraction' must lie below shoulder_height_fraction "
+                             f"{self.shoulder_height_fraction!r}, got {self.waist_height_fraction!r}")
+        self.base_position = np.array(self.base_position)
+        f = np.array([*self.facing[:2], 0.0])
         n = float(np.linalg.norm(f))
         if n < 1e-9:
-            raise ValueError("facing must have a horizontal component")
+            raise ValueError(f"human field 'facing' must have a horizontal component, got {self.facing!r}")
         self.facing = f / n
         if self.upper_arm_length is None:
             self.upper_arm_length = 0.176 * self.height
         if self.forearm_length is None:
             self.forearm_length = 0.206 * self.height
-        if not (0 < self.waist_height_fraction < self.shoulder_height_fraction < 1):
-            raise ValueError("need 0 < waist fraction < shoulder fraction < 1")
 
     @property
     def right(self) -> np.ndarray:

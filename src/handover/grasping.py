@@ -8,13 +8,12 @@ the midpoint of the grasped contact pair.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contacts import ContactCluster
-from .voxelgeom import Index, VoxelGrid, row_dots, segments_hit_boxes
+from .voxelgeom import Index, VoxelGrid, check_fields, row_dots, rule, segments_hit_boxes
 
 MAX_NORMAL_OPPOSITION_DEG = 30.0  # antipodal pair filter
 MIN_CONFIDENCE = 0.23  # alignment score floor for kept candidates
@@ -28,16 +27,13 @@ class GripperModel:
     """Two-finger gripper reduced to three axis-aligned boxes in its own
     frame. Dimensions in meters."""
 
-    finger_length: float = 0.05
-    finger_thickness: float = 0.015
-    max_width: float = 0.10
-    palm_depth: float = 0.04
+    finger_length: float = rule(0.05, "number", "(0, 0.25]")
+    finger_thickness: float = rule(0.015, "number", "(0, 0.25]")
+    max_width: float = rule(0.10, "number", "(0, 0.25]")
+    palm_depth: float = rule(0.04, "number", "(0, 0.25]")
 
     def __post_init__(self):
-        for name in ("finger_length", "finger_thickness", "max_width", "palm_depth"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-                raise ValueError(f"gripper field {name!r} must be finite and positive, got {value!r}")
+        check_fields(self, "gripper field")
 
     def boxes(self, width: float):
         """Finger/finger/palm boxes as (lo, hi) pairs at jaw opening `width`."""

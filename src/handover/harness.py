@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import enum
 import json
-import math
-import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from .contacts import (
 )
 from .delivery import (
     BODY_PROXY_DIMS,
+    MIN_ORIENTATION_STEP,
     DeliveryContext,
     exposure_objective,
     feasible,
@@ -40,7 +39,7 @@ from .delivery import (
 from .ergonomics import MIN_POSITION_STEP, HumanModel, candidates_csv, plan_handover_position
 from .grasping import GripperModel, order_grasps, rank_grasps, sample_grasps
 from .metrics import evaluate_maps
-from .voxelgeom import VoxelGrid, load_vgrid
+from .voxelgeom import VoxelGrid, check_fields, check_value, load_vgrid, rule
 
 A4_FORWARD = 0.6  # tucked gripper: meters in front of the robot base
 A4_HEIGHT = 0.8  # meters above the robot base
@@ -60,78 +59,57 @@ RANDOM_ORIENTATION_MODES = (AblationMode.A2, AblationMode.A3)
 
 @dataclass
 class PipelineParams:
-    lam: float = 0.5
-    alpha: float = 0.5
-    k: float = 0.5
-    eps: float | None = None
-    min_pts: int = 4
-    orientation_step: float = 45.0
-    position_step: float = 5.0
-    object_mass: float = 0.5
-    max_grasps: int = 200
-    seed: int = 0
+    lam: float = rule(0.5, "number", "[0, 1]")
+    alpha: float = rule(0.5, "number", "[0, 1]")
+    k: float = rule(0.5, "number", "(0, 1)")
+    eps: float | None = rule(None, "number?", "(0, inf)")
+    min_pts: int = rule(4, "integer", "[1, inf)")
+    orientation_step: float = rule(45.0, "number", f"[{MIN_ORIENTATION_STEP}, 360]")
+    position_step: float = rule(5.0, "number", f"[{MIN_POSITION_STEP}, inf)")
+    object_mass: float = rule(0.5, "number", "[0, 100]")
+    max_grasps: int = rule(200, "integer", "[1, inf)")
+    seed: int = rule(0, "integer", "[0, inf)")
 
     def __post_init__(self):
         """Reject a value that would fail, or silently mislead, mid-run."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"parameter {f.name!r} must be finite, got {value!r}")
-        checks = [
-            ("lam", 0.0 <= self.lam <= 1.0, "lie in [0, 1]"),
-            ("alpha", 0.0 <= self.alpha <= 1.0, "lie in [0, 1]"),
-            ("k", 0.0 < self.k < 1.0, "lie in (0, 1)"),
-            ("eps", self.eps is None or self.eps > 0, "be positive or null"),
-            ("min_pts", self.min_pts >= 1, "be at least 1"),
-            ("orientation_step", self.orientation_step > 0 and 360.0 % self.orientation_step == 0,
-             "be positive and divide 360"),
-            ("position_step", self.position_step >= MIN_POSITION_STEP,
-             f"be at least {MIN_POSITION_STEP} degrees"),
-            ("object_mass", self.object_mass >= 0, "be non-negative"),
-            ("max_grasps", self.max_grasps >= 1, "be at least 1"),
-            ("seed", self.seed >= 0, "be non-negative"),
-        ]
-        for name, ok, rule in checks:
-            if not ok:
-                raise ValueError(f"parameter {name!r} must {rule}, got {getattr(self, name)!r}")
+        check_fields(self, "parameter")
+        if 360.0 % self.orientation_step != 0:
+            raise ValueError(f"parameter 'orientation_step' must divide 360, got {self.orientation_step!r}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineParams":
-        defaults = {f.name: f.default for f in fields(cls)}
-        values = {}
-        for key, value in data.items():
-            if key not in defaults:
-                raise ValueError(f"unknown parameter {key!r}")
-            if key == "eps" and value is None:
-                values[key] = None
-                continue
-            if isinstance(value, bool):
-                raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
-            kind = int if isinstance(defaults[key], int) else float
-            try:
-                values[key] = kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"parameter {key!r}: {exc}") from exc
-        return cls(**values)
+    def from_dict(cls, data) -> "PipelineParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"scene field 'params' must be a JSON object, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown parameter {unknown[0]!r}")
+        return cls(**data)
 
 
 @dataclass
 class Scene:
-    name: str
+    name: str = rule(MISSING, "string")
     grid: VoxelGrid
     contact_maps: list[ContactMap]
     planning_map: int | str  # index into contact_maps, or "heuristic"
     human: HumanModel
     gripper: GripperModel
-    body_proxy_dims: tuple[float, float, float] | None
-    standoff: float = 1.2  # robot delivers from this far in front of the receiver
+    # width, depth, height of the robot body box; None drops the robot body
+    body_proxy_dims: tuple[float, float, float] | None = rule(MISSING, "vector?", "(0, 10]", "robot field")
+    standoff: float = rule(1.2, "number", "(0, 10]", "layout field")  # robot parks this far in front
     params: PipelineParams = field(default_factory=PipelineParams)
 
     def __post_init__(self):
-        value = self.standoff
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-            raise ValueError(f"layout field 'standoff' must be finite and positive, got {value!r}")
-        self.standoff = float(value)
+        check_fields(self, "scene field")
+        if not self.contact_maps:
+            raise ValueError("scene field 'contact_maps' needs at least one contact map")
+        planning = self.planning_map
+        is_index = isinstance(planning, int) and not isinstance(planning, bool)
+        if planning != "heuristic" and not (is_index and 0 <= planning < len(self.contact_maps)):
+            raise ValueError(
+                f'planning_map out of range: must be "heuristic" or an integer '
+                f"index below {len(self.contact_maps)}, got {planning!r}"
+            )
 
     @property
     def robot_base(self) -> np.ndarray:
@@ -142,22 +120,6 @@ class Scene:
         if self.planning_map == "heuristic":
             return predict_contacts_heuristic(self.grid)
         return self.contact_maps[int(self.planning_map)]
-
-
-def _proxy_dims(value, path) -> tuple[float, float, float] | None:
-    """robot.body_proxy_dims: null drops the robot body, else three positive
-    finite numbers."""
-    if value is None:
-        return None
-    try:
-        dims = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        dims = ()
-    if len(dims) != 3 or not all(math.isfinite(v) and v > 0 for v in dims):
-        raise ValueError(
-            f"{path}: robot.body_proxy_dims must be null or 3 positive numbers, got {value!r}"
-        )
-    return dims
 
 
 # the keys each scene section may hold; params checks its own
@@ -171,62 +133,60 @@ SCENE_FIELDS = {
 }
 
 
-def _section(path, name: str, data) -> dict:
-    """`data`, once it is a JSON object holding only SCENE_FIELDS[name] keys."""
+def _section(data, name: str, label: str | None = None) -> dict:
+    """`data`, once it is a JSON object holding only SCENE_FIELDS[name] keys.
+    `label` names it in messages, by default as a scene field."""
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: {name} section must be a JSON object, got {data!r}")
+        raise ValueError(f"{label or f'scene field {name!r}'} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - SCENE_FIELDS[name])
     if unknown:
-        raise ValueError(f"{path}: unknown {name} field {unknown[0]!r}")
+        raise ValueError(f"unknown {name} field {unknown[0]!r}")
     return data
 
 
+def _read(label: str, load, *args):
+    """load(*args); a file it cannot read or parse is a ValueError naming `label`."""
+    try:
+        return load(*args)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = _section(path, "scene", json.load(fh))
+    """The scene in JSON file `path`. A value that breaks its rule is a
+    ValueError naming the file and the field."""
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(rel):
         return rel if os.path.isabs(rel) else os.path.join(base, rel)
 
     try:
-        grid = load_vgrid(resolve(_section(path, "object", cfg["object"])["vgrid"]))
-        paths = cfg["contact_maps"]
-        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
-            raise ValueError(
-                f"{path}: scene field 'contact_maps' must be a list of file paths, got {paths!r}")
-        maps = [load_contact_map(resolve(p), grid) for p in paths]
-        human = HumanModel(**_section(path, "human", cfg.get("human", {})))
-        robot = _section(path, "robot", cfg.get("robot", {}))
-        gripper = GripperModel(**_section(path, "gripper", robot.get("gripper", {})))
-        proxy = _proxy_dims(robot.get("body_proxy_dims", BODY_PROXY_DIMS), path)
-        layout = _section(path, "layout", cfg.get("layout", {}))
-        params = cfg.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"{path}: scene field 'params' must be a JSON object, got {params!r}")
-        params = PipelineParams.from_dict(params)
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = _section(json.load(fh), "scene", "a scene")
+        robot = _section(cfg.get("robot", {}), "robot")
+        # the cheap checks first, then the grid files
+        human = HumanModel(**_section(cfg.get("human", {}), "human"))
+        gripper = GripperModel(**_section(robot.get("gripper", {}), "gripper", "robot field 'gripper'"))
+        params = PipelineParams.from_dict(cfg.get("params", {}))
+        vgrid = check_value("string", _section(cfg["object"], "object").get("vgrid"), "object field 'vgrid'")
+        paths = check_value("paths", cfg["contact_maps"], "scene field 'contact_maps'")
+        grid = _read("object field 'vgrid'", load_vgrid, resolve(vgrid))
+        maps = [_read("scene field 'contact_maps'", load_contact_map, resolve(p), grid) for p in paths]
+        return Scene(
+            name=cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
+            grid=grid,
+            contact_maps=maps,
+            planning_map=cfg.get("planning_map", 0),
+            human=human,
+            gripper=gripper,
+            body_proxy_dims=robot.get("body_proxy_dims", BODY_PROXY_DIMS),
+            standoff=_section(cfg.get("layout", {}), "layout").get("standoff", 1.2),
+            params=params,
+        )
     except KeyError as exc:
         raise ValueError(f"{path}: missing scene field {exc}") from exc
-    if not maps:
-        raise ValueError(f"{path}: scene needs at least one contact map")
-    planning = cfg.get("planning_map", 0)
-    is_index = isinstance(planning, int) and not isinstance(planning, bool)
-    if planning != "heuristic" and not (is_index and 0 <= planning < len(maps)):
-        raise ValueError(
-            f'{path}: planning_map out of range: must be "heuristic" or an integer '
-            f"index below {len(maps)}, got {planning!r}"
-        )
-    return Scene(
-        name=cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
-        grid=grid,
-        contact_maps=maps,
-        planning_map=planning,
-        human=human,
-        gripper=gripper,
-        body_proxy_dims=proxy,
-        standoff=layout.get("standoff", 1.2),
-        params=params,
-    )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -386,6 +387,64 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     return blocked
 
 
+# -- value rules -----------------------------------------------------------
+#
+# A scene value states its rule once, on its dataclass field, as
+# rule(default, kind, bound). check_fields applies the rules of one object,
+# and check_value one rule to a value that no dataclass holds. Kinds:
+# "number" (stored as float), "integer" (an integral number, stored as int),
+# "vector" (3 numbers, stored as a tuple of floats), "string" and "paths" (a
+# list of strings); a trailing "?" also allows null. bool is never a number.
+# Each number must lie in the bound, an interval such as "(0, 1]".
+
+_KIND_WANT = {"number": "a finite number", "integer": "an integer", "vector": "3 finite numbers",
+              "string": "a string", "paths": "a list of file paths"}
+
+
+def check_value(kind: str, value, label: str, bound: str = "(-inf, inf)"):
+    """`value` as its kind stores it; a ValueError naming `label` when it is
+    not of `kind` or one of its numbers lies outside `bound`."""
+    base = kind.rstrip("?")
+    if value is None and base != kind:
+        return None
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if base == "string" and isinstance(value, str):
+        return value
+    if base == "paths" and isinstance(value, list) and all(isinstance(p, str) for p in value):
+        return value
+    if base == "vector":
+        nums = list(value) if isinstance(value, (list, tuple)) and len(value) == 3 else []
+    else:
+        nums = [value] if base in ("number", "integer") else []
+    lo, hi = (float(s) for s in bound[1:-1].split(","))
+    if not nums or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        and (base != "integer" or v == int(v))
+        and (lo < v if bound[0] == "(" else lo <= v) and (v < hi if bound[-1] == ")" else v <= hi)
+        for v in nums
+    ):
+        want = _KIND_WANT[base] + ("" if bound == "(-inf, inf)" else f" in {bound}")
+        raise ValueError(f"{label} must be {want}{', or null' if base != kind else ''}, got {value!r}")
+    return tuple(map(float, nums)) if base == "vector" else int(value) if base == "integer" else float(value)
+
+
+def rule(default, kind: str, bound: str = "(-inf, inf)", section: str | None = None):
+    """A dataclass field that check_fields holds to `kind` and `bound`.
+    `section` names it in messages where the object's section does not."""
+    return field(default=default, metadata={"rule": (kind, bound, section)})
+
+
+def check_fields(obj, section: str) -> None:
+    """Check each rule field of dataclass `obj` and store its value as its
+    kind stores it. Messages name a field as "<section> '<name>'"."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            kind, bound, own = f.metadata["rule"]
+            value = check_value(kind, getattr(obj, f.name), f"{own or section} {f.name!r}", bound)
+            setattr(obj, f.name, value)
+
+
 # -- file format -----------------------------------------------------------
 #
 # .vgrid and .vcontact files share one text layout, described in
@@ -427,7 +486,7 @@ def write_grid_file(path, magic: str, grid: VoxelGrid, values) -> None:
 def _parse_header(lines, path, magic):
     if not lines or lines[0].strip() != f"{magic} 1":
         raise ValueError(f"{path}: expected '{magic} 1' header")
-    fields = []
+    parsed = []
     for lineno, (key, parse, count, ok, want) in enumerate(_HEADER_FIELDS, start=2):
         if lineno > len(lines):
             raise ValueError(f"{path}: truncated header")
@@ -442,8 +501,8 @@ def _parse_header(lines, path, magic):
             raise ValueError(
                 f"{path}: line {lineno}: {key} must be {want}, got {' '.join(tokens)!r}"
             )
-        fields.append(vals)
-    dims, (voxel_size,), origin = fields
+        parsed.append(vals)
+    dims, (voxel_size,), origin = parsed
     return tuple(dims), voxel_size, np.array(origin, dtype=float)
 
 

@@ -153,6 +153,14 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
     ("params", "lam", True),
     # loads as a number, but asks the arm sweep for ~1.9e10 configurations; never run
     ("params", "position_step", 0.001),
+    # a grid path that is not a string; bool for a number; a non-integral
+    # integer; a name that is not a string; a number given as a string
+    ("object", "vgrid", 5), ("object", "vgrid", None), ("gripper", "max_width", True),
+    ("layout", "standoff", True), ("robot", "body_proxy_dims", [True, 1, 1]),
+    ("params", "max_grasps", 2.7), ("scene", "name", 5), ("params", "lam", "0.3"),
+    # past the bounds that keep a run finite and short; never run
+    ("params", "orientation_step", 0.5), ("human", "height", 1e308), ("params", "object_mass", 1e308),
+    ("human", "arm_plane_offset", 1e308), ("gripper", "max_width", 1e308),
 ])
 def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_path, capsys,
                                                                section, key, value):
@@ -176,6 +184,18 @@ def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_pa
         if key not in harness.SCENE_FIELDS[section or "scene"]:
             assert f"unknown {section} field '{key}'" in stderr
     assert stdout == ""
+
+
+def test_set_reads_a_json_scalar(suite_dir, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(
+        ["plan", str(suite_dir / "mug.scene.json"), "--seed", "0", "--set", "eps=none",
+         "--set", "max_grasps=50.0", "--set", "lam=1", "--out", str(out)], capsys
+    )
+    assert code == 0
+    params = json.loads(out.read_text())["params"]
+    assert (params["eps"], params["max_grasps"], params["lam"]) == (None, 50, 1.0)
+    assert isinstance(params["lam"], float)
 
 
 def test_parameter_range_edges_accepted():

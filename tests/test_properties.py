@@ -1,18 +1,26 @@
-"""Property: run_pipeline never raises for a loadable scene, and its report
-either names the stage that failed or carries finite scores in [0, 1]."""
+"""Properties: run_pipeline never raises for a loadable scene, and its report
+either names the stage that failed or carries finite scores in [0, 1]; a
+scene file with an odd value either loads or is rejected naming the file
+and the field."""
+import contextlib
+import io
 import json
 import math
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from handover import cli
 from handover.contacts import ContactMap
 from handover.delivery import BODY_PROXY_DIMS
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
-from handover.harness import AblationMode, PipelineParams, Scene, SharedStages, run_pipeline
+from handover.harness import SCENE_FIELDS, AblationMode, PipelineParams, Scene, SharedStages, run_pipeline
 
-from conftest import make_grid
+from conftest import absolutized_config, make_grid
 
 
 @st.composite
@@ -72,3 +80,60 @@ def test_every_mode_reports_a_named_failure_or_unit_scores(scene):
         scores = [m["visibility_median"], m["reachability_median"]]
         scores += [v for row in m["per_map"] for v in row.values()]
         assert all(_unit(v) for v in scores), (mode, m)
+
+
+# every key a scene file may hold, as (enclosing sections, key)
+SCENE_KEYS = (
+    [((), key) for key in sorted(SCENE_FIELDS["scene"])]
+    + [((section,), key) for section in ("object", "robot", "layout", "human")
+       for key in sorted(SCENE_FIELDS[section])]
+    + [(("robot", "gripper"), key) for key in sorted(SCENE_FIELDS["gripper"])]
+    + [(("params",), f.name) for f in fields(PipelineParams)]
+)
+ODD_VALUES = [None, True, "x", [], {}, 0, -1, 1e308]
+
+
+def _mug_with(suite_dir, directory, sections, key, value):
+    """The bundled mug scene, written to `directory` with one key set to `value`."""
+    cfg = absolutized_config(suite_dir, "mug")
+    target = cfg
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
+    path = directory / "odd.scene.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class _Loaded(Exception):
+    """Raised in place of the run: the scene loaded."""
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(SCENE_KEYS), st.sampled_from(ODD_VALUES))
+def test_an_odd_scene_value_loads_or_is_rejected_by_name(suite_dir, tmp_path_factory, where, value):
+    sections, key = where
+    path = _mug_with(suite_dir, tmp_path_factory.mktemp("odd"), sections, key, value)
+    err = io.StringIO()
+    with mock.patch.object(cli, "run_pipeline", side_effect=_Loaded), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["plan", str(path), "--seed", "0"])
+        except _Loaded:
+            return
+    message = err.getvalue()
+    assert code == 1 and message.startswith(f"error: {path}: "), message
+    assert any(name in message for name in (f"'{key}'", f"{key} field", f"{key} out of range")), message
+
+
+@pytest.mark.parametrize("sections, key, value", [
+    (("robot",), "body_proxy_dims", None), (("human",), "arm_plane_offset", -1),
+    (("params",), "eps", 1e308), (("params",), "max_grasps", 1e308), (("params",), "seed", 1e308),
+])
+def test_an_odd_value_that_loads_plans_to_a_finite_report(suite_dir, tmp_path, sections, key, value):
+    path = _mug_with(suite_dir, tmp_path, sections, key, value)
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["plan", str(path), "--out", str(out)])
+    assert code in (0, 2)
+    json.dumps(json.loads(out.read_text()), allow_nan=False)
