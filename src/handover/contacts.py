@@ -121,11 +121,8 @@ def predict_contacts_heuristic(grid: VoxelGrid) -> ContactMap:
     if not surface:
         raise ValueError("empty contact map")
     occ = grid.occupancy
-    runs = np.minimum(
-        np.minimum(_run_lengths(occ, 0), _run_lengths(occ, 1)), _run_lengths(occ, 2)
-    )
-    surf_arr = np.asarray(surface, dtype=int)
-    thick = runs[surf_arr[:, 0], surf_arr[:, 1], surf_arr[:, 2]].astype(float)
+    runs = np.minimum(np.minimum(_run_lengths(occ, 0), _run_lengths(occ, 1)), _run_lengths(occ, 2))
+    thick = runs[tuple(np.asarray(surface).T)].astype(float)
     t_min = float(thick.min())
     t_max = float(thick.max())
     if t_max == t_min:
@@ -136,78 +133,74 @@ def predict_contacts_heuristic(grid: VoxelGrid) -> ContactMap:
 
 # -- clustering ---------------------------------------------------------------
 
+NEIGHBOR_CHUNK_PAIRS = 2048  # candidate pairs distance-tested at a time, whatever eps is
+
 
 def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DEFAULT_MIN_PTS):
     """Density clustering (DBSCAN) of thresholded contact voxels.
 
     Neighborhoods are Euclidean over voxel centers, tested as squared
-    distance <= eps**2; a point counts toward its own neighborhood. Seed and
-    expansion order is lexicographic voxel-index order, which pins border
-    point assignment. Noise is dropped. Clusters come back sorted by size
-    descending, ties by lowest member index.
-    """
+    distance <= eps**2; a point counts toward its own neighborhood. Seeds
+    are core points in lexicographic voxel-index order, which pins border
+    point assignment (to the first cluster that reaches it). Noise is
+    dropped. Clusters come back sorted by size descending, ties by lowest
+    member index. All neighborhoods are built first, as arrays; a cluster
+    then grows from its seed one ring of core points at a time."""
     grid = cm.grid
-    if eps is None:
-        eps = EPS_VOXELS * grid.voxel_size
+    eps = EPS_VOXELS * grid.voxel_size if eps is None else eps
     points = cm.contact_indices()
     if not points:
         raise ValueError("empty contact map")
-    centers = grid.centers(np.asarray(points, dtype=float))
-    n = len(points)
-    eps2 = eps * eps
-
-    # bucket index at cell size eps: neighbor candidates come from the
-    # 27 surrounding buckets
-    buckets: dict[Index, list[int]] = {}
-    keys = np.floor(centers / eps).astype(int)
-    for i in range(n):
-        buckets.setdefault((int(keys[i, 0]), int(keys[i, 1]), int(keys[i, 2])), []).append(i)
-
-    def neighborhood(i: int) -> list[int]:
-        kx, ky, kz = (int(v) for v in keys[i])
-        found = np.array([
-            j
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-            for j in buckets.get((kx + dx, ky + dy, kz + dz), ())
-        ])
-        d = centers[found] - centers[i]
-        # summed in the order of the scalar d0*d0 + d1*d1 + d2*d2
-        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps2
-        return sorted(found[near].tolist())
-
-    labels: list[int | None] = [None] * n
-    NOISE = -1
+    start, nbr = _neighborhoods(grid.centers(np.asarray(points, dtype=float)), eps, max(eps, grid.voxel_size))
+    core = np.diff(start) >= min_pts
+    labels = np.full(len(points), -1)  # -1: in no cluster (yet)
     cid = 0
-    for i in range(n):
-        if labels[i] is not None:
-            continue
-        seeds = neighborhood(i)
-        if len(seeds) < min_pts:
-            labels[i] = NOISE
-            continue
-        labels[i] = cid
-        queue = list(seeds)
-        qi = 0
-        while qi < len(queue):
-            j = queue[qi]
-            qi += 1
-            if labels[j] == NOISE:
-                labels[j] = cid  # border point, reclaimed from noise
-            if labels[j] is not None:
-                continue
-            labels[j] = cid
-            nj = neighborhood(j)
-            if len(nj) >= min_pts:
-                queue.extend(nj)
-        cid += 1
+    for seed in np.flatnonzero(core).tolist():
+        if labels[seed] < 0:
+            ring = np.array([seed])  # the seed is its own neighbor, so the first ring labels it
+            while len(ring):
+                reached = nbr[_ranges(start[ring], start[ring + 1] - start[ring])]
+                labels[reached[labels[reached] < 0]] = -2  # reached now: listed once below
+                reached = np.flatnonzero(labels == -2)
+                labels[reached] = cid
+                ring = reached[core[reached]]
+            cid += 1
+    clusters = [ContactCluster([points[k] for k in np.flatnonzero(labels == c).tolist()]) for c in range(cid)]
+    return sorted(clusters, key=lambda cl: (-cl.size, cl.member_indices[0]))
 
-    clusters = []
-    for c in range(cid):
-        clusters.append(ContactCluster(sorted(points[i] for i in range(n) if labels[i] == c)))
-    clusters.sort(key=lambda cl: (-cl.size, cl.member_indices[0]))
-    return clusters
+
+def _ranges(first, lens) -> np.ndarray:
+    """first[k], first[k] + 1, ..., first[k] + lens[k] - 1 for each k, in one array."""
+    return np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+def _neighborhoods(centers, eps: float, cell: float):
+    """Every neighborhood as CSR arrays (start, nbr): point i's neighbors are
+    nbr[start[i]:start[i + 1]], the points of the 27 buckets of edge `cell`
+    (>= eps) around its own with d0*d0 + d1*d1 + d2*d2 <= eps*eps."""
+    keys = np.floor(centers / cell).astype(int)
+    keys -= keys.min(axis=0) - 1  # every key and its lower neighbor >= 0
+    span = keys.max(axis=0) + 2
+    bucket = np.ravel_multi_index(keys.T, span)
+    order = np.argsort(bucket, kind="stable").astype(np.int32)  # so nbr takes 4 bytes a pair
+    by_bucket = bucket[order]
+    buckets = by_bucket[np.flatnonzero(np.diff(by_bucket, prepend=-1))]  # np.unique's first call: +1.5 MB RSS
+    inverse = np.searchsorted(buckets, bucket)
+    around = buckets[:, None] + (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ [span[1] * span[2], span[2], 1]
+    first, stop = (np.searchsorted(by_bucket, around, side=side) for side in ("left", "right"))
+    size = stop - first
+    per_point = size.sum(axis=1)[inverse]
+    step = max(1, NEIGHBOR_CHUNK_PAIRS // int(per_point.max()))
+    count, nbr = np.zeros(len(centers), dtype=int), []
+    for a in range(0, len(centers), step):
+        rows = inverse[a : a + step]
+        j = order[_ranges(first[rows].ravel(), size[rows].ravel())]
+        i = np.repeat(np.arange(a, a + len(rows)), per_point[a : a + step])
+        d = centers[j] - centers[i]
+        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps * eps
+        nbr.append(j[near])
+        count[a : a + step] = np.bincount(i[near] - a, minlength=len(rows))
+    return np.concatenate([[0], np.cumsum(count)]), np.concatenate(nbr)
 
 
 def largest_cluster(clusters) -> ContactCluster:

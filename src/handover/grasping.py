@@ -80,7 +80,8 @@ class GripperModel:
 
 def _inside(local, lo, hi) -> np.ndarray:
     """Which local points (xyz on the last axis) lie in [lo, hi] +- REGION_EPS."""
-    return ((local >= lo - REGION_EPS) & (local <= hi + REGION_EPS)).all(axis=-1)
+    inside = (local >= lo - REGION_EPS) & (local <= hi + REGION_EPS)
+    return inside[..., 0] & inside[..., 1] & inside[..., 2]  # faster than all() over 3
 
 
 @dataclass
@@ -231,29 +232,25 @@ def sample_grasps(
 
 def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
     """Per rotation in the (R, 3, 3) stack: does any point (voxel center)
-    fall inside a gripper box but outside the closing region?
-
-    Fused form of the boxes()/closing_region() tests; both fingers share
-    x/z bounds, so one |y| band covers them."""
-    local = (points - translation) @ rotations
+    fall inside a gripper box but outside the closing region? Fused form of
+    the boxes()/closing_region() tests: every box spans |x| <= hx, and |y|,
+    one value per point (column 1 of each frame is the closing axis), leaves
+    it one colliding z range: a finger band's, the palm above the region's."""
     ft, hfl, hw = gripper.finger_thickness, gripper.finger_length / 2.0, width / 2.0
-    hx = ft / 2.0
-    palm_z = (local[..., 2] >= hfl) & (local[..., 2] <= hfl + gripper.palm_depth)
-    ax, ay, az = np.abs(local, out=local).transpose(2, 0, 1)  # in place: one (R, N, 3) array
-    in_x = ax <= hx
-    finger = in_x & (ay >= hw) & (ay <= hw + ft) & (az <= hfl)
-    palm = in_x & (ay <= hw + ft) & palm_z
-    # a point in a box already has |x| <= hx, inside the region's x bound
-    in_region = (ay <= hw + REGION_EPS) & (az <= hfl + REGION_EPS)
-    return ((finger | palm) & ~in_region).any(axis=-1)
+    x, y, z = np.ascontiguousarray(((points - translation) @ rotations).transpose(2, 0, 1))
+    ay = np.abs(y[0])
+    z_lo = np.where(ay <= hw + REGION_EPS, np.nextafter(hfl + REGION_EPS, np.inf), -hfl)
+    z_lo[ay > hw + ft] = np.inf
+    hit = (z >= z_lo) & (z <= hfl + gripper.palm_depth)
+    hit &= np.abs(x, out=x) <= ft / 2.0
+    return hit.any(axis=-1)
 
 
 # -- occlusion + ranking ---------------------------------------------------------
 
-# (candidate, cluster voxel) pairs per occlusion block: each temporary stays
-# near 100 kB whatever the candidate count. 16384 ranked the five bundled
-# scenes ~0.1 s faster but raised a plan run's peak RSS by up to 1.6 MB.
-OCCLUSION_BLOCK_PAIRS = 4096
+# (candidate, cluster voxel) pairs per occlusion block, and pairs gathered for
+# the box tests: rank_grasps on rodball peaks near 0.47 MB under tracemalloc.
+OCCLUSION_BLOCK_PAIRS, OCCLUSION_FLUSH_PAIRS = 3072, 1024
 
 
 def occlusion_fraction(
@@ -275,29 +272,38 @@ def occlusion_fraction(
 
 def _occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
     """occlusion_fraction of every candidate, scored in blocks of at most
-    OCCLUSION_BLOCK_PAIRS (candidate, cluster voxel) pairs: per block, one
-    slab-test broadcast over candidates x voxels for each gripper box."""
+    OCCLUSION_BLOCK_PAIRS (candidate, cluster voxel) pairs. A segment that
+    misses the union box of the three gripper boxes misses each of them,
+    since (lo - o) / d rounds monotonically in lo. The pairs that hit it get
+    the three box tests once about OCCLUSION_FLUSH_PAIRS have gathered."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
     centers = grid.centers(cluster.member_indices)
     nrm = np.array([normals[i] for i in cluster.member_indices])
     origins = centers + 1.5 * grid.voxel_size * nrm
     max_dist = OCCLUSION_RAY_FACTOR * gripper.finger_length
+    hits, since, pending = np.zeros(len(candidates), dtype=int), 0, []  # blocks as (boxes, cand - since, o, d)
     block = max(1, OCCLUSION_BLOCK_PAIRS // cluster.size)
-    out: list[float] = []
     for start in range(0, len(candidates), block):
         chunk = candidates[start : start + block]
         rot = np.array([c.rotation for c in chunk])
         t = np.array([c.translation for c in chunk])[:, None, :]
         region = np.array([gripper.closing_region(c.width) for c in chunk])[:, :, None, :]
-        boxes = np.array([gripper.boxes(c.width) for c in chunk])[:, :, :, None, :]
-        hit = _inside((centers - t) @ rot, region[:, 0], region[:, 1])
+        covered = _inside((centers - t) @ rot, region[:, 0], region[:, 1])
+        hits[start : start + block] = np.count_nonzero(covered, axis=1)
         o_loc = (origins - t) @ rot
         d_loc = nrm @ rot
-        for b in range(boxes.shape[1]):
-            hit |= segments_hit_boxes(o_loc, d_loc, max_dist, boxes[:, b, 0], boxes[:, b, 1])
-        out.extend((np.count_nonzero(hit, axis=1) / cluster.size).tolist())
-    return out
+        boxes = np.array([gripper.boxes(c.width) for c in chunk])  # [candidate, box, lo/hi, xyz]
+        lo, hi = boxes[:, None, :, 0].min(axis=2), boxes[:, None, :, 1].max(axis=2)  # union box
+        c, v = np.nonzero(segments_hit_boxes(o_loc, d_loc, max_dist, lo, hi) & ~covered)
+        pending.append((boxes, c + (start - since), o_loc[c, v], d_loc[c, v]))
+        if sum(len(p[1]) for p in pending) >= OCCLUSION_FLUSH_PAIRS or start + block >= len(candidates):
+            boxes, cand, o_loc, d_loc = (np.concatenate(v) for v in zip(*pending))  # frees the block's arrays
+            hit = np.any([segments_hit_boxes(o_loc, d_loc, max_dist, boxes[cand, b, 0], boxes[cand, b, 1])
+                          for b in range(boxes.shape[1])], axis=0)
+            hits[since : since + len(boxes)] += np.bincount(cand[hit], minlength=len(boxes))
+            since, pending = since + len(boxes), []
+    return (hits / cluster.size).tolist()
 
 
 def contact_score(confidence: float, occlusion: float, lam: float) -> float:

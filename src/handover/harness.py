@@ -20,6 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .contacts import (
+    EPS_VOXELS,
     ContactCluster,
     ContactMap,
     cluster_contacts,
@@ -305,9 +306,14 @@ class SharedStages:
         return self._once("grasp", sample)
 
     def cluster(self) -> ContactCluster:
-        return self._once("contacts", lambda: largest_cluster(cluster_contacts(
-            self.scene.planning_contact_map(), self.params.eps, self.params.min_pts
-        )))
+        def largest(cm, p=self.params):
+            if clusters := cluster_contacts(cm, p.eps, p.min_pts):
+                return largest_cluster(clusters)
+            eps = EPS_VOXELS * cm.grid.voxel_size if p.eps is None else p.eps
+            raise ValueError(f"no contact cluster: all {len(cm.contact_indices())} contact voxels are noise "
+                             f"at eps={eps:g}, min_pts={p.min_pts}")
+
+        return self._once("contacts", lambda: largest(self.scene.planning_contact_map()))
 
     def ranking(self, lam: float) -> list:
         """rank_grasps at the first `lam` asked. Occlusion does not depend on

@@ -229,12 +229,8 @@ def voxelize_mesh(mesh: Mesh, dims=(64, 64, 64), padding: float = 0.05) -> Voxel
         if not inside.any():
             continue
         zhit = (w0 * v0[2] + w1 * v1[2] + w2 * v2[2]) / (w0 + w1 + w2)
-        for ii, iv in enumerate(ixs):
-            row = inside[ii]
-            if not row.any():
-                continue
-            for jj in np.nonzero(row)[0]:
-                crossings.setdefault((int(iv), int(iys[jj])), []).append(float(zhit[ii, jj]))
+        for ii, jj in zip(*np.nonzero(inside)):
+            crossings.setdefault((int(ixs[ii]), int(iys[jj])), []).append(float(zhit[ii, jj]))
 
     occ = np.zeros(dims, dtype=bool)
     for (ix, iy), zs in crossings.items():
@@ -253,7 +249,6 @@ def surface_voxels(grid: VoxelGrid) -> list[Index]:
     occ = grid.occupancy
     padded = np.pad(occ, 1, mode="constant", constant_values=False)
     exposed = np.zeros_like(occ)
-    core = (slice(1, -1),) * 3
     for axis in range(3):
         for shift in (-1, 1):
             sl = [slice(1, -1)] * 3
@@ -278,19 +273,16 @@ def estimate_normals(grid: VoxelGrid) -> dict[Index, np.ndarray]:
     acc = np.zeros((n, 3), dtype=float)
     base = surf_arr + 1  # padded coordinates
     for off in _OFFSETS_26:
-        off_i = off.astype(int)
-        nb = base + off_i
-        occ_nb = padded[nb[:, 0], nb[:, 1], nb[:, 2]]
-        acc -= off * occ_nb[:, None]
+        nb = base + off.astype(int)
+        acc -= off * padded[nb[:, 0], nb[:, 1], nb[:, 2]][:, None]
     norms = np.linalg.norm(acc, axis=1)
     centroid = grid.occupied_centers.mean(axis=0) if grid.occupied_count else grid.origin
     out: dict[Index, np.ndarray] = {}
-    for i, idx in enumerate(surf_arr):
-        key = (int(idx[0]), int(idx[1]), int(idx[2]))
+    for i, key in enumerate(grid.surface):
         if norms[i] > 1e-12:
             out[key] = acc[i] / norms[i]
             continue
-        v = grid.center(idx) - centroid
+        v = grid.center(key) - centroid
         vn = float(np.linalg.norm(v))
         out[key] = v / vn if vn > 1e-12 else np.array([0.0, 0.0, 1.0])
     return out
@@ -520,10 +512,13 @@ def read_grid_file(path, magic: str, floats: bool = False):
     body = lines[4:]
     if len(body) != nz * ny:
         raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(body)}")
-    is_bits = np.array([len(row) == nx and not row.strip("01") for row in body])
+    # the rows dims.x long, one byte a character ("?" if not ASCII); uint8 wraps below "0"
+    is_bits = np.fromiter(map(len, body), dtype=int, count=len(body)) == nx
+    rows = "".join(row for row, ok in zip(body, is_bits.tolist()) if ok).encode("ascii", "replace")
+    digits = np.frombuffer(rows, dtype=np.uint8).reshape(-1, nx) - ord("0")
+    is_bits[is_bits] = ok = (digits <= 1).all(axis=1)
     values = np.zeros((nz * ny, nx))
-    bits = "".join(row for row, ok in zip(body, is_bits) if ok).encode("ascii")
-    values[is_bits] = (np.frombuffer(bits, dtype=np.uint8) - ord("0")).reshape(-1, nx)
+    values[is_bits] = digits[ok]
     for r in np.flatnonzero(~is_bits).tolist():
         where = f"{path}: line {r + 5}"
         if not floats:

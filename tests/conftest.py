@@ -20,8 +20,10 @@ from handover.ergonomics import (
     SHOULDER_RANGE_DEG,
     UP,
 )
+from handover.contacts import EPS_VOXELS, ContactCluster
+from handover.grasping import OCCLUSION_RAY_FACTOR, REGION_EPS
 from handover.harness import Scene, SharedStages, load_scene
-from handover.voxelgeom import Mesh, VoxelGrid
+from handover.voxelgeom import Mesh, VoxelGrid, segments_hit_boxes
 
 
 def make_grid(occ, voxel_size=0.01, origin=(0.0, 0.0, 0.0)) -> VoxelGrid:
@@ -300,6 +302,106 @@ def oracle_candidates_csv(rows) -> str:
     for ts, te, h, _, _, ft, fd, total in rows:
         out.append(f"{ts:.1f},{te:.1f},{h[0]:.6f},{h[1]:.6f},{h[2]:.6f},{ft:.9f},{fd:.9f},{total:.9f}\n")
     return "".join(out)
+
+
+def oracle_collisions(gripper, rotations, translation, width, points) -> np.ndarray:
+    """The (roll, point) mask form of the collision test: per rotation in the
+    (R, 3, 3) stack, does any point fall inside a gripper box but outside the
+    closing region? The oracle for grasping._collisions."""
+    local = (points - translation) @ rotations
+    ft, hfl, hw = gripper.finger_thickness, gripper.finger_length / 2.0, width / 2.0
+    hx = ft / 2.0
+    palm_z = (local[..., 2] >= hfl) & (local[..., 2] <= hfl + gripper.palm_depth)
+    ax, ay, az = np.abs(local, out=local).transpose(2, 0, 1)
+    in_x = ax <= hx
+    finger = in_x & (ay >= hw) & (ay <= hw + ft) & (az <= hfl)
+    palm = in_x & (ay <= hw + ft) & palm_z
+    # a point in a box already has |x| <= hx, inside the region's x bound
+    in_region = (ay <= hw + REGION_EPS) & (az <= hfl + REGION_EPS)
+    return ((finger | palm) & ~in_region).any(axis=-1)
+
+
+def oracle_block_occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
+    """Occlusion fractions scored in blocks of about 4096 pairs, with every
+    (candidate, voxel) pair slab-tested against each of the three gripper
+    boxes. The oracle for grasping._occlusions."""
+    centers = grid.centers(cluster.member_indices)
+    nrm = np.array([normals[i] for i in cluster.member_indices])
+    origins = centers + 1.5 * grid.voxel_size * nrm
+    max_dist = OCCLUSION_RAY_FACTOR * gripper.finger_length
+    block = max(1, 4096 // cluster.size)
+    out: list[float] = []
+    for start in range(0, len(candidates), block):
+        chunk = candidates[start : start + block]
+        rot = np.array([c.rotation for c in chunk])
+        t = np.array([c.translation for c in chunk])[:, None, :]
+        region = np.array([gripper.closing_region(c.width) for c in chunk])[:, :, None, :]
+        boxes = np.array([gripper.boxes(c.width) for c in chunk])[:, :, :, None, :]
+        local = (centers - t) @ rot
+        hit = ((local >= region[:, 0] - REGION_EPS) & (local <= region[:, 1] + REGION_EPS)).all(axis=-1)
+        o_loc = (origins - t) @ rot
+        d_loc = nrm @ rot
+        for b in range(boxes.shape[1]):
+            hit |= segments_hit_boxes(o_loc, d_loc, max_dist, boxes[:, b, 0], boxes[:, b, 1])
+        out.extend((np.count_nonzero(hit, axis=1) / cluster.size).tolist())
+    return out
+
+
+def oracle_cluster_contacts(cm, eps=None, min_pts=4) -> list[ContactCluster]:
+    """DBSCAN with each neighbourhood found when the loop first needs it,
+    from the 27 buckets (edge eps) around the point. The oracle for
+    contacts.cluster_contacts."""
+    grid = cm.grid
+    if eps is None:
+        eps = EPS_VOXELS * grid.voxel_size
+    points = cm.contact_indices()
+    centers = grid.centers(np.asarray(points, dtype=float))
+    n = len(points)
+    eps2 = eps * eps
+    buckets: dict = {}
+    keys = np.floor(centers / eps).astype(int)
+    for i in range(n):
+        buckets.setdefault((int(keys[i, 0]), int(keys[i, 1]), int(keys[i, 2])), []).append(i)
+
+    def neighborhood(i: int) -> list[int]:
+        kx, ky, kz = (int(v) for v in keys[i])
+        found = np.array([
+            j
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1)
+            for j in buckets.get((kx + dx, ky + dy, kz + dz), ())
+        ])
+        d = centers[found] - centers[i]
+        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps2
+        return sorted(found[near].tolist())
+
+    labels: list = [None] * n
+    cid = 0
+    for i in range(n):
+        if labels[i] is not None:
+            continue
+        seeds = neighborhood(i)
+        if len(seeds) < min_pts:
+            labels[i] = -1
+            continue
+        labels[i] = cid
+        queue, qi = list(seeds), 0
+        while qi < len(queue):
+            j = queue[qi]
+            qi += 1
+            if labels[j] == -1:
+                labels[j] = cid  # border point, reclaimed from noise
+            if labels[j] is not None:
+                continue
+            labels[j] = cid
+            nj = neighborhood(j)
+            if len(nj) >= min_pts:
+                queue.extend(nj)
+        cid += 1
+    clusters = [ContactCluster(sorted(points[i] for i in range(n) if labels[i] == c)) for c in range(cid)]
+    clusters.sort(key=lambda cl: (-cl.size, cl.member_indices[0]))
+    return clusters
 
 
 def pipeline_context(scene: Scene, shared: SharedStages, lam: float) -> DeliveryContext:

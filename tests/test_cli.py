@@ -212,7 +212,7 @@ def test_plan_stage_failure_exits_2(suite_dir, capsys):
          "--set", "min_pts=100000"], capsys
     )
     assert code == 2
-    assert "failure=contacts: empty contact map" in stdout
+    assert "failure=contacts: no contact cluster: all 353 contact voxels are noise at eps=0.009, min_pts=100000" in stdout
 
 
 def test_plan_emit_diagnostics(suite_dir, tmp_path, capsys):

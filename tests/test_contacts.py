@@ -1,10 +1,12 @@
 """Contact map ingestion, the thickness heuristic, and density clustering."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import box_grid, make_grid
+from conftest import box_grid, make_grid, oracle_cluster_contacts
+from handover import suite
 from handover.contacts import (
     ContactMap,
     _run_lengths,
@@ -279,6 +281,45 @@ class TestClustering:
             cluster_contacts(cm)
         with pytest.raises(ValueError, match="empty contact map"):
             largest_cluster([])
+
+
+def bundled_and_heuristic_maps(scenes):
+    for name in suite.OBJECT_NAMES:
+        yield from ((f"{name}[{i}]", cm) for i, cm in enumerate(scenes[name].contact_maps))
+        yield f"{name}[heuristic]", predict_contacts_heuristic(scenes[name].grid)
+
+
+@pytest.mark.parametrize("eps_voxels, min_pts", [(None, 4), (2.3, 1), (1.7, 5), (3.6, 12), (1e3, 4), (3.0, 100000)])
+def test_clusters_equal_the_per_point_oracle_on_bundled_maps(scenes, eps_voxels, min_pts):
+    """Same clusters, member lists and order as DBSCAN with a neighbourhood
+    per point on every bundled and heuristic map: eps of 3 voxels (the
+    default), eps off the voxel lattice, eps wider than the 64-voxel grid,
+    min_pts 1 (every point is core) and 100000 (every point is noise)."""
+    for label, cm in bundled_and_heuristic_maps(scenes):
+        if eps_voxels == 1e3 and len(cm.contact_indices()) > 200:
+            continue  # the oracle's queue grows as n^2 when every point neighbours every other
+        eps = None if eps_voxels is None else eps_voxels * cm.grid.voxel_size
+        got = cluster_contacts(cm, eps, min_pts)
+        want = oracle_cluster_contacts(cm, eps, min_pts)
+        assert [c.member_indices for c in got] == [c.member_indices for c in want], label
+        assert got or min_pts > 1, label
+
+
+def test_cluster_memory_peak_on_the_largest_heuristic_map(scenes):
+    """mug's heuristic map is the largest bundled one (880 contact voxels).
+    Its DBSCAN with each neighbourhood found on demand peaked at 737,172 B
+    under tracemalloc (numpy 2.4, x86_64), mostly the expansion queue. With
+    the neighbourhoods built as arrays in bounded chunks it peaks near 459 kB."""
+    heuristic = {name: predict_contacts_heuristic(scenes[name].grid) for name in suite.OBJECT_NAMES}
+    cm = max(heuristic.values(), key=lambda m: len(m.contact_indices()))
+    assert cm is heuristic["mug"] and len(cm.contact_indices()) == 880
+    tracemalloc.start()
+    try:
+        cluster_contacts(cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 750_000
 
 
 def test_vgrid_vcontact_pair_survives_disk_round_trip(tmp_path):

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import box_grid, make_grid
+from conftest import box_grid, make_grid, oracle_block_occlusions, oracle_collisions
 from handover import grasping, suite
 from handover.contacts import ContactCluster, cluster_contacts, largest_cluster
 from handover.grasping import (
     MAX_NORMAL_OPPOSITION_DEG,
     MIN_CONFIDENCE,
     OCCLUSION_BLOCK_PAIRS,
+    OCCLUSION_FLUSH_PAIRS,
     OCCLUSION_RAY_FACTOR,
     REGION_EPS,
     ROLL_STEP_DEG,
@@ -457,6 +458,61 @@ def test_sampler_memory_peak_on_mug(scenes):
     finally:
         tracemalloc.stop()
     assert peak <= 4_000_000
+
+
+def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch):
+    """Every call of one sampler run on mug: the per-point z ranges give the
+    (roll, point) mask form's answer, bit for bit."""
+    calls = []
+
+    def recorded(gripper, rotations, translation, width, points):
+        out = collisions(gripper, rotations, translation, width, points)
+        calls.append((gripper, rotations, translation, width, points, out))
+        return out
+
+    collisions = grasping._collisions
+    monkeypatch.setattr(grasping, "_collisions", recorded)
+    scene = scenes["mug"]
+    sample_grasps(scene.grid, scene.grid.normals, scene.gripper, scene.params.max_grasps, 0)
+    assert len(calls) > 1000
+    for *args, out in calls:
+        want = oracle_collisions(*args)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("flush", [1, OCCLUSION_FLUSH_PAIRS, 10**9])
+def test_occlusions_equal_the_three_slab_oracle_at_block_edges(bundled_grasps, monkeypatch, flush):
+    """The union-box cull and the gathered box tests score every candidate
+    exactly as the three slab tests per pair do, for candidate counts on
+    each side of a block edge, and with the gathered pairs tested after
+    every block, at the default size, or once at the end."""
+    monkeypatch.setattr(grasping, "OCCLUSION_FLUSH_PAIRS", flush)
+    for name in ("hammer", "rodball"):
+        scene, cands, cluster = bundled_grasps[name]
+        grid, gripper = scene.grid, scene.gripper
+        block = OCCLUSION_BLOCK_PAIRS // cluster.size
+        assert 2 <= block < len(cands)
+        for n in (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, len(cands)):
+            want = oracle_block_occlusions(cands[:n], cluster, grid.normals, gripper, grid)
+            assert grasping._occlusions(cands[:n], cluster, grid.normals, gripper, grid) == want, (name, n)
+
+
+def test_rank_memory_peak_on_rodball(bundled_grasps):
+    """rodball holds the largest bundled planning cluster (993 voxels). With
+    every pair slab-tested against all three boxes in blocks of 4096 pairs,
+    rank_grasps on its 600 seed-0 candidates peaked at 488,292 B under
+    tracemalloc (numpy 2.4, x86_64), and 472,261 B with the union-box cull:
+    the pairs that meet the union box are gathered in bounded batches."""
+    scene, _, cluster = bundled_grasps["rodball"]
+    grid = scene.grid
+    cands = sample_grasps(grid, grid.normals, scene.gripper, scene.params.max_grasps, 0)
+    tracemalloc.start()
+    try:
+        rank_grasps(cands, cluster, scene.params.lam, grid.normals, scene.gripper, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500_000
 
 
 def assert_ranking_matches_oracle(cands, cluster, scene, lam):

@@ -139,7 +139,7 @@ def test_pipeline_deterministic_modulo_duration(scenes):
 def test_stage_failure_recorded_not_raised(scenes):
     scene = scene_with(scenes["hammer"], min_pts=100000)
     report = run_pipeline(scene, "FULL", seed=0)
-    assert report.failure == "contacts: empty contact map"
+    assert report.failure == "contacts: no contact cluster: all 353 contact voxels are noise at eps=0.009, min_pts=100000"
     assert report.success is False
     assert report.metrics is None
     assert report.stages == ["grasp", "contacts"]
@@ -382,7 +382,7 @@ def test_shared_empty_cluster_fails_every_mode_alike(scenes):
         fresh = run_pipeline(scene, mode, 0)
         report = run_pipeline(scene, mode, 0, shared=shared)
         assert (report.stages, report.failure) == (fresh.stages, fresh.failure) == (
-            ["grasp", "contacts"], "contacts: empty contact map"
+            ["grasp", "contacts"], "contacts: no contact cluster: all 353 contact voxels are noise at eps=0.009, min_pts=100000"
         )
 
 

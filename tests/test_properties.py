@@ -17,8 +17,9 @@ from handover import cli
 from handover.contacts import ContactMap
 from handover.delivery import BODY_PROXY_DIMS
 from handover.ergonomics import HumanModel
-from handover.grasping import GripperModel
+from handover.grasping import OCCLUSION_RAY_FACTOR, GripperModel
 from handover.harness import SCENE_FIELDS, AblationMode, PipelineParams, Scene, SharedStages, run_pipeline
+from handover.voxelgeom import segments_hit_boxes
 
 from conftest import absolutized_config, make_grid
 
@@ -137,3 +138,29 @@ def test_an_odd_value_that_loads_plans_to_a_finite_report(suite_dir, tmp_path, s
         code = cli.main(["plan", str(path), "--out", str(out)])
     assert code in (0, 2)
     json.dumps(json.loads(out.read_text()), allow_nan=False)
+
+
+@st.composite
+def gripper_segments(draw):
+    """A gripper at a random opening, its three boxes, and 64 segments. Each
+    coordinate is random, exactly zero, or on (or one ulp off) a box face."""
+    gripper = GripperModel(**{f.name: draw(st.floats(0.005, 0.25)) for f in fields(GripperModel)})
+    boxes = np.array(gripper.boxes(draw(st.floats(0.001, 1.0)) * gripper.max_width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    faces = rng.choice(boxes.ravel(), size=(64, 2, 3))
+    faces = np.nextafter(faces, faces + rng.choice([-1.0, 0.0, 1.0], size=faces.shape))
+    kind = rng.integers(0, 3, size=faces.shape)
+    segs = np.where(kind == 0, rng.uniform(-0.6, 0.6, size=faces.shape), np.where(kind == 1, 0.0, faces))
+    return gripper, boxes, segs[:, 0], segs[:, 1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(gripper_segments())
+def test_a_segment_that_misses_the_union_box_misses_every_gripper_box(case):
+    """The occlusion kernel's exact cull: the union box's slab bounds are
+    bounds of each box's, so a miss there is a miss on all three."""
+    gripper, boxes, origins, dirs = case
+    t_max = OCCLUSION_RAY_FACTOR * gripper.finger_length
+    union = segments_hit_boxes(origins, dirs, t_max, boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0))
+    for lo, hi in boxes:
+        assert not (segments_hit_boxes(origins, dirs, t_max, lo, hi) & ~union).any()
