@@ -150,10 +150,13 @@ def sample_grasps(
     within max_width. Each pair spawns one candidate per 45-degree roll of
     the approach axis about the closing axis; candidates that collide with
     occupied voxels outside the closing region, or whose alignment
-    confidence falls below 0.23, are dropped. Sampling stops after the voxel
-    that fills the pool to max(8 * max_candidates, 64), which no bundled
-    scene reaches. At most `max_candidates` survive, highest confidence
-    first (stable in generation order).
+    confidence falls below 0.23, are dropped. At most `max_candidates`
+    survive, highest confidence first (stable in generation order). Sampling
+    stops after the pair that brings max_candidates free candidates to
+    confidence 1.0, or after the voxel that fills the pool to
+    max(8 * max_candidates, 64), whichever comes first. The first stop is
+    exact: confidence is clipped to 1.0 and ties keep generation order, so no
+    later candidate can enter the result. Every bundled scene stops there.
 
     The order is probed SAMPLE_CHUNK voxels at a time, as one array of
     probe cells and one sorted lookup; their pairs are filtered and given
@@ -180,7 +183,7 @@ def sample_grasps(
     # over all rolls the gripper sweeps a disc this far from the closing axis
     radial_sq = (math.hypot(ft / 2, hfl + gripper.palm_depth) + CULL_MARGIN) ** 2
     ring_sq = max(hfl - CULL_MARGIN, 0.0) ** 2
-    pool, kept = 0, []
+    pool, top, kept = 0, 0, []  # top: free candidates at confidence 1.0
     for start in range(0, len(order), SAMPLE_CHUNK):
         block = order[start : start + SAMPLE_CHUNK]
         probe = centers[block, None] - step_lens[:, None] * nrm[block, None]
@@ -217,12 +220,14 @@ def sample_grasps(
             # in reach, and in a finger band or the palm ring
             touch = (along <= hi) & (r2 <= radial_sq) & ((along >= lo) | (r2 >= ring_sq))
             free[k] = ~_collisions(gripper, rots[k], mid[k], width[k], occupied[touch])
-            pool += int(np.count_nonzero(free[k]))
-            if pool >= pool_cap and (k + 1 == len(rows) or rows[k + 1] != rows[k]):
+            n_free = int(np.count_nonzero(free[k]))
+            pool += n_free
+            top += n_free if confidence[k] == 1.0 else 0
+            if top >= max_candidates or pool >= pool_cap and (k + 1 == len(rows) or rows[k + 1] != rows[k]):
                 break
         pair, roll = np.nonzero(free)
         kept.append((pi[pair], qi[pair], width[pair], confidence[pair], mid[pair], rots[pair, roll]))
-        if pool >= pool_cap:
+        if top >= max_candidates or pool >= pool_cap:
             break
     pi, qi, width, confidence, mid, rots = (np.concatenate(v) for v in zip(*kept))
     best = np.argsort(-confidence, kind="stable")[:max_candidates]

@@ -231,9 +231,11 @@ class TestScoringAndRanking:
 # -- batched kernels against the per-roll / per-candidate reference -------------
 
 
-def oracle_sample_grasps(grid, normals, gripper, max_candidates, seed):
+def oracle_sample_grasps(grid, normals, gripper, max_candidates, seed, tested=None):
     """Reference sampler: one frame and one collision test per roll, the probe
-    walk as a Python loop over cells (the unbatched form of sample_grasps)."""
+    walk as a Python loop over cells (the unbatched form of sample_grasps).
+    It stops only at the pool cap. Given a list `tested`, it appends
+    (surface voxel, confidence, free rolls) for each pair it tests."""
     surface = grid.surface
     vs = grid.voxel_size
     order = np.random.default_rng(seed).permutation(len(surface))
@@ -284,12 +286,15 @@ def oracle_sample_grasps(grid, normals, gripper, max_candidates, seed):
             b0 = seed_axis - np.dot(seed_axis, axis) * axis
             b0 = b0 / np.linalg.norm(b0)
             b1 = np.cross(axis, b0)
+            pooled = len(pool)
             for theta in rolls:
                 z = -(math.cos(theta) * b0 + math.sin(theta) * b1)
                 rot = np.column_stack([np.cross(axis, z), axis, z])
                 if oracle_collides(gripper, rot, mid, width, near):
                     continue
                 pool.append(GraspCandidate(rot, mid, width, confidence, (p, q)))
+            if tested is not None:
+                tested.append((p, confidence, len(pool) - pooled))
         if len(pool) >= pool_cap:
             break
     ranked = sorted(range(len(pool)), key=lambda i: (-pool[i].confidence, i))
@@ -357,9 +362,28 @@ def bundled_grasps(scenes):
     return out
 
 
-def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypatch):
-    """Bitwise the same candidates, and the same number of pairs
-    collision-tested: both samplers stop after the same surface voxel."""
+def sampler_stop(tested, max_candidates):
+    """From the oracle's record of tested pairs: how many of them the sampler
+    tests, and which rule stops it. It stops at the pair that brings
+    max_candidates free candidates to confidence 1.0 ("ceiling"), or at the
+    end of the voxel that fills the pool to its cap ("cap"), whichever
+    comes first; None when neither does."""
+    pool_cap = max(8 * max_candidates, 64)
+    pool = top = 0
+    for k, (p, confidence, free) in enumerate(tested):
+        pool += free
+        top += free if confidence == 1.0 else 0
+        if top >= max_candidates:
+            return k + 1, "ceiling"
+        if pool >= pool_cap and (k + 1 == len(tested) or tested[k + 1][0] != p):
+            return k + 1, "cap"
+    return len(tested), None
+
+
+def assert_sampler_matches_oracle(grid, normals, gripper, max_candidates, seed, monkeypatch):
+    """Bitwise the same candidates, and exactly as many pairs
+    collision-tested as sampler_stop derives from the oracle's record.
+    Returns the rule that stopped the sampler."""
     tests = {"sampler": 0, "oracle": 0}
 
     def counted(key, fn):
@@ -371,9 +395,12 @@ def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypat
 
     monkeypatch.setattr(grasping, "_collisions", counted("sampler", grasping._collisions))
     monkeypatch.setitem(globals(), "oracle_collides", counted("oracle", oracle_collides))
-    cands = sample_grasps(grid, grid.normals, gripper, max_candidates, seed)
-    expect = oracle_sample_grasps(grid, grid.normals, gripper, max_candidates, seed)
-    assert tests["oracle"] == round(360 / ROLL_STEP_DEG) * tests["sampler"]  # one test per roll
+    cands = sample_grasps(grid, normals, gripper, max_candidates, seed)
+    tested = []
+    expect = oracle_sample_grasps(grid, normals, gripper, max_candidates, seed, tested)
+    assert tests["oracle"] == round(360 / ROLL_STEP_DEG) * len(tested)  # one test per roll
+    pairs, stop = sampler_stop(tested, max_candidates)
+    assert tests["sampler"] == pairs
     assert cands and len(cands) == len(expect)
     for got, ref in zip(cands, expect):
         assert got.rotation.tobytes() == ref.rotation.tobytes()
@@ -383,31 +410,55 @@ def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypat
             ref.confidence,
             ref.contact_pair,
         )
+    return stop
 
 
 @pytest.mark.parametrize("name", suite.OBJECT_NAMES)
 def test_sampler_matches_per_roll_oracle_bitwise(scenes, name, monkeypatch):
-    """At the scene's max_grasps the pool cap is never reached."""
+    """At the scene's max_grasps (pool cap 4800)."""
     scene = scenes[name]
-    assert_sampler_matches_oracle(scene.grid, scene.gripper, scene.params.max_grasps, 1, monkeypatch)
+    grid = scene.grid
+    assert_sampler_matches_oracle(grid, grid.normals, scene.gripper, scene.params.max_grasps, 1, monkeypatch)
 
 
-@pytest.mark.parametrize("max_candidates", [20, 1])
+@pytest.mark.parametrize("max_candidates", [100, 20, 1])
 @pytest.mark.parametrize("name", suite.OBJECT_NAMES)
 def test_sampler_stops_where_the_per_roll_oracle_stops(scenes, name, max_candidates, monkeypatch):
-    """At 20 and 1 (pool caps 160 and 64) both samplers stop early."""
+    """At 100, 20 and 1 (pool caps 800, 160 and 64) the oracle stops early too."""
     scene = scenes[name]
-    assert_sampler_matches_oracle(scene.grid, scene.gripper, max_candidates, 1, monkeypatch)
+    grid = scene.grid
+    assert_sampler_matches_oracle(grid, grid.normals, scene.gripper, max_candidates, 1, monkeypatch)
+
+
+def stacked_cubes():
+    """Two stacked 3 cm cubes: a probe from the top face pairs with the
+    bottom of the upper cube and then with the bottom of the lower one, so
+    the pool can fill before a voxel's last pair."""
+    occ = np.zeros((12, 12, 20), dtype=bool)
+    occ[4:7, 4:7, 2:5] = occ[4:7, 4:7, 7:10] = True
+    return make_grid(occ)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sampler_finishes_the_voxel_that_fills_the_pool(seed, monkeypatch):
-    """Two stacked 3 cm cubes: a probe from the top face pairs with the
-    bottom of the upper cube and then with the bottom of the lower one, so
-    the pool can fill before a voxel's last pair, which is still tested."""
-    occ = np.zeros((12, 12, 20), dtype=bool)
-    occ[4:7, 4:7, 2:5] = occ[4:7, 4:7, 7:10] = True
-    assert_sampler_matches_oracle(make_grid(occ), GRIPPER, 1, seed, monkeypatch)
+    """With every normal tilted 2 degrees about (1, 2, 3) no candidate of
+    the stacked cubes reaches confidence 1.0, so only the pool cap stops
+    the sampler, and the voxel's last pair is still tested."""
+    grid = stacked_cubes()
+    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    theta = math.radians(2.0)
+    tilt = np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * k @ k  # Rodrigues
+    normals = {i: tilt @ n for i, n in grid.normals.items()}
+    assert assert_sampler_matches_oracle(grid, normals, GRIPPER, 1, seed, monkeypatch) == "cap"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampler_stops_once_max_candidates_reach_the_ceiling(seed, monkeypatch):
+    """Untilted, the stacked cubes' candidates sit at confidence 1.0: the
+    sampler stops at the first free one, before the pool cap."""
+    grid = stacked_cubes()
+    assert assert_sampler_matches_oracle(grid, grid.normals, GRIPPER, 1, seed, monkeypatch) == "ceiling"
 
 
 def test_collision_cull_keeps_every_answer(scenes, monkeypatch):
@@ -461,8 +512,9 @@ def test_sampler_memory_peak_on_mug(scenes):
 
 
 def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch):
-    """Every call of one sampler run on mug: the per-point z ranges give the
-    (roll, point) mask form's answer, bit for bit."""
+    """Every call of sampler runs on mug, seed after seed until more than
+    1000: the per-point z ranges give the (roll, point) mask form's answer,
+    bit for bit."""
     calls = []
 
     def recorded(gripper, rotations, translation, width, points):
@@ -473,7 +525,10 @@ def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch)
     collisions = grasping._collisions
     monkeypatch.setattr(grasping, "_collisions", recorded)
     scene = scenes["mug"]
-    sample_grasps(scene.grid, scene.grid.normals, scene.gripper, scene.params.max_grasps, 0)
+    for seed in range(5):  # a run stops at its 600th candidate at 1.0: about 260 calls
+        sample_grasps(scene.grid, scene.grid.normals, scene.gripper, scene.params.max_grasps, seed)
+        if len(calls) > 1000:
+            break
     assert len(calls) > 1000
     for *args, out in calls:
         want = oracle_collisions(*args)
