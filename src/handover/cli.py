@@ -73,17 +73,32 @@ def _run_group(job):
     return [run_pipeline(scene, mode, seed, emit_diagnostics=emit, shared=shared) for mode in modes]
 
 
+def _entries(flag: str, text: str, parse) -> list:
+    """The comma separated entries of `flag`, each parsed. A bad or repeated
+    entry is a ValueError naming the flag."""
+    try:
+        entries = [parse(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+    if len(set(entries)) < len(entries):
+        raise ValueError(f"{flag} repeats an entry: {text}")
+    return entries
+
+
 def _cmd_bench(args) -> int:
-    scene_paths = sorted(p for pattern in args.scenes for p in glob.glob(pattern))
+    modes = _entries("--modes", args.modes, AblationMode)
+    seeds = _entries("--seeds", args.seeds, lambda s: harness.resolve_seed(int(s)))
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # a file that several patterns match runs once
+    matched = {os.path.realpath(p): p for pattern in args.scenes for p in glob.glob(pattern)}
+    scene_paths = sorted(matched.values())
     if not scene_paths:
         print("no scenes matched", file=sys.stderr)
         return 1
-    modes = [AblationMode(m) for m in (args.modes.split(",") if args.modes else
-                                       [m.value for m in AblationMode])]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(range(5))
     scenes = [load_scene(path) for path in scene_paths]
     groups = [(scene, seed, modes, args.emit_diagnostics) for scene in scenes for seed in seeds]
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             runs = list(pool.map(_run_group, groups))
     else:
@@ -141,8 +156,9 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run the mode x seed grid over many scenes")
     p_bench.add_argument("scenes", nargs="+", help="scene JSON paths or globs")
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--modes", help="comma separated subset, default all")
-    p_bench.add_argument("--seeds", help="comma separated seeds, default 0-4")
+    p_bench.add_argument("--modes", default=",".join(m.value for m in AblationMode),
+                         help="comma separated subset, default all")
+    p_bench.add_argument("--seeds", default="0,1,2,3,4", help="comma separated seeds, default 0-4")
     p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--emit-diagnostics", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)

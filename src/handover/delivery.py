@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .contacts import ContactCluster
 from .ergonomics import HumanModel
 from .grasping import GripperModel
-from .voxelgeom import VoxelGrid
+from .voxelgeom import VoxelGrid, cos_sin_deg
 
 DEFAULT_STEP_DEG = 45.0
-MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, deduplicated in O(n^2)
-DEDUP_TOL = 1e-9
+MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, all scored by each search
 OBJECTIVE_TIE_TOL = 1e-9  # objectives this close are tie-broken by rotation angle
 MIN_OBJECT_HEIGHT = 0.40
 BODY_CAPSULE_RADIUS = 0.20
@@ -33,55 +32,34 @@ BODY_PROXY_DIMS = (0.5, 0.5, 1.1)  # robot stand-in box: footprint x, y, height
 BOUND_MARGIN = 1e-6  # m; a check is skipped only when its bound clears by this
 
 
-def _rot_x(deg: float) -> np.ndarray:
-    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _direction_frame(az_deg: float, el_deg: float) -> np.ndarray:
-    """Rotation taking +x to the (azimuth, elevation) direction, +y to the
-    azimuth tangent and +z to the elevation tangent. Identity at (0, 0)."""
-    az, el = math.radians(az_deg), math.radians(el_deg)
-    ca, sa, ce, se = math.cos(az), math.sin(az), math.cos(el), math.sin(el)
-    d = np.array([ce * ca, ce * sa, se])
-    v = np.array([-sa, ca, 0.0])
-    u = np.array([-se * ca, -se * sa, ce])
-    return np.column_stack([d, v, u])
-
-
 def rotation_angle_deg(rotation: np.ndarray) -> float:
     """Geodesic distance from the identity, in degrees."""
     t = (float(np.trace(rotation)) - 1.0) / 2.0
     return math.degrees(math.acos(min(max(t, -1.0), 1.0)))
 
 
-@lru_cache(maxsize=8)
-def _sample_orientations_cached(step: float):
+def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
+    """Read-only rotations in (azimuth, elevation, roll) order: each takes +x
+    to the (azimuth, elevation) direction, +y to the azimuth tangent and +z
+    to the elevation tangent, after a roll about +x. The (0, 0, 0) node is
+    the identity. At a pole every azimuth repeats azimuth 0's rotations, so
+    a pole keeps azimuth 0 only; no other two nodes coincide."""
+    step = float(step)
     if step <= 0 or 360.0 % step != 0.0:
         raise ValueError("step must be positive and divide 360")
-    azimuths = [k * step for k in range(int(360.0 // step))]
     n_el = int(math.floor(90.0 / step + 1e-9))
-    elevations = [k * step for k in range(-n_el, n_el + 1)]
-    rolls = azimuths
-    kept = np.empty((len(azimuths) * len(elevations) * len(rolls), 3, 3))
-    n = 0
-    for az in azimuths:
-        for el in elevations:
-            for roll in rolls:
-                r = _direction_frame(az, el) @ _rot_x(roll)
-                if not (np.abs(kept[:n] - r).max(axis=(1, 2)) <= DEDUP_TOL).any():
-                    kept[n] = r
-                    n += 1
-    kept = kept[:n]
-    kept.setflags(write=False)
-    return tuple(kept)
-
-
-def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
-    """Spherical direction grid x roll grid, duplicates removed (the grid
-    degenerates at the poles). Order follows the (azimuth, elevation, roll)
-    enumeration and always contains the identity."""
-    return list(_sample_orientations_cached(float(step)))
+    az = np.arange(int(360.0 // step)) * step
+    el = np.arange(-n_el, n_el + 1) * step
+    cr, sr = cos_sin_deg(az)  # the rolls take the azimuth steps
+    ca, sa, ce, se = np.broadcast_arrays(cr[:, None], sr[:, None], *cos_sin_deg(el))
+    zero = np.zeros_like(ca)
+    frames = np.stack([ce * ca, -sa, -se * ca, ce * sa, ca, -se * sa, se, zero, ce], -1)
+    one, zero = np.ones_like(cr), np.zeros_like(cr)
+    rolls = np.stack([one, zero, zero, zero, cr, -sr, zero, sr, cr], -1)
+    keep = (az == 0.0)[:, None] | (np.abs(el) != 90.0)
+    rotations = (frames.reshape(*keep.shape, 1, 3, 3) @ rolls.reshape(-1, 3, 3))[keep].reshape(-1, 3, 3)
+    rotations.setflags(write=False)
+    return list(rotations)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ forearm forward/up. All angles in degrees.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .voxelgeom import check_fields, row_dots, rule
+from .voxelgeom import check_fields, cos_sin_deg, row_dots, rule
 
 GRAVITY = 9.81
 
@@ -121,14 +120,9 @@ class ArmPoses:
 
 def _plane_dirs(deg: np.ndarray, facing: np.ndarray) -> np.ndarray:
     """In-plane directions at angles `deg` from straight down toward facing,
-    shape deg.shape + (3,). sin and cos come from math, once per distinct
-    angle: np.sin can round differently."""
-    angles, inverse = np.unique(deg, return_inverse=True)
-    rad = [math.radians(a) for a in angles.tolist()]
-    shape = deg.shape + (1,)
-    sin = np.array([math.sin(r) for r in rad])[inverse].reshape(shape)
-    cos = np.array([math.cos(r) for r in rad])[inverse].reshape(shape)
-    return sin * facing - cos * UP
+    shape deg.shape + (3,)."""
+    cos, sin = cos_sin_deg(deg)
+    return sin[..., None] * facing - cos[..., None] * UP
 
 
 def forward_kinematics(shoulder_deg, elbow_deg, human: HumanModel):

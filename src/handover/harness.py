@@ -265,6 +265,14 @@ def _bitmap(flags: dict) -> dict:
     return {",".join(map(str, idx)): v for idx, v in flags.items()}
 
 
+def resolve_seed(seed, params: PipelineParams | None = None) -> int:
+    """The run's seed: `seed`, or params.seed when it is None. A seed that
+    breaks the `seed` rule is a caller error (ValueError)."""
+    if seed is None:
+        return params.seed
+    return check_value("integer", seed, "parameter 'seed'", "[0, inf)")
+
+
 class SharedStages:
     """The mode-independent stage results of one (scene, seed).
 
@@ -281,7 +289,7 @@ class SharedStages:
     def __init__(self, scene: Scene, seed: int | None = None):
         self.scene = scene
         self.params = scene.params
-        self.seed = self.params.seed if seed is None else int(seed)
+        self.seed = resolve_seed(seed, self.params)
         self._results: dict = {}
 
     def _once(self, key, compute):
@@ -349,12 +357,13 @@ def run_pipeline(
     report carries the failing stage and message instead.
 
     `shared` carries the mode-independent stages of this (scene, seed) from
-    one mode to the next; a fresh one is made when it is None. One bound to
-    another scene, params object or seed is a caller error (ValueError).
+    one mode to the next; a fresh one is made when it is None. A seed that
+    breaks the `seed` rule, or shared stages bound to another scene, params
+    object or seed, is a caller error (ValueError).
     """
     mode = AblationMode(mode) if not isinstance(mode, AblationMode) else mode
     params = scene.params
-    seed = params.seed if seed is None else int(seed)
+    seed = resolve_seed(seed, params)
     if shared is None:
         shared = SharedStages(scene, seed)
     elif shared.scene is not scene or shared.params is not params or shared.seed != seed:

@@ -26,125 +26,50 @@ DIMS = (64, 64, 64)
 # nominal tabletop placement in front of the robot's starting spot
 ORIGIN = np.array([2.35, -0.096, 0.72])
 
-OBJECT_NAMES = ("hammer", "pan", "mug", "knife", "rodball")
+
+def _box(x, y, z, x0, x1, y0, y1, z0, z1):
+    return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1) & (z0 <= z) & (z <= z1)
 
 
-def _empty() -> np.ndarray:
-    return np.zeros(DIMS, dtype=bool)
+def _cylinder_z(x, y, z, cx, cy, radius, z0, z1):
+    return ((x - cx) ** 2 + (y - cy) ** 2 <= radius * radius) & (z0 <= z) & (z <= z1)
 
 
-def _box(occ, x0, x1, y0, y1, z0, z1):
-    occ[x0 : x1 + 1, y0 : y1 + 1, z0 : z1 + 1] = True
+def _ball(x, y, z, cx, cy, cz, radius):
+    return (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= radius * radius
 
 
-def _cylinder_z(occ, cx, cy, radius, z0, z1):
-    xs, ys = np.meshgrid(np.arange(DIMS[0]), np.arange(DIMS[1]), indexing="ij")
-    disk = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius
-    occ[:, :, z0 : z1 + 1] |= disk[:, :, None]
-
-
-def _ball(occ, cx, cy, cz, radius):
-    xs, ys, zs = np.meshgrid(
-        np.arange(DIMS[0]), np.arange(DIMS[1]), np.arange(DIMS[2]), indexing="ij"
-    )
-    occ |= (xs - cx) ** 2 + (ys - cy) ** 2 + (zs - cz) ** 2 <= radius * radius
-
-
-def _grid(occ) -> VoxelGrid:
-    return VoxelGrid(DIMS, VOXEL_SIZE, ORIGIN.copy(), occ)
-
-
-def _surface_map(grid: VoxelGrid, pred) -> ContactMap:
-    values = {idx: 1.0 for idx in grid.surface if pred(*idx)}
-    if not values:
-        raise ValueError("empty contact map")
-    return ContactMap(grid, values)
-
-
-def build_hammer():
-    """Flat-head hammer held by the head plate; the handle is marked."""
-    occ = _empty()
-    _box(occ, 8, 12, 30, 32, 24, 40)  # head plate (the grip zone)
-    _box(occ, 13, 56, 30, 32, 30, 32)  # handle, 9 mm square
-    grid = _grid(occ)
-    preds = [
-        lambda x, y, z: x >= 13,  # whole handle
-        lambda x, y, z: x >= 54,  # handle end
-        lambda x, y, z: 52 <= x <= 56 and z >= 31,  # top band at the end
-    ]
-    return grid, [_surface_map(grid, p) for p in preds]
-
-
-def build_pan():
-    """Shallow dish with a straight side handle; the dish is the grip zone."""
-    occ = _empty()
-    _cylinder_z(occ, 17, 32, 9, 29, 32)  # dish slab
-    _box(occ, 27, 56, 30, 32, 29, 32)  # handle
-    grid = _grid(occ)
-    preds = [
-        lambda x, y, z: x >= 13,  # dish far arc and whole handle
-        lambda x, y, z: x >= 54,  # handle end
-        lambda x, y, z: 50 <= x <= 56 and z >= 31,  # top band at the end
-    ]
-    return grid, [_surface_map(grid, p) for p in preds]
-
-
-def build_mug():
-    """Small cup with a straight side handle; the cup is the grip zone."""
-    occ = _empty()
-    _cylinder_z(occ, 15, 32, 7, 14, 32)  # body
-    _box(occ, 20, 56, 30, 32, 22, 25)  # handle at mid-wall height
-    grid = _grid(occ)
-    preds = [
-        lambda x, y, z: x >= 13,  # cup far arc and whole handle
-        lambda x, y, z: x >= 54,  # handle end
-        lambda x, y, z: 51 <= x <= 56 and z >= 24,  # top band at the end
-    ]
-    return grid, [_surface_map(grid, p) for p in preds]
-
-
-def build_knife():
-    """Flat blade (the grip zone for a tool-safe handover) plus marked handle."""
-    occ = _empty()
-    _box(occ, 8, 22, 30, 31, 26, 38)  # blade, 6 mm thick
-    _box(occ, 23, 56, 29, 32, 29, 34)  # handle
-    grid = _grid(occ)
-    preds = [
-        lambda x, y, z: x >= 13,  # blade outer half and whole handle
-        lambda x, y, z: x >= 54,  # handle end
-        lambda x, y, z: 52 <= x <= 56 and z >= 32,  # top band at the end
-    ]
-    return grid, [_surface_map(grid, p) for p in preds]
-
-
-def build_rodball():
-    """Thin rod ending in a ball; the rod is the grip zone."""
-    occ = _empty()
-    _box(occ, 8, 39, 30, 32, 30, 32)  # rod, 9 mm square
-    _ball(occ, 47, 31, 31, 9)
-    grid = _grid(occ)
-    preds = [
-        lambda x, y, z: x >= 13,  # rod far section and whole ball
-        lambda x, y, z: x >= 52,  # far cap
-        lambda x, y, z: x >= 50 and z >= 32,  # upper far cap
-    ]
-    return grid, [_surface_map(grid, p) for p in preds]
-
-
-_BUILDERS = {
-    "hammer": build_hammer,
-    "pan": build_pan,
-    "mug": build_mug,
-    "knife": build_knife,
-    "rodball": build_rodball,
+# name: (shapes, map-1 x floor, map-2 (x, z) floor). Every handle or far cap
+# ends at x = 56, so map 1 is the handle end and map 2 its top band.
+OBJECTS = {
+    # flat-head hammer held by the head plate (x 8-12); the 9 mm square handle is marked
+    "hammer": ([(_box, 8, 12, 30, 32, 24, 40), (_box, 13, 56, 30, 32, 30, 32)], 54, (52, 31)),
+    # shallow dish with a straight side handle; the dish is the grip zone
+    "pan": ([(_cylinder_z, 17, 32, 9, 29, 32), (_box, 27, 56, 30, 32, 29, 32)], 54, (50, 31)),
+    # small cup with a handle at mid-wall height; the cup is the grip zone
+    "mug": ([(_cylinder_z, 15, 32, 7, 14, 32), (_box, 20, 56, 30, 32, 22, 25)], 54, (51, 24)),
+    # 6 mm flat blade (the grip zone for a tool-safe handover) plus marked handle
+    "knife": ([(_box, 8, 22, 30, 31, 26, 38), (_box, 23, 56, 29, 32, 29, 34)], 54, (52, 32)),
+    # thin 9 mm square rod ending in a ball; the rod is the grip zone
+    "rodball": ([(_box, 8, 39, 30, 32, 30, 32), (_ball, 47, 31, 31, 9)], 52, (50, 32)),
 }
+OBJECT_NAMES = tuple(OBJECTS)
 
 
 def build_object(name: str):
-    """(VoxelGrid, [ContactMap x3]) for a bundled object."""
-    if name not in _BUILDERS:
+    """(VoxelGrid, [ContactMap x3]) for a bundled object: the union of its
+    shapes, and one map per floor, marking each surface voxel at or past it."""
+    if name not in OBJECTS:
         raise ValueError(f"unknown bundled object {name!r}")
-    return _BUILDERS[name]()
+    shapes, map1_x, map2_floor = OBJECTS[name]
+    x, y, z = np.ogrid[: DIMS[0], : DIMS[1], : DIMS[2]]
+    occ = np.zeros(DIMS, dtype=bool)
+    for shape, *args in shapes:
+        occ |= shape(x, y, z, *args)
+    grid = VoxelGrid(DIMS, VOXEL_SIZE, ORIGIN.copy(), occ)
+    floors = ((13, 0), (map1_x, 0), map2_floor)  # map 0: all but the grip feature
+    return grid, [ContactMap(grid, {idx: 1.0 for idx in grid.surface if idx[0] >= x_lo and idx[2] >= z_lo})
+                  for x_lo, z_lo in floors]
 
 
 def default_scene_config(name: str) -> dict:

@@ -291,6 +291,15 @@ def estimate_normals(grid: VoxelGrid) -> dict[Index, np.ndarray]:
 # -- ray casting -----------------------------------------------------------
 
 
+def cos_sin_deg(deg) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of angles in degrees, in their shape. Both come from math,
+    once per distinct angle: np.cos and np.sin can round differently."""
+    deg = np.asarray(deg, dtype=float)
+    angles, inverse = np.unique(deg, return_inverse=True)
+    rad = [math.radians(a) for a in angles.tolist()]
+    return tuple(np.array([f(r) for r in rad])[inverse].reshape(deg.shape) for f in (math.cos, math.sin))
+
+
 def row_dots(a, b) -> np.ndarray:
     """np.dot of each row pair of two (n, 3) stacks, rounded exactly as the
     per-row call (einsum and (a * b).sum can differ in the last bit)."""

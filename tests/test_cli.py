@@ -227,6 +227,13 @@ def test_plan_emit_diagnostics(suite_dir, tmp_path, capsys):
     assert "rejected_candidates" in report["delivery"]
 
 
+def test_plan_negative_seed_is_a_usage_error(suite_dir, capsys):
+    code, stdout, stderr = run_cli(["plan", str(suite_dir / "mug.scene.json"), "--seed", "-1"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "parameter 'seed' must be an integer in [0, inf), got -1" in stderr
+
+
 # --------------------------------------------------------------------- bench
 
 BENCH_ARGS = ["--modes", "FULL,A4", "--seeds", "0,1"]
@@ -335,6 +342,37 @@ def test_bench_empty_glob(tmp_path, capsys):
     )
     assert code == 1
     assert "no scenes matched" in stderr
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds=-1"], "parameter 'seed' must be an integer in [0, inf), got -1"),
+    (["--seeds", "0,x"], "--seeds: invalid literal"),
+    (["--seeds", "0,0", "--modes", "FULL"], "--seeds repeats an entry: 0,0"),
+    (["--seeds", "0", "--modes", "FULL,A4,FULL"], "--modes repeats an entry: FULL,A4,FULL"),
+    (["--modes", "FULL,B1"], "--modes: 'B1' is not a valid AblationMode"),
+    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--jobs", "-3"], "--jobs must be at least 1, got -3"),
+], ids=["negative-seed", "non-integer-seed", "repeated-seed", "repeated-mode", "unknown-mode", "jobs-0",
+        "jobs-negative"])
+def test_bench_bad_flag_exits_1_naming_it(suite_dir, tmp_path, capsys, flags, message):
+    out = tmp_path / "bench"
+    code, stdout, stderr = run_cli(["bench", str(suite_dir / "mug.scene.json"), "--out", str(out), *flags],
+                                   capsys)
+    assert code == 1
+    assert stdout == ""
+    assert message in stderr
+    assert not out.exists()
+
+
+def test_bench_runs_a_file_several_patterns_match_once(suite_dir, tmp_path, capsys):
+    out = tmp_path / "bench"
+    mug = str(suite_dir / "mug.scene.json")
+    code, _, _ = run_cli(["bench", mug, str(suite_dir / "mug*.json"), str(suite_dir / "*.scene.json"),
+                          "--modes", "A4", "--seeds", "0", "--out", str(out)], capsys)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["modes"]["A4"]["n_runs"] == 5
+    assert [run["object"] for run in summary["runs"]] == ["hammer", "knife", "mug", "pan", "rodball"]
 
 
 # --------------------------------------------------------------------- suite

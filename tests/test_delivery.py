@@ -9,11 +9,8 @@ from handover.contacts import ContactCluster
 from handover.delivery import (
     BODY_CAPSULE_RADIUS,
     BOUND_MARGIN,
-    DEDUP_TOL,
     MIN_OBJECT_HEIGHT,
     DeliveryContext,
-    _direction_frame,
-    _rot_x,
     exposure_objective,
     feasibility_reason,
     feasible,
@@ -23,7 +20,7 @@ from handover.delivery import (
 )
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
-from handover.harness import SharedStages, _delivery_record
+from handover.harness import PipelineParams, SharedStages, _delivery_record
 
 from conftest import box_grid, oracle_feasibility_reason, pipeline_context
 
@@ -96,26 +93,84 @@ def test_coarser_grid_is_strictly_smaller():
     assert len(sample_orientations(90.0)) == len(brute_force_rotations(90.0))
 
 
-def list_dedup_rotations(step):
-    """The pairwise list scan sample_orientations used before it compared
-    each rotation against the kept stack in one expression."""
+DEDUP_TOL = 1e-9
+
+
+def _rot_x(deg: float) -> np.ndarray:
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _direction_frame(az_deg: float, el_deg: float) -> np.ndarray:
+    """Rotation taking +x to the (azimuth, elevation) direction, +y to the
+    azimuth tangent and +z to the elevation tangent. Identity at (0, 0)."""
+    az, el = math.radians(az_deg), math.radians(el_deg)
+    ca, sa, ce, se = math.cos(az), math.sin(az), math.cos(el), math.sin(el)
+    d = np.array([ce * ca, ce * sa, se])
+    v = np.array([-sa, ca, 0.0])
+    u = np.array([-se * ca, -se * sa, ce])
+    return np.column_stack([d, v, u])
+
+
+def _grid_nodes(step):
+    """(azimuth, elevation, roll) in enumeration order."""
     azimuths = [k * step for k in range(int(360.0 // step))]
     n_el = int(math.floor(90.0 / step + 1e-9))
+    elevations = [k * step for k in range(-n_el, n_el + 1)]
+    return [(az, el, roll) for az in azimuths for el in elevations for roll in azimuths]
+
+
+def stack_dedup_rotations(step):
+    """The per-node build sample_orientations used before it built the grid
+    in closed form: each rotation is compared against the kept stack and
+    dropped when within DEDUP_TOL of one, which merges the pole azimuths."""
+    nodes = _grid_nodes(step)
+    kept = np.empty((len(nodes), 3, 3))
+    n = 0
+    for az, el, roll in nodes:
+        r = _direction_frame(az, el) @ _rot_x(roll)
+        if not (np.abs(kept[:n] - r).max(axis=(1, 2)) <= DEDUP_TOL).any():
+            kept[n] = r
+            n += 1
+    return list(kept[:n])
+
+
+def list_dedup_rotations(step):
+    """The pairwise list scan the stack dedup replaced."""
     mats = []
-    for az in azimuths:
-        for el in [k * step for k in range(-n_el, n_el + 1)]:
-            for roll in azimuths:
-                r = _direction_frame(az, el) @ _rot_x(roll)
-                if not any(np.abs(r - m).max() <= DEDUP_TOL for m in mats):
-                    mats.append(r)
+    for az, el, roll in _grid_nodes(step):
+        r = _direction_frame(az, el) @ _rot_x(roll)
+        if not any(np.abs(r - m).max() <= DEDUP_TOL for m in mats):
+            mats.append(r)
     return mats
+
+
+# every step the orientation_step rule accepts: the 360 / m >= 15 that divide 360
+ACCEPTED_STEPS = [360.0 / m for m in (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24)]
+
+
+def test_accepted_steps_are_every_step_the_rule_takes():
+    taken = []
+    for m in range(1, 25):
+        try:
+            taken.append(PipelineParams(orientation_step=360.0 / m).orientation_step)
+        except ValueError:
+            pass
+    assert taken == ACCEPTED_STEPS
+
+
+@pytest.mark.parametrize("step", ACCEPTED_STEPS)
+def test_closed_form_grid_is_bitwise_the_stack_dedup(step):
+    got = sample_orientations(step)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in stack_dedup_rotations(step)]
+    assert not any(r.flags.writeable for r in got)
 
 
 @pytest.mark.parametrize("step", [45.0, 30.0, 90.0])
 def test_stack_dedup_is_bitwise_the_list_scan(step):
-    got = sample_orientations(step)
+    got = stack_dedup_rotations(step)
     assert [r.tobytes() for r in got] == [r.tobytes() for r in list_dedup_rotations(step)]
-    assert not any(r.flags.writeable for r in got)
+    assert [r.tobytes() for r in sample_orientations(step)] == [r.tobytes() for r in got]
 
 
 def test_step_must_divide_360():

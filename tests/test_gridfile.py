@@ -1,5 +1,7 @@
 """The shared .vgrid / .vcontact grid-file codec: byte-level oracles, every
 reader error path, and a save/load/save round-trip property."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -63,6 +65,43 @@ def test_bundled_object_files_match_per_cell_oracle(name, tmp_path):
         save_contact_map(cm, tmp_path / "a.vcontact")
         oracle_save_contact_map(cm, tmp_path / "b.vcontact")
         assert (tmp_path / "a.vcontact").read_bytes() == (tmp_path / "b.vcontact").read_bytes()
+
+
+# sha256 of every file write_suite writes, as the per-object builders wrote them
+SUITE_SHA256 = {
+    "hammer.scene.json": "5f894c1216cd1b89e71fd81a1e8f446f28cb4243d0c55def982ba007b6b9c849",
+    "hammer.vgrid": "f636df582496e8ce2959a54769b34a54f2369ff4d48fc50a2b8fd38ac1b68cd2",
+    "hammer_contacts_0.vcontact": "5594cfd40a784e9350c9596f8914e4869fc0d8b57e570793a0b9c512ceebf7e5",
+    "hammer_contacts_1.vcontact": "74e3dc708802389b4e8f602a7d80651cafd40718853ab708ea9017421267c084",
+    "hammer_contacts_2.vcontact": "fa69de7ebc2c1aa03b19a8c49ee0b25054bcc900f76ff98e69e71d2e7d67ab07",
+    "knife.scene.json": "0819d918f455f937369491e051f03e98b8c6780446915f27482e5a62452aa1e1",
+    "knife.vgrid": "0948c42d446f9d150cba30e3361a838e1271da8050f9f4c481e3df24fb9c2b26",
+    "knife_contacts_0.vcontact": "ea3423c11cf0642319502ea3582a54f42e0bd938c5219c60746f514ef98282b0",
+    "knife_contacts_1.vcontact": "a744dae2f60a97e41220dffa648cd9493cb3dca67f504bca85ea606980357450",
+    "knife_contacts_2.vcontact": "abc06e97be2949db3541b43946fe015b7744393fecb6885cf52593102f066e13",
+    "mug.scene.json": "2d45fd5f33b183e0138a43aa1c706f2500f902c807fc027a12f1ddbdfe29204b",
+    "mug.vgrid": "657b232a135c51f4a7b097092ec96a64da75c9d1bcc4575590a25be12cf2a66f",
+    "mug_contacts_0.vcontact": "bc28cf4bcede0f58a2abff30162a4bc10e93c76598e73e3c2047b8fdf0976da6",
+    "mug_contacts_1.vcontact": "0b7fb9d65970743886a6a1070fe576ce4b19e5d337cf87ee71da1511935852a0",
+    "mug_contacts_2.vcontact": "c3b50b3ebbceae4ce5a079c1e3ae1a2e9fc5ba9ff5f0194435634d1c7dc28d6f",
+    "pan.scene.json": "038012bc8f30936fbfb5004bcf9fe184811709a1f51711f16e7080c53707e00f",
+    "pan.vgrid": "0e167db864be721037414993ff6c8696eca4e045697a462b4a3da5fc20697052",
+    "pan_contacts_0.vcontact": "af7603ac0928a8e189573a7095e4ee7c9f2bf130a71049bcd694428d3497ae80",
+    "pan_contacts_1.vcontact": "42b39a14dbfb105de1f57ed45cd650a222a7a97364690a606d53b3ae62a35bc3",
+    "pan_contacts_2.vcontact": "97efda3d347235a55829dad023701c5ca4e617feefd8727257995f2a4b04c1d8",
+    "rodball.scene.json": "84141651257a0626b79ea9133df0bb9df5899293d36502a7c62f8d800af34582",
+    "rodball.vgrid": "4c0bbf83b314c91a72ee71e15479051ee04aa6fb33ade24d02470f708b2966db",
+    "rodball_contacts_0.vcontact": "14442daf49a696510ce19788b1abdd29f3dec1c197fd115b9d2e40c20ebbddc9",
+    "rodball_contacts_1.vcontact": "01a41465082a1292bba0d387049783ae00ecfd281eaa04eb08230397ca145ded",
+    "rodball_contacts_2.vcontact": "86b1f814848c2efd8c96b2d47fdae9885635c1f927eff5327c5a71c2a28e5d20",
+}
+
+
+def test_bundled_suite_files_are_pinned(tmp_path):
+    """The bundled objects, maps and scenes never change, byte for byte."""
+    suite.write_suite(tmp_path)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == SUITE_SHA256
 
 
 def test_float_map_matches_per_cell_oracle(tmp_path):

@@ -399,6 +399,16 @@ def test_shared_stages_bound_to_scene_params_and_seed(scenes):
         run_pipeline(twin, "A4", shared=shared)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+def test_seed_outside_its_rule_is_a_caller_error(scenes, seed):
+    """A seed argument keeps the scene's `seed` rule, in run_pipeline and in
+    SharedStages alike: 2.5 is not truncated to 2, nor True read as 1."""
+    with pytest.raises(ValueError, match=r"parameter 'seed' must be an integer in \[0, inf\)"):
+        run_pipeline(scenes["hammer"], "A4", seed)
+    with pytest.raises(ValueError, match="parameter 'seed'"):
+        SharedStages(scenes["hammer"], seed)
+
+
 # --------------------------------------------------------------- aggregation
 
 def mk_report(obj, mode, seed, vis=0.9, reach=0.8, succ=True, k=0.5, lam=0.5, failed=False):
