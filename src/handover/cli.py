@@ -96,6 +96,13 @@ def _cmd_bench(args) -> int:
     if not scene_paths:
         print("no scenes matched", file=sys.stderr)
         return 1
+    # reports are named by stem, so two files with one stem would overwrite each other's
+    stems: dict[str, str] = {}
+    for path in scene_paths:
+        stem = os.path.splitext(os.path.basename(path))[0].removesuffix(".scene")
+        if stem in stems:
+            raise ValueError(f"scenes {stems[stem]} and {path} share the report name {stem!r}")
+        stems[stem] = path
     scenes = [load_scene(path) for path in scene_paths]
     groups = [(scene, seed, modes, args.emit_diagnostics) for scene in scenes for seed in seeds]
     if args.jobs > 1:
@@ -107,10 +114,7 @@ def _cmd_bench(args) -> int:
     # seed) order, which fixes the summary's float sums
     os.makedirs(args.out, exist_ok=True)
     reports = []
-    for path, group in zip((p for p in scene_paths for _ in seeds), runs):
-        stem = os.path.splitext(os.path.basename(path))[0]
-        if stem.endswith(".scene"):
-            stem = stem[: -len(".scene")]
+    for stem, group in zip((s for s in stems for _ in seeds), runs):
         for report in group:
             save_report(report, os.path.join(args.out, f"{stem}_{report.mode}_{report.seed}.json"))
         reports += group

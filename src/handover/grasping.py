@@ -35,24 +35,29 @@ class GripperModel:
     def __post_init__(self):
         check_fields(self, "gripper field")
 
-    def boxes(self, width: float):
-        """Finger/finger/palm boxes as (lo, hi) pairs at jaw opening `width`."""
-        if not (0.0 < width <= self.max_width):
+    def boxes(self, width):
+        """Finger/finger/palm boxes at jaw opening `width`, as a [box, lo/hi,
+        xyz] array; an array of widths puts its axes in front."""
+        width = np.asarray(width, dtype=float)
+        if not np.all((0.0 < width) & (width <= self.max_width)):
             raise ValueError("width must lie in (0, max_width]")
         ft, fl, hw = self.finger_thickness, self.finger_length, width / 2.0
         hx = ft / 2.0
-        finger_pos = (np.array([-hx, hw, -fl / 2]), np.array([hx, hw + ft, fl / 2]))
-        finger_neg = (np.array([-hx, -hw - ft, -fl / 2]), np.array([hx, -hw, fl / 2]))
-        palm = (
-            np.array([-hx, -hw - ft, fl / 2]),
-            np.array([hx, hw + ft, fl / 2 + self.palm_depth]),
-        )
-        return [finger_pos, finger_neg, palm]
+        finger, palm = [[-hx, 0, -fl / 2], [hx, 0, fl / 2]], [[-hx, 0, fl / 2], [hx, 0, fl / 2 + self.palm_depth]]
+        out = np.empty(hw.shape + (3, 2, 3))
+        out[...] = [finger, finger, palm]  # fingers at +y and -y, then the palm
+        out[..., 1] = np.stack([hw, hw + ft, -hw - ft, -hw, -hw - ft, hw + ft], axis=-1).reshape(hw.shape + (3, 2))
+        return out
 
-    def closing_region(self, width: float):
-        """Between-finger volume (where grasped material lives)."""
-        ft, fl, hw = self.finger_thickness, self.finger_length, width / 2.0
-        return (np.array([-ft / 2, -hw, -fl / 2]), np.array([ft / 2, hw, fl / 2]))
+    def closing_region(self, width):
+        """Between-finger volume (where grasped material lives), as a [lo/hi,
+        xyz] array; an array of widths puts its axes in front."""
+        ft, fl, hw = self.finger_thickness, self.finger_length, np.asarray(width, dtype=float) / 2.0
+        out = np.empty(hw.shape + (2, 3))
+        out[..., 0] = [-ft / 2, ft / 2]
+        out[..., 0, 1], out[..., 1, 1] = -hw, hw
+        out[..., 2] = [-fl / 2, fl / 2]
+        return out
 
     def in_closing_region(self, rotation, translation, width, points) -> np.ndarray:
         """Boolean mask: which world points lie in the closing region (with a
@@ -254,8 +259,11 @@ def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
 # -- occlusion + ranking ---------------------------------------------------------
 
 # (candidate, cluster voxel) pairs per occlusion block, and pairs gathered for
-# the box tests: rank_grasps on rodball peaks near 0.47 MB under tracemalloc.
-OCCLUSION_BLOCK_PAIRS, OCCLUSION_FLUSH_PAIRS = 3072, 1024
+# the box tests: rank_grasps on rodball peaks near 0.41 MB under tracemalloc,
+# contenders near 0.47 MB.
+OCCLUSION_BLOCK_PAIRS, OCCLUSION_FLUSH_PAIRS = 3072, 512
+# cluster voxels each round of the contender scan counts for every live candidate
+CONTENDER_CHUNK = 64
 
 
 def occlusion_fraction(
@@ -275,40 +283,107 @@ def occlusion_fraction(
     return _occlusions([grasp], cluster, normals, gripper, grid)[0]
 
 
-def _occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
-    """occlusion_fraction of every candidate, scored in blocks of at most
-    OCCLUSION_BLOCK_PAIRS (candidate, cluster voxel) pairs. A segment that
-    misses the union box of the three gripper boxes misses each of them,
-    since (lo - o) / d rounds monotonically in lo. The pairs that hit it get
-    the three box tests once about OCCLUSION_FLUSH_PAIRS have gathered."""
+def _rays(cluster, normals, grid):
+    """(centers, ray origins, ray directions) of the cluster voxels, one row each."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
     centers = grid.centers(cluster.member_indices)
     nrm = np.array([normals[i] for i in cluster.member_indices])
-    origins = centers + 1.5 * grid.voxel_size * nrm
+    return centers, centers + 1.5 * grid.voxel_size * nrm, nrm
+
+
+def _hits(candidates, rays, gripper) -> np.ndarray:
+    """How many of the `rays` (as _rays gives them) each candidate hides:
+    the voxel center lies in its closing region, or the voxel's ray meets a
+    gripper box within OCCLUSION_RAY_FACTOR finger lengths. Pairs are tested
+    in blocks of at most OCCLUSION_BLOCK_PAIRS (candidate, ray) pairs. A
+    segment that misses the union box of the three gripper boxes misses each
+    of them, since (lo - o) / d rounds monotonically in lo. The pairs that
+    hit it get the three box tests once about OCCLUSION_FLUSH_PAIRS have
+    gathered."""
+    centers, origins, nrm = rays
     max_dist = OCCLUSION_RAY_FACTOR * gripper.finger_length
-    hits, since, pending = np.zeros(len(candidates), dtype=int), 0, []  # blocks as (boxes, cand - since, o, d)
-    block = max(1, OCCLUSION_BLOCK_PAIRS // cluster.size)
+    hits, since, pending = np.zeros(len(candidates), dtype=int), 0, []  # blocks as (widths, cand - since, o, d)
+    block = max(1, OCCLUSION_BLOCK_PAIRS // len(centers))
     for start in range(0, len(candidates), block):
         chunk = candidates[start : start + block]
         rot = np.array([c.rotation for c in chunk])
         t = np.array([c.translation for c in chunk])[:, None, :]
-        region = np.array([gripper.closing_region(c.width) for c in chunk])[:, :, None, :]
+        w = np.array([c.width for c in chunk])
+        region = gripper.closing_region(w)[:, :, None, :]
         covered = _inside((centers - t) @ rot, region[:, 0], region[:, 1])
         hits[start : start + block] = np.count_nonzero(covered, axis=1)
         o_loc = (origins - t) @ rot
         d_loc = nrm @ rot
-        boxes = np.array([gripper.boxes(c.width) for c in chunk])  # [candidate, box, lo/hi, xyz]
+        boxes = gripper.boxes(w)  # [candidate, box, lo/hi, xyz]
         lo, hi = boxes[:, None, :, 0].min(axis=2), boxes[:, None, :, 1].max(axis=2)  # union box
         c, v = np.nonzero(segments_hit_boxes(o_loc, d_loc, max_dist, lo, hi) & ~covered)
-        pending.append((boxes, c + (start - since), o_loc[c, v], d_loc[c, v]))
+        pending.append((w, c + (start - since), o_loc[c, v], d_loc[c, v]))
+        del covered, o_loc, d_loc, c, v  # before the next block's arrays
         if sum(len(p[1]) for p in pending) >= OCCLUSION_FLUSH_PAIRS or start + block >= len(candidates):
-            boxes, cand, o_loc, d_loc = (np.concatenate(v) for v in zip(*pending))  # frees the block's arrays
-            hit = np.any([segments_hit_boxes(o_loc, d_loc, max_dist, boxes[cand, b, 0], boxes[cand, b, 1])
-                          for b in range(boxes.shape[1])], axis=0)
-            hits[since : since + len(boxes)] += np.bincount(cand[hit], minlength=len(boxes))
-            since, pending = since + len(boxes), []
-    return (hits / cluster.size).tolist()
+            hits[since : start + block] += _box_hits(pending, gripper)
+            since = start + block
+    return hits
+
+
+def _box_hits(pending, gripper) -> np.ndarray:
+    """Per candidate of the blocks `pending` holds, how many of its gathered
+    segments meet one of its three boxes; empties `pending`."""
+    w, cand, o, d = (np.concatenate(v) for v in zip(*pending))
+    pending.clear()
+    boxes, max_dist = gripper.boxes(w), OCCLUSION_RAY_FACTOR * gripper.finger_length
+    hit = np.any([segments_hit_boxes(o, d, max_dist, boxes[cand, b, 0], boxes[cand, b, 1])
+                  for b in range(boxes.shape[1])], axis=0)
+    return np.bincount(cand[hit], minlength=len(w))
+
+
+def _occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
+    """occlusion_fraction of every candidate: its _hits over the whole cluster."""
+    return (_hits(candidates, _rays(cluster, normals, grid), gripper) / cluster.size).tolist()
+
+
+def contenders(candidates, cluster, normals, gripper, grid) -> list:
+    """The candidates that can still rank first at some lam in [0, 1], in
+    input order: rank_grasps(contenders(...), ...)[0] is rank_grasps(
+    candidates, ...)[0] at every lam.
+
+    contact_score does not fall with confidence nor rise with occlusion, so
+    a candidate j with conf_j >= conf_i that hides fewer cluster voxels than
+    i scores at least as high at every lam and wins each tie-break: i never
+    ranks first. The scan counts hits (_hits, as rank_grasps does) over a
+    fixed shuffle of the cluster voxels, CONTENDER_CHUNK voxels at a time,
+    for every live candidate. After each chunk it completes the counts of
+    the live candidates with the fewest hits so far, as many as one block
+    of OCCLUSION_BLOCK_PAIRS holds, then drops every candidate that a
+    completed one dominates by that rule.
+    """
+    rays = _rays(cluster, normals, grid)
+    if not candidates:
+        return []
+    order = np.random.default_rng(0).permutation(cluster.size)  # neighbours tend to hit together
+    rays = [r[order] for r in rays]
+    confidence = np.array([c.confidence for c in candidates])
+    hits = np.zeros(len(candidates), dtype=int)
+    live, done = np.ones(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=bool)
+    for start in range(0, cluster.size, CONTENDER_CHUNK):
+        scan, end = np.flatnonzero(live & ~done), start + CONTENDER_CHUNK
+        if not scan.size:
+            break
+        hits[scan] += _hits([candidates[i] for i in scan], [r[start:end] for r in rays], gripper)
+        if end < cluster.size:
+            fill = max(1, OCCLUSION_BLOCK_PAIRS // (cluster.size - end))  # as many as one block holds
+            j = scan[np.argsort(hits[scan], kind="stable")[:fill]]
+            hits[j] += _hits([candidates[i] for i in j], [r[end:] for r in rays], gripper)
+            done[j] = True
+        else:
+            done[scan] = True
+        # each candidate's least complete count among those at equal or higher confidence
+        ref = np.flatnonzero(done & live)
+        ref = ref[np.argsort(-confidence[ref], kind="stable")]
+        least = np.minimum.accumulate(hits[ref])
+        above = np.searchsorted(-confidence[ref], -confidence, side="right")
+        live &= ~((above > 0) & (least[above - 1] < hits))
+    return [c for c, keep in zip(candidates, live) if keep]
 
 
 def contact_score(confidence: float, occlusion: float, lam: float) -> float:

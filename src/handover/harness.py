@@ -38,7 +38,7 @@ from .delivery import (
     sample_orientations,
 )
 from .ergonomics import MIN_POSITION_STEP, HumanModel, candidates_csv, plan_handover_position
-from .grasping import GripperModel, order_grasps, rank_grasps, sample_grasps
+from .grasping import GripperModel, contenders, order_grasps, rank_grasps, sample_grasps
 from .metrics import evaluate_maps
 from .voxelgeom import VoxelGrid, check_fields, check_value, load_vgrid, rule
 
@@ -277,8 +277,8 @@ class SharedStages:
     """The mode-independent stage results of one (scene, seed).
 
     Grasp sampling, the largest cluster of the planning contact map, the
-    occlusion scores behind every ranking and the arm plan do not depend on
-    the ablation mode. Each is computed the first time a mode asks for it
+    contenders and their occlusion scores behind every ranking and the arm
+    plan do not depend on the ablation mode. Each is computed the first time a mode asks for it
     and kept here, together with any exception it raised, so every later
     mode reports what a run of its own would report. The object is bound to
     one scene object, that scene's params object and one seed. The caller
@@ -324,17 +324,24 @@ class SharedStages:
         return self._once("contacts", lambda: largest(self.scene.planning_contact_map()))
 
     def ranking(self, lam: float) -> list:
-        """rank_grasps at the first `lam` asked. Occlusion does not depend on
-        `lam`, so any other `lam` re-sorts the same (candidate, occlusion) pairs."""
+        """The contenders (grasping.contenders: the candidates that can rank
+        first at some lam), ranked: by rank_grasps at the first `lam` asked.
+        Neither the contenders nor their occlusions depend on `lam`, so any
+        other `lam` re-sorts the same (candidate, occlusion) pairs."""
         grid = self.scene.grid
-        first, ranked = self._once("ranking", lambda: (lam, rank_grasps(
-            self.candidates(), self.cluster(), lam, grid.normals, self.scene.gripper, grid)))
+        args = (grid.normals, self.scene.gripper, grid)
+
+        def first_ranking():
+            shortlist = contenders(self.candidates(), self.cluster(), *args)
+            return lam, shortlist, rank_grasps(shortlist, self.cluster(), lam, *args)
+
+        first, shortlist, ranked = self._once("ranking", first_ranking)
         if lam == first:
             return ranked
 
         def resort():
             occlusion = {id(rg.candidate): rg.occlusion for rg in ranked}
-            return order_grasps(self.candidates(), [occlusion[id(c)] for c in self.candidates()], lam)
+            return order_grasps(shortlist, [occlusion[id(c)] for c in shortlist], lam)
 
         return self._once(("ranking", lam), resort)
 

@@ -439,7 +439,9 @@ def scenes(suite_dir) -> dict[str, Scene]:
 def bundled_stages(scenes):
     """Per bundled scene and seed 0-4: a SharedStages ranked FULL-first (the
     scene's lam, then 1.0), one ranked A1-first (1.0, then the scene's lam),
-    and the list each got back from its one rank_grasps call, by lam."""
+    and the list each got back from its one rank_grasps call, by lam. That
+    call ranks the contenders only (grasping.contenders), not every
+    candidate."""
     out = {}
     for name, scene in scenes.items():
         for seed in range(5):

@@ -291,9 +291,9 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
     """Bench runs the modes of one (scene, seed) as one group that shares its
     mode-independent stages: one sampling, one clustering of the planning
-    map, one arm plan, and one rank_grasps call, whatever --jobs is. FULL/A2
-    rank at the scene's lam and A1/A3/A4 at 1.0; the second lam re-sorts the
-    occlusions the first one scored."""
+    map, one arm plan, and one rank_grasps call, on the contenders, whatever
+    --jobs is. FULL/A2 rank at the scene's lam and A1/A3/A4 at 1.0; the
+    second lam re-sorts the occlusions the first one scored."""
     calls = {}
 
     def counting(name):
@@ -373,6 +373,25 @@ def test_bench_runs_a_file_several_patterns_match_once(suite_dir, tmp_path, caps
     summary = json.loads((out / "summary.json").read_text())
     assert summary["modes"]["A4"]["n_runs"] == 5
     assert [run["object"] for run in summary["runs"]] == ["hammer", "knife", "mug", "pan", "rodball"]
+
+
+def test_bench_rejects_two_scenes_that_share_a_stem(suite_dir, tmp_path, capsys):
+    """Reports are named {stem}_{mode}_{seed}.json, so two scene files named
+    alike in different directories would overwrite each other's reports:
+    bench refuses them before any run, naming both."""
+    paths = []
+    for sub, name in (("a", "mug"), ("b", "hammer")):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "x.scene.json"
+        path.write_text(json.dumps(absolutized_config(suite_dir, name)))
+        paths.append(str(path))
+    out = tmp_path / "bench"
+    code, stdout, stderr = run_cli(["bench", *paths, "--modes", "A4", "--seeds", "0", "--out", str(out)],
+                                   capsys)
+    assert code == 1
+    assert stdout == ""
+    assert f"scenes {paths[0]} and {paths[1]} share the report name 'x'" in stderr
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- suite

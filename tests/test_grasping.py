@@ -1,14 +1,17 @@
 """Antipodal sampling, gripper collision, occlusion scoring, ranking."""
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import box_grid, make_grid, oracle_block_occlusions, oracle_collisions
 from handover import grasping, suite
 from handover.contacts import ContactCluster, cluster_contacts, largest_cluster
 from handover.grasping import (
+    CONTENDER_CHUNK,
     MAX_NORMAL_OPPOSITION_DEG,
     MIN_CONFIDENCE,
     OCCLUSION_BLOCK_PAIRS,
@@ -19,6 +22,7 @@ from handover.grasping import (
     GraspCandidate,
     GripperModel,
     contact_score,
+    contenders,
     occlusion_fraction,
     rank_grasps,
     sample_grasps,
@@ -535,12 +539,12 @@ def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch)
         assert out.dtype == want.dtype and np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("flush", [1, OCCLUSION_FLUSH_PAIRS, 10**9])
+@pytest.mark.parametrize("flush", [1, OCCLUSION_FLUSH_PAIRS, 1024, 10**9])
 def test_occlusions_equal_the_three_slab_oracle_at_block_edges(bundled_grasps, monkeypatch, flush):
     """The union-box cull and the gathered box tests score every candidate
     exactly as the three slab tests per pair do, for candidate counts on
     each side of a block edge, and with the gathered pairs tested after
-    every block, at the default size, or once at the end."""
+    every block, at the default size, at 1024 pairs, or once at the end."""
     monkeypatch.setattr(grasping, "OCCLUSION_FLUSH_PAIRS", flush)
     for name in ("hammer", "rodball"):
         scene, cands, cluster = bundled_grasps[name]
@@ -552,22 +556,125 @@ def test_occlusions_equal_the_three_slab_oracle_at_block_edges(bundled_grasps, m
             assert grasping._occlusions(cands[:n], cluster, grid.normals, gripper, grid) == want, (name, n)
 
 
+def rodball_seed0(bundled_grasps):
+    scene, _, cluster = bundled_grasps["rodball"]
+    grid = scene.grid
+    return scene, sample_grasps(grid, grid.normals, scene.gripper, scene.params.max_grasps, 0), cluster
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_rank_memory_peak_on_rodball(bundled_grasps):
     """rodball holds the largest bundled planning cluster (993 voxels). With
     every pair slab-tested against all three boxes in blocks of 4096 pairs,
     rank_grasps on its 600 seed-0 candidates peaked at 488,292 B under
     tracemalloc (numpy 2.4, x86_64), and 472,261 B with the union-box cull:
-    the pairs that meet the union box are gathered in bounded batches."""
-    scene, _, cluster = bundled_grasps["rodball"]
+    the pairs that meet the union box are gathered in bounded batches.
+    Freeing each block before the next and gathering 512 pairs, not 1024,
+    took it to 410,049 B."""
+    scene, cands, cluster = rodball_seed0(bundled_grasps)
     grid = scene.grid
-    cands = sample_grasps(grid, grid.normals, scene.gripper, scene.params.max_grasps, 0)
-    tracemalloc.start()
-    try:
-        rank_grasps(cands, cluster, scene.params.lam, grid.normals, scene.gripper, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: rank_grasps(cands, cluster, scene.params.lam, grid.normals, scene.gripper, grid))
     assert peak <= 500_000
+
+
+def test_contenders_memory_peak_on_rodball(bundled_grasps):
+    """The contender scan runs the same blocks and keeps the shuffled rays
+    and a few per-candidate arrays: on rodball's 600 seed-0 candidates it
+    peaked at 473,680 B (numpy 2.4, x86_64)."""
+    scene, cands, cluster = rodball_seed0(bundled_grasps)
+    grid = scene.grid
+    peak = traced_peak(lambda: contenders(cands, cluster, grid.normals, scene.gripper, grid))
+    assert peak <= 500_000
+
+
+@pytest.mark.parametrize("name", suite.OBJECT_NAMES)
+def test_hit_counts_over_shuffled_chunks_sum_to_the_whole_cluster(bundled_grasps, name):
+    """contenders prunes on counts taken CONTENDER_CHUNK shuffled voxels at a
+    time: each (candidate, voxel) test must come out as it does in
+    rank_grasps, over the whole cluster in its own order."""
+    scene, cands, cluster = bundled_grasps[name]
+    grid = scene.grid
+    rays = grasping._rays(cluster, grid.normals, grid)
+    order = np.random.default_rng(3).permutation(cluster.size)
+    starts = range(0, cluster.size, CONTENDER_CHUNK)
+    chunks = [[r[order[s : s + CONTENDER_CHUNK]] for r in rays] for s in starts]
+    for part in (cands[:100], cands[-1:]):
+        whole = grasping._hits(part, rays, scene.gripper)
+        assert np.array_equal(sum(grasping._hits(part, chunk, scene.gripper) for chunk in chunks), whole)
+
+
+@st.composite
+def reordered_candidates(draw, bundled_grasps):
+    """Up to 60 bundled candidates of one scene, in a drawn order, with drawn
+    confidences in [MIN_CONFIDENCE, 1] that often tie."""
+    scene, cands, cluster = bundled_grasps[draw(st.sampled_from(suite.OBJECT_NAMES))]
+    picks = draw(st.lists(st.integers(0, len(cands) - 1), min_size=1, max_size=60, unique=True))
+    level = st.one_of(st.sampled_from([MIN_CONFIDENCE, 0.5, 0.9, 1.0]), st.floats(MIN_CONFIDENCE, 1.0))
+    drawn = [dataclasses.replace(cands[i], confidence=draw(level)) for i in picks]
+    return scene, drawn, cluster
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_contenders_keep_the_top_of_any_order_and_confidences(bundled_grasps, data):
+    """The bundled scenes sample in confidence order, all at 1.0; here the
+    order and the confidences are drawn. contenders returns a subsequence of
+    its input, and ranking it gives rank_grasps' top over all of them, at a
+    drawn lam and at both ends."""
+    scene, cands, cluster = data.draw(reordered_candidates(bundled_grasps))
+    grid = scene.grid
+    args = (grid.normals, scene.gripper, grid)
+    kept = contenders(cands, cluster, *args)
+    position = {id(c): k for k, c in enumerate(cands)}
+    assert kept and all(id(c) in position for c in kept)
+    assert [position[id(c)] for c in kept] == sorted(position[id(c)] for c in kept)
+    for lam in (data.draw(st.floats(0.0, 1.0)), 0.0, 1.0):
+        want = rank_grasps(cands, cluster, lam, *args)[0]
+        got = rank_grasps(kept, cluster, lam, *args)[0]
+        assert got.candidate is want.candidate, lam
+        assert (got.occlusion, got.score) == (want.occlusion, want.score), lam
+
+
+def test_contenders_of_nothing_and_of_an_empty_cluster(bundled_grasps):
+    scene, cands, cluster = bundled_grasps["hammer"]
+    grid = scene.grid
+    assert contenders([], cluster, grid.normals, scene.gripper, grid) == []
+    with pytest.raises(ValueError, match="empty contact map"):
+        contenders(cands, ContactCluster([]), grid.normals, scene.gripper, grid)
+
+
+def listed_boxes(gripper, width):
+    """The finger, finger and palm boxes as (lo, hi) pairs, built one width at
+    a time from the model fields."""
+    ft, fl, hw = gripper.finger_thickness, gripper.finger_length, width / 2.0
+    hx = ft / 2.0
+    return [
+        (np.array([-hx, hw, -fl / 2]), np.array([hx, hw + ft, fl / 2])),
+        (np.array([-hx, -hw - ft, -fl / 2]), np.array([hx, -hw, fl / 2])),
+        (np.array([-hx, -hw - ft, fl / 2]), np.array([hx, hw + ft, fl / 2 + gripper.palm_depth])),
+    ]
+
+
+def test_boxes_and_region_of_a_width_array_are_each_widths_bitwise(bundled_grasps):
+    widths = np.array([c.width for c in bundled_grasps["mug"][1][:50]] + [GRIPPER.max_width, 1e-6])
+    boxes, region = GRIPPER.boxes(widths), GRIPPER.closing_region(widths)
+    assert boxes.shape == (len(widths), 3, 2, 3) and region.shape == (len(widths), 2, 3)
+    ft, fl = GRIPPER.finger_thickness, GRIPPER.finger_length
+    for w, got_boxes, got_region in zip(widths.tolist(), boxes, region):
+        assert np.array_equal(got_boxes, np.array(listed_boxes(GRIPPER, w)))
+        assert np.array_equal(GRIPPER.boxes(w), got_boxes)
+        assert np.array_equal(got_region, [[-ft / 2, -w / 2.0, -fl / 2], [ft / 2, w / 2.0, fl / 2]])
+    for bad in (0.0, -0.01, GRIPPER.max_width * 1.5):
+        with pytest.raises(ValueError, match="width must lie in"):
+            GRIPPER.boxes(np.append(widths, bad))
 
 
 def assert_ranking_matches_oracle(cands, cluster, scene, lam):

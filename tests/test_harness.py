@@ -8,6 +8,7 @@ import pytest
 from handover import harness, metrics
 from handover.contacts import predict_contacts_heuristic
 from handover.delivery import DeliveryContext, feasible, sample_orientations
+from handover.grasping import rank_grasps
 from handover.harness import (
     AblationMode,
     HandoverReport,
@@ -347,17 +348,41 @@ def ranking_bits(ranking) -> list:
              rg.occlusion, rg.score) for rg in ranking]
 
 
-def test_shared_ranking_equals_fresh_rank_grasps_bitwise(bundled_stages):
+@pytest.fixture(scope="module")
+def full_tops(bundled_stages):
+    """Per bundled scene and seed 0-4, by lam in {0, 0.5, 1}: the top of
+    rank_grasps over every sampled candidate, as ranking_bits."""
+    out = {}
+    for key, (scene, shared, _, _) in bundled_stages.items():
+        grid = scene.grid
+        out[key] = {lam: ranking_bits(rank_grasps(shared.candidates(), shared.cluster(), lam, grid.normals,
+                                                  scene.gripper, grid)[:1]) for lam in (0.0, 0.5, 1.0)}
+    return out
+
+
+def test_shared_ranking_equals_fresh_rank_grasps_bitwise(bundled_stages, full_tops):
     # each lam is scored by rank_grasps in one SharedStages and re-sorted
-    # from the other lam's occlusions in the other; both must agree bitwise
+    # from the other lam's occlusions in the other; both must agree bitwise,
+    # and their top is the top of the ranking of every candidate
     for (name, seed), (scene, full_first, a1_first, fresh) in bundled_stages.items():
         assert set(fresh) == {scene.params.lam, 1.0}
         for lam in fresh:
             expect = ranking_bits(fresh[lam])
             assert ranking_bits(full_first.ranking(lam)) == expect, (name, seed, lam)
             assert ranking_bits(a1_first.ranking(lam)) == expect, (name, seed, lam)
-            assert {id(rg.candidate) for rg in full_first.ranking(lam)} == \
-                {id(c) for c in full_first.candidates()}
+            assert expect[:1] == full_tops[name, seed][lam], (name, seed, lam)
+
+
+def test_shared_top_is_the_top_of_every_candidate_bitwise(bundled_stages, full_tops):
+    """run_pipeline reads only ranking(lam)[0]: ranking the contenders keeps
+    it bitwise (pose bytes, contact pair, confidence, occlusion, score) on
+    every bundled scene and seed, at lam 0, 0.5 and 1, whichever lam a
+    SharedStages was asked first."""
+    for (name, seed), (scene, full_first, a1_first, _) in bundled_stages.items():
+        for lam, expect in full_tops[name, seed].items():
+            for shared in (full_first, a1_first):
+                assert ranking_bits(shared.ranking(lam)[:1]) == expect, (name, seed, lam)
+            assert len(full_first.ranking(lam)) < len(full_first.candidates()), (name, seed)
 
 
 def test_shared_ranking_failure_is_raised_for_every_lam(scenes, monkeypatch):
