@@ -109,10 +109,6 @@ class GraspCandidate:
         m[:3, 3] = self.translation
         return m
 
-    @property
-    def approach_axis(self) -> np.ndarray:
-        return -self.rotation[:, 2]
-
 
 @dataclass
 class RankedGrasp:

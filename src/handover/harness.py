@@ -32,14 +32,15 @@ from .delivery import (
     BODY_PROXY_DIMS,
     MIN_ORIENTATION_STEP,
     DeliveryContext,
+    HandoverPose,
     exposure_objective,
     feasible,
     plan_handover_orientation,
     sample_orientations,
 )
 from .ergonomics import MIN_POSITION_STEP, HumanModel, candidates_csv, plan_handover_position
-from .grasping import GripperModel, contenders, order_grasps, rank_grasps, sample_grasps
-from .metrics import evaluate_maps
+from .grasping import GraspCandidate, GripperModel, contenders, order_grasps, rank_grasps, sample_grasps
+from .metrics import MetricScores, evaluate_maps
 from .voxelgeom import VoxelGrid, check_fields, check_value, load_vgrid, rule
 
 A4_FORWARD = 0.6  # tucked gripper: meters in front of the robot base
@@ -55,7 +56,9 @@ class AblationMode(enum.Enum):
 
 
 CONFIDENCE_ONLY_MODES = (AblationMode.A1, AblationMode.A3, AblationMode.A4)
-RANDOM_ORIENTATION_MODES = (AblationMode.A2, AblationMode.A3)
+# how each mode delivers its top grasp; modes of one kind deliver one grasp alike
+DELIVERY_KINDS = {AblationMode.FULL: "planned", AblationMode.A1: "planned", AblationMode.A2: "random",
+                  AblationMode.A3: "random", AblationMode.A4: "tucked"}
 
 
 @dataclass
@@ -116,11 +119,6 @@ class Scene:
     def robot_base(self) -> np.ndarray:
         """Robot base at delivery time."""
         return self.human.base_position + self.standoff * self.human.facing
-
-    def planning_contact_map(self) -> ContactMap:
-        if self.planning_map == "heuristic":
-            return predict_contacts_heuristic(self.grid)
-        return self.contact_maps[int(self.planning_map)]
 
 
 # the keys each scene section may hold; params checks its own
@@ -242,9 +240,10 @@ def _grasp_record(rg) -> dict:
 
 
 def _delivery_record(ctx: DeliveryContext, rotation: np.ndarray, objective: float,
-                     rejected: list | None = None) -> dict:
+                     searched: HandoverPose | None = None) -> dict:
     """The delivered pose: `rotation` about the held point of `ctx`. The
-    object pose is the 4x4 world-from-grid transform [R | ee - R held]."""
+    object pose is the 4x4 world-from-grid transform [R | ee - R held].
+    With `searched`, it lists every rotation that search rejected."""
     object_pose, gripper_pose = np.eye(4), np.eye(4)
     object_pose[:3, :3] = rotation
     object_pose[:3, 3] = ctx.ee_position - rotation @ ctx.held_point
@@ -256,8 +255,9 @@ def _delivery_record(ctx: DeliveryContext, rotation: np.ndarray, objective: floa
         "ee_position": ctx.ee_position.tolist(),
         "objective": objective,
     }
-    if rejected is not None:
-        rec["rejected_candidates"] = rejected
+    if searched is not None:
+        rec["rejected_candidates"] = [{"rotation": c.rotation.tolist(), "reason": c.reason}
+                                      for c in searched.candidates if not c.feasible]
     return rec
 
 
@@ -274,16 +274,19 @@ def resolve_seed(seed, params: PipelineParams | None = None) -> int:
 
 
 class SharedStages:
-    """The mode-independent stage results of one (scene, seed).
+    """The stage results of one (scene, seed) that several modes share.
 
-    Grasp sampling, the largest cluster of the planning contact map, the
-    contenders and their occlusion scores behind every ranking and the arm
-    plan do not depend on the ablation mode. Each is computed the first time a mode asks for it
-    and kept here, together with any exception it raised, so every later
-    mode reports what a run of its own would report. The object is bound to
-    one scene object, that scene's params object and one seed. The caller
-    creates it and passes it to the run_pipeline calls of one (scene, seed),
-    all from one thread.
+    Grasp sampling, the largest cluster of the planning contact map, the arm
+    plan, and the contenders and their occlusion scores behind every ranking
+    do not depend on the ablation mode. The delivery of a top grasp and its
+    metric scores depend only on that candidate object and the delivery kind
+    (DELIVERY_KINDS), so FULL and A1 share them whenever the same candidate
+    ranks first for both, and so do A2 and A3. Each is computed the first
+    time a mode asks for it and kept here, together with any exception it
+    raised, so every later mode reports what a run of its own would report.
+    The object is bound to one scene object, that scene's params object and
+    one seed. The caller creates it and passes it to the run_pipeline calls
+    of one (scene, seed), all from one thread.
     """
 
     def __init__(self, scene: Scene, seed: int | None = None):
@@ -314,14 +317,16 @@ class SharedStages:
         return self._once("grasp", sample)
 
     def cluster(self) -> ContactCluster:
-        def largest(cm, p=self.params):
+        def largest(scene=self.scene, p=self.params):
+            heuristic = scene.planning_map == "heuristic"
+            cm = predict_contacts_heuristic(scene.grid) if heuristic else scene.contact_maps[scene.planning_map]
             if clusters := cluster_contacts(cm, p.eps, p.min_pts):
                 return largest_cluster(clusters)
             eps = EPS_VOXELS * cm.grid.voxel_size if p.eps is None else p.eps
             raise ValueError(f"no contact cluster: all {len(cm.contact_indices())} contact voxels are noise "
                              f"at eps={eps:g}, min_pts={p.min_pts}")
 
-        return self._once("contacts", lambda: largest(self.scene.planning_contact_map()))
+        return self._once("contacts", largest)
 
     def ranking(self, lam: float) -> list:
         """The contenders (grasping.contenders: the candidates that can rank
@@ -352,6 +357,44 @@ class SharedStages:
             self.scene.human, p.object_mass, p.alpha, p.position_step
         ))
 
+    def delivery(self, top: GraspCandidate, kind: str):
+        """(ctx, rotation, objective, pose): `top`, a candidate of ranking(),
+        delivered the `kind` way. "planned" searches the orientations at the
+        planned hand position, and pose is that search's HandoverPose; the
+        other kinds have none. "random" draws a feasible rotation there with
+        the [seed, 7] generator, from the planned search of `top` when it ran.
+        "tucked" (A4) keeps the grasp rotation, held in front of the robot."""
+        def deliver(scene=self.scene, p=self.params):
+            if kind == "tucked":
+                ee = scene.robot_base + A4_FORWARD * -scene.human.facing + np.array([0.0, 0.0, A4_HEIGHT])
+            else:
+                ee = self.position()[0]
+            ctx = DeliveryContext(grid=scene.grid, gripper=scene.gripper, grasp_rotation=top.rotation,
+                                  held_point=top.translation, width=top.width, ee_position=ee, human=scene.human,
+                                  robot_base=scene.robot_base, body_proxy_dims=scene.body_proxy_dims)
+            if kind == "planned":
+                pose = plan_handover_orientation(ctx, self.cluster(), p.orientation_step)
+                return ctx, pose.object_rotation, pose.objective, pose
+            rotation = np.eye(3)
+            if kind == "random":
+                searched = self._results.get(("delivery", id(top), "planned"), (None,))[0]
+                if searched is not None:  # its HandoverPose scored this same context
+                    feas = [c.rotation for c in searched[3].candidates if c.feasible]
+                else:
+                    feas = [r for r in sample_orientations(p.orientation_step) if feasible(ctx, r)]
+                if not feas:
+                    raise ValueError("no feasible handover orientation")
+                rotation = feas[int(np.random.default_rng([self.seed, 7]).integers(len(feas)))]
+            return ctx, rotation, exposure_objective(ctx, rotation, self.cluster()), None
+
+        return self._once(("delivery", id(top), kind), deliver)
+
+    def scores(self, top: GraspCandidate, kind: str) -> MetricScores:
+        """evaluate_maps on every contact map at delivery(top, kind)."""
+        ctx, rotation = self.delivery(top, kind)[:2]
+        return self._once(("scores", id(top), kind),
+                          lambda: evaluate_maps(ctx, rotation, self.scene.contact_maps, self.params.k))
+
 
 def run_pipeline(
     scene: Scene,
@@ -363,8 +406,8 @@ def run_pipeline(
     """Execute one handover attempt. Never raises on a stage failure: the
     report carries the failing stage and message instead.
 
-    `shared` carries the mode-independent stages of this (scene, seed) from
-    one mode to the next; a fresh one is made when it is None. A seed that
+    `shared` carries the stages this run can share with the other modes of
+    this (scene, seed); a fresh one is made when it is None. A seed that
     breaks the `seed` rule, or shared stages bound to another scene, params
     object or seed, is a caller error (ValueError).
     """
@@ -378,7 +421,6 @@ def run_pipeline(
             f"shared stages of scene {shared.scene.name!r} seed {shared.seed} "
             f"passed to a run of scene {scene.name!r} seed {seed}"
         )
-    human = scene.human
     t_start = time.perf_counter()
     stages: list[str] = []  # each stage is appended as it starts
     grasp_rec = position_rec = delivery_rec = metrics_rec = None
@@ -389,22 +431,17 @@ def run_pipeline(
         shared.candidates()  # ranking reads them; here only a failure matters
 
         stages.append("contacts")
-        cluster = shared.cluster()
+        shared.cluster()
 
         stages.append("ranking")
         lam = 1.0 if mode in CONFIDENCE_ONLY_MODES else params.lam
         top = shared.ranking(lam)[0]
         grasp_rec = _grasp_record(top)
 
-        robot_base = scene.robot_base
-
         if mode is AblationMode.A4:
-            # tucked pose: grasp orientation kept, held point parked in front
-            # of the base; position/orientation planners intentionally
-            # skipped, so the rest of the run is the metrics stage
+            # position/orientation planners intentionally skipped, so the
+            # rest of the run is the metrics stage
             stages.append("metrics")
-            forward = -human.facing  # robot faces the receiver
-            ee = robot_base + A4_FORWARD * forward + np.array([0.0, 0.0, A4_HEIGHT])
         else:
             stages.append("position")
             ee, winner, _ = shared.position()
@@ -414,48 +451,15 @@ def run_pipeline(
             }
             stages.append("orientation")
 
-        ctx = DeliveryContext(
-            grid=scene.grid,
-            gripper=scene.gripper,
-            grasp_rotation=top.candidate.rotation,
-            held_point=top.candidate.translation,
-            width=top.candidate.width,
-            ee_position=ee,
-            human=human,
-            robot_base=robot_base,
-            body_proxy_dims=scene.body_proxy_dims,
-        )
-        rejected = None
-        if mode is AblationMode.A4 or mode in RANDOM_ORIENTATION_MODES:
-            if mode is AblationMode.A4:
-                rotation = np.eye(3)
-            else:
-                rotations = sample_orientations(params.orientation_step)
-                feas = [r for r in rotations if feasible(ctx, r)]
-                if not feas:
-                    raise ValueError("no feasible handover orientation")
-                rng = np.random.default_rng([seed, 7])
-                rotation = feas[int(rng.integers(len(feas)))]
-            objective = exposure_objective(ctx, rotation, cluster)
-        else:
-            pose = plan_handover_orientation(ctx, cluster, params.orientation_step)
-            rotation, objective = pose.object_rotation, pose.objective
-            if emit_diagnostics:
-                rejected = [
-                    {"rotation": c.rotation.tolist(), "reason": c.reason}
-                    for c in pose.candidates
-                    if not c.feasible
-                ]
-        delivery_rec = _delivery_record(ctx, rotation, objective, rejected)
+        ctx, rotation, objective, pose = shared.delivery(top.candidate, DELIVERY_KINDS[mode])
+        delivery_rec = _delivery_record(ctx, rotation, objective, pose if emit_diagnostics else None)
 
         if stages[-1] != "metrics":
             stages.append("metrics")
-        scores = evaluate_maps(ctx, rotation, scene.contact_maps, params.k)
+        scores = shared.scores(top.candidate, DELIVERY_KINDS[mode])
+        per_map = zip(scores.visibility, scores.reachability)
         metrics_rec = {
-            "per_map": [
-                {"visibility": v, "reachability": r}
-                for v, r in zip(scores.visibility, scores.reachability)
-            ],
+            "per_map": [{"visibility": v, "reachability": r} for v, r in per_map],
             "visibility_median": scores.visibility_median,
             "reachability_median": scores.reachability_median,
             "k": params.k,

@@ -290,34 +290,38 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
 
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
     """Bench runs the modes of one (scene, seed) as one group that shares its
-    mode-independent stages: one sampling, one clustering of the planning
-    map, one arm plan, and one rank_grasps call, on the contenders, whatever
-    --jobs is. FULL/A2 rank at the scene's lam and A1/A3/A4 at 1.0; the
-    second lam re-sorts the occlusions the first one scored."""
+    stages: one sampling, one clustering of the planning map, one arm plan,
+    and one rank_grasps call, on the contenders, whatever --jobs is. FULL/A2
+    rank at the scene's lam and A1/A3/A4 at 1.0; the second lam re-sorts the
+    occlusions the first one scored. FULL and A1 rank one candidate first,
+    so it is searched once and scored once per delivery kind (planned,
+    random, tucked), and A2/A3 draw from that search's feasible rotations."""
+    names = ("sample_grasps", "cluster_contacts", "rank_grasps", "plan_handover_position",
+             "predict_contacts_heuristic", "plan_handover_orientation", "evaluate_maps", "feasible")
     calls = {}
 
     def counting(name):
         real = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, wrapper)
 
-    for name in ("sample_grasps", "cluster_contacts", "rank_grasps",
-                 "plan_handover_position", "predict_contacts_heuristic"):
+    for name in names:
         counting(name)
     cfg = absolutized_config(suite_dir, "hammer")
     cfg["planning_map"] = "heuristic"
     heuristic = tmp_path / "heuristic.scene.json"
     heuristic.write_text(json.dumps(cfg))
-    once = {"sample_grasps": 1, "cluster_contacts": 1, "rank_grasps": 1, "plan_handover_position": 1}
+    once = {"sample_grasps": 1, "cluster_contacts": 1, "rank_grasps": 1, "plan_handover_position": 1,
+            "predict_contacts_heuristic": 0, "plan_handover_orientation": 1, "evaluate_maps": 3, "feasible": 0}
     for scene, stem, expect in (
         (suite_dir / "hammer.scene.json", "hammer", once),
         (heuristic, "heuristic", {**once, "predict_contacts_heuristic": 1}),
     ):
-        calls.clear()
+        calls.update(dict.fromkeys(names, 0))
         out = tmp_path / stem
         code, _, _ = run_cli(["bench", str(scene), "--seeds", "0", "--jobs", "3",
                               "--out", str(out)], capsys)

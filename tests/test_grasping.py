@@ -104,7 +104,7 @@ class TestSampling:
     def test_approach_perpendicular_to_closing_axis(self):
         grid = box_grid((16, 16, 16), (5, 5, 5), (10, 10, 10))
         for cand in sample_default(grid, max_candidates=30, seed=4):
-            approach = cand.approach_axis
+            approach = -cand.rotation[:, 2]
             closing = cand.rotation[:, 1]
             assert abs(np.dot(approach, closing)) < 1e-9
             assert np.allclose(cand.rotation @ cand.rotation.T, np.eye(3), atol=1e-9)
@@ -361,7 +361,7 @@ def bundled_grasps(scenes):
     for name, scene in scenes.items():
         grid, params = scene.grid, scene.params
         cands = sample_grasps(grid, grid.normals, scene.gripper, params.max_grasps, 1)
-        clusters = cluster_contacts(scene.planning_contact_map(), params.eps, params.min_pts)
+        clusters = cluster_contacts(scene.contact_maps[scene.planning_map], params.eps, params.min_pts)
         out[name] = (scene, cands, largest_cluster(clusters))
     return out
 

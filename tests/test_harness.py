@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from handover import harness, metrics
-from handover.contacts import predict_contacts_heuristic
+from handover.contacts import cluster_contacts, largest_cluster, predict_contacts_heuristic
 from handover.delivery import DeliveryContext, feasible, sample_orientations
 from handover.grasping import rank_grasps
 from handover.harness import (
@@ -94,9 +94,10 @@ def test_bad_body_proxy_rejected(suite_dir, tmp_path, dims):
 
 def test_heuristic_planning_map(scenes):
     scene = replace(scenes["mug"], planning_map="heuristic")
-    cm = scene.planning_contact_map()
-    want = predict_contacts_heuristic(scene.grid)
-    assert cm.values == want.values
+    p = scene.params
+    want = largest_cluster(cluster_contacts(predict_contacts_heuristic(scene.grid), p.eps, p.min_pts))
+    assert SharedStages(scene, 0).cluster().member_indices == want.member_indices
+    assert SharedStages(scenes["mug"], 0).cluster().member_indices != want.member_indices
 
 
 # ------------------------------------------------------------- full pipeline
@@ -279,13 +280,91 @@ def report_bytes(report) -> str:
 
 def test_shared_stages_reports_equal_fresh_runs(scenes):
     # the mode order rotates per scene, so each mode is once the one that
-    # fills the shared stages
-    for i, scene in enumerate(scenes.values()):
-        shared = SharedStages(scene, 0)
-        for mode in MODES[i:] + MODES[:i]:
-            fresh = run_pipeline(scene, mode, 0, emit_diagnostics=True)
-            via_shared = run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared)
-            assert report_bytes(via_shared) == report_bytes(fresh), (scene.name, mode)
+    # fills the shared stages, A2 and A3 once before any planned search
+    for emit in (False, True):
+        for i, scene in enumerate(scenes.values()):
+            shared = SharedStages(scene, 0)
+            for mode in MODES[i:] + MODES[:i]:
+                fresh = run_pipeline(scene, mode, 0, emit_diagnostics=emit)
+                via_shared = run_pipeline(scene, mode, 0, emit_diagnostics=emit, shared=shared)
+                assert report_bytes(via_shared) == report_bytes(fresh), (scene.name, mode, emit)
+
+
+def lower_confidences(monkeypatch):
+    """Scale each sampled candidate's confidence down by its place in the
+    list, so it no longer saturates at 1.0: FULL and A1 then rank different
+    candidates first on the bundled scenes."""
+    real = harness.sample_grasps
+
+    def lowered(*args, **kwargs):
+        found = real(*args, **kwargs)
+        return [replace(c, confidence=c.confidence * (1.0 - 0.25 * i / len(found))) for i, c in enumerate(found)]
+
+    monkeypatch.setattr(harness, "sample_grasps", lowered)
+
+
+def record_contexts(monkeypatch, name, raises=None):
+    """The DeliveryContexts harness.<name> is called on, in call order; each
+    call raises `raises` when it is given."""
+    contexts = []
+    real = getattr(harness, name)
+
+    def recording(ctx, *args, **kwargs):
+        contexts.append(ctx)
+        if raises is not None:
+            raise raises
+        return real(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(harness, name, recording)
+    return contexts
+
+
+def test_modes_with_different_tops_each_deliver_their_own(scenes, monkeypatch):
+    """Nothing is reused between two top candidates: each is searched and
+    scored, and every report still equals a fresh run's, byte for byte."""
+    lower_confidences(monkeypatch)
+    scene = scenes["hammer"]
+    fresh = {mode: report_bytes(run_pipeline(scene, mode, 0, emit_diagnostics=True)) for mode in MODES}
+    searched, scored, scanned = (record_contexts(monkeypatch, name)
+                                 for name in ("plan_handover_orientation", "evaluate_maps", "feasible"))
+    shared = SharedStages(scene, 0)
+    for mode in MODES:
+        report = run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared)
+        assert report_bytes(report) == fresh[mode], mode
+    tops = [shared.ranking(lam)[0].candidate for lam in (scene.params.lam, 1.0)]
+    assert tops[0] is not tops[1]
+    held = [top.translation.tobytes() for top in tops]
+    assert [ctx.held_point.tobytes() for ctx in searched] == held
+    # FULL, A1, then A2 and A3 on the same two tops, then A4 on A1's
+    assert [ctx.held_point.tobytes() for ctx in scored] == held + held + held[1:]
+    assert scanned == []  # A2 and A3 took the feasible rotations their top's search found
+
+
+@pytest.mark.parametrize("name, stage, lower, expect", [
+    ("plan_handover_orientation", "orientation", False, 1),
+    ("plan_handover_orientation", "orientation", True, 2),
+    ("evaluate_maps", "metrics", False, 3),
+    ("evaluate_maps", "metrics", True, 5),
+])
+def test_kept_delivery_failure_reports_as_a_fresh_run(scenes, monkeypatch, name, stage, lower, expect):
+    """A broken orientation search or metrics stage: each mode reports what
+    a fresh run reports, and the stage runs once per (top candidate,
+    delivery kind) that reaches it."""
+    if lower:
+        lower_confidences(monkeypatch)
+    scene = scenes["hammer"]
+    calls = record_contexts(monkeypatch, name, RuntimeError("stage broken"))
+    fresh = {mode: run_pipeline(scene, mode, 0) for mode in MODES}
+    calls.clear()
+    shared = SharedStages(scene, 0)
+    reached = set()
+    for mode in AblationMode:
+        report = run_pipeline(scene, mode, 0, shared=shared)
+        assert report_bytes(report) == report_bytes(fresh[mode.value]), mode
+        if report.failure == f"{stage}: RuntimeError: stage broken":
+            lam = 1.0 if mode in harness.CONFIDENCE_ONLY_MODES else scene.params.lam
+            reached.add((id(shared.ranking(lam)[0].candidate), harness.DELIVERY_KINDS[mode]))
+    assert len(calls) == len(reached) == expect
 
 
 def test_shared_position_failure_spares_a4(scenes, monkeypatch):
