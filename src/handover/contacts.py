@@ -6,61 +6,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxelgeom import Index, VoxelGrid, read_grid_file, write_grid_file
+from .voxelgeom import VoxelGrid, read_grid_file, read_only, write_grid_file
 
 CONTACT_THRESHOLD = 0.5  # a voxel whose value reaches this is a contact
 DEFAULT_MIN_PTS = 4
 EPS_VOXELS = 3.0  # default neighborhood radius, in voxel edge lengths
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactMap:
-    """Per-voxel contact annotation over a grid.
-
-    values holds only nonzero entries, keyed by voxel index; after ingestion
-    every key is a surface voxel of the grid. CONTACT_THRESHOLD binarizes
-    probabilistic maps for clustering and metric evaluation.
+    """Per-voxel contact weights over a grid: `keys`, an (n, 3) integer array
+    of voxel indices inside the grid, none repeated, and `values` in [0, 1],
+    aligned; both held as read-only copies in lexicographic key order.
+    Ingested keys are surface voxels with nonzero values (the heuristic map
+    keeps zeros). CONTACT_THRESHOLD binarizes it for clustering and metrics.
     """
 
     grid: VoxelGrid
-    values: dict[Index, float]
+    keys: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        for key, v in self.values.items():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"contact value at {key} must be finite and in [0, 1], got {v!r}")
+        keys, values = np.asarray(self.keys), np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or keys.shape != (len(values), 3) or not np.issubdtype(keys.dtype, np.integer):
+            raise ValueError(f"contact map needs (n, 3) integer keys for its n values, got {keys.dtype} keys "
+                             f"of shape {keys.shape} for values of shape {values.shape}")
+        bad = ~((values >= 0.0) & (values <= 1.0))
+        if bad.any():
+            raise ValueError(f"contact value at {tuple(keys[bad][0].tolist())} must be finite and in [0, 1], "
+                             f"got {values[bad][0].item()!r}")
+        outside = ((keys < 0) | (keys >= self.grid.dims)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"contact map key {tuple(keys[outside][0].tolist())} lies outside its grid")
+        order = np.argsort(np.ravel_multi_index(tuple(keys.T), self.grid.dims), kind="stable")
+        self.keys, self.values = read_only(keys[order]), read_only(values[order])
+        repeat = (self.keys[1:] == self.keys[:-1]).all(axis=1)
+        if repeat.any():
+            raise ValueError(f"contact map key {tuple(self.keys[1:][repeat][0].tolist())} repeats")
 
-    def contact_indices(self) -> list[Index]:
-        """Voxels whose value reaches CONTACT_THRESHOLD, lexicographic order."""
-        return sorted(i for i, v in self.values.items() if v >= CONTACT_THRESHOLD)
+    def contacts(self):
+        """(keys, values) of the voxels whose value reaches CONTACT_THRESHOLD, in key order."""
+        hit = self.values >= CONTACT_THRESHOLD
+        return self.keys[hit], self.values[hit]
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactCluster:
-    member_indices: list[Index]
+    """Member voxels, an (m, 3) integer array (lexicographic from cluster_contacts)."""
+
+    member_indices: np.ndarray
+
+    def __post_init__(self):
+        self.member_indices = np.asarray(self.member_indices, dtype=int).reshape(-1, 3)
 
     @property
     def size(self) -> int:
         return len(self.member_indices)
 
+    def rank(self) -> tuple:
+        """Sort key of the clusters: size descending, then lowest member index."""
+        return -self.size, *self.member_indices[0].tolist()
+
 
 # -- ingestion ---------------------------------------------------------------
 
+SNAP_CHUNK_PAIRS = 1 << 16  # (voxel, surface voxel) distances taken at a time
 
-def _snap_to_surface(grid: VoxelGrid, idx: Index) -> Index:
-    """Nearest surface voxel by center distance; ties break to the lowest
-    (x, y, z) index."""
-    surf = np.asarray(grid.surface, dtype=float)
-    d2 = ((surf - np.asarray(idx, dtype=float)) ** 2).sum(axis=1)
-    # grid.surface is lexicographically sorted and argmin returns the first minimum
-    return grid.surface[int(np.argmin(d2))]
+
+def _snap_to_surface(grid: VoxelGrid, cells: np.ndarray) -> np.ndarray:
+    """grid.surface_rows of the (k, 3) cells, where each cell off the surface
+    takes the row of the surface voxel nearest it by center distance. The
+    squared distances are exact integers; a tie goes to the lowest row,
+    which holds the lowest (x, y, z) index."""
+    rows = grid.surface_rows(cells)
+    off = np.flatnonzero(rows < 0)
+    step = max(1, SNAP_CHUNK_PAIRS // max(len(grid.surface), 1))
+    for a in range(0, len(off), step):
+        k = off[a : a + step]
+        rows[k] = np.argmin(np.square(grid.surface - cells[k, None]).sum(axis=-1), axis=1)  # first minimum
+    return rows
 
 
 def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     """Read a 'VCONTACT 1' grid file (0/1 or float rows, values in [0, 1]) and
     register it to `grid`, whose dims, voxel_size and origin the header must
-    repeat. Nonzero values landing off the surface are snapped to the nearest
-    surface voxel (max value wins a collision).
+    repeat. Each nonzero value lands on its surface row; one off the surface
+    snaps to the nearest surface voxel, and the max value wins a collision.
+    The nonzero surface rows are the map's keys, already in order.
     """
     dims, voxel_size, origin, dense = read_grid_file(path, "VCONTACT", floats=True)
     for key, got, want in (
@@ -73,23 +105,18 @@ def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     nonzero = dense != 0
     if not nonzero.any():
         raise ValueError(f"{path}: empty contact map")
-    surface_set = set(grid.surface)
-    values: dict[Index, float] = {}
     # argwhere and the mask both walk cells in lexicographic (x, y, z) order
-    for idx, v in zip(map(tuple, np.argwhere(nonzero).tolist()), dense[nonzero].tolist()):
-        key = idx if idx in surface_set else _snap_to_surface(grid, idx)
-        values[key] = max(values.get(key, 0.0), v)
-    return ContactMap(grid, values)
+    top = np.zeros(len(grid.surface))
+    np.maximum.at(top, _snap_to_surface(grid, np.argwhere(nonzero)), dense[nonzero])
+    kept = top != 0
+    return ContactMap(grid, grid.surface[kept], top[kept])
 
 
 def save_contact_map(cm: ContactMap, path) -> None:
     """Inverse of load_contact_map: 0/1 rows when every value is 0 or 1,
     float rows otherwise."""
-    keys = np.array(list(cm.values), dtype=int).reshape(-1, 3)
-    if ((keys < 0) | (keys >= cm.grid.dims)).any():
-        raise ValueError("contact map key outside its grid")
     dense = np.zeros(cm.grid.dims)
-    dense[tuple(keys.T)] = list(cm.values.values())
+    dense[tuple(cm.keys.T)] = cm.values
     write_grid_file(path, "VCONTACT", cm.grid, dense)
 
 
@@ -118,17 +145,15 @@ def predict_contacts_heuristic(grid: VoxelGrid) -> ContactMap:
     (t_max == t_min, e.g. a bare rod or a single voxel) map to 1.0.
     """
     surface = grid.surface
-    if not surface:
+    if not len(surface):
         raise ValueError("empty contact map")
     occ = grid.occupancy
     runs = np.minimum(np.minimum(_run_lengths(occ, 0), _run_lengths(occ, 1)), _run_lengths(occ, 2))
-    thick = runs[tuple(np.asarray(surface).T)].astype(float)
-    t_min = float(thick.min())
-    t_max = float(thick.max())
+    thick = runs[tuple(surface.T)].astype(float)
+    t_min, t_max = float(thick.min()), float(thick.max())
     if t_max == t_min:
-        return ContactMap(grid, dict.fromkeys(surface, 1.0))
-    p = np.clip((t_max - thick) / (t_max - t_min), 0.0, 1.0)
-    return ContactMap(grid, dict(zip(surface, p.tolist())))
+        return ContactMap(grid, surface, np.ones(len(surface)))
+    return ContactMap(grid, surface, np.clip((t_max - thick) / (t_max - t_min), 0.0, 1.0))
 
 
 # -- clustering ---------------------------------------------------------------
@@ -148,10 +173,10 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
     then grows from its seed one ring of core points at a time."""
     grid = cm.grid
     eps = EPS_VOXELS * grid.voxel_size if eps is None else eps
-    points = cm.contact_indices()
-    if not points:
+    points = cm.contacts()[0]
+    if not len(points):
         raise ValueError("empty contact map")
-    start, nbr = _neighborhoods(grid.centers(np.asarray(points, dtype=float)), eps, max(eps, grid.voxel_size))
+    start, nbr = _neighborhoods(grid.centers(points), eps, max(eps, grid.voxel_size))
     core = np.diff(start) >= min_pts
     labels = np.full(len(points), -1)  # -1: in no cluster (yet)
     cid = 0
@@ -165,8 +190,7 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
                 labels[reached] = cid
                 ring = reached[core[reached]]
             cid += 1
-    clusters = [ContactCluster([points[k] for k in np.flatnonzero(labels == c).tolist()]) for c in range(cid)]
-    return sorted(clusters, key=lambda cl: (-cl.size, cl.member_indices[0]))
+    return sorted((ContactCluster(points[labels == c]) for c in range(cid)), key=ContactCluster.rank)
 
 
 def _ranges(first, lens) -> np.ndarray:
@@ -207,4 +231,4 @@ def largest_cluster(clusters) -> ContactCluster:
     """Biggest cluster; ties break to the one with the lowest member index."""
     if not clusters:
         raise ValueError("empty contact map")
-    return min(clusters, key=lambda cl: (-cl.size, cl.member_indices[0]))
+    return min(clusters, key=ContactCluster.rank)

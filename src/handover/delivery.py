@@ -20,7 +20,7 @@ import numpy as np
 from .contacts import ContactCluster
 from .ergonomics import HumanModel
 from .grasping import GripperModel
-from .voxelgeom import VoxelGrid, cos_sin_deg
+from .voxelgeom import VoxelGrid, cos_sin_deg, read_only
 
 DEFAULT_STEP_DEG = 45.0
 MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, all scored by each search
@@ -58,8 +58,7 @@ def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
     rolls = np.stack([one, zero, zero, zero, cr, -sr, zero, sr, cr], -1)
     keep = (az == 0.0)[:, None] | (np.abs(el) != 90.0)
     rotations = (frames.reshape(*keep.shape, 1, 3, 3) @ rolls.reshape(-1, 3, 3))[keep].reshape(-1, 3, 3)
-    rotations.setflags(write=False)
-    return list(rotations)
+    return list(read_only(rotations))
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,7 @@ class DeliveryContext:
     def __post_init__(self):
         for name, shape in (("grasp_rotation", (3, 3)), ("held_point", 3), ("ee_position", 3),
                             ("robot_base", 3)):
-            value = np.array(getattr(self, name), dtype=float).reshape(shape)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float).reshape(shape)))
 
     @cached_property
     def object_offsets(self) -> np.ndarray:
@@ -205,7 +202,7 @@ def exposure_objective(ctx: DeliveryContext, rotation: np.ndarray, cluster: Cont
 def _exposure(ctx: DeliveryContext, cluster: ContactCluster):
     """exposure_objective as a function of the rotation alone: the contact
     offsets and the eye point are worked out once."""
-    rel = ctx.grid.centers(np.asarray(cluster.member_indices, dtype=float)) - ctx.held_point
+    rel = ctx.grid.centers(cluster.member_indices) - ctx.held_point
     eye = ctx.human.eye_point
     return lambda rotation: float(np.linalg.norm(ctx.ee_position + rel @ rotation.T - eye, axis=1).sum())
 

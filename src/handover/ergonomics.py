@@ -172,12 +172,7 @@ def _angle_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.minimum(v[v <= hi + 1e-9], hi)
 
 
-def plan_handover_position(
-    human: HumanModel,
-    object_mass: float = 0.5,
-    alpha: float = 0.5,
-    step: float = 5.0,
-):
+def plan_handover_position(human: HumanModel, object_mass: float = 0.5, alpha: float = 0.5, step: float = 5.0):
     """Pick the hand placement minimizing blended effort and posture costs.
 
     Evaluates the joint grid at `step` degrees as arrays, keeps

@@ -136,14 +136,9 @@ SAMPLE_CHUNK = 64
 CULL_MARGIN = 1e-6
 
 
-def sample_grasps(
-    grid: VoxelGrid,
-    normals: dict[Index, np.ndarray],
-    gripper: GripperModel,
-    max_candidates: int = 200,
-    seed: int = 0,
-):
-    """Antipodal grasp sampling over surface voxels.
+def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 200, seed: int = 0):
+    """Antipodal grasp sampling over the surface voxels of `grid`, with
+    their normals in grid.normals.
 
     For each surface voxel p (in seeded random order) the sampler steps
     through the body along -normal(p) and pairs p with every surface voxel
@@ -160,24 +155,20 @@ def sample_grasps(
     later candidate can enter the result. Every bundled scene stops there.
 
     The order is probed SAMPLE_CHUNK voxels at a time, as one array of
-    probe cells and one sorted lookup; their pairs are filtered and given
-    their roll frames as arrays. A pair's frames are collision-tested only
-    against the voxels in a finger band (width / 2 to width / 2 +
-    finger_thickness along the axis) or the palm ring (at least
+    probe cells and one grid.surface_rows lookup; their pairs are filtered
+    and given their roll frames as arrays. A pair's frames are
+    collision-tested only against the voxels in a finger band (width / 2 to
+    width / 2 + finger_thickness along the axis) or the palm ring (at least
     finger_length / 2 off it), with every bound widened by CULL_MARGIN.
     """
-    surface = grid.surface
-    if not surface:
+    surface, nrm = grid.surface, grid.normals
+    if not len(surface):
         return []
     vs = grid.voxel_size
     order = np.random.default_rng(seed).permutation(len(surface))
     occupied = grid.occupied_centers
     cos_limit = math.cos(math.radians(MAX_NORMAL_OPPOSITION_DEG))
-    # linear cell index of each surface voxel, ascending because the surface
-    # is in lexicographic order, closed by a sentinel that no cell reaches
-    surface_keys = np.append(np.ravel_multi_index(np.array(surface).T, grid.dims), grid.occupancy.size)
     centers = grid.centers(surface)
-    nrm = np.array([normals[s] for s in surface])
     pool_cap = max(8 * max_candidates, 64)
     step_lens = np.arange(0.5 * vs, gripper.max_width + 2 * vs, 0.5 * vs)
     ft, hfl = gripper.finger_thickness, gripper.finger_length / 2.0
@@ -188,12 +179,9 @@ def sample_grasps(
     for start in range(0, len(order), SAMPLE_CHUNK):
         block = order[start : start + SAMPLE_CHUNK]
         probe = centers[block, None] - step_lens[:, None] * nrm[block, None]
-        cells = np.floor((probe - grid.origin) / vs).astype(int)
-        keys = np.ravel_multi_index(tuple(np.moveaxis(cells, -1, 0)), grid.dims, mode="clip")
-        keys[~((cells >= 0) & (cells < grid.dims)).all(axis=-1)] = -1  # off the grid: matches nothing
-        passed = np.searchsorted(surface_keys, keys)
-        hit = (surface_keys[passed] == keys) & (passed != block[:, None])
-        hit[:, 1:] &= keys[:, 1:] != keys[:, :-1]  # a straight probe enters each cell once
+        passed = grid.surface_rows(np.floor((probe - grid.origin) / vs).astype(int))
+        hit = (passed >= 0) & (passed != block[:, None])
+        hit[:, 1:] &= passed[:, 1:] != passed[:, :-1]  # a straight probe enters each cell once
         rows, cols = np.nonzero(hit)
         pi, qi = block[rows], passed[rows, cols]
         n_p, n_q = nrm[pi], nrm[qi]
@@ -232,8 +220,9 @@ def sample_grasps(
             break
     pi, qi, width, confidence, mid, rots = (np.concatenate(v) for v in zip(*kept))
     best = np.argsort(-confidence, kind="stable")[:max_candidates]
-    fields = zip(best, pi[best].tolist(), qi[best].tolist(), width[best].tolist(), confidence[best].tolist())
-    return [GraspCandidate(rots[i], mid[i], w, c, (surface[p], surface[q])) for i, p, q, w, c in fields]
+    fields = zip(best, surface[pi[best]].tolist(), surface[qi[best]].tolist(), width[best].tolist(),
+                 confidence[best].tolist())
+    return [GraspCandidate(rots[i], mid[i], w, c, (tuple(p), tuple(q))) for i, p, q, w, c in fields]
 
 
 def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
@@ -262,29 +251,29 @@ OCCLUSION_BLOCK_PAIRS, OCCLUSION_FLUSH_PAIRS = 3072, 512
 CONTENDER_CHUNK = 64
 
 
-def occlusion_fraction(
-    grasp: GraspCandidate,
-    cluster: ContactCluster,
-    normals: dict[Index, np.ndarray],
-    gripper: GripperModel,
-    grid: VoxelGrid,
-) -> float:
+def occlusion_fraction(grasp: GraspCandidate, cluster: ContactCluster, gripper: GripperModel,
+                       grid: VoxelGrid) -> float:
     """Fraction of cluster voxels the gripper hides.
 
     A voxel is blocked when a ray from its center (offset 1.5 voxel edges
-    along its own normal) hits a gripper box within 4 finger lengths, or when
-    the center lies in the closing region. Counts stay integral until the
-    single final division.
+    along its normal in grid.normals) hits a gripper box within 4 finger
+    lengths, or when the center lies in the closing region. Counts stay
+    integral until the single final division.
     """
-    return _occlusions([grasp], cluster, normals, gripper, grid)[0]
+    return _occlusions([grasp], cluster, gripper, grid)[0]
 
 
-def _rays(cluster, normals, grid):
-    """(centers, ray origins, ray directions) of the cluster voxels, one row each."""
+def _rays(cluster, grid):
+    """(centers, ray origins, ray directions) of the cluster voxels, one row
+    each; every voxel must be a surface voxel of `grid`."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
-    centers = grid.centers(cluster.member_indices)
-    nrm = np.array([normals[i] for i in cluster.member_indices])
+    members = cluster.member_indices
+    rows = grid.surface_rows(members)
+    if (rows < 0).any():
+        raise ValueError(f"cluster voxel {tuple(members[np.argmin(rows)].tolist())} has no surface normal")
+    centers = grid.centers(members)
+    nrm = grid.normals[rows]
     return centers, centers + 1.5 * grid.voxel_size * nrm, nrm
 
 
@@ -333,12 +322,12 @@ def _box_hits(pending, gripper) -> np.ndarray:
     return np.bincount(cand[hit], minlength=len(w))
 
 
-def _occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
+def _occlusions(candidates, cluster, gripper, grid) -> list[float]:
     """occlusion_fraction of every candidate: its _hits over the whole cluster."""
-    return (_hits(candidates, _rays(cluster, normals, grid), gripper) / cluster.size).tolist()
+    return (_hits(candidates, _rays(cluster, grid), gripper) / cluster.size).tolist()
 
 
-def contenders(candidates, cluster, normals, gripper, grid) -> list:
+def contenders(candidates, cluster, gripper, grid) -> list:
     """The candidates that can still rank first at some lam in [0, 1], in
     input order: rank_grasps(contenders(...), ...)[0] is rank_grasps(
     candidates, ...)[0] at every lam.
@@ -353,7 +342,7 @@ def contenders(candidates, cluster, normals, gripper, grid) -> list:
     of OCCLUSION_BLOCK_PAIRS holds, then drops every candidate that a
     completed one dominates by that rule.
     """
-    rays = _rays(cluster, normals, grid)
+    rays = _rays(cluster, grid)
     if not candidates:
         return []
     order = np.random.default_rng(0).permutation(cluster.size)  # neighbours tend to hit together
@@ -389,14 +378,7 @@ def contact_score(confidence: float, occlusion: float, lam: float) -> float:
     return lam * confidence - (1.0 - lam) * occlusion
 
 
-def rank_grasps(
-    candidates,
-    cluster: ContactCluster,
-    lam: float,
-    normals,
-    gripper: GripperModel,
-    grid: VoxelGrid,
-):
+def rank_grasps(candidates, cluster: ContactCluster, lam: float, gripper: GripperModel, grid: VoxelGrid):
     """Score candidates and order them best-first.
 
     Ties break by higher confidence, then lower occlusion, then candidate
@@ -408,7 +390,7 @@ def rank_grasps(
         raise ValueError("no grasp candidates")
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    return order_grasps(candidates, _occlusions(candidates, cluster, normals, gripper, grid), lam)
+    return order_grasps(candidates, _occlusions(candidates, cluster, gripper, grid), lam)
 
 
 def order_grasps(candidates, occlusions, lam: float) -> list[RankedGrasp]:

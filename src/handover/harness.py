@@ -170,6 +170,8 @@ def load_scene(path) -> Scene:
         vgrid = check_value("string", _section(cfg["object"], "object").get("vgrid"), "object field 'vgrid'")
         paths = check_value("paths", cfg["contact_maps"], "scene field 'contact_maps'")
         grid = _read("object field 'vgrid'", load_vgrid, resolve(vgrid))
+        if not grid.occupancy.any():
+            raise ValueError(f"object field 'vgrid': {vgrid} has no occupied voxel")
         maps = [_read("scene field 'contact_maps'", load_contact_map, resolve(p), grid) for p in paths]
         return Scene(
             name=cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
@@ -261,8 +263,9 @@ def _delivery_record(ctx: DeliveryContext, rotation: np.ndarray, objective: floa
     return rec
 
 
-def _bitmap(flags: dict) -> dict:
-    return {",".join(map(str, idx)): v for idx, v in flags.items()}
+def _bitmap(cm: ContactMap, flags: np.ndarray) -> dict:
+    """The flags of cm's contact voxels, keyed "x,y,z"."""
+    return {",".join(map(str, idx)): v for idx, v in zip(cm.contacts()[0].tolist(), flags.tolist())}
 
 
 def resolve_seed(seed, params: PipelineParams | None = None) -> int:
@@ -308,8 +311,7 @@ class SharedStages:
 
     def candidates(self) -> list:
         def sample():
-            grid = self.scene.grid
-            found = sample_grasps(grid, grid.normals, self.scene.gripper, self.params.max_grasps, self.seed)
+            found = sample_grasps(self.scene.grid, self.scene.gripper, self.params.max_grasps, self.seed)
             if not found:
                 raise ValueError("no grasp candidates")
             return found
@@ -323,7 +325,7 @@ class SharedStages:
             if clusters := cluster_contacts(cm, p.eps, p.min_pts):
                 return largest_cluster(clusters)
             eps = EPS_VOXELS * cm.grid.voxel_size if p.eps is None else p.eps
-            raise ValueError(f"no contact cluster: all {len(cm.contact_indices())} contact voxels are noise "
+            raise ValueError(f"no contact cluster: all {len(cm.contacts()[0])} contact voxels are noise "
                              f"at eps={eps:g}, min_pts={p.min_pts}")
 
         return self._once("contacts", largest)
@@ -333,8 +335,7 @@ class SharedStages:
         first at some lam), ranked: by rank_grasps at the first `lam` asked.
         Neither the contenders nor their occlusions depend on `lam`, so any
         other `lam` re-sorts the same (candidate, occlusion) pairs."""
-        grid = self.scene.grid
-        args = (grid.normals, self.scene.gripper, grid)
+        args = (self.scene.gripper, self.scene.grid)
 
         def first_ranking():
             shortlist = contenders(self.candidates(), self.cluster(), *args)
@@ -396,13 +397,8 @@ class SharedStages:
                           lambda: evaluate_maps(ctx, rotation, self.scene.contact_maps, self.params.k))
 
 
-def run_pipeline(
-    scene: Scene,
-    mode: AblationMode | str = AblationMode.FULL,
-    seed: int | None = None,
-    emit_diagnostics: bool = False,
-    shared: SharedStages | None = None,
-) -> HandoverReport:
+def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, seed: int | None = None,
+                 emit_diagnostics: bool = False, shared: SharedStages | None = None) -> HandoverReport:
     """Execute one handover attempt. Never raises on a stage failure: the
     report carries the failing stage and message instead.
 
@@ -465,8 +461,9 @@ def run_pipeline(
             "k": params.k,
         }
         if emit_diagnostics:
-            metrics_rec["visibility_bitmaps"] = [_bitmap(d) for d in scores.visibility_flags]
-            metrics_rec["reachability_bitmaps"] = [_bitmap(d) for d in scores.reachability_flags]
+            maps = scene.contact_maps
+            metrics_rec["visibility_bitmaps"] = [_bitmap(*m) for m in zip(maps, scores.visibility_flags)]
+            metrics_rec["reachability_bitmaps"] = [_bitmap(*m) for m in zip(maps, scores.reachability_flags)]
         if emit_diagnostics and position_rec is not None:
             metrics_rec["diagnostics"] = {"ergonomics_csv": candidates_csv(shared.position()[2])}
         ok = scores.success

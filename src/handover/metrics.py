@@ -3,9 +3,10 @@ seen, can it be reached, and does the handover count as successful.
 
 Every score takes the pose as a DeliveryContext plus one delta rotation and
 returns (score, flags): the weighted fraction of the map's contact voxels
-that pass, and each voxel's flag by index. The context also says what may
-block a sight line: the gripper, and the robot body proxy unless its
-body_proxy_dims is None."""
+that pass, and their flags as a bool array aligned with the map's contact
+keys (ContactMap.contacts). The context also says what may block a sight
+line: the gripper, and the robot body proxy unless its body_proxy_dims is
+None."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ class MetricScores:
     visibility_median: float
     reachability_median: float
     success: bool
-    # per map: contact voxel index -> visible / reachable
-    visibility_flags: list[dict]
-    reachability_flags: list[dict]
+    # per map: visible / reachable, one flag per contact key
+    visibility_flags: list[np.ndarray]
+    reachability_flags: list[np.ndarray]
 
 
 def lower_median(values) -> float:
@@ -60,12 +61,14 @@ def _robot_proxy_box(ctx: DeliveryContext):
 
 
 def _contacts(cm: ContactMap):
-    """Contact voxels in lexicographic order and their total weight."""
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
+    """Contact voxels in lexicographic order, their weights and the total
+    weight. Every sum of weights runs in that order, from the first: np.sum
+    would sum pairwise."""
+    contact, weights = cm.contacts()
+    denom = sum(weights.tolist())
     if denom <= 0:
         raise ValueError("empty contact map")
-    return contact, denom
+    return contact, weights, denom
 
 
 def _rotate(rotation: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -75,16 +78,11 @@ def _rotate(rotation: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _toward(off: np.ndarray) -> np.ndarray:
-    """Unit vector along `off`, +z when it vanishes: the sight-line normal
+    """Unit rows along `off`, +z where a row vanishes: the sight-line normal
     of a contact voxel that has no surface normal."""
-    n = float(np.linalg.norm(off))
-    return off / n if n > 0 else np.array([0.0, 0.0, 1.0])
-
-
-def _fold(cm: ContactMap, contact, denom, ok: np.ndarray):
-    """(score, flags) of the flagged voxels; the score is summed in contact order."""
-    flags = dict(zip(contact, ok.tolist()))
-    return sum((cm.values[i] for i in contact if flags[i]), 0.0) / denom, flags
+    n = np.sqrt(row_dots(off, off))[:, None]  # np.linalg.norm per row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n > 0, off / n, [0.0, 0.0, 1.0])
 
 
 def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
@@ -105,16 +103,14 @@ def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
     in one ray_cast call.
     """
     grid = ctx.grid
-    contact, denom = _contacts(cm)
+    contact, weights, denom = _contacts(cm)
     eye = ctx.human.eye_point
     # eye mapped into grid coordinates once; the grid never moves, the world does
     eye_grid = ctx.grid_frame_point(rotation, eye)
     centers = grid.centers(contact)
-    normals = grid.normals
-    nrm = np.array([
-        normals[idx] if idx in normals else _toward(eye_grid - c)
-        for idx, c in zip(contact, centers)
-    ])
+    rows = grid.surface_rows(contact)
+    nrm = _toward(eye_grid - centers)  # kept where a voxel has no surface normal
+    nrm[rows >= 0] = grid.normals[rows[rows >= 0]]
     aims = centers + AIM_OFFSET_VOXELS * grid.voxel_size * nrm
     to_aim = aims - eye_grid
     dist = np.sqrt(row_dots(to_aim, to_aim))  # np.linalg.norm per row
@@ -139,7 +135,7 @@ def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
     blocked[clear] = ray_cast(grid, eye_grid, to_aim[rays[clear]] / t_max[clear, None], t_max[clear])
     visible = np.ones(len(contact), dtype=bool)
     visible[rays] = ~blocked
-    return _fold(cm, contact, denom, visible)
+    return sum(weights[visible].tolist(), 0.0) / denom, visible
 
 
 def reachability(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap):
@@ -147,7 +143,7 @@ def reachability(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap):
     envelope: within arm's length of the shoulder AND horizontally closer to
     the body axis than any part of the gripper. Every contact voxel is
     tested at once."""
-    contact, denom = _contacts(cm)
+    contact, weights, denom = _contacts(cm)
     human = ctx.human
     base = human.base_position
     grip_pts = ctx.gripper_points(rotation)
@@ -159,7 +155,7 @@ def reachability(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap):
     d1 = np.sqrt(row_dots(arm, arm))
     d2 = np.hypot(world[:, 0] - base[0], world[:, 1] - base[1])
     ok = (d1 < human.arm_length) & (d2 < gripper_axis_dist)
-    return _fold(cm, contact, denom, ok)
+    return sum(weights[ok].tolist(), 0.0) / denom, ok
 
 
 def evaluate_maps(ctx: DeliveryContext, rotation: np.ndarray, maps, threshold: float = 0.5):

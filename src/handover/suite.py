@@ -68,8 +68,9 @@ def build_object(name: str):
         occ |= shape(x, y, z, *args)
     grid = VoxelGrid(DIMS, VOXEL_SIZE, ORIGIN.copy(), occ)
     floors = ((13, 0), (map1_x, 0), map2_floor)  # map 0: all but the grip feature
-    return grid, [ContactMap(grid, {idx: 1.0 for idx in grid.surface if idx[0] >= x_lo and idx[2] >= z_lo})
-                  for x_lo, z_lo in floors]
+    surface = grid.surface
+    marked = [surface[(surface[:, 0] >= x_lo) & (surface[:, 2] >= z_lo)] for x_lo, z_lo in floors]
+    return grid, [ContactMap(grid, keys, np.ones(len(keys))) for keys in marked]
 
 
 def default_scene_config(name: str) -> dict:

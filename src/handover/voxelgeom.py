@@ -97,7 +97,7 @@ class VoxelGrid:
     """Dense boolean occupancy over a cubic-cell lattice.
 
     occupancy is indexed [x, y, z] and is made read-only after construction;
-    derived surface/normal data is cached lazily.
+    the derived surface and normal arrays are cached lazily, read-only too.
     """
 
     dims: tuple[int, int, int]
@@ -118,9 +118,7 @@ class VoxelGrid:
         occ = np.asarray(self.occupancy, dtype=bool)
         if occ.shape != self.dims:
             raise ValueError(f"occupancy shape {occ.shape} != dims {self.dims}")
-        occ = occ.copy()
-        occ.setflags(write=False)
-        self.occupancy = occ
+        self.occupancy = read_only(occ.copy())
 
     # -- geometry helpers -------------------------------------------------
 
@@ -140,12 +138,29 @@ class VoxelGrid:
         return self.centers(np.argwhere(self.occupancy))
 
     @cached_property
-    def surface(self) -> list[Index]:
-        return surface_voxels(self)
+    def surface(self) -> np.ndarray:
+        return read_only(surface_voxels(self))
 
     @cached_property
-    def normals(self) -> dict[Index, np.ndarray]:
-        return estimate_normals(self)
+    def normals(self) -> np.ndarray:
+        return read_only(estimate_normals(self))
+
+    def surface_rows(self, indices) -> np.ndarray:
+        """Row in `surface` of each integer index (xyz on the last axis), -1
+        off the surface: one sorted lookup of the cells' linear keys."""
+        idx = np.asarray(indices)
+        keys = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.dims, mode="clip")
+        keys[~((idx >= 0) & (idx < self.dims)).all(axis=-1)] = -1  # off the grid
+        # ascending, as the surface is in lexicographic order; closed by a sentinel no cell reaches
+        surface_keys = np.append(np.ravel_multi_index(tuple(self.surface.T), self.dims), self.occupancy.size)
+        rows = np.searchsorted(surface_keys, keys)
+        return np.where(surface_keys[rows] == keys, rows, -1)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, its buffer made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 # -- voxelization ----------------------------------------------------------
@@ -243,48 +258,40 @@ def voxelize_mesh(mesh: Mesh, dims=(64, 64, 64), padding: float = 0.05) -> Voxel
 # -- surface + normals -----------------------------------------------------
 
 
-def surface_voxels(grid: VoxelGrid) -> list[Index]:
+def surface_voxels(grid: VoxelGrid) -> np.ndarray:
     """Occupied cells with at least one unoccupied 6-neighbor (out-of-bounds
-    counts as unoccupied). Returned in lexicographic index order."""
-    occ = grid.occupancy
-    padded = np.pad(occ, 1, mode="constant", constant_values=False)
-    exposed = np.zeros_like(occ)
-    for axis in range(3):
-        for shift in (-1, 1):
-            sl = [slice(1, -1)] * 3
-            sl[axis] = slice(1 + shift, padded.shape[axis] - 1 + shift)
-            exposed |= ~padded[tuple(sl)]
-    surf = occ & exposed
-    return [tuple(int(v) for v in row) for row in np.argwhere(surf)]
+    counts as unoccupied), as an (n, 3) integer array in lexicographic
+    (x, y, z) order."""
+    p = np.pad(grid.occupancy, 1)
+    buried = p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1] & p[1:-1, 2:, 1:-1] & p[1:-1, 1:-1, :-2]
+    buried &= p[1:-1, 1:-1, 2:]  # all six neighbours occupied
+    return np.argwhere(grid.occupancy & ~buried)
 
 
-def estimate_normals(grid: VoxelGrid) -> dict[Index, np.ndarray]:
-    """Outward normal per surface voxel of `grid` (grid.surface).
+def estimate_normals(grid: VoxelGrid) -> np.ndarray:
+    """Outward unit normals as an (n, 3) array: row i is the normal of
+    surface voxel grid.surface[i].
 
     Primary estimate is the negative local occupancy gradient: the sum of
-    directions from occupied 26-neighbors to the voxel. When that sum
+    directions from occupied 26-neighbors to the voxel. Where that sum
     vanishes, fall back to the direction from the occupied centroid to the
     voxel center; a lone voxel (centroid == center) gets +z.
     """
-    occ = grid.occupancy
-    padded = np.pad(occ, 1, mode="constant", constant_values=False)
-    surf_arr = np.asarray(grid.surface, dtype=int).reshape(-1, 3)
-    n = len(surf_arr)
-    acc = np.zeros((n, 3), dtype=float)
-    base = surf_arr + 1  # padded coordinates
+    padded = np.pad(grid.occupancy, 1)
+    surf = grid.surface
+    acc = np.zeros((len(surf), 3), dtype=float)
+    base = surf + 1  # padded coordinates
     for off in _OFFSETS_26:
         nb = base + off.astype(int)
         acc -= off * padded[nb[:, 0], nb[:, 1], nb[:, 2]][:, None]
     norms = np.linalg.norm(acc, axis=1)
     centroid = grid.occupied_centers.mean(axis=0) if grid.occupied_count else grid.origin
-    out: dict[Index, np.ndarray] = {}
-    for i, key in enumerate(grid.surface):
-        if norms[i] > 1e-12:
-            out[key] = acc[i] / norms[i]
-            continue
-        v = grid.center(key) - centroid
-        vn = float(np.linalg.norm(v))
-        out[key] = v / vn if vn > 1e-12 else np.array([0.0, 0.0, 1.0])
+    flat = norms <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = acc / norms[:, None]
+        v = grid.centers(surf[flat]) - centroid
+        vn = np.sqrt(row_dots(v, v))[:, None]  # np.linalg.norm per row
+        out[flat] = np.where(vn > 1e-12, v / vn, [0.0, 0.0, 1.0])
     return out
 
 

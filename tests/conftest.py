@@ -20,15 +20,38 @@ from handover.ergonomics import (
     SHOULDER_RANGE_DEG,
     UP,
 )
-from handover.contacts import EPS_VOXELS, ContactCluster
+from handover.contacts import EPS_VOXELS, ContactCluster, ContactMap
 from handover.grasping import OCCLUSION_RAY_FACTOR, REGION_EPS
 from handover.harness import Scene, SharedStages, load_scene
-from handover.voxelgeom import Mesh, VoxelGrid, segments_hit_boxes
+from handover.voxelgeom import _OFFSETS_26, Mesh, VoxelGrid, segments_hit_boxes
 
 
 def make_grid(occ, voxel_size=0.01, origin=(0.0, 0.0, 0.0)) -> VoxelGrid:
     occ = np.asarray(occ, dtype=bool)
     return VoxelGrid(occ.shape, voxel_size, np.asarray(origin, dtype=float), occ)
+
+
+def by_index(keys, rows) -> dict:
+    """{voxel index tuple: row} over (n, 3) `keys` and their aligned `rows`,
+    in key order: a contact map as by_index(cm.keys, cm.values.tolist()),
+    the normals as by_index(grid.surface, grid.normals)."""
+    return dict(zip(map(tuple, np.asarray(keys).tolist()), rows))
+
+
+def contact_map(grid, values: dict) -> ContactMap:
+    """The ContactMap of {voxel index: value}."""
+    return ContactMap(grid, np.array(list(values), dtype=int).reshape(-1, 3), list(values.values()))
+
+
+def set_normals(grid, normals: dict) -> None:
+    """Replace the normals of the surface voxels `normals` lists ({voxel
+    index: normal}) in grid.normals; the others keep theirs."""
+    rows = grid.surface_rows(np.array(list(normals), dtype=int).reshape(-1, 3))
+    assert (rows >= 0).all()
+    new = grid.normals.copy()
+    new[rows] = list(normals.values())
+    new.setflags(write=False)
+    grid.normals = new  # the cached value
 
 
 def box_grid(dims, lo, hi, voxel_size=0.01, origin=(0.0, 0.0, 0.0)) -> VoxelGrid:
@@ -321,12 +344,14 @@ def oracle_collisions(gripper, rotations, translation, width, points) -> np.ndar
     return ((finger | palm) & ~in_region).any(axis=-1)
 
 
-def oracle_block_occlusions(candidates, cluster, normals, gripper, grid) -> list[float]:
+def oracle_block_occlusions(candidates, cluster, gripper, grid) -> list[float]:
     """Occlusion fractions scored in blocks of about 4096 pairs, with every
     (candidate, voxel) pair slab-tested against each of the three gripper
     boxes. The oracle for grasping._occlusions."""
-    centers = grid.centers(cluster.member_indices)
-    nrm = np.array([normals[i] for i in cluster.member_indices])
+    normals = by_index(grid.surface, grid.normals)
+    members = list(map(tuple, cluster.member_indices.tolist()))
+    centers = grid.centers(members)
+    nrm = np.array([normals[i] for i in members])
     origins = centers + 1.5 * grid.voxel_size * nrm
     max_dist = OCCLUSION_RAY_FACTOR * gripper.finger_length
     block = max(1, 4096 // cluster.size)
@@ -354,7 +379,7 @@ def oracle_cluster_contacts(cm, eps=None, min_pts=4) -> list[ContactCluster]:
     grid = cm.grid
     if eps is None:
         eps = EPS_VOXELS * grid.voxel_size
-    points = cm.contact_indices()
+    points = list(map(tuple, cm.contacts()[0].tolist()))
     centers = grid.centers(np.asarray(points, dtype=float))
     n = len(points)
     eps2 = eps * eps
@@ -399,9 +424,72 @@ def oracle_cluster_contacts(cm, eps=None, min_pts=4) -> list[ContactCluster]:
             if len(nj) >= min_pts:
                 queue.extend(nj)
         cid += 1
-    clusters = [ContactCluster(sorted(points[i] for i in range(n) if labels[i] == c)) for c in range(cid)]
-    clusters.sort(key=lambda cl: (-cl.size, cl.member_indices[0]))
-    return clusters
+    members = [sorted(points[i] for i in range(n) if labels[i] == c) for c in range(cid)]
+    members.sort(key=lambda m: (-len(m), m[0]))
+    return [ContactCluster(m) for m in members]
+
+
+def oracle_surface_voxels(grid) -> list:
+    """Occupied cells with an unoccupied (or out-of-bounds) 6-neighbour, as
+    index tuples in lexicographic order: one shifted slice per neighbour.
+    The oracle for voxelgeom.surface_voxels."""
+    occ = grid.occupancy
+    padded = np.pad(occ, 1, mode="constant", constant_values=False)
+    exposed = np.zeros_like(occ)
+    for axis in range(3):
+        for shift in (-1, 1):
+            sl = [slice(1, -1)] * 3
+            sl[axis] = slice(1 + shift, padded.shape[axis] - 1 + shift)
+            exposed |= ~padded[tuple(sl)]
+    return [tuple(int(v) for v in row) for row in np.argwhere(occ & exposed)]
+
+
+def oracle_estimate_normals(grid) -> dict:
+    """{surface voxel: outward normal}, the fallback taken one voxel at a
+    time: the 26-neighbour gradient, else the direction from the occupied
+    centroid, else +z. The oracle for voxelgeom.estimate_normals."""
+    occ = grid.occupancy
+    padded = np.pad(occ, 1, mode="constant", constant_values=False)
+    surface = oracle_surface_voxels(grid)
+    surf_arr = np.asarray(surface, dtype=int).reshape(-1, 3)
+    acc = np.zeros((len(surf_arr), 3), dtype=float)
+    base = surf_arr + 1  # padded coordinates
+    for off in _OFFSETS_26:
+        nb = base + off.astype(int)
+        acc -= off * padded[nb[:, 0], nb[:, 1], nb[:, 2]][:, None]
+    norms = np.linalg.norm(acc, axis=1)
+    centroid = grid.occupied_centers.mean(axis=0) if grid.occupied_count else grid.origin
+    out = {}
+    for i, key in enumerate(surface):
+        if norms[i] > 1e-12:
+            out[key] = acc[i] / norms[i]
+            continue
+        v = grid.center(key) - centroid
+        vn = float(np.linalg.norm(v))
+        out[key] = v / vn if vn > 1e-12 else np.array([0.0, 0.0, 1.0])
+    return out
+
+
+def oracle_snap_to_surface(grid, idx):
+    """Nearest surface voxel by center distance; ties break to the lowest
+    (x, y, z) index. The per-voxel form of contacts._snap_to_surface."""
+    surface = oracle_surface_voxels(grid)
+    d2 = ((np.asarray(surface, dtype=float) - np.asarray(idx, dtype=float)) ** 2).sum(axis=1)
+    return surface[int(np.argmin(d2))]  # the surface is sorted, argmin takes the first minimum
+
+
+def oracle_register(grid, dense) -> dict:
+    """{surface voxel: value} of a dense [x, y, z] contact array, one voxel at
+    a time: each nonzero value moves to its nearest surface voxel when it is
+    off the surface, and the max value wins a collision. The oracle for the
+    registration step of contacts.load_contact_map."""
+    surface_set = set(oracle_surface_voxels(grid))
+    values = {}
+    nonzero = dense != 0
+    for idx, v in zip(map(tuple, np.argwhere(nonzero).tolist()), dense[nonzero].tolist()):
+        key = idx if idx in surface_set else oracle_snap_to_surface(grid, idx)
+        values[key] = max(values.get(key, 0.0), v)
+    return values
 
 
 def pipeline_context(scene: Scene, shared: SharedStages, lam: float) -> DeliveryContext:

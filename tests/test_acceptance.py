@@ -41,7 +41,7 @@ from handover.harness import SharedStages, load_report, run_pipeline, save_repor
 from handover.metrics import reachability, success, visibility
 from handover.voxelgeom import load_vgrid, save_vgrid
 
-from conftest import box_grid, make_grid, random_rotation
+from conftest import box_grid, by_index, make_grid, random_rotation
 from test_contacts import map_from_indices, reference_dbscan
 
 
@@ -52,18 +52,17 @@ def test_criterion_01_scoring_exactness():
     the score is monotone in each argument. Budget: 1 s."""
     t_start = time.perf_counter()
     grid = box_grid((26, 9, 9), (2, 3, 3), (17, 5, 5), voxel_size=0.01)
-    normals = grid.normals
     gripper = GripperModel()
-    candidates = sample_grasps(grid, normals, gripper, 60, seed=0)
+    candidates = sample_grasps(grid, gripper, 60, seed=0)
     assert candidates
-    members = [i for i in grid.surface if 8 <= i[0] <= 12]
+    members = [i for i in map(tuple, grid.surface.tolist()) if 8 <= i[0] <= 12]
     cluster = ContactCluster(members)
     rng = np.random.default_rng(3)
     triples = 0
     draws = max(1, math.ceil(1000 / len(candidates)))
     for lam in rng.uniform(0.0, 1.0, size=draws):
         lam = float(lam)
-        for rg in rank_grasps(candidates, cluster, lam, normals, gripper, grid):
+        for rg in rank_grasps(candidates, cluster, lam, gripper, grid):
             want = lam * rg.candidate.confidence - (1.0 - lam) * rg.occlusion
             assert abs(rg.score - want) <= 1e-12
             triples += 1
@@ -126,8 +125,8 @@ def test_criterion_02_occlusion_oracle():
         occ = np.zeros((20, 20, 20), dtype=bool)
         occ[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] = True
         grid = make_grid(occ, voxel_size=0.01)
-        surface = grid.surface
-        normals = grid.normals
+        surface = list(map(tuple, grid.surface.tolist()))
+        normals = by_index(grid.surface, grid.normals)
         m = int(rng.integers(8, min(26, len(surface) + 1)))
         members = [surface[j] for j in rng.choice(len(surface), size=m, replace=False)]
         cluster = ContactCluster(members)
@@ -139,7 +138,7 @@ def test_criterion_02_occlusion_oracle():
             confidence=0.5,
             contact_pair=(members[0], members[1]),
         )
-        frac = occlusion_fraction(grasp, cluster, normals, gripper, grid)
+        frac = occlusion_fraction(grasp, cluster, gripper, grid)
         got = round(frac * m)
         want = sum(
             march_blocked(grid.center(i), normals[i], grasp.rotation,
@@ -165,7 +164,7 @@ def test_criterion_03_dbscan_equivalence():
         eps = float(rng.uniform(1.0, 4.0))
         min_pts = int(rng.integers(1, 8))
         cm = map_from_indices((16, 16, 16), pts)
-        got = {frozenset(c.member_indices) for c in cluster_contacts(cm, eps, min_pts)}
+        got = {frozenset(map(tuple, c.member_indices.tolist())) for c in cluster_contacts(cm, eps, min_pts)}
         assert got == reference_dbscan(pts, eps, min_pts), (trial, eps, min_pts)
     elapsed = time.perf_counter() - t_start
     assert elapsed < 30.0
@@ -292,7 +291,7 @@ def test_criterion_06_orientation_optimality():
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] = True
         grid = make_grid(occ, voxel_size=0.01)
-        surface = grid.surface
+        surface = list(map(tuple, grid.surface.tolist()))
         held = grid.center(surface[int(rng.integers(len(surface)))])
         grasp_rot = random_rotation(rng)
         width = float(rng.uniform(0.02, 0.10))
@@ -391,7 +390,7 @@ def gripper_boxes(gripper, width):
 def oracle_visibility(scene, ctx, rotation, cm):
     grid = ctx.grid
     vs = grid.voxel_size
-    normals = grid.normals
+    normals = by_index(grid.surface, grid.normals)
     eye = ctx.human.eye_point
     eye_grid = ctx.held_point + rotation.T @ (eye - ctx.ee_position)
     grip_rot = rotation @ ctx.grasp_rotation
@@ -403,8 +402,9 @@ def oracle_visibility(scene, ctx, rotation, cm):
     proxy_lo = np.array([ctx.robot_base[0] - fx / 2, ctx.robot_base[1] - fy / 2, ctx.robot_base[2]])
     proxy_hi = np.array([ctx.robot_base[0] + fx / 2, ctx.robot_base[1] + fy / 2, ctx.robot_base[2] + h])
     boxes = gripper_boxes(ctx.gripper, ctx.width)
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
+    values = by_index(cm.keys, cm.values.tolist())
+    contact = list(map(tuple, cm.contacts()[0].tolist()))
+    denom = sum(values[i] for i in contact)
     numer = 0.0
     flags = {}
     for idx in contact:
@@ -436,7 +436,7 @@ def oracle_visibility(scene, ctx, rotation, cm):
             if visible and segment_hits_any_voxel(occ_lo, occ_hi, eye_grid, aim):
                 visible = False
         if visible:
-            numer += cm.values[idx]
+            numer += values[idx]
         flags[idx] = visible
     return numer / denom, flags
 
@@ -449,8 +449,9 @@ def oracle_reachability(ctx, rotation, cm):
     ) @ rotation.T
     grip_d = float(np.hypot(grip_pts[:, 0] - human.base_position[0],
                             grip_pts[:, 1] - human.base_position[1]).min())
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
+    values = by_index(cm.keys, cm.values.tolist())
+    contact = list(map(tuple, cm.contacts()[0].tolist()))
+    denom = sum(values[i] for i in contact)
     numer = 0.0
     flags = {}
     for idx in contact:
@@ -459,7 +460,7 @@ def oracle_reachability(ctx, rotation, cm):
         d2 = math.hypot(world[0] - human.base_position[0], world[1] - human.base_position[1])
         ok = d1 < human.arm_length and d2 < grip_d
         if ok:
-            numer += cm.values[idx]
+            numer += values[idx]
         flags[idx] = ok
     return numer / denom, flags
 
@@ -490,8 +491,10 @@ def test_criterion_07_metric_oracles(scenes):
         rotation = np.array(report.delivery["object_rotation"])
         ctx = rebuild_context(scene, report)
         for cm in scene.contact_maps:
+            contact = cm.contacts()[0]
             v_mod, v_flags = visibility(ctx, rotation, cm)
             r_mod, r_flags = reachability(ctx, rotation, cm)
+            v_flags, r_flags = by_index(contact, v_flags.tolist()), by_index(contact, r_flags.tolist())
             assert 0.0 <= v_mod <= 1.0 and 0.0 <= r_mod <= 1.0
             v_orc, v_orc_flags = oracle_visibility(scene, ctx, rotation, cm)
             r_orc, r_orc_flags = oracle_reachability(ctx, rotation, cm)

@@ -4,8 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import box_grid, make_grid, oracle_cluster_contacts
+from conftest import (
+    box_grid,
+    by_index,
+    contact_map,
+    make_grid,
+    oracle_cluster_contacts,
+    oracle_estimate_normals,
+    oracle_register,
+    oracle_surface_voxels,
+)
 from handover import suite
 from handover.contacts import (
     ContactMap,
@@ -16,7 +27,7 @@ from handover.contacts import (
     predict_contacts_heuristic,
     save_contact_map,
 )
-from handover.voxelgeom import load_vgrid, save_vgrid
+from handover.voxelgeom import load_vgrid, save_vgrid, write_grid_file
 
 
 def write_vcontact(path, grid, entries):
@@ -38,18 +49,19 @@ def write_vcontact(path, grid, entries):
 class TestIngestion:
     def test_ten_surface_ones(self, tmp_path):
         grid = box_grid((8, 8, 8), (1, 1, 1), (6, 6, 6))
-        surf = grid.surface[:10]
+        surf = list(map(tuple, grid.surface[:10].tolist()))
         p = tmp_path / "m.vcontact"
         write_vcontact(p, grid, surf)
         cm = load_contact_map(p, grid)
-        assert sorted(cm.values) == sorted(surf)
-        assert all(v == 1.0 for v in cm.values.values())
+        values = by_index(cm.keys, cm.values.tolist())
+        assert sorted(values) == sorted(surf)
+        assert all(v == 1.0 for v in values.values())
 
     def test_dims_mismatch_error(self, tmp_path):
         grid = box_grid((8, 8, 8), (1, 1, 1), (6, 6, 6))
         other = box_grid((9, 8, 8), (1, 1, 1), (6, 6, 6))
         p = tmp_path / "m.vcontact"
-        write_vcontact(p, other, other.surface[:3])
+        write_vcontact(p, other, list(map(tuple, other.surface[:3].tolist())))
         with pytest.raises(ValueError, match="dims"):
             load_contact_map(p, grid)
 
@@ -67,27 +79,79 @@ class TestIngestion:
         p = tmp_path / "m.vcontact"
         write_vcontact(p, grid, [(2, 2, 2)])
         cm = load_contact_map(p, grid)
-        assert list(cm.values) == [(1, 2, 2)]
+        assert list(by_index(cm.keys, cm.values.tolist())) == [(1, 2, 2)]
 
     def test_round_trip_bit_exact_binary_and_float(self, tmp_path):
         grid = box_grid((7, 6, 5), (1, 1, 1), (5, 4, 3))
-        surf = grid.surface
-        binary = ContactMap(grid, {i: 1.0 for i in surf[:8]})
-        probs = ContactMap(grid, {i: 0.25 + 0.5 * (k % 3) / 2.0 for k, i in enumerate(surf)})
+        surf = list(map(tuple, grid.surface.tolist()))
+        binary = contact_map(grid, {i: 1.0 for i in surf[:8]})
+        probs = contact_map(grid, {i: 0.25 + 0.5 * (k % 3) / 2.0 for k, i in enumerate(surf)})
         for cm in (binary, probs):
             p1, p2 = tmp_path / "a.vcontact", tmp_path / "b.vcontact"
             save_contact_map(cm, p1)
             loaded = load_contact_map(p1, grid)
-            assert loaded.values == cm.values
+            assert by_index(loaded.keys, loaded.values.tolist()) == by_index(cm.keys, cm.values.tolist())
             save_contact_map(loaded, p2)
             assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
     def test_values_outside_the_unit_interval_are_rejected(self, bad):
         grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
-        key = grid.surface[3]
+        first, key = (tuple(grid.surface[i].tolist()) for i in (0, 3))
         with pytest.raises(ValueError, match=re.escape(f"contact value at {key} must be finite and in [0, 1]")):
-            ContactMap(grid, {grid.surface[0]: 1.0, key: bad})
+            contact_map(grid, {first: 1.0, key: bad})
+
+
+def _labelled(occ, labels) -> tuple:
+    """(occupancy, dense contact values) from {index: value}."""
+    occ = np.array(occ, dtype=bool)
+    dense = np.zeros(occ.shape)
+    for idx, v in labels.items():
+        dense[idx] = v
+    return occ, dense
+
+
+def _rod():
+    occ = np.zeros((6, 3, 3), dtype=bool)
+    occ[1:5, 1, 1] = True  # the inner two voxels' 26-neighbour sums vanish
+    return occ
+
+
+@st.composite
+def labelled_grids(draw):
+    """A random object of at least one voxel, and contact values drawn over
+    every cell: on the surface, inside the object and in empty cells."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    occ = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims)))),
+                   dtype=bool).reshape(dims)
+    occ.flat[draw(st.integers(0, occ.size - 1))] = True
+    value = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    dense = np.array(draw(st.lists(value, min_size=occ.size, max_size=occ.size))).reshape(dims)
+    dense.flat[draw(st.integers(0, occ.size - 1))] = 1.0  # never an empty map
+    return occ, dense
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labelled_grids())
+@example(_labelled(np.pad([[[True]]], 2), {(2, 2, 2): 0.75, (0, 0, 0): 0.5}))  # a lone voxel
+@example(_labelled(_rod(), {(2, 1, 1): 1.0, (0, 0, 0): 0.25}))
+# the center of a 3x3x3 block and an empty cell snap to the face voxel (1, 2, 2) they share
+@example(_labelled(np.pad(np.ones((3, 3, 3), dtype=bool), 1),
+                   {(2, 2, 2): 0.5, (0, 2, 2): 0.75, (1, 2, 2): 0.25, (4, 4, 4): 1.0}))
+def test_surface_normals_and_registration_equal_the_per_voxel_oracles(tmp_path, occ_dense):
+    """grid.surface and grid.normals, and the keys and values load_contact_map
+    registers, bit for bit as the per-voxel loops give them."""
+    occ, dense = occ_dense
+    grid = make_grid(occ, voxel_size=0.01, origin=(0.3, -0.2, 1.1))
+    assert list(map(tuple, grid.surface.tolist())) == oracle_surface_voxels(grid)
+    normals = oracle_estimate_normals(grid)
+    assert grid.normals.tobytes() == np.array(list(normals.values())).reshape(-1, 3).tobytes()
+    write_grid_file(tmp_path / "m.vcontact", "VCONTACT", grid, dense)
+    cm = load_contact_map(tmp_path / "m.vcontact", grid)
+    want = sorted(oracle_register(grid, dense).items())
+    assert list(map(tuple, cm.keys.tolist())) == [k for k, _ in want]
+    assert cm.values.tobytes() == np.array([v for _, v in want]).tobytes()
 
 
 class TestHeuristic:
@@ -97,8 +161,9 @@ class TestHeuristic:
         occ[30:38, 4:17, 4:17] = True  # big head
         grid = make_grid(occ)
         cm = predict_contacts_heuristic(grid)
-        handle = [v for (x, y, z), v in cm.values.items() if x < 30]
-        head = [v for (x, y, z), v in cm.values.items() if x >= 30]
+        values = by_index(cm.keys, cm.values.tolist())
+        handle = [v for (x, y, z), v in values.items() if x < 30]
+        head = [v for (x, y, z), v in values.items() if x >= 30]
         assert np.mean(handle) > np.mean(head)
 
     def test_sphere_probabilities_equal_on_octahedral_orbits(self):
@@ -109,7 +174,7 @@ class TestHeuristic:
         grid = make_grid(occ)
         cm = predict_contacts_heuristic(grid)
         orbits: dict = {}
-        for (x, y, z), v in cm.values.items():
+        for (x, y, z), v in by_index(cm.keys, cm.values.tolist()).items():
             key = tuple(sorted(abs(int(w - c) * 2) for w in (x, y, z)))
             orbits.setdefault(key, []).append(v)
         for key, vals in orbits.items():
@@ -124,18 +189,19 @@ class TestHeuristic:
         rocc = np.rot90(occ, k=1, axes=(0, 1)).copy()
         rcm = predict_contacts_heuristic(make_grid(rocc))
         n = occ.shape[1]
-        for (x, y, z), v in cm.values.items():
-            assert rcm.values[(n - 1 - y, x, z)] == pytest.approx(v, abs=1e-12)
+        rvalues = by_index(rcm.keys, rcm.values.tolist())
+        for (x, y, z), v in by_index(cm.keys, cm.values.tolist()).items():
+            assert rvalues[(n - 1 - y, x, z)] == pytest.approx(v, abs=1e-12)
 
     def test_rod_and_single_voxel_probability_one(self):
         occ = np.zeros((12, 6, 6), dtype=bool)
         occ[2:10, 3, 3] = True
         cm = predict_contacts_heuristic(make_grid(occ))
-        assert all(v == 1.0 for v in cm.values.values())
+        assert all(v == 1.0 for v in cm.values.tolist())
         single = np.zeros((5, 5, 5), dtype=bool)
         single[2, 2, 2] = True
         cm2 = predict_contacts_heuristic(make_grid(single))
-        assert cm2.values == {(2, 2, 2): 1.0}
+        assert by_index(cm2.keys, cm2.values.tolist()) == {(2, 2, 2): 1.0}
 
     def test_run_lengths_match_the_scalar_scan_on_bundled_objects(self, scenes):
         for name, scene in scenes.items():
@@ -218,7 +284,7 @@ def map_from_indices(dims, indices):
     for i in indices:
         occ[i] = True
     grid = make_grid(occ, voxel_size=1.0)
-    return ContactMap(grid, {i: 1.0 for i in indices})
+    return contact_map(grid, {i: 1.0 for i in indices})
 
 
 class TestClustering:
@@ -252,7 +318,7 @@ class TestClustering:
             eps = float(rng.uniform(1.0, 3.5))
             min_pts = int(rng.integers(1, 6))
             cm = map_from_indices((14, 14, 14), pts)
-            got = {frozenset(c.member_indices) for c in cluster_contacts(cm, eps, min_pts)}
+            got = {frozenset(map(tuple, c.member_indices.tolist())) for c in cluster_contacts(cm, eps, min_pts)}
             assert got == reference_dbscan(pts, eps, min_pts), (trial, eps, min_pts)
 
     def test_cluster_partition_property(self):
@@ -262,7 +328,7 @@ class TestClustering:
         clusters = cluster_contacts(cm, eps=1.8, min_pts=3)
         seen: list = []
         for c in clusters:
-            seen.extend(c.member_indices)
+            seen.extend(map(tuple, c.member_indices.tolist()))
         assert len(seen) == len(set(seen))  # disjoint
         assert set(seen) <= set(pts)
 
@@ -272,11 +338,11 @@ class TestClustering:
         cm = map_from_indices((10, 5, 2), a + b)
         clusters = cluster_contacts(cm, eps=1.0, min_pts=2)
         assert len(clusters) == 2
-        assert largest_cluster(clusters).member_indices[0] == (0, 0, 0)
+        assert tuple(largest_cluster(clusters).member_indices[0].tolist()) == (0, 0, 0)
 
     def test_empty_inputs_raise(self):
         grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
-        cm = ContactMap(grid, {grid.surface[0]: 0.1})  # below threshold
+        cm = ContactMap(grid, grid.surface[:1], [0.1])  # below threshold
         with pytest.raises(ValueError, match="empty contact map"):
             cluster_contacts(cm)
         with pytest.raises(ValueError, match="empty contact map"):
@@ -296,12 +362,12 @@ def test_clusters_equal_the_per_point_oracle_on_bundled_maps(scenes, eps_voxels,
     default), eps off the voxel lattice, eps wider than the 64-voxel grid,
     min_pts 1 (every point is core) and 100000 (every point is noise)."""
     for label, cm in bundled_and_heuristic_maps(scenes):
-        if eps_voxels == 1e3 and len(cm.contact_indices()) > 200:
+        if eps_voxels == 1e3 and len(cm.contacts()[0]) > 200:
             continue  # the oracle's queue grows as n^2 when every point neighbours every other
         eps = None if eps_voxels is None else eps_voxels * cm.grid.voxel_size
         got = cluster_contacts(cm, eps, min_pts)
         want = oracle_cluster_contacts(cm, eps, min_pts)
-        assert [c.member_indices for c in got] == [c.member_indices for c in want], label
+        assert [c.member_indices.tolist() for c in got] == [c.member_indices.tolist() for c in want], label
         assert got or min_pts > 1, label
 
 
@@ -311,8 +377,8 @@ def test_cluster_memory_peak_on_the_largest_heuristic_map(scenes):
     under tracemalloc (numpy 2.4, x86_64), mostly the expansion queue. With
     the neighbourhoods built as arrays in bounded chunks it peaks near 459 kB."""
     heuristic = {name: predict_contacts_heuristic(scenes[name].grid) for name in suite.OBJECT_NAMES}
-    cm = max(heuristic.values(), key=lambda m: len(m.contact_indices()))
-    assert cm is heuristic["mug"] and len(cm.contact_indices()) == 880
+    cm = max(heuristic.values(), key=lambda m: len(m.contacts()[0]))
+    assert cm is heuristic["mug"] and len(cm.contacts()[0]) == 880
     tracemalloc.start()
     try:
         cluster_contacts(cm)
@@ -324,9 +390,9 @@ def test_cluster_memory_peak_on_the_largest_heuristic_map(scenes):
 
 def test_vgrid_vcontact_pair_survives_disk_round_trip(tmp_path):
     grid = box_grid((9, 9, 9), (2, 2, 2), (6, 6, 6), voxel_size=0.003, origin=(2.0, -0.1, 0.7))
-    cm = ContactMap(grid, {i: 1.0 for i in grid.surface[::3]})
+    cm = contact_map(grid, {i: 1.0 for i in map(tuple, grid.surface[::3].tolist())})
     save_vgrid(grid, tmp_path / "o.vgrid")
     save_contact_map(cm, tmp_path / "o.vcontact")
     g2 = load_vgrid(tmp_path / "o.vgrid")
     cm2 = load_contact_map(tmp_path / "o.vcontact", g2)
-    assert cm2.values == cm.values
+    assert by_index(cm2.keys, cm2.values.tolist()) == by_index(cm.keys, cm.values.tolist())

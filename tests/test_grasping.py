@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import box_grid, make_grid, oracle_block_occlusions, oracle_collisions
+from conftest import box_grid, by_index, make_grid, oracle_block_occlusions, oracle_collisions, set_normals
 from handover import grasping, suite
 from handover.contacts import ContactCluster, cluster_contacts, largest_cluster
 from handover.grasping import (
@@ -27,14 +27,13 @@ from handover.grasping import (
     rank_grasps,
     sample_grasps,
 )
-from handover.voxelgeom import estimate_normals
 
 
 GRIPPER = GripperModel()
 
 
 def sample_default(grid, **kw):
-    return sample_grasps(grid, estimate_normals(grid), GRIPPER, **kw)
+    return sample_grasps(grid, GRIPPER, **kw)
 
 
 def collision_oracle(gripper, cand, grid) -> bool:
@@ -118,10 +117,11 @@ def line_cluster(grid, indices):
 class TestOcclusion:
     def test_distant_gripper_and_averted_rays_zero(self):
         grid = box_grid((10, 10, 10), (2, 2, 2), (7, 7, 7))
-        cluster = line_cluster(grid, grid.surface[:10])
-        normals = {i: np.array([-1.0, 0.0, 0.0]) for i in cluster.member_indices}
+        members = list(map(tuple, grid.surface[:10].tolist()))
+        cluster = line_cluster(grid, members)
+        set_normals(grid, {i: np.array([-1.0, 0.0, 0.0]) for i in members})
         cand = GraspCandidate(np.eye(3), (1.0, 0.05, 0.05), 0.04, 1.0, ((0, 0, 0), (1, 0, 0)))
-        assert occlusion_fraction(cand, cluster, normals, GRIPPER, grid) == 0.0
+        assert occlusion_fraction(cand, cluster, GRIPPER, grid) == 0.0
 
     def test_three_of_ten_covered_is_0_3(self):
         occ = np.zeros((4, 14, 4), dtype=bool)
@@ -129,12 +129,12 @@ class TestOcclusion:
         grid = make_grid(occ, voxel_size=0.01)
         members = [(1, y, 1) for y in range(2, 12)]
         cluster = line_cluster(grid, members)
-        normals = {i: np.array([-1.0, 0.0, 0.0]) for i in members}
+        set_normals(grid, {i: np.array([-1.0, 0.0, 0.0]) for i in members})
         # closing axis along the row; width 0.022 covers exactly the middle
         # three centers (spacing 0.01)
         mid = grid.center((1, 6, 1))
         cand = GraspCandidate(np.eye(3), mid, 0.022, 1.0, (members[0], members[-1]))
-        assert occlusion_fraction(cand, cluster, normals, GRIPPER, grid) == pytest.approx(0.3)
+        assert occlusion_fraction(cand, cluster, GRIPPER, grid) == pytest.approx(0.3)
 
     def test_closing_on_whole_cluster_is_one(self):
         occ = np.zeros((4, 9, 4), dtype=bool)
@@ -142,15 +142,15 @@ class TestOcclusion:
         grid = make_grid(occ, voxel_size=0.01)
         members = [(1, y, 1) for y in range(2, 7)]
         cluster = line_cluster(grid, members)
-        normals = {i: np.array([0.0, 0.0, 1.0]) for i in members}
+        set_normals(grid, {i: np.array([0.0, 0.0, 1.0]) for i in members})
         cand = GraspCandidate(np.eye(3), grid.center((1, 4, 1)), 0.08, 1.0, (members[0], members[-1]))
-        assert occlusion_fraction(cand, cluster, normals, GRIPPER, grid) == 1.0
+        assert occlusion_fraction(cand, cluster, GRIPPER, grid) == 1.0
 
     def test_empty_cluster_raises(self):
         grid = box_grid((6, 6, 6), (1, 1, 1), (4, 4, 4))
         cand = GraspCandidate(np.eye(3), (0, 0, 0), 0.02, 1.0, ((0, 0, 0), (1, 0, 0)))
         with pytest.raises(ValueError, match="empty contact map"):
-            occlusion_fraction(cand, ContactCluster([]), {}, GRIPPER, grid)
+            occlusion_fraction(cand, ContactCluster([]), GRIPPER, grid)
 
     def test_translation_equivariance(self):
         occ = np.zeros((8, 12, 8), dtype=bool)
@@ -161,10 +161,11 @@ class TestOcclusion:
         vals = []
         for origin in ((0, 0, 0), shift):
             grid = make_grid(occ, voxel_size=0.01, origin=origin)
+            set_normals(grid, normals)
             cluster = line_cluster(grid, members)
             t = grid.center((3, 5, 3)) + np.array([0.0, 0.0, 0.02])
             cand = GraspCandidate(np.eye(3), t, 0.03, 1.0, (members[0], members[1]))
-            vals.append(occlusion_fraction(cand, cluster, normals, GRIPPER, grid))
+            vals.append(occlusion_fraction(cand, cluster, GRIPPER, grid))
         assert vals[0] == vals[1]
 
 
@@ -175,7 +176,7 @@ def synthetic_ranked_set():
     grid = make_grid(occ, voxel_size=0.01)
     members = [(2, y, 2) for y in range(2, 14)]
     cluster = line_cluster(grid, members)
-    normals = {i: np.array([-1.0, 0.0, 0.0]) for i in members}
+    set_normals(grid, {i: np.array([-1.0, 0.0, 0.0]) for i in members})
     rng = np.random.default_rng(0)
     cands = []
     for k in range(12):
@@ -184,7 +185,7 @@ def synthetic_ranked_set():
         cands.append(
             GraspCandidate(np.eye(3), t, 0.024, float(rng.uniform(0.3, 1.0)), (members[0], members[1]))
         )
-    return grid, cluster, normals, cands
+    return grid, cluster, cands
 
 
 class TestScoringAndRanking:
@@ -205,21 +206,21 @@ class TestScoringAndRanking:
             assert contact_score(s + 0.1, o, lam) > contact_score(s, o, lam)
 
     def test_lambda_one_matches_confidence_order(self):
-        grid, cluster, normals, cands = synthetic_ranked_set()
-        ranked = rank_grasps(cands, cluster, 1.0, normals, GRIPPER, grid)
+        grid, cluster, cands = synthetic_ranked_set()
+        ranked = rank_grasps(cands, cluster, 1.0, GRIPPER, grid)
         confs = [rg.candidate.confidence for rg in ranked]
         assert confs == sorted(confs, reverse=True)
 
     def test_lambda_zero_matches_occlusion_order(self):
-        grid, cluster, normals, cands = synthetic_ranked_set()
-        ranked = rank_grasps(cands, cluster, 0.0, normals, GRIPPER, grid)
+        grid, cluster, cands = synthetic_ranked_set()
+        ranked = rank_grasps(cands, cluster, 0.0, GRIPPER, grid)
         occs = [rg.occlusion for rg in ranked]
         assert occs == sorted(occs)
 
     def test_score_formula_and_tie_chain(self):
-        grid, cluster, normals, cands = synthetic_ranked_set()
+        grid, cluster, cands = synthetic_ranked_set()
         for lam in (0.0, 0.25, 0.5, 1.0):
-            ranked = rank_grasps(cands, cluster, lam, normals, GRIPPER, grid)
+            ranked = rank_grasps(cands, cluster, lam, GRIPPER, grid)
             for rg in ranked:
                 expect = lam * rg.candidate.confidence - (1 - lam) * rg.occlusion
                 assert rg.score == pytest.approx(expect, abs=1e-12)
@@ -227,20 +228,21 @@ class TestScoringAndRanking:
             assert keys == sorted(keys)
 
     def test_empty_candidates_error(self):
-        grid, cluster, normals, _ = synthetic_ranked_set()
+        grid, cluster, _ = synthetic_ranked_set()
         with pytest.raises(ValueError, match="no grasp candidates"):
-            rank_grasps([], cluster, 0.5, normals, GRIPPER, grid)
+            rank_grasps([], cluster, 0.5, GRIPPER, grid)
 
 
 # -- batched kernels against the per-roll / per-candidate reference -------------
 
 
-def oracle_sample_grasps(grid, normals, gripper, max_candidates, seed, tested=None):
+def oracle_sample_grasps(grid, gripper, max_candidates, seed, tested=None):
     """Reference sampler: one frame and one collision test per roll, the probe
     walk as a Python loop over cells (the unbatched form of sample_grasps).
     It stops only at the pool cap. Given a list `tested`, it appends
     (surface voxel, confidence, free rolls) for each pair it tests."""
-    surface = grid.surface
+    surface = list(map(tuple, grid.surface.tolist()))
+    normals = by_index(grid.surface, grid.normals)
     vs = grid.voxel_size
     order = np.random.default_rng(seed).permutation(len(surface))
     occupied = grid.occupied_centers
@@ -320,10 +322,12 @@ def oracle_collides(gripper, rotation, translation, width, points) -> bool:
     return bool(((finger | palm) & ~in_region).any())
 
 
-def oracle_occlusions(cands, cluster, normals, gripper, grid) -> list[float]:
+def oracle_occlusions(cands, cluster, gripper, grid) -> list[float]:
     """Reference occlusion: one candidate at a time, box after box."""
-    centers = np.array([grid.center(i) for i in cluster.member_indices])
-    nrm = np.array([normals[i] for i in cluster.member_indices])
+    normals = by_index(grid.surface, grid.normals)
+    members = list(map(tuple, cluster.member_indices.tolist()))
+    centers = np.array([grid.center(i) for i in members])
+    nrm = np.array([normals[i] for i in members])
     return [oracle_occlusion(c, centers, nrm, gripper, grid.voxel_size) for c in cands]
 
 
@@ -360,7 +364,7 @@ def bundled_grasps(scenes):
     out = {}
     for name, scene in scenes.items():
         grid, params = scene.grid, scene.params
-        cands = sample_grasps(grid, grid.normals, scene.gripper, params.max_grasps, 1)
+        cands = sample_grasps(grid, scene.gripper, params.max_grasps, 1)
         clusters = cluster_contacts(scene.contact_maps[scene.planning_map], params.eps, params.min_pts)
         out[name] = (scene, cands, largest_cluster(clusters))
     return out
@@ -384,7 +388,7 @@ def sampler_stop(tested, max_candidates):
     return len(tested), None
 
 
-def assert_sampler_matches_oracle(grid, normals, gripper, max_candidates, seed, monkeypatch):
+def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypatch):
     """Bitwise the same candidates, and exactly as many pairs
     collision-tested as sampler_stop derives from the oracle's record.
     Returns the rule that stopped the sampler."""
@@ -399,9 +403,9 @@ def assert_sampler_matches_oracle(grid, normals, gripper, max_candidates, seed, 
 
     monkeypatch.setattr(grasping, "_collisions", counted("sampler", grasping._collisions))
     monkeypatch.setitem(globals(), "oracle_collides", counted("oracle", oracle_collides))
-    cands = sample_grasps(grid, normals, gripper, max_candidates, seed)
+    cands = sample_grasps(grid, gripper, max_candidates, seed)
     tested = []
-    expect = oracle_sample_grasps(grid, normals, gripper, max_candidates, seed, tested)
+    expect = oracle_sample_grasps(grid, gripper, max_candidates, seed, tested)
     assert tests["oracle"] == round(360 / ROLL_STEP_DEG) * len(tested)  # one test per roll
     pairs, stop = sampler_stop(tested, max_candidates)
     assert tests["sampler"] == pairs
@@ -422,7 +426,7 @@ def test_sampler_matches_per_roll_oracle_bitwise(scenes, name, monkeypatch):
     """At the scene's max_grasps (pool cap 4800)."""
     scene = scenes[name]
     grid = scene.grid
-    assert_sampler_matches_oracle(grid, grid.normals, scene.gripper, scene.params.max_grasps, 1, monkeypatch)
+    assert_sampler_matches_oracle(grid, scene.gripper, scene.params.max_grasps, 1, monkeypatch)
 
 
 @pytest.mark.parametrize("max_candidates", [100, 20, 1])
@@ -431,7 +435,7 @@ def test_sampler_stops_where_the_per_roll_oracle_stops(scenes, name, max_candida
     """At 100, 20 and 1 (pool caps 800, 160 and 64) the oracle stops early too."""
     scene = scenes[name]
     grid = scene.grid
-    assert_sampler_matches_oracle(grid, grid.normals, scene.gripper, max_candidates, 1, monkeypatch)
+    assert_sampler_matches_oracle(grid, scene.gripper, max_candidates, 1, monkeypatch)
 
 
 def stacked_cubes():
@@ -453,8 +457,8 @@ def test_sampler_finishes_the_voxel_that_fills_the_pool(seed, monkeypatch):
     k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
     theta = math.radians(2.0)
     tilt = np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * k @ k  # Rodrigues
-    normals = {i: tilt @ n for i, n in grid.normals.items()}
-    assert assert_sampler_matches_oracle(grid, normals, GRIPPER, 1, seed, monkeypatch) == "cap"
+    set_normals(grid, {i: tilt @ n for i, n in by_index(grid.surface, grid.normals).items()})
+    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch) == "cap"
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -462,7 +466,7 @@ def test_sampler_stops_once_max_candidates_reach_the_ceiling(seed, monkeypatch):
     """Untilted, the stacked cubes' candidates sit at confidence 1.0: the
     sampler stops at the first free one, before the pool cap."""
     grid = stacked_cubes()
-    assert assert_sampler_matches_oracle(grid, grid.normals, GRIPPER, 1, seed, monkeypatch) == "ceiling"
+    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch) == "ceiling"
 
 
 def test_collision_cull_keeps_every_answer(scenes, monkeypatch):
@@ -487,7 +491,7 @@ def test_collision_cull_keeps_every_answer(scenes, monkeypatch):
             gripper.finger_thickness / 2, gripper.finger_length / 2 + gripper.palm_depth
         ) + 2 * REGION_EPS
         calls.clear()
-        sample_grasps(grid, grid.normals, gripper, scene.params.max_grasps, 0)
+        sample_grasps(grid, gripper, scene.params.max_grasps, 0)
         assert calls
         for rotations, mid, width, n_culled, out in calls:
             rel = occupied - mid
@@ -508,7 +512,7 @@ def test_sampler_memory_peak_on_mug(scenes):
     _ = grid.normals, grid.occupied_centers  # fill the grid's caches: they are not the sampler's
     tracemalloc.start()
     try:
-        sample_grasps(grid, grid.normals, scene.gripper, 600, 0)
+        sample_grasps(grid, scene.gripper, 600, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -530,7 +534,7 @@ def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch)
     monkeypatch.setattr(grasping, "_collisions", recorded)
     scene = scenes["mug"]
     for seed in range(5):  # a run stops at its 600th candidate at 1.0: about 260 calls
-        sample_grasps(scene.grid, scene.grid.normals, scene.gripper, scene.params.max_grasps, seed)
+        sample_grasps(scene.grid, scene.gripper, scene.params.max_grasps, seed)
         if len(calls) > 1000:
             break
     assert len(calls) > 1000
@@ -552,14 +556,14 @@ def test_occlusions_equal_the_three_slab_oracle_at_block_edges(bundled_grasps, m
         block = OCCLUSION_BLOCK_PAIRS // cluster.size
         assert 2 <= block < len(cands)
         for n in (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, len(cands)):
-            want = oracle_block_occlusions(cands[:n], cluster, grid.normals, gripper, grid)
-            assert grasping._occlusions(cands[:n], cluster, grid.normals, gripper, grid) == want, (name, n)
+            want = oracle_block_occlusions(cands[:n], cluster, gripper, grid)
+            assert grasping._occlusions(cands[:n], cluster, gripper, grid) == want, (name, n)
 
 
 def rodball_seed0(bundled_grasps):
     scene, _, cluster = bundled_grasps["rodball"]
     grid = scene.grid
-    return scene, sample_grasps(grid, grid.normals, scene.gripper, scene.params.max_grasps, 0), cluster
+    return scene, sample_grasps(grid, scene.gripper, scene.params.max_grasps, 0), cluster
 
 
 def traced_peak(call) -> int:
@@ -581,7 +585,7 @@ def test_rank_memory_peak_on_rodball(bundled_grasps):
     took it to 410,049 B."""
     scene, cands, cluster = rodball_seed0(bundled_grasps)
     grid = scene.grid
-    peak = traced_peak(lambda: rank_grasps(cands, cluster, scene.params.lam, grid.normals, scene.gripper, grid))
+    peak = traced_peak(lambda: rank_grasps(cands, cluster, scene.params.lam, scene.gripper, grid))
     assert peak <= 500_000
 
 
@@ -591,7 +595,7 @@ def test_contenders_memory_peak_on_rodball(bundled_grasps):
     peaked at 473,680 B (numpy 2.4, x86_64)."""
     scene, cands, cluster = rodball_seed0(bundled_grasps)
     grid = scene.grid
-    peak = traced_peak(lambda: contenders(cands, cluster, grid.normals, scene.gripper, grid))
+    peak = traced_peak(lambda: contenders(cands, cluster, scene.gripper, grid))
     assert peak <= 500_000
 
 
@@ -602,7 +606,7 @@ def test_hit_counts_over_shuffled_chunks_sum_to_the_whole_cluster(bundled_grasps
     rank_grasps, over the whole cluster in its own order."""
     scene, cands, cluster = bundled_grasps[name]
     grid = scene.grid
-    rays = grasping._rays(cluster, grid.normals, grid)
+    rays = grasping._rays(cluster, grid)
     order = np.random.default_rng(3).permutation(cluster.size)
     starts = range(0, cluster.size, CONTENDER_CHUNK)
     chunks = [[r[order[s : s + CONTENDER_CHUNK]] for r in rays] for s in starts]
@@ -631,7 +635,7 @@ def test_contenders_keep_the_top_of_any_order_and_confidences(bundled_grasps, da
     drawn lam and at both ends."""
     scene, cands, cluster = data.draw(reordered_candidates(bundled_grasps))
     grid = scene.grid
-    args = (grid.normals, scene.gripper, grid)
+    args = (scene.gripper, grid)
     kept = contenders(cands, cluster, *args)
     position = {id(c): k for k, c in enumerate(cands)}
     assert kept and all(id(c) in position for c in kept)
@@ -646,9 +650,9 @@ def test_contenders_keep_the_top_of_any_order_and_confidences(bundled_grasps, da
 def test_contenders_of_nothing_and_of_an_empty_cluster(bundled_grasps):
     scene, cands, cluster = bundled_grasps["hammer"]
     grid = scene.grid
-    assert contenders([], cluster, grid.normals, scene.gripper, grid) == []
+    assert contenders([], cluster, scene.gripper, grid) == []
     with pytest.raises(ValueError, match="empty contact map"):
-        contenders(cands, ContactCluster([]), grid.normals, scene.gripper, grid)
+        contenders(cands, ContactCluster([]), scene.gripper, grid)
 
 
 def listed_boxes(gripper, width):
@@ -679,8 +683,8 @@ def test_boxes_and_region_of_a_width_array_are_each_widths_bitwise(bundled_grasp
 
 def assert_ranking_matches_oracle(cands, cluster, scene, lam):
     grid, gripper = scene.grid, scene.gripper
-    ranked = rank_grasps(cands, cluster, lam, grid.normals, gripper, grid)
-    occ = oracle_occlusions(cands, cluster, grid.normals, gripper, grid)
+    ranked = rank_grasps(cands, cluster, lam, gripper, grid)
+    occ = oracle_occlusions(cands, cluster, gripper, grid)
     order = sorted(
         range(len(cands)),
         key=lambda i: (-contact_score(cands[i].confidence, occ[i], lam), -cands[i].confidence, occ[i], i),
@@ -702,22 +706,22 @@ def test_block_boundaries_change_nothing(bundled_grasps):
     for n in (1, block - 1, block, block + 1):
         assert_ranking_matches_oracle(cands[:n], cluster, scene, 0.5)
     grid = scene.grid
-    expect = oracle_occlusions(cands[:3], cluster, grid.normals, scene.gripper, grid)
-    got = [occlusion_fraction(c, cluster, grid.normals, scene.gripper, grid) for c in cands[:3]]
+    expect = oracle_occlusions(cands[:3], cluster, scene.gripper, grid)
+    got = [occlusion_fraction(c, cluster, scene.gripper, grid) for c in cands[:3]]
     assert got == expect
 
 
 def test_rank_rejects_empty_cluster():
-    grid, _, normals, cands = synthetic_ranked_set()
+    grid, _, cands = synthetic_ranked_set()
     with pytest.raises(ValueError, match="empty contact map"):
-        rank_grasps(cands, ContactCluster([]), 0.5, normals, GRIPPER, grid)
+        rank_grasps(cands, ContactCluster([]), 0.5, GRIPPER, grid)
 
 
 def test_rank_checks_lam_before_any_occlusion_work():
-    grid, _, normals, cands = synthetic_ranked_set()
+    grid, _, cands = synthetic_ranked_set()
     # an empty cluster fails as soon as occlusion is scored, so the lam error
     # shows that the check came first
     empty = ContactCluster([])
     for lam in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="lam must lie in"):
-            rank_grasps(cands, empty, lam, normals, GRIPPER, grid)
+            rank_grasps(cands, empty, lam, GRIPPER, grid)

@@ -1,13 +1,14 @@
 """The shared .vgrid / .vcontact grid-file codec: byte-level oracles, every
 reader error path, and a save/load/save round-trip property."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_grid, make_grid
+from conftest import box_grid, by_index, contact_map, make_grid
 from handover import suite
 from handover.contacts import ContactMap, load_contact_map, predict_contacts_heuristic, save_contact_map
 from handover.voxelgeom import VoxelGrid, load_vgrid, save_vgrid
@@ -39,17 +40,18 @@ def oracle_save_vgrid(grid, path):
 
 def oracle_save_contact_map(cm, path):
     nx, ny, nz = cm.grid.dims
-    binary = all(v in (0.0, 1.0) for v in cm.values.values())
+    values = by_index(cm.keys, cm.values.tolist())
+    binary = all(v in (0.0, 1.0) for v in values.values())
     rows = []
     for z in range(nz):
         for y in range(ny):
             if binary:
                 rows.append(
-                    "".join("1" if cm.values.get((x, y, z), 0.0) == 1.0 else "0" for x in range(nx))
+                    "".join("1" if values.get((x, y, z), 0.0) == 1.0 else "0" for x in range(nx))
                 )
             else:
                 rows.append(
-                    " ".join(repr(float(cm.values.get((x, y, z), 0.0))) for x in range(nx))
+                    " ".join(repr(float(values.get((x, y, z), 0.0))) for x in range(nx))
                 )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_oracle_header("VCONTACT", cm.grid) + rows) + "\n")
@@ -197,13 +199,36 @@ def test_contact_file_may_mix_bit_rows_and_float_rows(tmp_path):
     path.write_text("\n".join(_lines("VCONTACT", rows=rows)) + "\n")
     cm = load_contact_map(path, _GRID)
     # (1, 1, 1) is on the surface; (2, 1, 1) is empty and snaps to (1, 1, 1)
-    assert list(cm.values.items()) == [((0, 0, 0), 1.0), ((1, 1, 0), 0.25), ((1, 1, 1), 1.0)]
+    values = by_index(cm.keys, cm.values.tolist())
+    assert list(values.items()) == [((0, 0, 0), 1.0), ((1, 1, 0), 0.25), ((1, 1, 1), 1.0)]
 
 
 @pytest.mark.parametrize("key", [(-1, 0, 0), (3, 0, 0), (0, 0, 2)])
 def test_saving_a_key_outside_the_grid_is_an_error(key, tmp_path):
     with pytest.raises(ValueError, match="outside its grid"):
-        save_contact_map(ContactMap(_GRID, {(0, 0, 0): 1.0, key: 1.0}), tmp_path / "m.vcontact")
+        save_contact_map(contact_map(_GRID, {(0, 0, 0): 1.0, key: 1.0}), tmp_path / "m.vcontact")
+
+
+def test_a_repeated_contact_key_is_an_error():
+    """A dict cannot repeat a key, but a key array can; the repeat would
+    count its weight twice."""
+    keys = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0]])
+    with pytest.raises(ValueError, match=re.escape("contact map key (1, 1, 0) repeats")):
+        ContactMap(_GRID, keys, [1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("keys", [np.zeros((2, 2), dtype=int), np.zeros(6, dtype=int), np.zeros((2, 3)),
+                                  np.zeros((3, 3), dtype=int)])
+def test_contact_keys_must_be_an_integer_index_per_value(keys):
+    with pytest.raises(ValueError, match=re.escape("contact map needs (n, 3) integer keys for its n values")):
+        ContactMap(_GRID, keys, [1.0, 1.0])
+
+
+def test_contact_map_sorts_its_keys_and_keeps_zero_values():
+    cm = ContactMap(_GRID, np.array([[1, 1, 1], [0, 0, 0], [1, 0, 0]]), [0.5, 0.0, 1.0])
+    assert cm.keys.tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 1]] and cm.values.tolist() == [0.0, 1.0, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        cm.values[0] = 2.0  # would dodge the [0, 1] check
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -232,9 +257,10 @@ def grids_and_maps(draw):
     grid = make_grid(occ, voxel_size=draw(st.floats(1e-4, 1.0)),
                      origin=tuple(draw(finite) for _ in range(3)))
     value = st.just(1.0) if draw(st.booleans()) else st.floats(0.0, 1.0)
-    values = {idx: draw(value) for idx in grid.surface}
-    values = {idx: v for idx, v in values.items() if v != 0.0} or {grid.surface[0]: 1.0}
-    return grid, ContactMap(grid, values)
+    surface = list(map(tuple, grid.surface.tolist()))
+    values = {idx: draw(value) for idx in surface}
+    values = {idx: v for idx, v in values.items() if v != 0.0} or {surface[0]: 1.0}
+    return grid, contact_map(grid, values)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None,
@@ -253,6 +279,7 @@ def test_save_load_save_is_exact(tmp_path, grid_and_map):
 
     save_contact_map(cm, a)
     loaded_cm = load_contact_map(a, loaded)
-    assert list(loaded_cm.values.items()) == list(cm.values.items())
+    assert list(by_index(loaded_cm.keys, loaded_cm.values.tolist()).items()) == \
+        list(by_index(cm.keys, cm.values.tolist()).items())
     save_contact_map(loaded_cm, b)
     assert a.read_bytes() == b.read_bytes()

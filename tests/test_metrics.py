@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from handover.contacts import ContactMap
 from handover.delivery import BODY_PROXY_DIMS, DeliveryContext
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
@@ -19,7 +18,7 @@ from handover.metrics import (
     visibility,
 )
 from handover.voxelgeom import ray_cast
-from conftest import box_grid, oracle_ray_cast
+from conftest import box_grid, by_index, contact_map, oracle_ray_cast
 
 I3 = np.eye(3)
 
@@ -89,7 +88,13 @@ def slab_ctx(origin=(0.55, -0.06, 1.14), held_idx=(3, 5, 5), grasp_rotation=None
 
 
 def ones_map(grid, indices):
-    return ContactMap(grid, {i: 1.0 for i in indices})
+    return contact_map(grid, {i: 1.0 for i in indices})
+
+
+def keyed(cm, result):
+    """A score's (score, flags) with the flags keyed by contact voxel."""
+    score, flags = result
+    return score, by_index(cm.contacts()[0], flags.tolist())
 
 
 # ---------------------------------------------------------------- visibility
@@ -108,7 +113,7 @@ def test_face_behind_slab_invisible():
 
 def test_visibility_weights_mixed_faces():
     grid, ctx = slab_ctx(body_proxy_dims=None)
-    cm = ContactMap(
+    cm = contact_map(
         grid,
         {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}},
     )
@@ -119,8 +124,8 @@ def test_visibility_weights_mixed_faces():
 def test_visibility_detail_flags_consistent():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR + FAR)
-    score, flags = visibility(ctx, I3, cm, include_gripper=False)
-    assert set(flags) == set(cm.contact_indices())
+    score, flags = keyed(cm, visibility(ctx, I3, cm, include_gripper=False))
+    assert set(flags) == set(map(tuple, cm.contacts()[0].tolist()))
     assert score == pytest.approx(sum(flags.values()) / len(flags))
     assert all(flags[i] for i in NEAR)
     assert not any(flags[i] for i in FAR)
@@ -157,7 +162,7 @@ def test_robot_proxy_blocks_sight_lines():
 
 def test_empty_contact_map_rejected():
     grid, ctx = slab_ctx()
-    weak = ContactMap(grid, {NEAR[0]: 0.1})
+    weak = contact_map(grid, {NEAR[0]: 0.1})
     with pytest.raises(ValueError, match="empty contact map"):
         visibility(ctx, I3, weak)
     with pytest.raises(ValueError, match="empty contact map"):
@@ -190,12 +195,12 @@ def test_out_of_reach_scene_scores_zero():
 def test_reachability_flags_match_per_point_rule():
     grid, ctx = slab_ctx()
     cm = ones_map(grid, NEAR + FAR)
-    score, flags = reachability(ctx, I3, cm)
+    score, flags = keyed(cm, reachability(ctx, I3, cm))
     human = ctx.human
     grip_pts = ctx.gripper_points(I3)
     grip_d = min(math.hypot(p[0] - human.base_position[0], p[1] - human.base_position[1])
                  for p in grip_pts)
-    for idx in cm.contact_indices():
+    for idx in map(tuple, cm.contacts()[0].tolist()):
         world = ctx.ee_position + I3 @ (grid.center(idx) - ctx.held_point)
         d1 = float(np.linalg.norm(world - human.shoulder_point))
         d2 = math.hypot(world[0] - human.base_position[0], world[1] - human.base_position[1])
@@ -290,8 +295,9 @@ def oracle_ray_blocked(gripper, rotation, translation, width, origin, direction,
 
 def oracle_visibility(ctx, rotation, cm, include_gripper=True):
     grid = ctx.grid
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
+    values = by_index(cm.keys, cm.values.tolist())
+    contact = list(map(tuple, cm.contacts()[0].tolist()))
+    denom = sum(values[i] for i in contact)
     vs = grid.voxel_size
     eye = ctx.human.eye_point
     grip_rot, grip_t = ctx.gripper_pose(rotation)
@@ -301,7 +307,7 @@ def oracle_visibility(ctx, rotation, cm, include_gripper=True):
         base = ctx.robot_base
         proxy = (np.array([base[0] - fx / 2, base[1] - fy / 2, base[2]]),
                  np.array([base[0] + fx / 2, base[1] + fy / 2, base[2] + h]))
-    normals = grid.normals
+    normals = by_index(grid.surface, grid.normals)
     eye_grid = ctx.grid_frame_point(rotation, eye)
     numer = 0.0
     flags = {}
@@ -336,15 +342,16 @@ def oracle_visibility(ctx, rotation, cm, include_gripper=True):
                 hit = oracle_ray_cast(grid, eye_grid, to_aim / dist, dist)
                 visible = hit is None
         if visible:
-            numer += cm.values[idx]
+            numer += values[idx]
         flags[idx] = visible
     return numer / denom, flags
 
 
 def oracle_reachability(ctx, rotation, cm):
     grid = ctx.grid
-    contact = cm.contact_indices()
-    denom = sum(cm.values[i] for i in contact)
+    values = by_index(cm.keys, cm.values.tolist())
+    contact = list(map(tuple, cm.contacts()[0].tolist()))
+    denom = sum(values[i] for i in contact)
     human = ctx.human
     shoulder = human.shoulder_point
     base = human.base_position
@@ -360,7 +367,7 @@ def oracle_reachability(ctx, rotation, cm):
         d2 = float(np.hypot(world[0] - base[0], world[1] - base[1]))
         ok = d1 < human.arm_length and d2 < gripper_axis_dist
         if ok:
-            numer += cm.values[idx]
+            numer += values[idx]
         flags[idx] = ok
     return numer / denom, flags
 
@@ -391,13 +398,13 @@ def test_oracles_cover_every_branch_on_slab():
         if robot is not None:
             ctx = replace(ctx, robot_base=np.array(robot[0]), body_proxy_dims=robot[1])
         interior = {(3, 5, 5): 0.6, (3, 7, 4): 0.8}
-        cm = ContactMap(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}, **interior})
-        assert not set(interior) & set(grid.normals)
+        cm = contact_map(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}, **interior})
+        assert not set(interior) & set(by_index(grid.surface, grid.normals))
         for c in (ctx, replace(ctx, body_proxy_dims=None)):
             for grip in (True, False):
-                assert visibility(c, I3, cm, grip) == \
+                assert keyed(cm, visibility(c, I3, cm, grip)) == \
                     oracle_visibility(c, I3, cm, grip)
-        assert reachability(ctx, I3, cm) == oracle_reachability(ctx, I3, cm)
+        assert keyed(cm, reachability(ctx, I3, cm)) == oracle_reachability(ctx, I3, cm)
 
 
 @pytest.mark.parametrize("mode", ["FULL", "A4"])
@@ -412,16 +419,16 @@ def test_batched_metrics_match_per_voxel_oracles(scenes, mode):
             rotation = np.array(report.delivery["object_rotation"])
             ctx = delivered_context(scene, report, scene.body_proxy_dims)
             for cm in scene.contact_maps:
-                assert visibility(ctx, rotation, cm) == \
+                assert keyed(cm, visibility(ctx, rotation, cm)) == \
                     oracle_visibility(ctx, rotation, cm), (name, seed)
-                assert reachability(ctx, rotation, cm) == \
+                assert keyed(cm, reachability(ctx, rotation, cm)) == \
                     oracle_reachability(ctx, rotation, cm), (name, seed)
             if seed == 0:
                 bare = delivered_context(scene, report, None)
                 cm = scene.contact_maps[0]
-                assert visibility(bare, rotation, cm) == \
+                assert keyed(cm, visibility(bare, rotation, cm)) == \
                     oracle_visibility(bare, rotation, cm), name
-                assert visibility(ctx, rotation, cm, include_gripper=False) == \
+                assert keyed(cm, visibility(ctx, rotation, cm, include_gripper=False)) == \
                     oracle_visibility(ctx, rotation, cm, include_gripper=False), name
 
 
@@ -429,8 +436,8 @@ def test_evaluate_maps_carries_the_flags():
     grid, ctx = slab_ctx()
     maps = [ones_map(grid, NEAR), ones_map(grid, FAR)]
     scores = evaluate_maps(ctx, I3, maps)
-    assert scores.visibility_flags == [visibility(ctx, I3, m)[1] for m in maps]
-    assert scores.reachability_flags == [reachability(ctx, I3, m)[1] for m in maps]
+    assert [f.tolist() for f in scores.visibility_flags] == [visibility(ctx, I3, m)[1].tolist() for m in maps]
+    assert [f.tolist() for f in scores.reachability_flags] == [reachability(ctx, I3, m)[1].tolist() for m in maps]
 
 
 def test_ray_cast_matches_the_scalar_walk_on_every_bundled_sight_line(scenes, monkeypatch):

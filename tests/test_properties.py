@@ -14,14 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from handover import cli
-from handover.contacts import ContactMap
 from handover.delivery import BODY_PROXY_DIMS
 from handover.ergonomics import HumanModel
 from handover.grasping import OCCLUSION_RAY_FACTOR, GripperModel
 from handover.harness import SCENE_FIELDS, AblationMode, PipelineParams, Scene, SharedStages, run_pipeline
 from handover.voxelgeom import segments_hit_boxes
 
-from conftest import absolutized_config, make_grid
+from conftest import absolutized_config, contact_map, make_grid
 
 
 @st.composite
@@ -31,13 +30,13 @@ def small_scenes(draw):
     occ = np.array(cells, dtype=bool).reshape(dims)
     occ[tuple(draw(st.integers(0, n - 1)) for n in dims)] = True  # never an empty object
     grid = make_grid(occ, voxel_size=draw(st.sampled_from([0.01, 0.02, 0.04])))
-    surface = grid.surface
+    surface = list(map(tuple, grid.surface.tolist()))
     # as after ingestion: nonzero values in (0, 1], keyed by surface voxels
     maps = []
     for _ in range(draw(st.integers(1, 3))):
         keys = draw(st.lists(st.sampled_from(surface), min_size=1, unique=True))
         values = [draw(st.floats(0.0, 1.0, exclude_min=True)) for _ in keys]
-        maps.append(ContactMap(grid, dict(zip(keys, values))))
+        maps.append(contact_map(grid, dict(zip(keys, values))))
     params = PipelineParams(
         lam=draw(st.floats(0.0, 1.0)),
         alpha=draw(st.floats(0.0, 1.0)),

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     box_grid,
+    by_index,
     cube_mesh,
     icosphere_mesh,
     make_grid,
@@ -91,29 +92,29 @@ class TestSurface:
     def test_single_voxel_is_surface(self):
         occ = np.zeros((5, 5, 5), dtype=bool)
         occ[2, 2, 2] = True
-        assert surface_voxels(make_grid(occ)) == [(2, 2, 2)]
+        assert surface_voxels(make_grid(occ)).tolist() == [[2, 2, 2]]
 
     def test_3x3x3_block_has_26_surface_voxels(self):
         grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
-        surf = surface_voxels(grid)
+        surf = list(map(tuple, surface_voxels(grid).tolist()))
         assert len(surf) == 26
         assert (2, 2, 2) not in surf
 
     def test_empty_grid(self):
-        assert surface_voxels(make_grid(np.zeros((4, 4, 4), dtype=bool))) == []
+        assert surface_voxels(make_grid(np.zeros((4, 4, 4), dtype=bool))).tolist() == []
 
     def test_translation_invariance(self):
         occ = np.zeros((6, 6, 6), dtype=bool)
         occ[1:4, 2:5, 1:3] = True
         a = surface_voxels(make_grid(occ, origin=(0, 0, 0)))
         b = surface_voxels(make_grid(occ, origin=(12.3, -4.5, 6.7)))
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestNormals:
     def test_face_normal_of_block(self):
         grid = box_grid((9, 9, 9), (2, 2, 2), (6, 6, 6))
-        normals = estimate_normals(grid)
+        normals = by_index(grid.surface, estimate_normals(grid))
         assert np.allclose(normals[(6, 4, 4)], (1, 0, 0), atol=1e-6)
         assert np.allclose(normals[(2, 4, 4)], (-1, 0, 0), atol=1e-6)
         assert np.allclose(normals[(4, 4, 6)], (0, 0, 1), atol=1e-6)
@@ -121,12 +122,13 @@ class TestNormals:
     def test_isolated_voxel_fallback_is_unit(self):
         occ = np.zeros((5, 5, 5), dtype=bool)
         occ[2, 2, 2] = True
-        normals = estimate_normals(make_grid(occ))
+        grid = make_grid(occ)
+        normals = by_index(grid.surface, estimate_normals(grid))
         assert abs(np.linalg.norm(normals[(2, 2, 2)]) - 1.0) < 1e-6
 
     def test_sphere_normals_near_radial(self):
         grid = voxelize_mesh(icosphere_mesh(0.5, 3), dims=(48, 48, 48))
-        normals = estimate_normals(grid)
+        normals = by_index(grid.surface, estimate_normals(grid))
         center = grid.occupied_centers.mean(axis=0)
         devs = []
         for idx, n in normals.items():
@@ -137,8 +139,25 @@ class TestNormals:
 
     def test_all_normals_unit(self):
         grid = box_grid((8, 8, 8), (1, 1, 1), (5, 4, 3))
-        for n in estimate_normals(grid).values():
+        for n in estimate_normals(grid):
             assert abs(np.linalg.norm(n) - 1.0) < 1e-6
+
+    def test_the_cached_arrays_are_read_only(self):
+        """Every later stage reads these caches, so no caller may write them."""
+        grid = box_grid((6, 6, 6), (1, 1, 1), (4, 4, 4))
+        for name in ("occupancy", "surface", "normals"):
+            arr = getattr(grid, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+            assert getattr(grid, name) is arr
+
+    def test_surface_rows_find_each_surface_voxel_and_nothing_else(self):
+        grid = box_grid((5, 5, 5), (1, 1, 1), (3, 3, 3))
+        n = len(grid.surface)
+        assert grid.surface_rows(grid.surface).tolist() == list(range(n))
+        assert grid.surface_rows(grid.surface[::-1, None]).tolist() == [[r] for r in reversed(range(n))]
+        off = [(2, 2, 2), (0, 0, 0), (-1, 2, 2), (5, 2, 2), (2, 2, 9)]  # interior, empty, off the grid
+        assert grid.surface_rows(off).tolist() == [-1] * len(off)
 
 
 def _cells(dims, *occupied):
@@ -260,8 +279,8 @@ class TestRayCast:
 
     def test_ray_floated_off_the_surface_hits_nothing(self):
         grid = box_grid((10, 10, 10), (3, 3, 3), (6, 6, 6))
-        normals = estimate_normals(grid)
-        surface = surface_voxels(grid)
+        normals = by_index(grid.surface, estimate_normals(grid))
+        surface = list(map(tuple, surface_voxels(grid).tolist()))
         n = np.array([normals[idx] for idx in surface])
         origins = grid.centers(surface) + 2.0 * grid.voxel_size * n
         assert not ray_cast(grid, origins, n, 0.05).any()
