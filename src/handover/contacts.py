@@ -105,6 +105,8 @@ def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     nonzero = dense != 0
     if not nonzero.any():
         raise ValueError(f"{path}: empty contact map")
+    if not len(grid.surface):
+        raise ValueError(f"{path}: the grid has no surface voxel to register contacts to")
     # argwhere and the mask both walk cells in lexicographic (x, y, z) order
     top = np.zeros(len(grid.surface))
     np.maximum.at(top, _snap_to_surface(grid, np.argwhere(nonzero)), dense[nonzero])

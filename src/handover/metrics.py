@@ -161,17 +161,30 @@ def reachability(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap):
 def evaluate_maps(ctx: DeliveryContext, rotation: np.ndarray, maps, threshold: float = 0.5):
     """Score every ground-truth map at the delivered pose and fold the lists
     into the success verdict against `threshold`. The per-voxel flags behind
-    each score come along, so diagnostics need no second pass."""
-    vis = [visibility(ctx, rotation, cm) for cm in maps]
-    reach = [reachability(ctx, rotation, cm) for cm in maps]
-    vis_scores = [score for score, _ in vis]
-    reach_scores = [score for score, _ in reach]
+    each score come along, so diagnostics need no second pass.
+
+    visibility and reachability run once, on the union of the maps' contact
+    voxels, and each map takes its flags from the union by position. A
+    voxel's flags depend on its row only, so they equal a per-map call's."""
+    parts = [_contacts(cm) for cm in maps]  # an empty map fails as in its own call
+    dims = ctx.grid.dims
+    keys = [np.ravel_multi_index(tuple(contact.T), dims) for contact, _, _ in parts]
+    union = np.sort(np.concatenate(keys))  # not np.unique: its first call holds ~1 MB
+    union = union[np.diff(union, prepend=-1) != 0]
+    whole = ContactMap(ctx.grid, np.stack(np.unravel_index(union, dims), axis=1), np.ones(len(union)))
+    seen = visibility(ctx, rotation, whole)[1]
+    near = reachability(ctx, rotation, whole)[1]
+    at = [np.searchsorted(union, k) for k in keys]
+    vis_flags = [seen[rows] for rows in at]
+    reach_flags = [near[rows] for rows in at]
+    vis_scores = [sum(w[f].tolist(), 0.0) / denom for f, (_, w, denom) in zip(vis_flags, parts)]
+    reach_scores = [sum(w[f].tolist(), 0.0) / denom for f, (_, w, denom) in zip(reach_flags, parts)]
     return MetricScores(
         visibility=vis_scores,
         reachability=reach_scores,
         visibility_median=lower_median(vis_scores),
         reachability_median=lower_median(reach_scores),
         success=success(vis_scores, reach_scores, threshold),
-        visibility_flags=[flags for _, flags in vis],
-        reachability_flags=[flags for _, flags in reach],
+        visibility_flags=vis_flags,
+        reachability_flags=reach_flags,
     )

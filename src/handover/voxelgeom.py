@@ -145,6 +145,11 @@ class VoxelGrid:
     def normals(self) -> np.ndarray:
         return read_only(estimate_normals(self))
 
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """occupancy as read-only uint8 in a one-cell border: 0 empty, 1 occupied, 2 outside."""
+        return read_only(np.pad(self.occupancy.view(np.uint8), 1, constant_values=2))
+
     def surface_rows(self, indices) -> np.ndarray:
         """Row in `surface` of each integer index (xyz on the last axis), -1
         off the surface: one sorted lookup of the cells' linear keys."""
@@ -357,10 +362,13 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     per segment. All segments step through the grid together, each by the
     incremental walk of Amanatides & Woo (1987): clip to the grid box, start
     in the cell holding the entry point (clamped into the grid), then move
-    to the neighbour across the nearest cell face until the clipped end or
-    the grid's edge. Like the cells it holds, the grid box is half-open on
-    its upper faces: a segment with a direction component of exactly 0 that
-    lies on such a face misses it.
+    to the neighbour across the nearest cell face until an occupied cell
+    (blocked), the clipped end or the grid's edge. A segment holds its
+    cell's flat index into grid.padded and one flat jump per axis, so a step
+    is one argmin, one jump and one gather, and the edge is a border cell.
+    Like the cells it holds, the grid box is half-open on its upper faces: a
+    segment with a direction component of exactly 0 that lies on such a face
+    misses it.
     """
     origins, dirs, t_max = np.broadcast_arrays(
         np.atleast_2d(origins), np.atleast_2d(dirs), np.asarray(t_max, dtype=float)[..., None]
@@ -376,22 +384,28 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     o, d, t1 = origins[rows], dirs[rows], t1[rows]
     p = o + d * t0[rows, None]
     cell = np.clip(np.floor((p - lo) / vs), 0, dims - 1).astype(int)
-    step = np.sign(d).astype(int)
+    strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
+    flat = (cell + 1) @ strides
+    jump = np.sign(d).astype(int) * strides
     with np.errstate(divide="ignore", invalid="ignore"):
         t_next = np.where(d == 0.0, np.inf, ((cell + (d > 0)) * vs + lo - o) / d)
         t_delta = np.where(d == 0.0, np.inf, np.abs(vs / d))
-    occ = grid.occupancy
+    occ = grid.padded.reshape(-1)
+    state = occ[flat]  # the entry cell lies in the grid
+    # line k's axis a sits at 3 k + a of the (n, 3) arrays read flat
+    base, tn, td, jp = np.arange(0, 3 * len(rows), 3), t_next.reshape(-1), t_delta.reshape(-1), jump.reshape(-1)
     while len(rows):
-        hit = occ[cell[:, 0], cell[:, 1], cell[:, 2]]
-        blocked[rows[hit]] = True
-        k = np.arange(len(rows))
-        a = np.argmin(t_next, axis=1)  # first minimum on ties
-        t = t_next[k, a]
-        cell[k, a] += step[k, a]
-        t_next[k, a] += t_delta[k, a]
-        go = ~hit & (cell[k, a] >= 0) & (cell[k, a] < dims[a]) & (t <= t1)
-        if not go.all():  # about half the steps drop no line
-            rows, cell, step, t_next, t_delta, t1 = (v[go] for v in (rows, cell, step, t_next, t_delta, t1))
+        if np.count_nonzero(state):  # about half the steps stop no line
+            blocked[rows] = state == 1
+            go = state == 0
+            rows, flat, t1, t_next, t_delta, jump = (v[go] for v in (rows, flat, t1, t_next, t_delta, jump))
+            base, tn, td, jp = base[: len(rows)], t_next.reshape(-1), t_delta.reshape(-1), jump.reshape(-1)
+        at = np.argmin(t_next, axis=1) + base  # first minimum on ties
+        t = tn[at]
+        flat += jp[at]
+        tn[at] = t + td[at]
+        state = occ[flat]
+        state[t > t1] = 2  # the next cell starts past the clipped end: clear
     return blocked
 
 

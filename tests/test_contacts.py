@@ -72,6 +72,13 @@ class TestIngestion:
         with pytest.raises(ValueError, match="empty contact map"):
             load_contact_map(p, grid)
 
+    def test_a_grid_with_no_surface_voxel_is_an_error(self, tmp_path):
+        grid = make_grid(np.zeros((3, 3, 3), dtype=bool))
+        p = tmp_path / "m.vcontact"
+        write_vcontact(p, grid, [(1, 1, 1)])
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: the grid has no surface voxel"):
+            load_contact_map(p, grid)
+
     def test_interior_label_snaps_to_lowest_tied_surface_voxel(self, tmp_path):
         # 3x3x3 block: the center is interior with six equidistant surface
         # neighbors; the lowest (x, y, z) one is (1, 2, 2)

@@ -9,7 +9,7 @@ from handover.delivery import BODY_PROXY_DIMS, DeliveryContext
 from handover.ergonomics import HumanModel
 from handover.grasping import GripperModel
 from handover import metrics
-from handover.harness import AblationMode, run_pipeline
+from handover.harness import AblationMode, SharedStages, run_pipeline
 from handover.metrics import (
     evaluate_maps,
     lower_median,
@@ -440,10 +440,57 @@ def test_evaluate_maps_carries_the_flags():
     assert [f.tolist() for f in scores.reachability_flags] == [reachability(ctx, I3, m)[1].tolist() for m in maps]
 
 
+def assert_evaluate_maps_equals_per_map_calls(ctx, rotation, maps):
+    scores = evaluate_maps(ctx, rotation, maps)
+    per_map = zip(maps, scores.visibility, scores.visibility_flags, scores.reachability,
+                  scores.reachability_flags, strict=True)
+    for cm, vis, vis_flags, reach, reach_flags in per_map:
+        score, flags = visibility(ctx, rotation, cm)
+        assert vis == score and np.array_equal(vis_flags, flags)
+        score, flags = reachability(ctx, rotation, cm)
+        assert reach == score and np.array_equal(reach_flags, flags)
+
+
+def test_evaluate_maps_equals_per_map_calls_on_every_bundled_delivery(scenes):
+    """The one walk over the union of the maps' contacts gives each map the
+    score and flags of its own visibility and reachability calls: bundled
+    scenes, seeds 0-1, the top grasp of either lam delivered each way."""
+    for scene in scenes.values():
+        for seed in (0, 1):
+            shared = SharedStages(scene, seed)
+            tops = {id(top): top for lam in (scene.params.lam, 1.0)
+                    for top in [shared.ranking(lam)[0].candidate]}
+            for top in tops.values():
+                for kind in ("planned", "random", "tucked"):
+                    ctx, rotation = shared.delivery(top, kind)[:2]
+                    assert_evaluate_maps_equals_per_map_calls(ctx, rotation, scene.contact_maps)
+
+
+def test_evaluate_maps_equals_per_map_calls_on_synthetic_maps():
+    grid, ctx = slab_ctx()
+    near = {i: 0.5 + 0.05 * k for k, i in enumerate(NEAR)}
+    far = {i: 0.9 for i in FAR}
+    interior = {(3, 5, 5): 0.6, (3, 7, 4): 0.8}  # off the surface: sight lines aim along _toward
+    below = {(2, 3, 3): 0.3, (4, 3, 3): 0.2}  # keys, but not contacts
+    cases = {
+        "disjoint": [contact_map(grid, near), contact_map(grid, {**far, **below})],
+        "overlapping": [contact_map(grid, {**near, **far}), contact_map(grid, dict(list(far.items())[::2])),
+                        contact_map(grid, {**far, NEAR[0]: 0.7, **below})],
+        "off the surface": [contact_map(grid, {**near, **interior}), contact_map(grid, interior),
+                            contact_map(grid, {**far, (3, 5, 5): 1.0})],
+    }
+    for rotation in (I3, rot_y(30)):
+        for maps in cases.values():
+            assert_evaluate_maps_equals_per_map_calls(ctx, rotation, maps)
+    with pytest.raises(ValueError, match="empty contact map"):
+        evaluate_maps(ctx, I3, [contact_map(grid, near), contact_map(grid, below)])
+
+
 def test_ray_cast_matches_the_scalar_walk_on_every_bundled_sight_line(scenes, monkeypatch):
-    """Every visibility call of the bundled scenes, seeds 0-1, all five modes:
+    """Every sight line of the bundled scenes, seeds 0-1, all five modes:
     the lockstep walk blocks exactly the sight lines the scalar walk does.
-    Each run makes its own SharedStages, so no mode reuses another's scores."""
+    Each run makes its own SharedStages, so no mode reuses another's scores,
+    and each scored delivery walks its maps' contacts in one ray_cast call."""
     calls = []
 
     def recorded(grid, origins, dirs, t_max):
@@ -457,8 +504,8 @@ def test_ray_cast_matches_the_scalar_walk_on_every_bundled_sight_line(scenes, mo
         for seed in (0, 1):
             for mode in AblationMode:
                 if run_pipeline(scene, mode, seed).metrics is not None:
-                    scored += len(scene.contact_maps)
-    assert len(calls) == scored >= 100
+                    scored += 1
+    assert len(calls) == scored >= 40
     lines = 0
     for grid, eye, dirs, t_max, blocked in calls:
         scalar = [oracle_ray_cast(grid, eye, d, t) is not None for d, t in zip(dirs, t_max)]

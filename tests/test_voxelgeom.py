@@ -296,6 +296,35 @@ class TestRayCast:
         assert scalar == expect
         assert ray_cast(grid, origins, dirs, t_max).tolist() == expect
 
+    @pytest.mark.parametrize("dims", [(3, 17, 5), (1, 4, 9), (6, 1, 1)])
+    def test_odd_grid_shapes_match_the_scalar_oracle(self, dims):
+        """Non-cubic grids and grids one cell thick: lines from every empty
+        cell and from outside the grid, along each axis both ways (two zero
+        direction components), tilted off it (one, then none) and at random,
+        so some leave through each of the six faces."""
+        rng = np.random.default_rng(sum(dims))
+        occ = rng.random(dims) < 0.2
+        grid = make_grid(occ, voxel_size=0.25, origin=(-0.4, 0.3, 1.1))
+        lo, hi = grid.origin, grid.origin + np.array(dims) * grid.voxel_size
+        eye = np.eye(3)
+        axial = [s * eye[a] for a in range(3) for s in (-1.0, 1.0)]
+        tilted = [d + 0.37 * np.roll(d, 1) for d in axial]
+        tilted += [d - 0.21 * np.roll(d, 2) for d in tilted]
+        dirs = np.array(axial + tilted + list(rng.normal(size=(6, 3))))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        inside = grid.centers(np.argwhere(~occ)) + rng.uniform(-0.1, 0.1, size=(int((~occ).sum()), 3))
+        outside = rng.uniform(lo - 0.5, hi + 0.5, size=(40, 3))
+        origins = np.repeat(np.vstack([inside, outside]), len(dirs), axis=0)
+        dirs = np.tile(dirs, (len(origins) // len(dirs), 1))
+        t_max = rng.choice([0.3, 10.0], size=len(origins))
+        scalar = [oracle_ray_cast(grid, o, d, t) is not None for o, d, t in zip(origins, dirs, t_max)]
+        assert ray_cast(grid, origins, dirs, t_max).tolist() == scalar
+        ends = origins + dirs * t_max[:, None]
+        for a in range(3):
+            for beyond in (ends[:, a] < lo[a], ends[:, a] > hi[a]):
+                along = (dirs[:, a] != 0) & (np.delete(dirs, a, axis=1) == 0).all(axis=1)
+                assert (beyond & along & ~np.array(scalar)).any()  # a clear line left through this face
+
 
 class TestSegmentsHitBoxes:
     UNIT = (np.zeros(3), np.ones(3))
