@@ -119,9 +119,7 @@ def _cmd_bench(args) -> int:
             save_report(report, os.path.join(args.out, f"{stem}_{report.mode}_{report.seed}.json"))
         reports += group
     summary = aggregate(reports)
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    harness.write_json(summary, os.path.join(args.out, "summary.json"))
     csv_text = summary_csv(summary)
     with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(csv_text)

@@ -181,8 +181,8 @@ def load_scene(path) -> Scene:
             human=human,
             gripper=gripper,
             body_proxy_dims=robot.get("body_proxy_dims", BODY_PROXY_DIMS),
-            standoff=_section(cfg.get("layout", {}), "layout").get("standoff", 1.2),
             params=params,
+            **_section(cfg.get("layout", {}), "layout"),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing scene field {exc}") from exc
@@ -218,10 +218,15 @@ def _report_key(name: str) -> str:
     return "object" if name == "object_name" else name
 
 
-def save_report(report: HandoverReport, path) -> None:
+def write_json(data, path) -> None:
+    """`data` as indented, key-sorted JSON and a newline; NaN or inf is a ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def save_report(report: HandoverReport, path) -> None:
+    write_json(report.to_dict(), path)
 
 
 def load_report(path) -> HandoverReport:
@@ -331,25 +336,17 @@ class SharedStages:
         return self._once("contacts", largest)
 
     def ranking(self, lam: float) -> list:
-        """The contenders (grasping.contenders: the candidates that can rank
-        first at some lam), ranked: by rank_grasps at the first `lam` asked.
-        Neither the contenders nor their occlusions depend on `lam`, so any
-        other `lam` re-sorts the same (candidate, occlusion) pairs."""
-        args = (self.scene.gripper, self.scene.grid)
-
-        def first_ranking():
+        """The contenders (grasping.contenders) ranked at `lam`: their one
+        rank_grasps ranking, at the scene's lam, re-sorted by order_grasps.
+        That is rank_grasps at `lam` bit for bit: order_grasps breaks a tie by
+        input position only between equal confidence and occlusion, which
+        score alike at every lam and which rank_grasps left in contender order."""
+        def rank(args=(self.scene.gripper, self.scene.grid)):
             shortlist = contenders(self.candidates(), self.cluster(), *args)
-            return lam, shortlist, rank_grasps(shortlist, self.cluster(), lam, *args)
+            return rank_grasps(shortlist, self.cluster(), self.params.lam, *args)
 
-        first, shortlist, ranked = self._once("ranking", first_ranking)
-        if lam == first:
-            return ranked
-
-        def resort():
-            occlusion = {id(rg.candidate): rg.occlusion for rg in ranked}
-            return order_grasps(shortlist, [occlusion[id(c)] for c in shortlist], lam)
-
-        return self._once(("ranking", lam), resort)
+        ranked = self._once("ranking", rank)
+        return order_grasps([rg.candidate for rg in ranked], [rg.occlusion for rg in ranked], lam)
 
     def position(self):
         """plan_handover_position's (hand_position, winner, kept)."""
@@ -511,8 +508,7 @@ def aggregate(reports) -> dict:
         lams = {rep.params.get("lam") for rep in group}
         if len(ks) > 1 or len(lams) > 1:
             raise ValueError(f"mode {mode}: mixed k or lam across aggregated reports")
-        vis = [rep.metrics["visibility_median"] if rep.metrics else 0.0 for rep in group]
-        reach = [rep.metrics["reachability_median"] if rep.metrics else 0.0 for rep in group]
+        vis, reach = zip(*map(_medians, group))
         succ = [1.0 if rep.success else 0.0 for rep in group]
         by_object: dict[str, list[float]] = {}
         for rep in group:
@@ -527,18 +523,17 @@ def aggregate(reports) -> dict:
             "n_runs": len(group),
         }
     for rep in sorted(reports, key=lambda r: (r.object_name, r.mode, r.seed)):
-        summary["runs"].append(
-            {
-                "object": rep.object_name,
-                "mode": rep.mode,
-                "seed": rep.seed,
-                "visibility_median": rep.metrics["visibility_median"] if rep.metrics else 0.0,
-                "reachability_median": rep.metrics["reachability_median"] if rep.metrics else 0.0,
-                "success": rep.success,
-                "failure": rep.failure,
-            }
-        )
+        vis, reach = _medians(rep)
+        summary["runs"].append({"object": rep.object_name, "mode": rep.mode, "seed": rep.seed,
+                                "visibility_median": vis, "reachability_median": reach,
+                                "success": rep.success, "failure": rep.failure})
     return summary
+
+
+def _medians(rep: HandoverReport) -> tuple[float, float]:
+    """A report's (visibility, reachability) medians; 0.0 each for a run without metrics."""
+    m = rep.metrics
+    return (m["visibility_median"], m["reachability_median"]) if m else (0.0, 0.0)
 
 
 def summary_csv(summary: dict) -> str:

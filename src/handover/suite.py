@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from .contacts import ContactMap, save_contact_map
+from .delivery import BODY_PROXY_DIMS
+from .ergonomics import HumanModel
+from .grasping import GripperModel
+from .harness import PipelineParams, Scene
 from .voxelgeom import VoxelGrid, save_vgrid
 
 VOXEL_SIZE = 0.003
@@ -73,35 +78,22 @@ def build_object(name: str):
     return grid, [ContactMap(grid, keys, np.ones(len(keys))) for keys in marked]
 
 
+def _defaults(cls, *names) -> dict:
+    """{field: default} of dataclass `cls` in field order, for every field or those `names`."""
+    return {f.name: f.default for f in fields(cls) if not names or f.name in names}
+
+
 def default_scene_config(name: str) -> dict:
+    """Bundled scene `name`'s JSON: each setting its field's default, but max_grasps."""
     return {
         "name": name,
         "object": {"vgrid": f"{name}.vgrid"},
         "contact_maps": [f"{name}_contacts_{i}.vcontact" for i in range(3)],
         "planning_map": 0,
-        "human": {"height": 1.7, "base_position": [0.0, 0.0, 0.0], "facing": [1.0, 0.0, 0.0]},
-        "robot": {
-            "body_proxy_dims": [0.5, 0.5, 1.1],
-            "gripper": {
-                "finger_length": 0.05,
-                "finger_thickness": 0.015,
-                "max_width": 0.10,
-                "palm_depth": 0.04,
-            },
-        },
-        "layout": {"standoff": 1.2},
-        "params": {
-            "lam": 0.5,
-            "alpha": 0.5,
-            "k": 0.5,
-            "eps": None,
-            "min_pts": 4,
-            "orientation_step": 45.0,
-            "position_step": 5.0,
-            "object_mass": 0.5,
-            "max_grasps": 600,
-            "seed": 0,
-        },
+        "human": _defaults(HumanModel, "height", "base_position", "facing"),
+        "robot": {"body_proxy_dims": BODY_PROXY_DIMS, "gripper": _defaults(GripperModel)},
+        "layout": _defaults(Scene, "standoff"),
+        "params": _defaults(PipelineParams) | {"max_grasps": 600},
     }
 
 

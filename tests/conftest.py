@@ -21,7 +21,7 @@ from handover.ergonomics import (
     UP,
 )
 from handover.contacts import EPS_VOXELS, ContactCluster, ContactMap
-from handover.grasping import OCCLUSION_RAY_FACTOR, REGION_EPS
+from handover.grasping import OCCLUSION_RAY_FACTOR, REGION_EPS, contenders
 from handover.harness import Scene, SharedStages, load_scene
 from handover.voxelgeom import _OFFSETS_26, Mesh, VoxelGrid, segments_hit_boxes
 
@@ -527,25 +527,28 @@ def scenes(suite_dir) -> dict[str, Scene]:
 def bundled_stages(scenes):
     """Per bundled scene and seed 0-4: a SharedStages ranked FULL-first (the
     scene's lam, then 1.0), one ranked A1-first (1.0, then the scene's lam),
-    and the list each got back from its one rank_grasps call, by lam. That
-    call ranks the contenders only (grasping.contenders), not every
-    candidate."""
+    rank_grasps of the contenders (grasping.contenders) computed directly at
+    each of the two lams, and the lam of every rank_grasps call the two
+    SharedStages made."""
     out = {}
+    real = harness.rank_grasps
     for name, scene in scenes.items():
+        args = (scene.gripper, scene.grid)
         for seed in range(5):
-            pair, fresh = [], {}
+            pair, calls = [], []
+
+            def recording(candidates, cluster, lam, *rest):
+                calls.append(lam)
+                return real(candidates, cluster, lam, *rest)
+
             for lams in ((scene.params.lam, 1.0), (1.0, scene.params.lam)):
                 shared = SharedStages(scene, seed)
-                real = harness.rank_grasps
-
-                def recording(candidates, cluster, lam, *args):
-                    fresh[lam] = real(candidates, cluster, lam, *args)
-                    return fresh[lam]
-
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(harness, "rank_grasps", recording)
                     for lam in lams:
                         shared.ranking(lam)
                 pair.append(shared)
-            out[name, seed] = (scene, *pair, fresh)
+            shortlist = contenders(shared.candidates(), shared.cluster(), *args)
+            fresh = {lam: real(shortlist, shared.cluster(), lam, *args) for lam in (scene.params.lam, 1.0)}
+            out[name, seed] = (scene, *pair, fresh, calls)
     return out

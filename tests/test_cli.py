@@ -291,9 +291,9 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
     """Bench runs the modes of one (scene, seed) as one group that shares its
     stages: one sampling, one clustering of the planning map, one arm plan,
-    and one rank_grasps call, on the contenders, whatever --jobs is. FULL/A2
-    rank at the scene's lam and A1/A3/A4 at 1.0; the second lam re-sorts the
-    occlusions the first one scored. FULL and A1 rank one candidate first,
+    and one rank_grasps call, on the contenders at the scene's lam, whatever
+    --jobs is. FULL/A2 rank at the scene's lam and A1/A3/A4 at 1.0; each lam
+    re-sorts that one ranking. FULL and A1 rank one candidate first,
     so it is searched once and scored once per delivery kind (planned,
     random, tucked), and A2/A3 draw from that search's feasible rotations."""
     names = ("sample_grasps", "cluster_contacts", "rank_grasps", "plan_handover_position",

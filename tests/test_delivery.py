@@ -289,7 +289,7 @@ def test_feasibility_matches_scalar_oracle_on_bundled_contexts(bundled_stages, s
     """The FULL and A1 contexts of every bundled scene at seeds 0-4: the same
     reason as the unbounded scalar check for every sampled rotation."""
     rotations = sample_orientations(step)
-    for (name, seed), (scene, shared, _, _) in bundled_stages.items():
+    for (name, seed), (scene, shared, *_) in bundled_stages.items():
         for lam in (scene.params.lam, 1.0):
             ctx = pipeline_context(scene, shared, lam)
             got = [feasibility_reason(ctx, r) for r in rotations]

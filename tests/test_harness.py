@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from handover import harness, metrics
+from handover import grasping, harness, metrics
 from handover.contacts import cluster_contacts, largest_cluster, predict_contacts_heuristic
 from handover.delivery import DeliveryContext, feasible, sample_orientations
 from handover.grasping import rank_grasps
@@ -448,7 +448,7 @@ def full_tops(bundled_stages):
     """Per bundled scene and seed 0-4, by lam in {0, 0.5, 1}: the top of
     rank_grasps over every sampled candidate, as ranking_bits."""
     out = {}
-    for key, (scene, shared, _, _) in bundled_stages.items():
+    for key, (scene, shared, *_) in bundled_stages.items():
         grid = scene.grid
         out[key] = {lam: ranking_bits(rank_grasps(shared.candidates(), shared.cluster(), lam,
                                                   scene.gripper, grid)[:1]) for lam in (0.0, 0.5, 1.0)}
@@ -456,11 +456,12 @@ def full_tops(bundled_stages):
 
 
 def test_shared_ranking_equals_fresh_rank_grasps_bitwise(bundled_stages, full_tops):
-    # each lam is scored by rank_grasps in one SharedStages and re-sorted
-    # from the other lam's occlusions in the other; both must agree bitwise,
-    # and their top is the top of the ranking of every candidate
-    for (name, seed), (scene, full_first, a1_first, fresh) in bundled_stages.items():
-        assert set(fresh) == {scene.params.lam, 1.0}
+    # rank_grasps runs once per SharedStages, at the scene's lam whichever lam
+    # is asked first; every lam re-sorts its ranking, and must agree bitwise
+    # with rank_grasps of the contenders at that lam, whose top is the top of
+    # the ranking of every candidate
+    for (name, seed), (scene, full_first, a1_first, fresh, calls) in bundled_stages.items():
+        assert calls == [scene.params.lam] * 2, (name, seed)
         for lam in fresh:
             expect = ranking_bits(fresh[lam])
             assert ranking_bits(full_first.ranking(lam)) == expect, (name, seed, lam)
@@ -468,12 +469,38 @@ def test_shared_ranking_equals_fresh_rank_grasps_bitwise(bundled_stages, full_to
             assert expect[:1] == full_tops[name, seed][lam], (name, seed, lam)
 
 
+def test_shared_ranking_keeps_every_tie_break_on_constructed_contenders(scenes, monkeypatch):
+    """Contenders with (confidence, occlusion) repeated at non-adjacent
+    positions, scores that tie between different pairs at lam 0.5 and 0.75,
+    and confidences below 1.0: ranking(lam) is rank_grasps of them at `lam`,
+    bitwise, for five lams asked in either order."""
+    scene = scenes["hammer"]
+    assert scene.params.lam == 0.5
+    pairs = [(0.9, 0.25), (1.0, 0.5), (0.5, 0.0), (0.9, 0.25), (0.75, 0.25), (1.0, 0.75), (1.0, 0.5),
+             (0.9, 0.5), (0.75, 0.0), (0.5, 0.0), (0.625, 0.0), (0.9, 0.25)]
+    base = SharedStages(scene, 0).candidates()
+    built = [replace(c, confidence=conf) for c, (conf, _) in zip(base, pairs)]
+    occlusion = {id(c): occ for c, (_, occ) in zip(built, pairs)}
+    monkeypatch.setattr(grasping, "_occlusions", lambda cands, *args: [occlusion[id(c)] for c in cands])
+    monkeypatch.setattr(harness, "contenders", lambda *args: built)
+    lams = (0.5, 0.0, 0.25, 0.75, 1.0)
+    fresh = {lam: ranking_bits(rank_grasps(built, None, lam, scene.gripper, scene.grid)) for lam in lams}
+    calls = []
+    real = harness.rank_grasps
+    monkeypatch.setattr(harness, "rank_grasps", lambda *args: calls.append(args[2]) or real(*args))
+    for order in (lams, lams[::-1]):
+        shared = SharedStages(scene, 0)
+        for lam in order:
+            assert ranking_bits(shared.ranking(lam)) == fresh[lam], (order, lam)
+    assert calls == [0.5, 0.5]
+
+
 def test_shared_top_is_the_top_of_every_candidate_bitwise(bundled_stages, full_tops):
     """run_pipeline reads only ranking(lam)[0]: ranking the contenders keeps
     it bitwise (pose bytes, contact pair, confidence, occlusion, score) on
     every bundled scene and seed, at lam 0, 0.5 and 1, whichever lam a
     SharedStages was asked first."""
-    for (name, seed), (scene, full_first, a1_first, _) in bundled_stages.items():
+    for (name, seed), (scene, full_first, a1_first, *_) in bundled_stages.items():
         for lam, expect in full_tops[name, seed].items():
             for shared in (full_first, a1_first):
                 assert ranking_bits(shared.ranking(lam)[:1]) == expect, (name, seed, lam)
