@@ -125,33 +125,37 @@ def save_contact_map(cm: ContactMap, path) -> None:
 # -- heuristic predictor ------------------------------------------------------
 
 
-def _run_lengths(occ: np.ndarray, axis: int) -> np.ndarray:
-    """Length of the maximal consecutive occupied run containing each cell,
-    along one axis. Zero on unoccupied cells."""
-    moved = np.moveaxis(occ, axis, -1)
-    rows = moved.reshape(-1, moved.shape[-1])
-    starts = np.diff(np.pad(rows, ((0, 0), (1, 0))).view(np.int8), axis=1) == 1  # 0 -> 1 edges
-    run_id = np.cumsum(starts, dtype=np.int32).reshape(rows.shape)  # runs never span two rows
-    run_id[~rows] = 0  # id 0: unoccupied, length 0
-    lengths = np.bincount(run_id.ravel())
-    lengths[0] = 0
-    return np.moveaxis(lengths[run_id].reshape(moved.shape), -1, axis)
+def _surface_run_lengths(grid: VoxelGrid) -> np.ndarray:
+    """(n, 3) lengths of the occupied runs along x, y and z through each surface
+    voxel. Runs start and end on surface voxels, so with those ordered line by
+    line along an axis, a run's length is its end key minus its start key plus 1."""
+    surface, occ = grid.surface, grid.padded.reshape(-1)
+    cells = np.ravel_multi_index(tuple(surface.T + 1), grid.padded.shape)
+    runs = np.empty(surface.shape, dtype=int)
+    for axis, stride in enumerate(grid.padded.strides):  # uint8 cells: byte strides are cell strides
+        roll = np.roll(np.arange(3), 2 - axis)  # the axis last: one line's voxels have consecutive keys
+        keys = np.ravel_multi_index(tuple(surface[:, roll].T), np.take(grid.dims, roll))
+        order = np.argsort(keys)
+        keys, at = keys[order], cells[order]
+        starts = np.maximum.accumulate(np.where(occ[at - stride] != 1, keys, -1))
+        ends = np.minimum.accumulate(np.where(occ[at + stride] != 1, keys, occ.size)[::-1])[::-1]
+        runs[order, axis] = ends - starts + 1
+    return runs
 
 
 def predict_contacts_heuristic(grid: VoxelGrid) -> ContactMap:
     """Grip-affordance stand-in: thin parts of an object attract contact.
 
     thickness(v) = min over the three axis directions of the occupied run
-    length through v; probability(v) = clamp01((t_max - t) / (t_max - t_min))
-    over the surface thickness distribution. Degenerate distributions
-    (t_max == t_min, e.g. a bare rod or a single voxel) map to 1.0.
+    length through surface voxel v, read off the surface voxels alone;
+    probability(v) = clamp01((t_max - t) / (t_max - t_min)) over the surface
+    thickness distribution. Degenerate distributions (t_max == t_min, e.g. a
+    bare rod or a single voxel) map to 1.0.
     """
     surface = grid.surface
     if not len(surface):
         raise ValueError("empty contact map")
-    occ = grid.occupancy
-    runs = np.minimum(np.minimum(_run_lengths(occ, 0), _run_lengths(occ, 1)), _run_lengths(occ, 2))
-    thick = runs[tuple(surface.T)].astype(float)
+    thick = _surface_run_lengths(grid).min(axis=1).astype(float)
     t_min, t_max = float(thick.min()), float(thick.max())
     if t_max == t_min:
         return ContactMap(grid, surface, np.ones(len(surface)))

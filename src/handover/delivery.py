@@ -12,6 +12,7 @@ delivered pose; the search returns only the rotation and what it scored.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,7 +24,7 @@ from .grasping import GripperModel
 from .voxelgeom import VoxelGrid, cos_sin_deg, read_only
 
 DEFAULT_STEP_DEG = 45.0
-MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, all scored by each search
+MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, each checked for feasibility by a search
 OBJECTIVE_TIE_TOL = 1e-9  # objectives this close are tie-broken by rotation angle
 MIN_OBJECT_HEIGHT = 0.40
 BODY_CAPSULE_RADIUS = 0.20
@@ -141,14 +142,18 @@ class DeliveryContext:
 class OrientationCandidate:
     rotation: np.ndarray
     feasible: bool
-    objective: float | None
     reason: str | None  # set when infeasible
+    score: Callable[[np.ndarray], float] = field(repr=False, compare=False)  # the exposure objective
+
+    @cached_property
+    def objective(self) -> float | None:  # computed when first read, unless the search scored it
+        return self.score(self.rotation) if self.feasible else None
 
 
 @dataclass
 class HandoverPose:
     """What the orientation search found: the chosen delta rotation about
-    the held point, its exposure objective, and every rotation it scored.
+    the held point, its exposure objective, and every rotation it sampled.
     The delivered object and gripper poses follow from the rotation and the
     DeliveryContext the search ran on."""
 
@@ -207,35 +212,35 @@ def _exposure(ctx: DeliveryContext, cluster: ContactCluster):
     return lambda rotation: float(np.linalg.norm(ctx.ee_position + rel @ rotation.T - eye, axis=1).sum())
 
 
-def plan_handover_orientation(
-    ctx: DeliveryContext,
-    cluster: ContactCluster,
-    step: float = DEFAULT_STEP_DEG,
-) -> HandoverPose:
-    """Exhaustive search over the sampled rotation set.
-
-    Minimizes the contact-to-eye exposure objective over feasible rotations.
-    Objectives within 1e-9 of each other count as tied; ties break by the
-    smaller geodesic angle from identity, then by sample order. Returns the
-    winning rotation, its objective and the trace of every sampled rotation.
-    """
+def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
+                              step: float = DEFAULT_STEP_DEG) -> HandoverPose:
+    """Minimizes the contact-to-eye exposure objective over the feasible
+    sampled rotations. Objectives within 1e-9 of each other count as tied;
+    ties break by the smaller geodesic angle from identity, then by sample
+    order. The objective of m contacts at offsets c_i, sum_i |ee + R c_i -
+    eye|, is at least |m (ee - eye) + R sum_i c_i|: rotations are scored in
+    increasing order of that bound until it exceeds the best objective by
+    BOUND_MARGIN, so none later can win or tie. Returns the winning rotation,
+    its objective and the trace of every sampled rotation."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
     rotations = sample_orientations(step)
-    objective = _exposure(ctx, cluster)
-    candidates: list[OrientationCandidate] = []
-    best = None  # ((quantized objective, angle, index), rotation, objective)
-    for k, rot in enumerate(rotations):
-        reason = feasibility_reason(ctx, rot)
-        if reason is not None:
-            candidates.append(OrientationCandidate(rot, False, None, reason))
-            continue
-        obj = objective(rot)
-        candidates.append(OrientationCandidate(rot, True, obj, None))
-        key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(rot), k)
-        if best is None or key < best[0]:
-            best = (key, rot, obj)
-    if best is None:
+    score = _exposure(ctx, cluster)
+    candidates = [OrientationCandidate(r, reason is None, reason, score)
+                  for r in rotations for reason in [feasibility_reason(ctx, r)]]
+    ok = np.flatnonzero([c.feasible for c in candidates])
+    if not len(ok):
         raise ValueError("no feasible handover orientation")
-    _, rot, obj = best
-    return HandoverPose(rot, obj, candidates)
+    offsets = (ctx.grid.centers(cluster.member_indices) - ctx.held_point).sum(axis=0)
+    bounds = np.linalg.norm(cluster.size * (ctx.ee_position - ctx.human.eye_point)
+                            + np.stack(rotations)[ok] @ offsets, axis=1)
+    best = None  # ((quantized objective, angle, index), objective)
+    for bound, k in sorted(zip(bounds.tolist(), ok.tolist())):  # equal bounds in sample order
+        if best is not None and bound > best[1] + BOUND_MARGIN:
+            break
+        obj = candidates[k].objective
+        key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(rotations[k]), k)
+        if best is None or key < best[0]:
+            best = (key, obj)
+    (*_, k), obj = best
+    return HandoverPose(rotations[k], obj, candidates)

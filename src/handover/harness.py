@@ -355,6 +355,9 @@ class SharedStages:
             self.scene.human, p.object_mass, p.alpha, p.position_step
         ))
 
+    def ergonomics_csv(self) -> str:  # candidates_csv of the arm plan's kept poses
+        return self._once("ergonomics_csv", lambda: candidates_csv(self.position()[2]))
+
     def delivery(self, top: GraspCandidate, kind: str):
         """(ctx, rotation, objective, pose): `top`, a candidate of ranking(),
         delivered the `kind` way. "planned" searches the orientations at the
@@ -462,7 +465,7 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
             metrics_rec["visibility_bitmaps"] = [_bitmap(*m) for m in zip(maps, scores.visibility_flags)]
             metrics_rec["reachability_bitmaps"] = [_bitmap(*m) for m in zip(maps, scores.reachability_flags)]
         if emit_diagnostics and position_rec is not None:
-            metrics_rec["diagnostics"] = {"ergonomics_csv": candidates_csv(shared.position()[2])}
+            metrics_rec["diagnostics"] = {"ergonomics_csv": shared.ergonomics_csv()}
         ok = scores.success
     except ValueError as exc:
         failure = f"{stages[-1]}: {exc}"

@@ -17,17 +17,8 @@ import numpy as np
 
 Index = tuple[int, int, int]
 
-# 26-neighborhood offsets, fixed order (lexicographic, no zero vector)
-_OFFSETS_26 = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=float,
-)
+# 26-neighborhood offsets, fixed order (lexicographic, no zero vector: row 13 of the 27)
+_OFFSETS_26 = np.delete(np.indices((3, 3, 3)).reshape(3, -1).T - 1, 13, axis=0).astype(float)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from conftest import (
 from handover import suite
 from handover.contacts import (
     ContactMap,
-    _run_lengths,
+    _surface_run_lengths,
     cluster_contacts,
     largest_cluster,
     load_contact_map,
@@ -210,22 +210,45 @@ class TestHeuristic:
         cm2 = predict_contacts_heuristic(make_grid(single))
         assert by_index(cm2.keys, cm2.values.tolist()) == {(2, 2, 2): 1.0}
 
-    def test_run_lengths_match_the_scalar_scan_on_bundled_objects(self, scenes):
+    def test_surface_run_lengths_match_the_scalar_scan_on_bundled_objects(self, scenes):
         for name, scene in scenes.items():
-            occ = scene.grid.occupancy
-            for axis in range(3):
-                got = _run_lengths(occ, axis)
-                assert got.dtype == int and np.array_equal(got, oracle_run_lengths(occ, axis)), \
-                    (name, axis)
+            assert_surface_runs_match_the_scan(scene.grid.occupancy, name)
 
-    def test_run_lengths_match_the_scalar_scan_on_random_grids(self):
+    def test_surface_run_lengths_match_the_scalar_scan_on_random_grids(self):
         rng = np.random.default_rng(11)
         for trial in range(40):
             dims = tuple(int(d) for d in rng.integers(1, 9, size=3))
-            occ = rng.random(dims) < rng.uniform(0.0, 1.0)
-            for axis in range(3):
-                assert np.array_equal(_run_lengths(occ, axis), oracle_run_lengths(occ, axis)), \
-                    (trial, axis)
+            assert_surface_runs_match_the_scan(rng.random(dims) < rng.uniform(0.0, 1.0), trial)
+
+    def test_surface_run_lengths_of_an_empty_grid_are_empty(self):
+        runs = _surface_run_lengths(make_grid(np.zeros((4, 3, 5), dtype=bool)))
+        assert runs.shape == (0, 3) and runs.dtype == int
+
+    def test_surface_run_lengths_of_a_full_grid_are_the_dims(self):
+        for dims in ((4, 3, 5), (1, 1, 1), (1, 6, 2)):
+            grid = make_grid(np.ones(dims, dtype=bool))
+            runs = _surface_run_lengths(grid)
+            assert len(runs) == len(grid.surface) and (runs == dims).all(), dims
+            assert_surface_runs_match_the_scan(grid.occupancy, dims)
+
+    def test_surface_run_lengths_with_occupancy_on_every_face(self):
+        # a frame of runs along each grid edge, broken runs and lone cells on every face
+        occ = np.zeros((7, 6, 5), dtype=bool)
+        occ[:, 0, 0] = occ[0, :, -1] = occ[-1, -1, :] = True
+        occ[1:3, 2, 0] = occ[4:, 3, -1] = occ[0, 2:5, 2] = occ[-1, 1, 1:3] = True
+        occ[3, 0, 2] = occ[2, -1, 3] = occ[5, 4, 4] = True
+        assert all(face.any() for a in range(3) for face in (occ.take(0, a), occ.take(-1, a)))
+        assert_surface_runs_match_the_scan(occ, "faces")
+
+
+def assert_surface_runs_match_the_scan(occ, label):
+    """_surface_run_lengths, axis by axis, equals the scalar scan read at
+    every surface cell."""
+    grid = make_grid(occ)
+    runs = _surface_run_lengths(grid)
+    assert runs.dtype == int and runs.shape == grid.surface.shape, label
+    for axis in range(3):
+        assert np.array_equal(runs[:, axis], oracle_run_lengths(occ, axis)[tuple(grid.surface.T)]), (label, axis)
 
 
 def oracle_run_lengths(occ, axis):

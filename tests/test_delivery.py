@@ -5,11 +5,13 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from handover.contacts import ContactCluster
+from handover import delivery
+from handover.contacts import ContactCluster, cluster_contacts, largest_cluster, predict_contacts_heuristic
 from handover.delivery import (
     BODY_CAPSULE_RADIUS,
     BOUND_MARGIN,
     MIN_OBJECT_HEIGHT,
+    OBJECTIVE_TIE_TOL,
     DeliveryContext,
     exposure_objective,
     feasibility_reason,
@@ -459,6 +461,105 @@ def test_candidate_trace_covers_whole_sample_set():
             assert cand.objective is not None and cand.reason is None
         else:
             assert cand.objective is None and isinstance(cand.reason, str)
+
+
+def oracle_plan_handover_orientation(ctx, cluster, step):
+    """The exhaustive search the bound-ordered one replaced, kept as its
+    bitwise oracle: every feasible rotation scored in sample order.
+    (rotation, objective, [(feasible, objective, reason) per rotation])."""
+    trace, best = [], None
+    for k, rot in enumerate(sample_orientations(step)):
+        reason = feasibility_reason(ctx, rot)
+        obj = None if reason is not None else exposure_objective(ctx, rot, cluster)
+        trace.append((reason is None, obj, reason))
+        if obj is not None:
+            key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(rot), k)
+            if best is None or key < best[0]:
+                best = (key, rot, obj)
+    return best[1], best[2], trace
+
+
+def assert_search_equals_the_oracle(pose, ctx, cluster, step, label):
+    rotation, objective, trace = oracle_plan_handover_orientation(ctx, cluster, step)
+    assert pose.object_rotation.tobytes() == rotation.tobytes(), label
+    assert pose.objective == objective, label
+    assert [(c.feasible, c.objective, c.reason) for c in pose.candidates] == trace, label
+
+
+def count_scores(monkeypatch) -> list:
+    """Wrap delivery._exposure so that every exposure objective computed
+    from here on, by the search, a candidate or the oracle, appends one
+    entry to the returned list."""
+    scored, real = [], delivery._exposure
+
+    def counting(ctx, cluster):
+        score = real(ctx, cluster)
+        return lambda rotation: scored.append(1) or score(rotation)
+
+    monkeypatch.setattr(delivery, "_exposure", counting)
+    return scored
+
+
+@pytest.mark.parametrize("step", [45.0, 30.0])
+def test_bound_ordered_search_equals_the_exhaustive_oracle(bundled_stages, step, monkeypatch):
+    """The FULL contexts of every bundled scene at seeds 0-4, planned on the
+    map-0 cluster and on the heuristic map's: the same rotation, objective
+    and trace, bit for bit. Before any candidate objective is read, the
+    search has scored under 5% of the feasible rotations at 30 degrees."""
+    scored = count_scores(monkeypatch)
+    heuristic = {}
+    searched = feasible_total = 0
+    for (name, seed), (scene, shared, *_) in bundled_stages.items():
+        p = scene.params
+        if name not in heuristic:
+            heuristic[name] = largest_cluster(cluster_contacts(predict_contacts_heuristic(scene.grid),
+                                                              p.eps, p.min_pts))
+        ctx = pipeline_context(scene, shared, p.lam)
+        map0 = largest_cluster(cluster_contacts(scene.contact_maps[0], p.eps, p.min_pts))
+        for kind, cluster in (("map-0", map0), ("heuristic", heuristic[name])):
+            scored.clear()
+            pose = plan_handover_orientation(ctx, cluster, step)
+            searched += len(scored)
+            feasible_total += sum(c.feasible for c in pose.candidates)
+            assert_search_equals_the_oracle(pose, ctx, cluster, step, (name, seed, kind))
+    if step == 30.0:
+        assert 0 < searched < 0.05 * feasible_total, (searched, feasible_total)
+
+
+def test_rotations_tied_within_the_tolerance_go_to_the_smallest_angle():
+    """A contact 2 cm below the held point and the eye 0.6 m along -y: every
+    rotation taking +z to +y points the contact straight at the eye, so
+    their objectives agree to rounding. The smallest angle wins, though a
+    tied rotation comes earlier in sample order."""
+    eye = HumanModel().eye_point
+    ctx = make_ctx(eye + [0.0, 0.6, 0.0], dims=(3, 3, 5), lo=(1, 1, 1), hi=(1, 1, 3), held=(1, 1, 3))
+    cluster = ContactCluster([(1, 1, 1)])
+    pose = plan_handover_orientation(ctx, cluster)
+    assert_search_equals_the_oracle(pose, ctx, cluster, 45.0, "tie")
+    rotations = [c.rotation for c in pose.candidates]
+    tied = [k for k, c in enumerate(pose.candidates)
+            if c.feasible and abs(c.objective - pose.objective) <= OBJECTIVE_TIE_TOL]
+    assert len(tied) >= 3 and all(np.allclose(rotations[k][:, 2], [0.0, 1.0, 0.0]) for k in tied)
+    winner = min(tied, key=lambda k: rotation_angle_deg(rotations[k]))
+    assert winner != tied[0] and rotations[winner] is pose.object_rotation
+    assert pose.objective == pytest.approx(0.58, abs=1e-12)
+
+
+def test_offsets_that_cancel_leave_every_feasible_rotation_scored(monkeypatch):
+    """Contacts at both ends of a rod held at its middle: the offsets sum to
+    zero, so every bound is m |ee - eye| and none clears the best objective.
+    The search scores each feasible rotation once and picks the identity,
+    which lines the rod up with the sight line."""
+    eye = HumanModel().eye_point
+    ctx = make_ctx(eye + [0.6, 0.0, 0.0], dims=(7, 3, 3), lo=(1, 1, 1), hi=(5, 1, 1), held=(3, 1, 1))
+    cluster = ContactCluster([(1, 1, 1), (5, 1, 1)])
+    scored = count_scores(monkeypatch)
+    pose = plan_handover_orientation(ctx, cluster)
+    assert len(scored) == sum(c.feasible for c in pose.candidates) > 1
+    assert_search_equals_the_oracle(pose, ctx, cluster, 45.0, "cancel")
+    scored.clear()
+    assert [c.objective for c in pose.candidates] and not scored  # each objective is computed once
+    assert np.array_equal(pose.object_rotation, np.eye(3))
 
 
 def test_empty_cluster_rejected():

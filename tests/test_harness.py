@@ -208,6 +208,20 @@ def test_diagnostics_reuse_the_scoring_pass(scenes, monkeypatch):
         assert report.metrics[f"{name}_bitmaps"] == expect
 
 
+def test_ergonomics_csv_is_rendered_once_per_scene_seed(scenes, monkeypatch):
+    # every mode with diagnostics and a planned position carries the one
+    # rendering of the arm plan's kept poses
+    scene = scenes["hammer"]
+    real = harness.candidates_csv
+    calls = []
+    monkeypatch.setattr(harness, "candidates_csv", lambda kept: calls.append(kept) or real(kept))
+    shared = SharedStages(scene, 0)
+    reports = [run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared) for mode in AblationMode]
+    assert len(calls) == 1 and calls[0] is shared.position()[2]
+    got = [r.metrics.get("diagnostics", {}).get("ergonomics_csv") for r in reports]
+    assert got == [real(shared.position()[2])] * 4 + [None]
+
+
 def test_save_report_refuses_nan(scenes, tmp_path):
     report = run_pipeline(scenes["hammer"], "A4", seed=0)
     report.metrics["visibility_median"] = float("nan")
