@@ -102,14 +102,14 @@ def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     ):
         if got != want:
             raise ValueError(f"{path}: {key} {got} does not match grid {key} {want}")
-    nonzero = dense != 0
-    if not nonzero.any():
+    nonzero = np.flatnonzero(dense.T != 0)  # the values as read, [z, y, x]: contiguous, and max is order-free
+    if not len(nonzero):
         raise ValueError(f"{path}: empty contact map")
     if not len(grid.surface):
         raise ValueError(f"{path}: the grid has no surface voxel to register contacts to")
-    # argwhere and the mask both walk cells in lexicographic (x, y, z) order
+    cells = np.stack(np.unravel_index(nonzero, dims[::-1])[::-1], axis=1)
     top = np.zeros(len(grid.surface))
-    np.maximum.at(top, _snap_to_surface(grid, np.argwhere(nonzero)), dense[nonzero])
+    np.maximum.at(top, _snap_to_surface(grid, cells), dense.T.reshape(-1)[nonzero])
     kept = top != 0
     return ContactMap(grid, grid.surface[kept], top[kept])
 

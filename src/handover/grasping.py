@@ -154,6 +154,12 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
     exact: confidence is clipped to 1.0 and ties keep generation order, so no
     later candidate can enter the result. Every bundled scene stops there.
 
+    So a pair below confidence 1.0 is queued, not collision-tested: it can
+    enter the result only if the ceiling never fires. At a voxel's end where
+    the pool could reach the cap with every queued pair free at all rolls,
+    the queue is tested and the cap applied to the exact pool; without
+    either stop it is tested last. The pick sees every pair in its place.
+
     The order is probed SAMPLE_CHUNK voxels at a time, as one array of
     probe cells and one grid.surface_rows lookup; their pairs are filtered
     and given their roll frames as arrays. A pair's frames are
@@ -175,7 +181,21 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
     # over all rolls the gripper sweeps a disc this far from the closing axis
     radial_sq = (math.hypot(ft / 2, hfl + gripper.palm_depth) + CULL_MARGIN) ** 2
     ring_sq = max(hfl - CULL_MARGIN, 0.0) ** 2
-    pool, top, kept = 0, 0, []  # top: free candidates at confidence 1.0
+
+    def test(job):
+        """Collision-test the rolls of pair k of a chunk, fill in its row of free; returns its free count."""
+        free, k, rots, mid, axis, width = job
+        rel = occupied - mid[k]
+        along = np.abs(rel @ axis[k])
+        r2 = np.einsum("ij,ij->i", rel, rel) - along * along
+        lo, hi = width[k] / 2.0 - CULL_MARGIN, width[k] / 2.0 + ft + CULL_MARGIN
+        # in reach, and in a finger band or the palm ring
+        touch = (along <= hi) & (r2 <= radial_sq) & ((along >= lo) | (r2 >= ring_sq))
+        free[k] = ~_collisions(gripper, rots[k], mid[k], width[k], occupied[touch])
+        return int(np.count_nonzero(free[k]))
+
+    # free candidates of the tested pairs: top at confidence 1.0, below under it
+    top, below, chunks, queue = 0, 0, [], []
     for start in range(0, len(order), SAMPLE_CHUNK):
         block = order[start : start + SAMPLE_CHUNK]
         probe = centers[block, None] - step_lens[:, None] * nrm[block, None]
@@ -201,24 +221,24 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
         z = -(_ROLL_COS * b0[:, None] + _ROLL_SIN * b1[:, None])  # minus the approach, per pair and roll
         rots = np.stack([_cross(axis[:, None], z), np.broadcast_to(axis[:, None], z.shape), z], axis=-1)
         free = np.zeros((len(rows), len(_ROLLS)), dtype=bool)
-        for k in range(len(rows)):
-            rel = occupied - mid[k]
-            along = np.abs(rel @ axis[k])
-            r2 = np.einsum("ij,ij->i", rel, rel) - along * along
-            lo, hi = width[k] / 2.0 - CULL_MARGIN, width[k] / 2.0 + ft + CULL_MARGIN
-            # in reach, and in a finger band or the palm ring
-            touch = (along <= hi) & (r2 <= radial_sq) & ((along >= lo) | (r2 >= ring_sq))
-            free[k] = ~_collisions(gripper, rots[k], mid[k], width[k], occupied[touch])
-            n_free = int(np.count_nonzero(free[k]))
-            pool += n_free
-            top += n_free if confidence[k] == 1.0 else 0
-            if top >= max_candidates or pool >= pool_cap and (k + 1 == len(rows) or rows[k + 1] != rows[k]):
+        chunks.append((pi, qi, width, confidence, mid, rots, free))
+        for k, voxel_end in enumerate((np.diff(rows, append=-1) != 0).tolist()):  # pair k is its voxel's last
+            job = (free, k, rots, mid, axis, width)
+            if confidence[k] != 1.0:
+                queue.append(job)
+            elif (top := top + test(job)) >= max_candidates:
                 break
-        pair, roll = np.nonzero(free)
-        kept.append((pi[pair], qi[pair], width[pair], confidence[pair], mid[pair], rots[pair, roll]))
-        if top >= max_candidates or pool >= pool_cap:
+            if voxel_end and top + below + len(_ROLLS) * len(queue) >= pool_cap:  # the queue could fill the pool
+                below, queue = below + sum(map(test, queue)), []
+                if top + below >= pool_cap:
+                    break
+        if top >= max_candidates or top + below >= pool_cap:
             break
-    pi, qi, width, confidence, mid, rots = (np.concatenate(v) for v in zip(*kept))
+    if top < max_candidates:  # no ceiling stop: every queued pair can enter the result
+        sum(map(test, queue))
+    pair, roll = np.nonzero(np.concatenate([chunk[-1] for chunk in chunks]))  # every free (pair, roll)
+    pi, qi, width, confidence, mid, rots = (np.concatenate(v)[pair] for v in list(zip(*chunks))[:-1])
+    rots = rots[np.arange(len(pair)), roll]
     best = np.argsort(-confidence, kind="stable")[:max_candidates]
     fields = zip(best, surface[pi[best]].tolist(), surface[qi[best]].tolist(), width[best].tolist(),
                  confidence[best].tolist())

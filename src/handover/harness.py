@@ -219,10 +219,11 @@ def _report_key(name: str) -> str:
 
 
 def write_json(data, path) -> None:
-    """`data` as indented, key-sorted JSON and a newline; NaN or inf is a ValueError."""
+    """`data` as indented, key-sorted JSON and a newline; NaN or inf is a
+    ValueError, raised before the file is opened."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def save_report(report: HandoverReport, path) -> None:
@@ -268,9 +269,9 @@ def _delivery_record(ctx: DeliveryContext, rotation: np.ndarray, objective: floa
     return rec
 
 
-def _bitmap(cm: ContactMap, flags: np.ndarray) -> dict:
-    """The flags of cm's contact voxels, keyed "x,y,z"."""
-    return {",".join(map(str, idx)): v for idx, v in zip(cm.contacts()[0].tolist(), flags.tolist())}
+def _bitmap_keys(cm: ContactMap) -> list[str]:
+    """cm's contact voxels as the diagnostics bitmaps key them, "x,y,z"."""
+    return [",".join(map(str, idx)) for idx in cm.contacts()[0].tolist()]
 
 
 def resolve_seed(seed, params: PipelineParams | None = None) -> int:
@@ -357,6 +358,9 @@ class SharedStages:
 
     def ergonomics_csv(self) -> str:  # candidates_csv of the arm plan's kept poses
         return self._once("ergonomics_csv", lambda: candidates_csv(self.position()[2]))
+
+    def bitmap_keys(self) -> list:  # _bitmap_keys of each contact map
+        return self._once("bitmap_keys", lambda: [_bitmap_keys(cm) for cm in self.scene.contact_maps])
 
     def delivery(self, top: GraspCandidate, kind: str):
         """(ctx, rotation, objective, pose): `top`, a candidate of ranking(),
@@ -461,9 +465,9 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
             "k": params.k,
         }
         if emit_diagnostics:
-            maps = scene.contact_maps
-            metrics_rec["visibility_bitmaps"] = [_bitmap(*m) for m in zip(maps, scores.visibility_flags)]
-            metrics_rec["reachability_bitmaps"] = [_bitmap(*m) for m in zip(maps, scores.reachability_flags)]
+            keys = shared.bitmap_keys()  # each bitmap: the flags of one map's contact voxels, keyed "x,y,z"
+            for name, flags in (("visibility", scores.visibility_flags), ("reachability", scores.reachability_flags)):
+                metrics_rec[f"{name}_bitmaps"] = [dict(zip(k, f.tolist())) for k, f in zip(keys, flags)]
         if emit_diagnostics and position_rec is not None:
             metrics_rec["diagnostics"] = {"ergonomics_csv": shared.ergonomics_csv()}
         ok = scores.success

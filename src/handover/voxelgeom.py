@@ -520,23 +520,27 @@ def _parse_header(lines, path, magic):
 
 
 def read_grid_file(path, magic: str, floats: bool = False):
-    """Parse a grid file; returns (dims, voxel_size, origin, values) with
-    values a float array indexed [x, y, z].
+    """Parse a grid file, split into lines as str.splitlines splits it (LF,
+    CRLF and CR each end a line); returns (dims, voxel_size, origin, values)
+    with values a float array indexed [x, y, z].
 
     Every row must be dims.x characters of 0/1. With floats=True a row may
     instead hold dims.x space-separated numbers, each finite and in [0, 1].
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    dims, voxel_size, origin = _parse_header(lines, path, magic)
+        text = fh.read()
+    if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):  # the other breaks str.splitlines knows
+        text = "\n".join(text.splitlines())
+    *header, body = (text if text.endswith("\n") else text + "\n").split("\n", 4)
+    dims, voxel_size, origin = _parse_header(header, path, magic)
     nx, ny, nz = dims
-    body = lines[4:]
-    if len(body) != nz * ny:
-        raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(body)}")
-    # the rows dims.x long, one byte a character ("?" if not ASCII); uint8 wraps below "0"
-    is_bits = np.fromiter(map(len, body), dtype=int, count=len(body)) == nx
-    rows = "".join(row for row, ok in zip(body, is_bits.tolist()) if ok).encode("ascii", "replace")
-    digits = np.frombuffer(rows, dtype=np.uint8).reshape(-1, nx) - ord("0")
+    # one byte a character ("?" if not ASCII), each row with its "\n"; uint8 wraps below "0"
+    buf = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if len(ends) != nz * ny:
+        raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(ends)}")
+    is_bits = (sizes := np.diff(ends, prepend=-1)) == nx + 1
+    digits = (buf if is_bits.all() else buf[np.repeat(is_bits, sizes)]).reshape(-1, nx + 1)[:, :nx] - ord("0")
     is_bits[is_bits] = ok = (digits <= 1).all(axis=1)
     values = np.zeros((nz * ny, nx))
     values[is_bits] = digits[ok]
@@ -545,7 +549,7 @@ def read_grid_file(path, magic: str, floats: bool = False):
         if not floats:
             raise ValueError(f"{where}: expected {nx} characters of 0/1")
         try:
-            row = np.array(body[r].split(), dtype=float)
+            row = np.array(body[ends[r] + 1 - sizes[r] : ends[r]].split(), dtype=float)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if row.shape != (nx,):

@@ -1,5 +1,6 @@
 """Antipodal sampling, gripper collision, occlusion scoring, ranking."""
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -372,26 +373,35 @@ def bundled_grasps(scenes):
 
 def sampler_stop(tested, max_candidates):
     """From the oracle's record of tested pairs: how many of them the sampler
-    tests, and which rule stops it. It stops at the pair that brings
-    max_candidates free candidates to confidence 1.0 ("ceiling"), or at the
-    end of the voxel that fills the pool to its cap ("cap"), whichever
-    comes first; None when neither does."""
+    tests, which rule stops it, and how many times it tests its queue at a
+    voxel's end. It tests a pair at confidence 1.0 at once and queues the
+    others. It stops at the pair that brings max_candidates free candidates
+    to confidence 1.0 ("ceiling"). At the end of a voxel where the pool,
+    with every queued pair counted as free at all its rolls, reaches the
+    cap, it tests the queue, and stops if the pool itself reaches the cap
+    ("cap"). With neither stop (None) it tests the queue last."""
     pool_cap = max(8 * max_candidates, 64)
-    pool = top = 0
+    rolls = round(360 / ROLL_STEP_DEG)
+    pool = top = pairs = flushes = 0
+    queue = []
     for k, (p, confidence, free) in enumerate(tested):
-        pool += free
-        top += free if confidence == 1.0 else 0
-        if top >= max_candidates:
-            return k + 1, "ceiling"
-        if pool >= pool_cap and (k + 1 == len(tested) or tested[k + 1][0] != p):
-            return k + 1, "cap"
-    return len(tested), None
+        if confidence != 1.0:
+            queue.append(free)
+        else:
+            pairs, pool, top = pairs + 1, pool + free, top + free
+            if top >= max_candidates:
+                return pairs, "ceiling", flushes
+        if (k + 1 == len(tested) or tested[k + 1][0] != p) and pool + rolls * len(queue) >= pool_cap:
+            pairs, pool, queue, flushes = pairs + len(queue), pool + sum(queue), [], flushes + 1
+            if pool >= pool_cap:
+                return pairs, "cap", flushes
+    return pairs + len(queue), None, flushes
 
 
 def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypatch):
     """Bitwise the same candidates, and exactly as many pairs
     collision-tested as sampler_stop derives from the oracle's record.
-    Returns the rule that stopped the sampler."""
+    Returns the rule that stopped the sampler and its count of queue tests."""
     tests = {"sampler": 0, "oracle": 0}
 
     def counted(key, fn):
@@ -407,7 +417,7 @@ def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypat
     tested = []
     expect = oracle_sample_grasps(grid, gripper, max_candidates, seed, tested)
     assert tests["oracle"] == round(360 / ROLL_STEP_DEG) * len(tested)  # one test per roll
-    pairs, stop = sampler_stop(tested, max_candidates)
+    pairs, stop, flushes = sampler_stop(tested, max_candidates)
     assert tests["sampler"] == pairs
     assert cands and len(cands) == len(expect)
     for got, ref in zip(cands, expect):
@@ -418,7 +428,7 @@ def assert_sampler_matches_oracle(grid, gripper, max_candidates, seed, monkeypat
             ref.confidence,
             ref.contact_pair,
         )
-    return stop
+    return stop, flushes
 
 
 @pytest.mark.parametrize("name", suite.OBJECT_NAMES)
@@ -447,18 +457,25 @@ def stacked_cubes():
     return make_grid(occ)
 
 
+def tilted(grid, normals, degrees=2.0):
+    """Turn the `normals` ({voxel index: normal}) about (1, 2, 3) by `degrees`
+    and set them on grid: no pair of a turned voxel reaches confidence 1.0."""
+    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    theta = math.radians(degrees)
+    turn = np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * k @ k  # Rodrigues
+    set_normals(grid, {i: turn @ n for i, n in normals.items()})
+    return grid
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sampler_finishes_the_voxel_that_fills_the_pool(seed, monkeypatch):
     """With every normal tilted 2 degrees about (1, 2, 3) no candidate of
     the stacked cubes reaches confidence 1.0, so only the pool cap stops
     the sampler, and the voxel's last pair is still tested."""
     grid = stacked_cubes()
-    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
-    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-    theta = math.radians(2.0)
-    tilt = np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * k @ k  # Rodrigues
-    set_normals(grid, {i: tilt @ n for i, n in by_index(grid.surface, grid.normals).items()})
-    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch) == "cap"
+    tilted(grid, by_index(grid.surface, grid.normals))
+    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch)[0] == "cap"
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -466,7 +483,33 @@ def test_sampler_stops_once_max_candidates_reach_the_ceiling(seed, monkeypatch):
     """Untilted, the stacked cubes' candidates sit at confidence 1.0: the
     sampler stops at the first free one, before the pool cap."""
     grid = stacked_cubes()
-    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch) == "ceiling"
+    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch)[0] == "ceiling"
+
+
+def cubes_probed_below_one_first(seed, voxels=8):
+    """The stacked cubes with the normals of the first `voxels` surface
+    voxels of `seed`'s probe order tilted: their pairs, which come first,
+    sit below confidence 1.0."""
+    grid = stacked_cubes()
+    first = np.random.default_rng(seed).permutation(len(grid.surface))[:voxels]
+    return tilted(grid, by_index(grid.surface[first], grid.normals[first]))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4, 5])
+def test_sampler_tests_its_queue_once_the_pool_bound_reaches_the_cap(seed, monkeypatch):
+    """Eight queued pairs below 1.0 could free the 64 candidates of the cap:
+    the sampler tests them at their voxel's end, finds fewer, goes on and
+    stops at the ceiling. (At seed 1 the queue does fill the cap.)"""
+    grid = cubes_probed_below_one_first(seed)
+    assert assert_sampler_matches_oracle(grid, GRIPPER, 1, seed, monkeypatch) == ("ceiling", 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampler_tests_its_queue_when_the_surface_runs_out(seed, monkeypatch):
+    """At max_candidates 1000 (cap 8000) neither stop fires on the stacked
+    cubes: the queued pairs are tested after the last voxel."""
+    grid = cubes_probed_below_one_first(seed)
+    assert assert_sampler_matches_oracle(grid, GRIPPER, 1000, seed, monkeypatch) == (None, 0)
 
 
 def test_collision_cull_keeps_every_answer(scenes, monkeypatch):
@@ -533,7 +576,7 @@ def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch)
     collisions = grasping._collisions
     monkeypatch.setattr(grasping, "_collisions", recorded)
     scene = scenes["mug"]
-    for seed in range(5):  # a run stops at its 600th candidate at 1.0: about 260 calls
+    for seed in itertools.count():  # a run stops at its 600th candidate at 1.0: about 170 calls
         sample_grasps(scene.grid, scene.gripper, scene.params.max_grasps, seed)
         if len(calls) > 1000:
             break

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import box_grid, by_index, contact_map, make_grid
 from handover import suite
 from handover.contacts import ContactMap, load_contact_map, predict_contacts_heuristic, save_contact_map
-from handover.voxelgeom import VoxelGrid, load_vgrid, save_vgrid
+from handover.voxelgeom import VoxelGrid, _parse_header, load_vgrid, read_grid_file, save_vgrid
 
 
 # -- per-cell reference writers (the loops the array codec replaced) ----------
@@ -178,6 +178,76 @@ def test_reader_rejects_malformed_file_naming_file_and_field(magic, lines, messa
         else:
             load_contact_map(path, _GRID)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def oracle_read_grid_file(path, magic, floats=False):
+    """The per-row reader: the lines of str.splitlines, then each row on its
+    own, 0/1 characters or (with floats) space-separated numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    dims, voxel_size, origin = _parse_header(lines, path, magic)
+    nx, ny, nz = dims
+    if len(lines) - 4 != nz * ny:
+        raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(lines) - 4}")
+    values = np.zeros((nz * ny, nx))
+    for r, row in enumerate(lines[4:]):
+        where = f"{path}: line {r + 5}"
+        if len(row) == nx and set(row) <= {"0", "1"}:
+            values[r] = [float(c) for c in row]
+        elif not floats:
+            raise ValueError(f"{where}: expected {nx} characters of 0/1")
+        else:
+            try:
+                values_r = np.array(row.split(), dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if values_r.shape != (nx,):
+                raise ValueError(f"{where}: expected {nx} values, found {values_r.size}")
+            if not ((values_r >= 0) & (values_r <= 1)).all():
+                raise ValueError(f"{where}: values must be finite and in [0, 1]")
+            values[r] = values_r
+    return dims, voxel_size, origin, values.reshape(nz, ny, nx).transpose(2, 1, 0)
+
+
+def _read(reader, path, magic):
+    """The reader's result as bytes, or its error message."""
+    try:
+        dims, voxel_size, origin, values = reader(path, magic, floats=magic == "VCONTACT")
+    except ValueError as exc:
+        return str(exc)
+    return dims, voxel_size, origin.tobytes(), values.dtype, values.shape, values.tobytes()
+
+
+_FLOATS_FIRST_AND_LAST = ["0.5 0 1", "110", "110", "0 0.25 1.0"]
+_TEXTS = {
+    "crlf": "\r\n".join(_lines("{m}")) + "\r\n",
+    "cr": "\r".join(_lines("{m}")) + "\r",
+    "no final newline": "\n".join(_lines("{m}")),
+    "crlf, no final newline": "\r\n".join(_lines("{m}")),
+    "float rows first and last": "\n".join(_lines("{m}", rows=_FLOATS_FIRST_AND_LAST)) + "\n",
+    "float rows first and last, crlf": "\r\n".join(_lines("{m}", rows=_FLOATS_FIRST_AND_LAST)),
+    "non-ASCII in a bit row": "\n".join(_lines("{m}", rows=["110", "1\u00e90", "110", "110"])) + "\n",
+    "non-ASCII beyond the BMP": "\n".join(_lines("{m}", rows=["110", "110", "11\U0001f600", "110"])) + "\n",
+    "a blank last line": "\n".join(_lines("{m}")) + "\n\n",
+    "mixed line ends": "\n".join(_lines("{m}")[:3]) + "\r\n" + "\r".join(_lines("{m}")[3:]),
+    "empty": "",
+    "header only, no final newline": "{m} 1\ndims 3 2 2",
+    **{f"break {ch!r} in a row": "\n".join(_lines("{m}", rows=["110", "11" + ch + "0", "110"])) + "\n"
+       for ch in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")},
+    **{f"break {ch!r} ending the header": "\n".join(_lines("{m}")[:3]) + ch + "\n".join(_lines("{m}")[3:])
+       for ch in ("\f", "\x85")},
+}
+
+
+@pytest.mark.parametrize("magic", _BOTH)
+@pytest.mark.parametrize("name", list(_TEXTS))
+def test_reader_matches_the_per_row_reader(name, magic, tmp_path):
+    """Line ends, a missing final newline, non-ASCII rows and float rows at
+    either end give the per-row reader's values or error, byte for byte."""
+    path = tmp_path / "g"
+    path.write_bytes(_TEXTS[name].replace("{m}", magic).encode("utf-8"))
+    got, want = _read(read_grid_file, path, magic), _read(oracle_read_grid_file, path, magic)
+    assert got == want
 
 
 @pytest.mark.parametrize("field,value", [

@@ -222,11 +222,38 @@ def test_ergonomics_csv_is_rendered_once_per_scene_seed(scenes, monkeypatch):
     assert got == [real(shared.position()[2])] * 4 + [None]
 
 
+def test_bitmap_keys_are_rendered_once_per_scene_seed(scenes, monkeypatch):
+    # each map's "x,y,z" keys are rendered once for every mode's bitmaps;
+    # they key the map's contact voxels in order, and each report's metrics
+    # encode as those of a run that shares nothing
+    scene = scenes["hammer"]
+    real = harness._bitmap_keys
+    calls = []
+    monkeypatch.setattr(harness, "_bitmap_keys", lambda cm: calls.append(cm) or real(cm))
+    shared = SharedStages(scene, 0)
+    reports = [run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared) for mode in AblationMode]
+    assert calls == list(scene.contact_maps)
+    monkeypatch.undo()
+    keys = [[",".join(map(str, idx)) for idx in cm.contacts()[0].tolist()] for cm in scene.contact_maps]
+    for mode, report in zip(AblationMode, reports):
+        for name in ("visibility", "reachability"):
+            assert [list(bitmap) for bitmap in report.metrics[f"{name}_bitmaps"]] == keys
+        alone = run_pipeline(scene, mode, 0, emit_diagnostics=True)
+        assert json.dumps(report.metrics, sort_keys=True) == json.dumps(alone.metrics, sort_keys=True)
+
+
 def test_save_report_refuses_nan(scenes, tmp_path):
+    # the report is encoded before the file is opened: a refused report
+    # creates no file and leaves one already at its path as it was
     report = run_pipeline(scenes["hammer"], "A4", seed=0)
     report.metrics["visibility_median"] = float("nan")
     with pytest.raises(ValueError):
         save_report(report, tmp_path / "r.json")
+    assert not (tmp_path / "r.json").exists()
+    (tmp_path / "good.json").write_bytes(b'{"kept": true}\n')
+    with pytest.raises(ValueError):
+        save_report(report, tmp_path / "good.json")
+    assert (tmp_path / "good.json").read_bytes() == b'{"kept": true}\n'
 
 
 # ----------------------------------------------------------------- ablations
