@@ -310,31 +310,25 @@ def row_dots(a, b) -> np.ndarray:
 
 
 def _slab(origins, dirs, t_max, lo, hi):
-    """Slab clip (Kay & Kajiya 1986) of o + t d, 0 <= t <= t_max, against the
-    closed box [lo, hi]; returns (t0, t1, ok) with [t0, t1] the clipped range.
-    A direction component of exactly 0 keeps the segment only from inside
-    that slab."""
-    shape = np.broadcast_shapes(np.shape(origins), np.shape(dirs), np.shape(lo), np.shape(hi))[:-1]
-    t0 = np.zeros(shape)
-    t1 = np.full(shape, t_max, dtype=float)
-    ok = np.ones(shape, dtype=bool)
+    """Slab clip (Kay & Kajiya 1986) of o + t d, 0 <= t <= t_max (finite),
+    against the closed box [lo, hi]; returns (t0, t1, ok) with [t0, t1] the
+    clipped range. A direction component of exactly 0 gives (bound - o) / 0
+    = +-inf, which bounds nothing from inside the slab and empties the range
+    from outside it, or NaN from a bound plane, which fmax and fmin skip."""
+    t0, t1 = 0.0, t_max  # each takes the broadcast shape from the first axis
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(3):
-            da = dirs[..., a]
-            oa = origins[..., a]
-            zero = da == 0.0
-            ok &= ~zero | ((oa >= lo[..., a]) & (oa <= hi[..., a]))
-            ta = (lo[..., a] - oa) / da
-            tb = (hi[..., a] - oa) / da
-            t0 = np.where(zero, t0, np.maximum(t0, np.minimum(ta, tb)))
-            t1 = np.where(zero, t1, np.minimum(t1, np.maximum(ta, tb)))
+            ta = (lo[..., a] - origins[..., a]) / dirs[..., a]
+            tb = (hi[..., a] - origins[..., a]) / dirs[..., a]
+            t0 = np.fmax(t0, np.minimum(ta, tb))
+            t1 = np.fmin(t1, np.maximum(ta, tb))
     # t0 only grows and t1 only shrinks, so one final check covers every axis
-    return t0, t1, ok & (t0 <= t1)
+    return t0, t1, t0 <= t1
 
 
 def segments_hit_boxes(origins, dirs, t_max, lo, hi, open_end=False) -> np.ndarray:
     """Batched slab test over the last axis: does the segment o + t d,
-    0 <= t <= t_max, meet the closed box [lo, hi]?
+    0 <= t <= t_max (finite), meet the closed box [lo, hi]?
 
     All arguments broadcast against each other (xyz on the last axis; t_max
     without it). A segment parallel to a slab hits only from inside it. With
@@ -349,14 +343,16 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     """Blocked mask: does the segment o + t d, 0 <= t <= t_max, pass through
     an occupied cell of `grid`? One entry per segment.
 
-    origins and dirs broadcast to (n, 3); t_max is a scalar or one length
-    per segment. All segments step through the grid together, each by the
+    origins and dirs broadcast to (n, 3); t_max is a finite scalar or one
+    length per segment. All segments step through the grid together, each by the
     incremental walk of Amanatides & Woo (1987): clip to the grid box, start
     in the cell holding the entry point (clamped into the grid), then move
     to the neighbour across the nearest cell face until an occupied cell
     (blocked), the clipped end or the grid's edge. A segment holds its
     cell's flat index into grid.padded and one flat jump per axis, so a step
     is one argmin, one jump and one gather, and the edge is a border cell.
+    A line that stops is frozen in place (no jump, reading 2 each step), and
+    the live lines are copied out only once half the held lines are frozen.
     Like the cells it holds, the grid box is half-open on its upper faces: a
     segment with a direction component of exactly 0 that lies on such a face
     misses it.
@@ -385,12 +381,16 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     state = occ[flat]  # the entry cell lies in the grid
     # line k's axis a sits at 3 k + a of the (n, 3) arrays read flat
     base, tn, td, jp = np.arange(0, 3 * len(rows), 3), t_next.reshape(-1), t_delta.reshape(-1), jump.reshape(-1)
+    n_frozen = 0
     while len(rows):
-        if np.count_nonzero(state):  # about half the steps stop no line
-            blocked[rows] = state == 1
-            go = state == 0
-            rows, flat, t1, t_next, t_delta, jump = (v[go] for v in (rows, flat, t1, t_next, t_delta, jump))
-            base, tn, td, jp = base[: len(rows)], t_next.reshape(-1), t_delta.reshape(-1), jump.reshape(-1)
+        if (n_stopped := np.count_nonzero(state)) > n_frozen:  # about half the steps stop no line
+            stop = (state != 0) & (t1 > -np.inf)  # a frozen line has t1 = -inf
+            blocked[rows[stop]] = state[stop] == 1
+            jump[stop], t1[stop], n_frozen = 0, -np.inf, n_stopped  # frozen: it stays put and reads 2
+            if 2 * n_stopped >= len(rows):  # copy out the live lines
+                go, n_frozen = state == 0, 0
+                rows, flat, t1, t_next, t_delta, jump = (v[go] for v in (rows, flat, t1, t_next, t_delta, jump))
+                base, tn, td, jp = base[: len(rows)], t_next.reshape(-1), t_delta.reshape(-1), jump.reshape(-1)
         at = np.argmin(t_next, axis=1) + base  # first minimum on ties
         t = tn[at]
         flat += jp[at]
@@ -473,27 +473,25 @@ _HEADER_FIELDS = (
 
 
 def write_grid_file(path, magic: str, grid: VoxelGrid, values) -> None:
-    """Write `values`, a dense array indexed [x, y, z] over `grid`, as rows of
-    0/1 characters when every value is 0 or 1, else as rows of repr floats."""
+    """Write `values`, a dense array indexed [x, y, z] over `grid`, as LF-ended
+    rows of 0/1 characters when every value is 0 or 1, else of repr floats
+    (one per bit pattern, so -0.0 and 0.0 stay apart), from one byte buffer."""
     nx, ny, nz = grid.dims
-    cells = np.asarray(values).transpose(2, 1, 0)  # [z, y, x], a view
-    if np.isin(cells, (0, 1)).all():
-        chars = (cells == 1).view(np.uint8) + ord("0")
-        rows = [row.tobytes().decode("ascii") for plane in chars for row in plane]
+    values = np.asarray(values)
+    if ((values == 0) | (values == 1)).all():
+        chars = np.full((nz, ny, nx + 1), ord("\n"), dtype=np.uint8)
+        np.add(values.T == 1, ord("0"), out=chars[..., :nx], dtype=np.uint8)  # [z, y, x]
+        body = chars.tobytes()
     else:
-        # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
-        bits = np.ascontiguousarray(cells, dtype=float).view(np.uint64).ravel()
-        keys, inverse = np.unique(bits, return_inverse=True)
-        reprs = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
-        rows = [" ".join(row) for row in reprs[inverse].reshape(nz * ny, nx).tolist()]
-    header = [
-        f"{magic} 1",
-        f"dims {nx} {ny} {nz}",
-        f"voxel_size {grid.voxel_size!r}",
-        "origin " + " ".join(repr(v) for v in grid.origin.tolist()),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header + rows) + "\n")
+        keys, inverse = np.unique(np.ascontiguousarray(values.T, dtype=float).view(np.uint64), return_inverse=True)
+        reprs = [repr(v) for v in keys.view(float).tolist()]
+        inverse.reshape(nz * ny, nx)[:, -1] += len(keys)  # a row's last value takes the repr ending its line
+        tokens = np.array([r + " " for r in reprs] + [r + "\n" for r in reprs], dtype=object)
+        body = "".join(tokens[inverse].ravel().tolist()).encode("ascii")
+    header = f"{magic} 1\ndims {nx} {ny} {nz}\nvoxel_size {grid.voxel_size!r}\n"
+    header += "origin " + " ".join(repr(v) for v in grid.origin.tolist()) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + body)
 
 
 def _parse_header(lines, path, magic):
@@ -527,6 +525,12 @@ def read_grid_file(path, magic: str, floats: bool = False):
     Every row must be dims.x characters of 0/1. With floats=True a row may
     instead hold dims.x space-separated numbers, each finite and in [0, 1].
     """
+    dims, voxel_size, origin, rows = _read_rows(path, magic, floats)
+    return dims, voxel_size, origin, rows.astype(float, copy=False).reshape(dims[::-1]).T
+
+
+def _read_rows(path, magic: str, floats: bool):
+    """read_grid_file, values as the (nz * ny, nx) rows: uint8 digits if all are 0/1, else floats."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):  # the other breaks str.splitlines knows
@@ -541,6 +545,8 @@ def read_grid_file(path, magic: str, floats: bool = False):
         raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(ends)}")
     is_bits = (sizes := np.diff(ends, prepend=-1)) == nx + 1
     digits = (buf if is_bits.all() else buf[np.repeat(is_bits, sizes)]).reshape(-1, nx + 1)[:, :nx] - ord("0")
+    if is_bits.all() and digits.max() <= 1:
+        return dims, voxel_size, origin, digits
     is_bits[is_bits] = ok = (digits <= 1).all(axis=1)
     values = np.zeros((nz * ny, nx))
     values[is_bits] = digits[ok]
@@ -557,7 +563,7 @@ def read_grid_file(path, magic: str, floats: bool = False):
         if not ((row >= 0) & (row <= 1)).all():
             raise ValueError(f"{where}: values must be finite and in [0, 1]")
         values[r] = row
-    return dims, voxel_size, origin, values.reshape(nz, ny, nx).transpose(2, 1, 0)
+    return dims, voxel_size, origin, values
 
 
 def save_vgrid(grid: VoxelGrid, path) -> None:
@@ -566,6 +572,7 @@ def save_vgrid(grid: VoxelGrid, path) -> None:
 
 
 def load_vgrid(path) -> VoxelGrid:
-    """Read a 'VGRID 1' grid file; every row must be 0/1 characters."""
-    dims, voxel_size, origin, values = read_grid_file(path, "VGRID")
-    return VoxelGrid(dims, voxel_size, origin, values == 1)
+    """Read a 'VGRID 1' grid file; every row must be 0/1 characters, whose
+    digits VoxelGrid copies as bool into [x, y, z] order."""
+    dims, voxel_size, origin, digits = _read_rows(path, "VGRID", False)
+    return VoxelGrid(dims, voxel_size, origin, digits.view(bool).reshape(dims[::-1]).T)

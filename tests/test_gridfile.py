@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import box_grid, by_index, contact_map, make_grid
 from handover import suite
 from handover.contacts import ContactMap, load_contact_map, predict_contacts_heuristic, save_contact_map
-from handover.voxelgeom import VoxelGrid, _parse_header, load_vgrid, read_grid_file, save_vgrid
+from handover.voxelgeom import VoxelGrid, _parse_header, load_vgrid, read_grid_file, save_vgrid, write_grid_file
 
 
 # -- per-cell reference writers (the loops the array codec replaced) ----------
@@ -67,6 +67,59 @@ def test_bundled_object_files_match_per_cell_oracle(name, tmp_path):
         save_contact_map(cm, tmp_path / "a.vcontact")
         oracle_save_contact_map(cm, tmp_path / "b.vcontact")
         assert (tmp_path / "a.vcontact").read_bytes() == (tmp_path / "b.vcontact").read_bytes()
+
+
+def oracle_write_grid_file(path, magic, grid, values):
+    """The per-row writer the byte-buffer writer replaced: one string per
+    row, joined with the header lines."""
+    nx, ny, nz = grid.dims
+    cells = np.asarray(values).transpose(2, 1, 0)  # [z, y, x], a view
+    if np.isin(cells, (0, 1)).all():
+        chars = (cells == 1).view(np.uint8) + ord("0")
+        rows = [row.tobytes().decode("ascii") for plane in chars for row in plane]
+    else:
+        # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
+        bits = np.ascontiguousarray(cells, dtype=float).view(np.uint64).ravel()
+        keys, inverse = np.unique(bits, return_inverse=True)
+        reprs = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+        rows = [" ".join(row) for row in reprs[inverse.ravel()].reshape(nz * ny, nx).tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(_oracle_header(magic, grid) + rows) + "\n")
+
+
+_LONG_REPRS = [1 / 3, 0.1 + 0.2, 5e-324, float(np.nextafter(1.0, 0.0)), 2.2250738585072014e-308, 0.7071067811865476]
+
+
+def _writer_cases():
+    rng = np.random.default_rng(17)
+    for dims in [(1, 1, 1), (3, 2, 2), (1, 5, 3), (7, 1, 4), (6, 5, 4)]:
+        occ = rng.random(dims) < 0.4
+        yield f"bool {dims}", occ
+        yield f"float 0/1 {dims}", occ.astype(float)
+        yield f"float 0/1 with -0.0 {dims}", np.where(occ, 1.0, rng.choice([0.0, -0.0], size=dims))
+        yield f"Fortran-order float 0/1 {dims}", np.asfortranarray(occ.astype(float))
+        rows = rng.choice([0.0, -0.0, 1.0, 0.5] + _LONG_REPRS, size=dims)
+        yield f"float rows {dims}", rows
+        yield f"float rows, transposed view {dims}", np.ascontiguousarray(rows.T).T
+    yield "one long repr", np.full((2, 3, 2), 1 / 3)
+    yield "a lone -0.0 among ones", np.where(np.arange(12).reshape(2, 3, 2) == 5, -0.0, 1.0)
+
+
+_WRITER_CASES = dict(_writer_cases())
+
+
+@pytest.mark.parametrize("magic", ["VGRID", "VCONTACT"])
+@pytest.mark.parametrize("name", list(_WRITER_CASES))
+def test_writer_matches_the_per_row_writer(name, magic, tmp_path):
+    """0/1 rows from bool and float grids (-0.0 writes as 0), float rows
+    holding -0.0, 0.0, 1.0 and long reprs, in any memory order: the same
+    bytes as the per-row writer."""
+    values = _WRITER_CASES[name]
+    grid = make_grid(np.ones(values.shape, dtype=bool), voxel_size=1 / 3, origin=(0.1, -0.0, 2.5e-7))
+    write_grid_file(tmp_path / "a", magic, grid, values)
+    oracle_write_grid_file(tmp_path / "b", magic, grid, values)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    assert b"\r" not in (tmp_path / "a").read_bytes()  # LF line ends
 
 
 # sha256 of every file write_suite writes, as the per-object builders wrote them
@@ -165,6 +218,9 @@ _ERRORS = [
     *[("VCONTACT", _lines("VCONTACT", rows=["110", "110", "110", f"1.0 {v} 0.0"]),
        r"line 8: values must be finite and in \[0, 1\]")
       for v in ("inf", "-inf", "nan", "1.5", "-0.25", "1e400")],
+    # rows of the 0/1 length holding a digit above 1
+    ("VGRID", _lines("VGRID", rows=["110", "120", "110", "110"]), "line 6: expected 3 characters of 0/1"),
+    ("VCONTACT", _lines("VCONTACT", rows=["110", "120", "110", "110"]), "line 6: expected 3 values, found 1"),
 ]
 
 
@@ -248,6 +304,15 @@ def test_reader_matches_the_per_row_reader(name, magic, tmp_path):
     path.write_bytes(_TEXTS[name].replace("{m}", magic).encode("utf-8"))
     got, want = _read(read_grid_file, path, magic), _read(oracle_read_grid_file, path, magic)
     assert got == want
+    if magic == "VGRID":  # load_vgrid reads the digits themselves
+        try:
+            grid = load_vgrid(path)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert (grid.dims, grid.voxel_size, grid.origin.tobytes()) == want[:3]
+            assert grid.occupancy.flags.c_contiguous
+            assert np.array_equal(grid.occupancy, oracle_read_grid_file(path, magic)[3] == 1)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -16,6 +16,7 @@ from conftest import (
 from handover.voxelgeom import (
     Mesh,
     VoxelGrid,
+    _slab,
     estimate_normals,
     load_vgrid,
     ray_cast,
@@ -324,6 +325,82 @@ class TestRayCast:
             for beyond in (ends[:, a] < lo[a], ends[:, a] > hi[a]):
                 along = (dirs[:, a] != 0) & (np.delete(dirs, a, axis=1) == 0).all(axis=1)
                 assert (beyond & along & ~np.array(scalar)).any()  # a clear line left through this face
+
+
+    def test_lines_freeze_and_are_copied_out(self):
+        """Six of eleven lines stop in their entry cell, so the live five are
+        copied out at once; two of them stop on the next step (one on the
+        border) and stay frozen while three walk on, then all are copied out."""
+        grid = make_grid(np.array([1, 1, 1, 0, 0, 1, 0, 0], dtype=bool).reshape(8, 1, 1), voxel_size=1.0)
+        starts = [0.5, 1.5, 2.5, 0.2, 1.2, 2.2, 4.5, 7.5, 3.5, 6.2, 3.5]
+        t_max = np.array([10.0] * 10 + [1.2])
+        origins = np.array([[x, 0.5, 0.5] for x in starts])
+        expect = [True] * 6 + [True, False, True, False, False]
+        scalar = [oracle_ray_cast(grid, o, (1, 0, 0), t) is not None for o, t in zip(origins, t_max)]
+        assert scalar == expect
+        assert ray_cast(grid, origins, (1.0, 0.0, 0.0), t_max).tolist() == expect
+
+
+def oracle_slab(origins, dirs, t_max, lo, hi):
+    """The masked slab clip the inf/NaN one replaced: a direction component
+    of exactly 0 keeps the segment only from inside that slab."""
+    shape = np.broadcast_shapes(np.shape(origins), np.shape(dirs), np.shape(lo), np.shape(hi))[:-1]
+    t0 = np.zeros(shape)
+    t1 = np.full(shape, t_max, dtype=float)
+    ok = np.ones(shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(3):
+            da = dirs[..., a]
+            oa = origins[..., a]
+            zero = da == 0.0
+            ok &= ~zero | ((oa >= lo[..., a]) & (oa <= hi[..., a]))
+            ta = (lo[..., a] - oa) / da
+            tb = (hi[..., a] - oa) / da
+            t0 = np.where(zero, t0, np.maximum(t0, np.minimum(ta, tb)))
+            t1 = np.where(zero, t1, np.minimum(t1, np.maximum(ta, tb)))
+    return t0, t1, ok & (t0 <= t1)
+
+
+class TestSlab:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_matches_the_masked_oracle(self, seed):
+        """Zero and -0.0 direction components, origins on slab planes, boxes
+        with lo == hi on some axes and a t_max per row: the same ok, and the
+        same t0 and t1 wherever ok holds."""
+        rng = np.random.default_rng(seed)
+        n = 20000
+        lo = rng.integers(-2, 2, size=(n, 3)) * 0.5
+        hi = lo + rng.integers(0, 3, size=(n, 3)) * 0.5
+        # per axis: below the slab, on its lower plane, inside, on its upper plane, above, or anywhere
+        offsets = rng.choice([-0.5, 0.0, 0.5, 1.0, 1.5, np.nan], size=(n, 3))
+        origins = np.where(np.isnan(offsets), rng.uniform(-2.0, 2.0, size=(n, 3)), lo + offsets * (hi - lo))
+        origins[offsets == -0.5] -= 0.25
+        origins[offsets == 1.5] += 0.25
+        dirs = rng.normal(size=(n, 3))
+        dirs[rng.random((n, 3)) < 0.3] = 0.0
+        dirs[rng.random((n, 3)) < 0.15] = -0.0
+        t_max = rng.choice([0.0, 0.25, 1.0, 3.0, 50.0], size=n)
+        want, got = oracle_slab(origins, dirs, t_max, lo, hi), _slab(origins, dirs, t_max, lo, hi)
+        ok = want[2]
+        assert 0.1 < ok.mean() < 0.9
+        assert ((dirs == 0.0).any(axis=1) & ok).sum() > n // 10  # zero components on both outcomes
+        assert ((dirs == 0.0).any(axis=1) & ~ok).sum() > n // 10
+        assert np.array_equal(got[2], ok)
+        assert np.array_equal(got[0][ok], want[0][ok]) and np.array_equal(got[1][ok], want[1][ok])
+
+    def test_broadcast_blocks_match_the_masked_oracle(self):
+        """The occlusion scan's shapes: (candidate, ray) origins and
+        directions against one box per candidate, axis-aligned normals."""
+        rng = np.random.default_rng(3)
+        origins = rng.integers(-3, 4, size=(40, 60, 3)) * 0.5
+        dirs = np.eye(3)[rng.integers(0, 3, size=(40, 60))] * rng.choice([-1.0, 1.0, -0.0], size=(40, 60, 1))
+        lo = rng.uniform(-1.0, 0.0, size=(40, 1, 3))
+        hi = lo + rng.uniform(0.0, 1.5, size=(40, 1, 3))
+        want, got = oracle_slab(origins, dirs, 2.0, lo, hi), _slab(origins, dirs, 2.0, lo, hi)
+        ok = want[2]
+        assert 0 < ok.sum() < ok.size
+        assert np.array_equal(got[2], ok)
+        assert np.array_equal(got[0][ok], want[0][ok]) and np.array_equal(got[1][ok], want[1][ok])
 
 
 class TestSegmentsHitBoxes:
