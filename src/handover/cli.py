@@ -174,8 +174,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -183,5 +182,6 @@ def main(argv=None) -> int:
         return 1
 
 
+_PARSER = build_parser()  # built once; each parse_args call fills a fresh namespace
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxelgeom import VoxelGrid, read_grid_file, read_only, write_grid_file
+from .voxelgeom import VoxelGrid, read_grid_rows, read_only, write_grid_file
 
 CONTACT_THRESHOLD = 0.5  # a voxel whose value reaches this is a contact
 DEFAULT_MIN_PTS = 4
@@ -94,7 +94,7 @@ def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     snaps to the nearest surface voxel, and the max value wins a collision.
     The nonzero surface rows are the map's keys, already in order.
     """
-    dims, voxel_size, origin, dense = read_grid_file(path, "VCONTACT", floats=True)
+    dims, voxel_size, origin, rows = read_grid_rows(path, "VCONTACT", True)
     for key, got, want in (
         ("dims", dims, grid.dims),
         ("voxel_size", voxel_size, grid.voxel_size),
@@ -102,14 +102,14 @@ def load_contact_map(path, grid: VoxelGrid) -> ContactMap:
     ):
         if got != want:
             raise ValueError(f"{path}: {key} {got} does not match grid {key} {want}")
-    nonzero = np.flatnonzero(dense.T != 0)  # the values as read, [z, y, x]: contiguous, and max is order-free
+    nonzero = np.flatnonzero(rows != 0)  # the rows as read, 0/1 digits or floats; max is order-free
     if not len(nonzero):
         raise ValueError(f"{path}: empty contact map")
     if not len(grid.surface):
         raise ValueError(f"{path}: the grid has no surface voxel to register contacts to")
     cells = np.stack(np.unravel_index(nonzero, dims[::-1])[::-1], axis=1)
     top = np.zeros(len(grid.surface))
-    np.maximum.at(top, _snap_to_surface(grid, cells), dense.T.reshape(-1)[nonzero])
+    np.maximum.at(top, _snap_to_surface(grid, cells), rows.reshape(-1)[nonzero].astype(float))
     kept = top != 0
     return ContactMap(grid, grid.surface[kept], top[kept])
 

@@ -208,10 +208,8 @@ def plan_handover_position(human: HumanModel, object_mass: float = 0.5, alpha: f
 
 
 def candidates_csv(kept: ArmPoses) -> str:
-    """Diagnostic table of the kept grid (one row per configuration)."""
-    rows = zip(kept.shoulder_deg.tolist(), kept.elbow_deg.tolist(), kept.hand_position.tolist(),
-               kept.effort_cost.tolist(), kept.displacement_cost.tolist(), kept.total_cost.tolist())
-    return "shoulder_deg,elbow_deg,hand_x,hand_y,hand_z,effort_cost,displacement_cost,total_cost\n" + "".join(
-        f"{ts:.1f},{te:.1f},{h[0]:.6f},{h[1]:.6f},{h[2]:.6f},{ft:.9f},{fd:.9f},{tot:.9f}\n"
-        for ts, te, h, ft, fd, tot in rows
-    )
+    """Diagnostic table of the kept grid, one row per configuration, formatted by one % operation."""
+    table = np.column_stack((kept.shoulder_deg, kept.elbow_deg, kept.hand_position,
+                             kept.effort_cost, kept.displacement_cost, kept.total_cost))
+    rows = "%.1f,%.1f,%.6f,%.6f,%.6f,%.9f,%.9f,%.9f\n" * len(table) % tuple(table.ravel().tolist())
+    return "shoulder_deg,elbow_deg,hand_x,hand_y,hand_z,effort_cost,displacement_cost,total_cost\n" + rows

@@ -45,6 +45,7 @@ from .voxelgeom import VoxelGrid, check_fields, check_value, load_vgrid, rule
 
 A4_FORWARD = 0.6  # tucked gripper: meters in front of the robot base
 A4_HEIGHT = 0.8  # meters above the robot base
+_SCALAR = json.JSONEncoder(allow_nan=False).encode  # write_json's text of a str, number, bool or None
 
 
 class AblationMode(enum.Enum):
@@ -219,11 +220,31 @@ def _report_key(name: str) -> str:
 
 
 def write_json(data, path) -> None:
-    """`data` as indented, key-sorted JSON and a newline; NaN or inf is a
-    ValueError, raised before the file is opened."""
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """`data` as json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    and a newline; NaN or inf is a ValueError, raised before the file is opened."""
+    text = _json_text(data) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _json_text(data, indent: str = "") -> str:
+    """json.dumps(data, indent=2, sort_keys=True, allow_nan=False) nested at `indent`. A scalar, a float list
+    and a flat dict (json's C encoder) skip json's pure-Python walk; other nonempty containers recurse."""
+    inner, sep = indent + "  ", ",\n" + indent + "  "
+    if isinstance(data, (list, tuple)) and data:
+        if not all(map(float.__instancecheck__, data)):
+            return f"[\n{inner}" + sep.join([_json_text(v, inner) for v in data]) + f"\n{indent}]"
+        if "n" not in (body := sep.join(map(float.__repr__, data))):  # "nan" or "inf": json raises below
+            return f"[\n{inner}{body}\n{indent}]"
+    elif isinstance(data, dict) and data and all(map(str.__instancecheck__, data)):
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, data.values()))):  # one check per type
+            body = sep.join([f"{_SCALAR(k)}: {_json_text(data[k], inner)}" for k in sorted(data)])
+        else:  # json's C encoder, its separators carrying the indent
+            body = json.dumps(data, sort_keys=True, allow_nan=False, separators=(sep, ": "))[1:-1]
+        return f"{{\n{inner}{body}\n{indent}}}"
+    elif not isinstance(data, (dict, list, tuple)):
+        return _SCALAR(data)
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + indent)
 
 
 def save_report(report: HandoverReport, path) -> None:

@@ -122,11 +122,11 @@ class VoxelGrid:
 
     @property
     def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
+        return len(self.cells)
 
     @cached_property
     def occupied_centers(self) -> np.ndarray:
-        return self.centers(np.argwhere(self.occupancy))
+        return self.centers(self.indices(self.cells))
 
     @cached_property
     def surface(self) -> np.ndarray:
@@ -140,6 +140,14 @@ class VoxelGrid:
     def padded(self) -> np.ndarray:
         """occupancy as read-only uint8 in a one-cell border: 0 empty, 1 occupied, 2 outside."""
         return read_only(np.pad(self.occupancy.view(np.uint8), 1, constant_values=2))
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Flat indices into `padded` of the occupied cells, in (x, y, z) order."""
+        return read_only(np.flatnonzero(self.padded.reshape(-1) == 1))
+
+    def indices(self, cells) -> np.ndarray:  # the (n, 3) index of each flat index into `padded`
+        return np.stack(np.unravel_index(cells, self.padded.shape), axis=-1) - 1
 
     def surface_rows(self, indices) -> np.ndarray:
         """Row in `surface` of each integer index (xyz on the last axis), -1
@@ -257,11 +265,10 @@ def voxelize_mesh(mesh: Mesh, dims=(64, 64, 64), padding: float = 0.05) -> Voxel
 def surface_voxels(grid: VoxelGrid) -> np.ndarray:
     """Occupied cells with at least one unoccupied 6-neighbor (out-of-bounds
     counts as unoccupied), as an (n, 3) integer array in lexicographic
-    (x, y, z) order."""
-    p = np.pad(grid.occupancy, 1)
-    buried = p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1] & p[1:-1, 2:, 1:-1] & p[1:-1, 1:-1, :-2]
-    buried &= p[1:-1, 1:-1, 2:]  # all six neighbours occupied
-    return np.argwhere(grid.occupancy & ~buried)
+    (x, y, z) order: the grid.cells with a value other than 1 one stride away in `padded`."""
+    occ, cells = grid.padded.reshape(-1), grid.cells  # uint8 cells: byte strides are cell strides
+    exposed = np.logical_or.reduce([occ[cells + s] != 1 for d in grid.padded.strides for s in (-d, d)])
+    return grid.indices(cells[exposed])
 
 
 def estimate_normals(grid: VoxelGrid) -> np.ndarray:
@@ -269,17 +276,14 @@ def estimate_normals(grid: VoxelGrid) -> np.ndarray:
     surface voxel grid.surface[i].
 
     Primary estimate is the negative local occupancy gradient: the sum of
-    directions from occupied 26-neighbors to the voxel. Where that sum
-    vanishes, fall back to the direction from the occupied centroid to the
-    voxel center; a lone voxel (centroid == center) gets +z.
+    directions from occupied 26-neighbors (gathered from `padded`) to the
+    voxel. Where that sum vanishes, fall back to the direction from the
+    occupied centroid to the voxel center; a lone voxel gets +z.
     """
-    padded = np.pad(grid.occupancy, 1)
     surf = grid.surface
-    acc = np.zeros((len(surf), 3), dtype=float)
-    base = surf + 1  # padded coordinates
-    for off in _OFFSETS_26:
-        nb = base + off.astype(int)
-        acc -= off * padded[nb[:, 0], nb[:, 1], nb[:, 2]][:, None]
+    strides = np.array(grid.padded.strides)  # uint8 cells: byte strides are cell strides
+    near = grid.padded.reshape(-1)[((surf + 1) @ strides)[:, None] + _OFFSETS_26.astype(int) @ strides] == 1
+    acc = 0.0 - near @ _OFFSETS_26  # integer sums, so exact; "0.0 -" makes a vanishing sum +0.0, not -0.0
     norms = np.linalg.norm(acc, axis=1)
     centroid = grid.occupied_centers.mean(axis=0) if grid.occupied_count else grid.origin
     flat = norms <= 1e-12
@@ -518,19 +522,28 @@ def _parse_header(lines, path, magic):
 
 
 def read_grid_file(path, magic: str, floats: bool = False):
-    """Parse a grid file, split into lines as str.splitlines splits it (LF,
-    CRLF and CR each end a line); returns (dims, voxel_size, origin, values)
-    with values a float array indexed [x, y, z].
-
-    Every row must be dims.x characters of 0/1. With floats=True a row may
-    instead hold dims.x space-separated numbers, each finite and in [0, 1].
-    """
-    dims, voxel_size, origin, rows = _read_rows(path, magic, floats)
+    """read_grid_rows, the values as one float array indexed [x, y, z]."""
+    dims, voxel_size, origin, rows = read_grid_rows(path, magic, floats)
     return dims, voxel_size, origin, rows.astype(float, copy=False).reshape(dims[::-1]).T
 
 
-def _read_rows(path, magic: str, floats: bool):
-    """read_grid_file, values as the (nz * ny, nx) rows: uint8 digits if all are 0/1, else floats."""
+def read_grid_rows(path, magic: str, floats: bool):
+    """Parse a grid file, split into lines as str.splitlines splits it (LF, CRLF
+    and CR each end a line), into (dims, voxel_size, origin, rows), rows the
+    (nz * ny, nx) values: each row dims.x 0/1 characters or, with floats=True,
+    dims.x space-separated numbers in [0, 1]. Rows are uint8 digits without
+    floats, or from an ASCII LF file of 0/1 rows, read by one reshape of its bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    *header, body = data.split(b"\n", 4)
+    if data.isascii() and len(header) == 4 and not any(c in h for h in header for c in b"\r\v\f\x1c\x1d\x1e"):
+        dims, voxel_size, origin = _parse_header([h.decode("ascii") for h in header], path, magic)
+        nx, ny, nz = dims
+        if len(body) == nz * ny * (nx + 1):
+            rows = np.frombuffer(body, dtype=np.uint8).reshape(nz * ny, nx + 1)
+            digits = rows[:, :nx] - ord("0")  # uint8 wraps below "0"
+            if (rows[:, nx] == ord("\n")).all() and digits.max() <= 1:
+                return dims, voxel_size, origin, digits
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):  # the other breaks str.splitlines knows
@@ -545,10 +558,8 @@ def _read_rows(path, magic: str, floats: bool):
         raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(ends)}")
     is_bits = (sizes := np.diff(ends, prepend=-1)) == nx + 1
     digits = (buf if is_bits.all() else buf[np.repeat(is_bits, sizes)]).reshape(-1, nx + 1)[:, :nx] - ord("0")
-    if is_bits.all() and digits.max() <= 1:
-        return dims, voxel_size, origin, digits
     is_bits[is_bits] = ok = (digits <= 1).all(axis=1)
-    values = np.zeros((nz * ny, nx))
+    values = np.zeros((nz * ny, nx), dtype=float if floats else np.uint8)  # without floats, all rows are 0/1
     values[is_bits] = digits[ok]
     for r in np.flatnonzero(~is_bits).tolist():
         where = f"{path}: line {r + 5}"
@@ -574,5 +585,5 @@ def save_vgrid(grid: VoxelGrid, path) -> None:
 def load_vgrid(path) -> VoxelGrid:
     """Read a 'VGRID 1' grid file; every row must be 0/1 characters, whose
     digits VoxelGrid copies as bool into [x, y, z] order."""
-    dims, voxel_size, origin, digits = _read_rows(path, "VGRID", False)
+    dims, voxel_size, origin, digits = read_grid_rows(path, "VGRID", False)
     return VoxelGrid(dims, voxel_size, origin, digits.view(bool).reshape(dims[::-1]).T)

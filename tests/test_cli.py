@@ -94,6 +94,17 @@ def test_plan_set_overrides(suite_dir, tmp_path, capsys):
     assert params["max_grasps"] == 50
 
 
+def test_two_calls_in_one_process_parse_independently(suite_dir, tmp_path, capsys):
+    """main reuses one parser: flags of one call do not carry into the next."""
+    scene, first, second = str(suite_dir / "hammer.scene.json"), tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["plan", scene, "--seed", "0", "--out"]
+    assert run_cli([*argv, str(first), "--set", "alpha=0.25", "--emit-diagnostics"], capsys)[0] == 0
+    assert run_cli([*argv, str(second)], capsys)[0] == 0
+    a, b = (json.loads(p.read_text()) for p in (first, second))
+    assert (a["params"]["alpha"], b["params"]["alpha"]) == (0.25, harness.PipelineParams().alpha)
+    assert "visibility_bitmaps" in a["metrics"] and "visibility_bitmaps" not in b["metrics"]
+
+
 def test_plan_set_rejects_unknown_key(suite_dir, capsys):
     code, _, stderr = run_cli(
         ["plan", str(suite_dir / "mug.scene.json"), "--set", "bogus=1"], capsys

@@ -143,14 +143,17 @@ def labelled_grids(draw):
 @given(labelled_grids())
 @example(_labelled(np.pad([[[True]]], 2), {(2, 2, 2): 0.75, (0, 0, 0): 0.5}))  # a lone voxel
 @example(_labelled(_rod(), {(2, 1, 1): 1.0, (0, 0, 0): 0.25}))
+@example(_labelled(np.ones((1, 4, 1)), {(0, 2, 0): 0.5}))  # dims of 1: every cell is on the surface
 # the center of a 3x3x3 block and an empty cell snap to the face voxel (1, 2, 2) they share
 @example(_labelled(np.pad(np.ones((3, 3, 3), dtype=bool), 1),
                    {(2, 2, 2): 0.5, (0, 2, 2): 0.75, (1, 2, 2): 0.25, (4, 4, 4): 1.0}))
 def test_surface_normals_and_registration_equal_the_per_voxel_oracles(tmp_path, occ_dense):
-    """grid.surface and grid.normals, and the keys and values load_contact_map
-    registers, bit for bit as the per-voxel loops give them."""
+    """grid.occupied_centers, grid.surface and grid.normals, and the keys and
+    values load_contact_map registers, bit for bit as the per-voxel loops
+    (and argwhere over the occupancy) give them."""
     occ, dense = occ_dense
     grid = make_grid(occ, voxel_size=0.01, origin=(0.3, -0.2, 1.1))
+    assert grid.occupied_centers.tobytes() == grid.centers(np.argwhere(occ)).tobytes()
     assert list(map(tuple, grid.surface.tolist())) == oracle_surface_voxels(grid)
     normals = oracle_estimate_normals(grid)
     assert grid.normals.tobytes() == np.array(list(normals.values())).reshape(-1, 3).tobytes()
@@ -159,6 +162,15 @@ def test_surface_normals_and_registration_equal_the_per_voxel_oracles(tmp_path, 
     want = sorted(oracle_register(grid, dense).items())
     assert list(map(tuple, cm.keys.tolist())) == [k for k, _ in want]
     assert cm.values.tobytes() == np.array([v for _, v in want]).tobytes()
+
+
+def test_a_vanishing_gradient_component_is_positive_zero():
+    """The rod's end voxel sees one neighbour, along +x: its normal is -x with
+    y and z +0.0, as the per-offset loop's sum leaves them, not -0.0."""
+    grid = make_grid(_rod())
+    normal = grid.normals[grid.surface_rows([(1, 1, 1)])[0]]
+    assert normal.tolist() == [-1.0, 0.0, 0.0]
+    assert np.signbit(normal).tolist() == [True, False, False]
 
 
 class TestHeuristic:

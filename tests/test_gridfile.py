@@ -285,6 +285,14 @@ _TEXTS = {
     "non-ASCII in a bit row": "\n".join(_lines("{m}", rows=["110", "1\u00e90", "110", "110"])) + "\n",
     "non-ASCII beyond the BMP": "\n".join(_lines("{m}", rows=["110", "110", "11\U0001f600", "110"])) + "\n",
     "a blank last line": "\n".join(_lines("{m}")) + "\n\n",
+    # the one-reshape read of an ASCII LF file needs every row dims.x digits long
+    "a row one short": "\n".join(_lines("{m}", rows=["110", "11", "110", "110"])) + "\n",
+    "a row one long": "\n".join(_lines("{m}", rows=["110", "1101", "110", "110"])) + "\n",
+    "a row one short, the next one long": "\n".join(_lines("{m}", rows=["110", "11", "1100", "110"])) + "\n",
+    "the last row one long, no final newline": "\n".join(_lines("{m}", rows=["110", "110", "110", "1101"])),
+    "a stray newline in a row": "\n".join(_lines("{m}", rows=["110", "1\n0", "110", "110"])) + "\n",
+    "a stray newline in a row, one fewer row": "\n".join(_lines("{m}", rows=["110", "1\n0", "110"])) + "\n",
+    "non-ASCII in the header": "\n".join(_lines("{m}", header=_with("voxel_size", "0.5\u00a0"))) + "\n",
     "mixed line ends": "\n".join(_lines("{m}")[:3]) + "\r\n" + "\r".join(_lines("{m}")[3:]),
     "empty": "",
     "header only, no final newline": "{m} 1\ndims 3 2 2",

@@ -4,6 +4,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from handover import grasping, harness, metrics
 from handover.contacts import cluster_contacts, largest_cluster, predict_contacts_heuristic
@@ -240,6 +242,64 @@ def test_bitmap_keys_are_rendered_once_per_scene_seed(scenes, monkeypatch):
             assert [list(bitmap) for bitmap in report.metrics[f"{name}_bitmaps"]] == keys
         alone = run_pipeline(scene, mode, 0, emit_diagnostics=True)
         assert json.dumps(report.metrics, sort_keys=True) == json.dumps(alone.metrics, sort_keys=True)
+
+
+def _json_oracle(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(-2**80, 2**80), _FINITE,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308]),
+    _FINITE.map(np.float64),
+    st.text(st.characters(), max_size=6), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\U0001f600"]),
+)
+_JSON_DATA = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.lists(_FINITE | st.sampled_from([-0.0, 5e-324, 1e16]) | _FINITE.map(np.float64), max_size=5),
+        st.dictionaries(st.text(max_size=4), _SCALARS, max_size=40),  # flat dicts of every size
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_JSON_DATA)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}], "d": [[[]]]})
+@example([[1.0, 2.5], [True, 1, 0.0], (3, "x")])
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, data):
+    harness.write_json(data, tmp_path / "d.json")
+    assert (tmp_path / "d.json").read_text(encoding="utf-8") == _json_oracle(data)
+
+
+@pytest.mark.parametrize("data", [
+    float("nan"), [1.0, float("inf")], (0.5, float("-inf")), [np.float64("nan")], {"a": 1, "b": float("nan")},
+    {"a": [1, {"b": -float("inf")}]}, [[0.0], [float("nan")]], {"c": [1.0, 2.0], "d": {"e": float("inf")}},
+])
+def test_write_json_refuses_nan_and_inf_before_opening_the_file(data, tmp_path):
+    with pytest.raises(ValueError):
+        harness.write_json(data, tmp_path / "d.json")
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_bundled_reports_and_summary_are_written_as_json_dumps(scenes, tmp_path):
+    """Every mode's report on every bundled scene, with and without
+    diagnostics, and their summary: write_json's bytes are json.dumps'."""
+    reports = []
+    for scene in scenes.values():
+        shared = SharedStages(scene, 0)
+        reports += [run_pipeline(scene, mode, 0, emit_diagnostics=emit, shared=shared)
+                    for emit in (True, False) for mode in AblationMode]
+    for data in [r.to_dict() for r in reports] + [aggregate(reports)]:
+        harness.write_json(data, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text(encoding="utf-8") == _json_oracle(data)
 
 
 def test_save_report_refuses_nan(scenes, tmp_path):
