@@ -90,12 +90,12 @@ def _cmd_bench(args) -> int:
     seeds = _entries("--seeds", args.seeds, lambda s: harness.resolve_seed(int(s)))
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    found = {pattern: glob.glob(pattern) for pattern in args.scenes}
+    if missing := [pattern for pattern, paths in found.items() if not paths]:
+        raise ValueError(f"no scenes matched {', '.join(missing)}")
     # a file that several patterns match runs once
-    matched = {os.path.realpath(p): p for pattern in args.scenes for p in glob.glob(pattern)}
+    matched = {os.path.realpath(p): p for paths in found.values() for p in paths}
     scene_paths = sorted(matched.values())
-    if not scene_paths:
-        print("no scenes matched", file=sys.stderr)
-        return 1
     # reports are named by stem, so two files with one stem would overwrite each other's
     stems: dict[str, str] = {}
     for path in scene_paths:
@@ -128,7 +128,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    paths = suite.write_suite(args.out, args.objects.split(",") if args.objects else None)
+    paths = suite.write_suite(args.out, _entries("--objects", args.objects, str) if args.objects else None)
     for path in paths:
         print(path)
     return 0

@@ -34,9 +34,8 @@ from .delivery import (
     DeliveryContext,
     HandoverPose,
     exposure_objective,
-    feasible,
+    feasible,  # unused here, but perfbench/run.py traces delivery.feasible under this name
     plan_handover_orientation,
-    sample_orientations,
 )
 from .ergonomics import MIN_POSITION_STEP, HumanModel, candidates_csv, plan_handover_position
 from .grasping import GraspCandidate, GripperModel, contenders, order_grasps, rank_grasps, sample_grasps
@@ -387,9 +386,10 @@ class SharedStages:
         """(ctx, rotation, objective, pose): `top`, a candidate of ranking(),
         delivered the `kind` way. "planned" searches the orientations at the
         planned hand position, and pose is that search's HandoverPose; the
-        other kinds have none. "random" draws a feasible rotation there with
-        the [seed, 7] generator, from the planned search of `top` when it ran.
-        "tucked" (A4) keeps the grasp rotation, held in front of the robot."""
+        other kinds have none. "random" draws, with the [seed, 7] generator, one
+        of the feasible rotations that delivery(top, "planned") found, and fails
+        as that search fails. "tucked" (A4) keeps the grasp rotation, held in
+        front of the robot."""
         def deliver(scene=self.scene, p=self.params):
             if kind == "tucked":
                 ee = scene.robot_base + A4_FORWARD * -scene.human.facing + np.array([0.0, 0.0, A4_HEIGHT])
@@ -402,14 +402,8 @@ class SharedStages:
                 pose = plan_handover_orientation(ctx, self.cluster(), p.orientation_step)
                 return ctx, pose.object_rotation, pose.objective, pose
             rotation = np.eye(3)
-            if kind == "random":
-                searched = self._results.get(("delivery", id(top), "planned"), (None,))[0]
-                if searched is not None:  # its HandoverPose scored this same context
-                    feas = [c.rotation for c in searched[3].candidates if c.feasible]
-                else:
-                    feas = [r for r in sample_orientations(p.orientation_step) if feasible(ctx, r)]
-                if not feas:
-                    raise ValueError("no feasible handover orientation")
+            if kind == "random":  # the planned search scored this same context; it raises when none is feasible
+                feas = [c.rotation for c in self.delivery(top, "planned")[3].candidates if c.feasible]
                 rotation = feas[int(np.random.default_rng([self.seed, 7]).integers(len(feas)))]
             return ctx, rotation, exposure_objective(ctx, rotation, self.cluster()), None
 

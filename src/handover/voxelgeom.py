@@ -528,31 +528,25 @@ def read_grid_file(path, magic: str, floats: bool = False):
 
 
 def read_grid_rows(path, magic: str, floats: bool):
-    """Parse a grid file, split into lines as str.splitlines splits it (LF, CRLF
-    and CR each end a line), into (dims, voxel_size, origin, rows), rows the
-    (nz * ny, nx) values: each row dims.x 0/1 characters or, with floats=True,
-    dims.x space-separated numbers in [0, 1]. Rows are uint8 digits without
-    floats, or from an ASCII LF file of 0/1 rows, read by one reshape of its bytes."""
+    """Parse a grid file, split into lines as str.splitlines splits it, into
+    (dims, voxel_size, origin, rows), rows the (nz * ny, nx) values: each row
+    dims.x 0/1 characters or, with floats=True, dims.x space-separated numbers
+    in [0, 1]. The file is read once, as bytes; one that is not ASCII, ends a
+    line other than by LF or lacks a final LF is first rewritten as its lines,
+    each ended by LF. Rows are uint8 digits without floats."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data.endswith(b"\n") or not data.isascii() or any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
+        data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8") + b"\n"
     *header, body = data.split(b"\n", 4)
-    if data.isascii() and len(header) == 4 and not any(c in h for h in header for c in b"\r\v\f\x1c\x1d\x1e"):
-        dims, voxel_size, origin = _parse_header([h.decode("ascii") for h in header], path, magic)
-        nx, ny, nz = dims
-        if len(body) == nz * ny * (nx + 1):
-            rows = np.frombuffer(body, dtype=np.uint8).reshape(nz * ny, nx + 1)
-            digits = rows[:, :nx] - ord("0")  # uint8 wraps below "0"
-            if (rows[:, nx] == ord("\n")).all() and digits.max() <= 1:
-                return dims, voxel_size, origin, digits
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):  # the other breaks str.splitlines knows
-        text = "\n".join(text.splitlines())
-    *header, body = (text if text.endswith("\n") else text + "\n").split("\n", 4)
-    dims, voxel_size, origin = _parse_header(header, path, magic)
+    dims, voxel_size, origin = _parse_header([h.decode("utf-8") for h in header], path, magic)
     nx, ny, nz = dims
-    # one byte a character ("?" if not ASCII), each row with its "\n"; uint8 wraps below "0"
-    buf = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    buf = np.frombuffer(body, dtype=np.uint8)  # UTF-8, each row with its LF; uint8 wraps below "0"
+    if len(buf) == nz * ny * (nx + 1):
+        rows = buf.reshape(nz * ny, nx + 1)
+        digits = rows[:, :nx] - ord("0")
+        if (rows[:, nx] == ord("\n")).all() and digits.max() <= 1:
+            return dims, voxel_size, origin, digits
     ends = np.flatnonzero(buf == ord("\n"))
     if len(ends) != nz * ny:
         raise ValueError(f"{path}: expected {nz * ny} data rows, found {len(ends)}")
@@ -566,7 +560,7 @@ def read_grid_rows(path, magic: str, floats: bool):
         if not floats:
             raise ValueError(f"{where}: expected {nx} characters of 0/1")
         try:
-            row = np.array(body[ends[r] + 1 - sizes[r] : ends[r]].split(), dtype=float)
+            row = np.array(body[ends[r] + 1 - sizes[r] : ends[r]].decode("utf-8").split(), dtype=float)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if row.shape != (nx,):

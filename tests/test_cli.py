@@ -359,6 +359,14 @@ def test_bench_empty_glob(tmp_path, capsys):
     assert "no scenes matched" in stderr
 
 
+def test_bench_pattern_matching_nothing_is_an_error(suite_dir, tmp_path, capsys):
+    """A misspelt scene among good ones exits 1 naming it, before any run."""
+    scene, typo, out = str(suite_dir / "hammer.scene.json"), str(suite_dir / "hamer.scene.json"), tmp_path / "x"
+    code, stdout, stderr = run_cli(["bench", scene, typo, "--seeds", "0", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (1, "", f"error: no scenes matched {typo}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--seeds=-1"], "parameter 'seed' must be an integer in [0, inf), got -1"),
     (["--seeds", "0,x"], "--seeds: invalid literal"),
@@ -428,6 +436,13 @@ def test_suite_subset(tmp_path, capsys):
     assert len(stdout.strip().split("\n")) == 2
     assert (out / "hammer.vgrid").exists()
     assert (out / "mug_contacts_2.vcontact").exists()
+
+
+def test_suite_repeated_object_is_an_error(tmp_path, capsys):
+    out = tmp_path / "two"
+    code, stdout, stderr = run_cli(["suite", str(out), "--objects", "hammer,mug,hammer"], capsys)
+    assert (code, stdout, stderr) == (1, "", "error: --objects repeats an entry: hammer,mug,hammer\n")
+    assert not out.exists()
 
 
 def test_missing_subcommand_usage_error(capsys):

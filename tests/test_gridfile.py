@@ -298,6 +298,9 @@ _TEXTS = {
     "header only, no final newline": "{m} 1\ndims 3 2 2",
     **{f"break {ch!r} in a row": "\n".join(_lines("{m}", rows=["110", "11" + ch + "0", "110"])) + "\n"
        for ch in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")},
+    # the break ends the last row and LF ends one more, blank, line
+    **{f"break {ch!r} ending the last row, then a blank line": "\n".join(_lines("{m}")) + ch + "\n"
+       for ch in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")},
     **{f"break {ch!r} ending the header": "\n".join(_lines("{m}")[:3]) + ch + "\n".join(_lines("{m}")[3:])
        for ch in ("\f", "\x85")},
 }

@@ -457,16 +457,22 @@ def test_modes_with_different_tops_each_deliver_their_own(scenes, monkeypatch):
     assert scanned == []  # A2 and A3 took the feasible rotations their top's search found
 
 
-@pytest.mark.parametrize("name, stage, lower, expect", [
-    ("plan_handover_orientation", "orientation", False, 1),
-    ("plan_handover_orientation", "orientation", True, 2),
-    ("evaluate_maps", "metrics", False, 3),
-    ("evaluate_maps", "metrics", True, 5),
-])
-def test_kept_delivery_failure_reports_as_a_fresh_run(scenes, monkeypatch, name, stage, lower, expect):
+_KEPT_FAILURES = [
+    ("plan_handover_orientation", "orientation", False, 1, 2),
+    ("plan_handover_orientation", "orientation", True, 2, 4),
+    ("evaluate_maps", "metrics", False, 3, 3),
+    ("evaluate_maps", "metrics", True, 5, 5),
+]
+
+
+@pytest.mark.parametrize("name, stage, lower, runs, kinds", _KEPT_FAILURES,
+                         ids=["-".join(map(str, row[:4])) for row in _KEPT_FAILURES])  # name, stage, lower, runs
+def test_kept_delivery_failure_reports_as_a_fresh_run(scenes, monkeypatch, name, stage, lower, runs, kinds):
     """A broken orientation search or metrics stage: each mode reports what
-    a fresh run reports, and the stage runs once per (top candidate,
-    delivery kind) that reaches it."""
+    a fresh run reports. The stage runs `runs` times: the search once per top
+    candidate, the metrics once per (top candidate, delivery kind). `kinds`
+    (top candidate, delivery kind) pairs report the failure: a broken search
+    fails the random kind (A2, A3) of its top too, as that kind draws from it."""
     if lower:
         lower_confidences(monkeypatch)
     scene = scenes["hammer"]
@@ -481,7 +487,17 @@ def test_kept_delivery_failure_reports_as_a_fresh_run(scenes, monkeypatch, name,
         if report.failure == f"{stage}: RuntimeError: stage broken":
             lam = 1.0 if mode in harness.CONFIDENCE_ONLY_MODES else scene.params.lam
             reached.add((id(shared.ranking(lam)[0].candidate), harness.DELIVERY_KINDS[mode]))
-    assert len(calls) == len(reached) == expect
+    assert (len(calls), len(reached)) == (runs, kinds)
+
+
+@pytest.mark.parametrize("mode", ["A2", "A3"])
+def test_lone_random_delivery_searches_once(scenes, monkeypatch, mode):
+    """A2 or A3 on its own draws from its top's planned search, run once,
+    and checks no rotation again."""
+    searched, scanned = (record_contexts(monkeypatch, name) for name in ("plan_handover_orientation", "feasible"))
+    report = run_pipeline(scenes["hammer"], mode, 0)
+    assert report.failure is None
+    assert (len(searched), scanned) == (1, [])
 
 
 def test_shared_position_failure_spares_a4(scenes, monkeypatch):
