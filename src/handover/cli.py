@@ -138,11 +138,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="handover", description="Handover planning and evaluation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_vox = sub.add_parser("voxelize", help="voxelize an OBJ mesh into a .vgrid file")
+    p_vox = sub.add_parser("voxelize", help="voxelize a watertight OBJ mesh into a .vgrid file, filled by "
+                                            "z-parity; polygon faces are fanned into triangles")
     p_vox.add_argument("mesh")
     p_vox.add_argument("out")
-    p_vox.add_argument("--dims", type=int, default=64)
-    p_vox.add_argument("--padding", type=float, default=0.05)
+    p_vox.add_argument("--dims", type=int, default=64, help="cells per axis, an integer >= 1")
+    p_vox.add_argument("--padding", type=float, default=0.05,
+                       help="margin per side as a fraction of the mesh extent, a finite number >= 0")
     p_vox.set_defaults(func=_cmd_voxelize)
 
     p_plan = sub.add_parser("plan", help="run the pipeline once on a scene")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxelgeom import VoxelGrid, read_grid_rows, read_only, write_grid_file
+from .voxelgeom import VoxelGrid, _ranges, read_grid_rows, read_only, write_grid_file
 
 CONTACT_THRESHOLD = 0.5  # a voxel whose value reaches this is a contact
 DEFAULT_MIN_PTS = 4
@@ -197,11 +197,6 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
                 ring = reached[core[reached]]
             cid += 1
     return sorted((ContactCluster(points[labels == c]) for c in range(cid)), key=ContactCluster.rank)
-
-
-def _ranges(first, lens) -> np.ndarray:
-    """first[k], first[k] + 1, ..., first[k] + lens[k] - 1 for each k, in one array."""
-    return np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
 def _neighborhoods(centers, eps: float, cell: float):

@@ -71,7 +71,7 @@ def build_object(name: str):
     occ = np.zeros(DIMS, dtype=bool)
     for shape, *args in shapes:
         occ |= shape(x, y, z, *args)
-    grid = VoxelGrid(DIMS, VOXEL_SIZE, ORIGIN.copy(), occ)
+    grid = VoxelGrid(DIMS, VOXEL_SIZE, ORIGIN, occ)
     floors = ((13, 0), (map1_x, 0), map2_floor)  # map 0: all but the grip feature
     surface = grid.surface
     marked = [surface[(surface[:, 0] >= x_lo) & (surface[:, 2] >= z_lo)] for x_lo, z_lo in floors]

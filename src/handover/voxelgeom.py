@@ -43,7 +43,9 @@ class Mesh:
 
 def load_obj(path) -> Mesh:
     """Parse the v/f subset of Wavefront OBJ. Indices are 1-based; 'f a/b/c'
-    forms are accepted (only the vertex index is used)."""
+    forms are accepted (only the vertex index is used). A face of n >= 3
+    vertices becomes the n - 2 triangles of a fan from its first vertex,
+    which assumes a convex planar face."""
     vertices = []
     faces = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,7 +66,7 @@ def load_obj(path) -> Mesh:
                 if len(tokens) < 4:
                     raise ValueError(f"{path}:{lineno}: face needs 3 indices")
                 idx = []
-                for tok in tokens[1:4]:
+                for tok in tokens[1:]:
                     head = tok.split("/")[0]
                     try:
                         i = int(head)
@@ -73,7 +75,7 @@ def load_obj(path) -> Mesh:
                     if i < 0:
                         i = len(vertices) + 1 + i
                     idx.append(i - 1)
-                faces.append(idx)
+                faces += [(idx[0], idx[k], idx[k + 1]) for k in range(1, len(idx) - 1)]
             # other record types (vn, vt, o, g, s, usemtl, ...) are ignored
     if not faces:
         raise ValueError(f"{path}: empty mesh")
@@ -87,8 +89,9 @@ def load_obj(path) -> Mesh:
 class VoxelGrid:
     """Dense boolean occupancy over a cubic-cell lattice.
 
-    occupancy is indexed [x, y, z] and is made read-only after construction;
-    the derived surface and normal arrays are cached lazily, read-only too.
+    occupancy is indexed [x, y, z]; it and origin are held as read-only
+    copies, so no caller's array can move the grid or its cached values.
+    The derived surface and normal arrays are cached lazily, read-only too.
     """
 
     dims: tuple[int, int, int]
@@ -103,7 +106,7 @@ class VoxelGrid:
         self.voxel_size = float(self.voxel_size)
         if not (0 < self.voxel_size < math.inf):
             raise ValueError("voxel_size must be positive and finite")
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3)
+        self.origin = read_only(np.array(self.origin, dtype=float).reshape(3))
         if not np.isfinite(self.origin).all():
             raise ValueError("origin must be finite")
         occ = np.asarray(self.occupancy, dtype=bool)
@@ -167,7 +170,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _ranges(first, lens) -> np.ndarray:
+    """first[k], first[k] + 1, ..., first[k] + lens[k] - 1 for each k, in one array."""
+    return np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
 # -- voxelization ----------------------------------------------------------
+
+VOXELIZE_CHUNK_PAIRS = 2048  # (triangle, column) pairs tested at a time
 
 
 def _edge(ax, ay, bx, by, px, py):
@@ -178,15 +188,20 @@ def _edge(ax, ay, bx, by, px, py):
 def voxelize_mesh(mesh: Mesh, dims=(64, 64, 64), padding: float = 0.05) -> VoxelGrid:
     """Solid voxelization by even-odd parity of surface crossings along +z.
 
-    The grid is sized so the mesh bounding box (expanded by `padding` as a
-    fraction of its extent, per side) fits inside `dims` with cubic cells;
-    the mesh is centered in the grid.
+    `dims` are integers >= 1 and `padding` is a finite number >= 0; others
+    are a ValueError naming the argument. The grid is sized so the mesh
+    bounding box (expanded by `padding` as a fraction of its extent, per
+    side) fits inside `dims` with cubic cells; the mesh is centered in the grid.
 
     A cell is occupied iff its center sees an odd number of triangle
-    crossings below it along z. Shared triangle edges are resolved with a
-    consistent perturbation rule so watertight meshes fill without seams.
+    crossings at or below it along z. Shared triangle edges are resolved
+    with a consistent perturbation rule so watertight meshes fill without
+    seams. The (triangle, column) pairs are tested as arrays, in blocks of
+    VOXELIZE_CHUNK_PAIRS; each crossing toggles the parity from the first
+    cell center at or above it, and one running xor along z fills the grid.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(check_value("integer", d, "dims", "[1, inf)") for d in dims)
+    padding = check_value("number", padding, "padding", "[0, inf)")
     if len(mesh.faces) == 0:
         raise ValueError("empty mesh")
     verts = mesh.vertices
@@ -205,58 +220,34 @@ def voxelize_mesh(mesh: Mesh, dims=(64, 64, 64), padding: float = 0.05) -> Voxel
     origin = mid - np.asarray(dims, dtype=float) * voxel_size / 2.0
 
     nx, ny, nz = dims
-    # z values of all cell centers, shared by every column
-    zc = origin[2] + (np.arange(nz) + 0.5) * voxel_size
-    crossings: dict[tuple[int, int], list[float]] = {}
-
-    cx0 = origin[0] + 0.5 * voxel_size
-    cy0 = origin[1] + 0.5 * voxel_size
-    for tri in mesh.faces:
-        v0, v1, v2 = verts[tri[0]], verts[tri[1]], verts[tri[2]]
-        area2 = _edge(v0[0], v0[1], v1[0], v1[1], v2[0], v2[1])
-        if area2 == 0.0:
-            continue  # degenerate in projection; vertical wall, no z crossing
-        if area2 < 0:
-            v1, v2 = v2, v1
-            area2 = -area2
-        # candidate columns limited to the triangle's xy bounding box
-        txlo = min(v0[0], v1[0], v2[0])
-        txhi = max(v0[0], v1[0], v2[0])
-        tylo = min(v0[1], v1[1], v2[1])
-        tyhi = max(v0[1], v1[1], v2[1])
-        ix0 = max(0, int(math.ceil((txlo - cx0) / voxel_size)))
-        ix1 = min(nx - 1, int(math.floor((txhi - cx0) / voxel_size)))
-        iy0 = max(0, int(math.ceil((tylo - cy0) / voxel_size)))
-        iy1 = min(ny - 1, int(math.floor((tyhi - cy0) / voxel_size)))
-        if ix0 > ix1 or iy0 > iy1:
-            continue
-        ixs = np.arange(ix0, ix1 + 1)
-        iys = np.arange(iy0, iy1 + 1)
-        px = (cx0 + ixs * voxel_size)[:, None]
-        py = (cy0 + iys * voxel_size)[None, :]
-        w0 = _edge(v1[0], v1[1], v2[0], v2[1], px, py)
-        w1 = _edge(v2[0], v2[1], v0[0], v0[1], px, py)
-        w2 = _edge(v0[0], v0[1], v1[0], v1[1], px, py)
-        inside = np.ones(w0.shape, dtype=bool)
-        for w, (a, b) in ((w0, (v1, v2)), (w1, (v2, v0)), (w2, (v0, v1))):
-            dx = b[0] - a[0]
-            dy = b[1] - a[1]
-            # tie rule: boundary counts iff a +x-infinitesimal perturbation
-            # lands strictly inside (dy < 0, or dy == 0 and dx > 0)
-            on_tie = dy < 0 or (dy == 0 and dx > 0)
-            inside &= (w > 0) | ((w == 0) & on_tie)
-        if not inside.any():
-            continue
-        zhit = (w0 * v0[2] + w1 * v1[2] + w2 * v2[2]) / (w0 + w1 + w2)
-        for ii, jj in zip(*np.nonzero(inside)):
-            crossings.setdefault((int(ixs[ii]), int(iys[jj])), []).append(float(zhit[ii, jj]))
-
-    occ = np.zeros(dims, dtype=bool)
-    for (ix, iy), zs in crossings.items():
-        zs_arr = np.sort(np.asarray(zs))
-        below = np.searchsorted(zs_arr, zc, side="right")
-        occ[ix, iy, :] = (below % 2) == 1
-    return VoxelGrid(dims, voxel_size, origin, occ)
+    zc = origin[2] + (np.arange(nz) + 0.5) * voxel_size  # z of the cell centers, shared by every column
+    c0 = origin[:2] + 0.5 * voxel_size  # xy of column (0, 0)
+    tri = verts[mesh.faces]  # [triangle, vertex, xyz]
+    area2 = _edge(tri[:, 0, 0], tri[:, 0, 1], tri[:, 1, 0], tri[:, 1, 1], tri[:, 2, 0], tri[:, 2, 1])
+    tri[area2 < 0] = tri[area2 < 0][:, [0, 2, 1]]  # counter-clockwise in xy
+    tri = tri[area2 != 0.0]  # zero xy area: a vertical wall, crossing no column
+    # each triangle's columns: the centers in its xy bounding box, clamped to the grid
+    first = np.maximum(np.ceil((tri[..., :2].min(axis=1) - c0) / voxel_size), 0).astype(int)
+    last = np.minimum(np.floor((tri[..., :2].max(axis=1) - c0) / voxel_size), (nx - 1, ny - 1)).astype(int)
+    size = np.maximum(last - first + 1, 0)
+    count = size[:, 0] * size[:, 1]
+    stop = np.cumsum(count)
+    flips = np.zeros((nx, ny, nz + 1), dtype=bool)  # a crossing above every center flips index nz
+    for start in range(0, int(count.sum()), VOXELIZE_CHUNK_PAIRS):
+        pair = np.arange(start, min(start + VOXELIZE_CHUNK_PAIRS, stop[-1]))
+        t = np.searchsorted(stop, pair, side="right")  # each pair's triangle
+        rank = pair - stop[t] + count[t]  # its column among the triangle's, x-major
+        col = first[t] + np.stack(np.divmod(rank, size[t, 1]), axis=1)
+        p = c0 + col * voxel_size
+        # [edge, pair]: edge k runs from a to b, the vertices after vertex k
+        ax, ay, bx, by = (tri[t, k, i] for k in ([[1], [2], [0]], [[2], [0], [1]]) for i in (0, 1))
+        w = _edge(ax, ay, bx, by, p[:, 0], p[:, 1])
+        # tie rule: a center on an edge counts iff a +x-infinitesimal perturbation lands strictly inside
+        hit = ((w > 0) | ((w == 0) & ((by < ay) | ((by == ay) & (bx > ax))))).all(axis=0)
+        (w0, w1, w2), (z0, z1, z2), col = w[:, hit], tri[t[hit], :, 2].T, col[hit]
+        zhit = (w0 * z0 + w1 * z1 + w2 * z2) / (w0 + w1 + w2)
+        np.logical_xor.at(flips, (col[:, 0], col[:, 1], np.searchsorted(zc, zhit)), True)
+    return VoxelGrid(dims, voxel_size, origin, np.logical_xor.accumulate(flips[..., :nz], axis=2))
 
 
 # -- surface + normals -----------------------------------------------------
@@ -537,7 +528,11 @@ def read_grid_rows(path, magic: str, floats: bool):
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.endswith(b"\n") or not data.isascii() or any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
-        data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8") + b"\n"
+        try:
+            data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8") + b"\n"
+        except UnicodeDecodeError as exc:  # the byte's line, as str.splitlines counts: the text before it + 1 char
+            line = len((data[: exc.start] + b".").decode("utf-8").splitlines())
+            raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
     *header, body = data.split(b"\n", 4)
     dims, voxel_size, origin = _parse_header([h.decode("utf-8") for h in header], path, magic)
     nx, ny, nz = dims

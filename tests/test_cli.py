@@ -43,6 +43,20 @@ def test_voxelize_missing_file(tmp_path, capsys):
     assert str(missing) in stderr
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--dims", "0", "dims"), ("--dims", "-4", "dims"),
+    ("--padding", "-0.6", "padding"), ("--padding", "nan", "padding"),
+])
+def test_voxelize_rejects_bad_dims_and_padding_naming_the_field(flag, value, field, tmp_path, capsys):
+    mesh = tmp_path / "cube.obj"
+    write_obj(cube_mesh(1.0), mesh)
+    out = tmp_path / "o.vgrid"
+    code, _, stderr = run_cli(["voxelize", str(mesh), str(out), flag, value], capsys)
+    assert code == 1
+    assert stderr.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- plan
 
 def test_plan_success_output_and_report(suite_dir, tmp_path, capsys):

@@ -326,6 +326,20 @@ def test_reader_matches_the_per_row_reader(name, magic, tmp_path):
             assert np.array_equal(grid.occupancy, oracle_read_grid_file(path, magic)[3] == 1)
 
 
+@pytest.mark.parametrize("magic", _BOTH)
+@pytest.mark.parametrize("name,data,line", [
+    ("a 0xff byte in a row", "\n".join(_lines("{m}", rows=["110", "1\xff0", "110", "110"])) + "\n", 6),
+    ("a lone UTF-8 lead byte ending the header", "{m} 1\ndims 3 2 2\xc3\nvoxel_size 0.5\n", 2),
+    ("a 0xfe byte after CR line ends", "\r".join(_lines("{m}")).replace("110", "1\xfe0", 1), 5),
+])
+def test_reader_names_the_file_and_line_of_a_byte_that_is_not_utf8(magic, name, data, line, tmp_path):
+    path = tmp_path / "bad.grid"
+    path.write_bytes(data.replace("{m}", magic).encode("latin-1"))
+    with pytest.raises(ValueError) as err:
+        read_grid_file(path, magic)
+    assert str(err.value) == f"{path}: line {line}: not UTF-8 text"
+
+
 @pytest.mark.parametrize("field,value", [
     ("dims", "3 2 3"),
     ("voxel_size", "0.25"),
@@ -388,6 +402,19 @@ def test_voxel_grid_rejects_non_finite_geometry(kwargs, message):
             "occupancy": np.ones((1, 1, 1), dtype=bool)}
     with pytest.raises(ValueError, match=message):
         VoxelGrid(**{**base, **kwargs})
+
+
+def test_voxel_grid_holds_a_read_only_copy_of_its_origin():
+    """A caller's origin array cannot move the grid, nor split its cached centers from it."""
+    origin = np.zeros(3)
+    grid = VoxelGrid((3, 3, 3), 1.0, origin, np.ones((3, 3, 3), dtype=bool))
+    centers = grid.occupied_centers.copy()
+    origin[0] = 5.0
+    assert grid.origin.tolist() == [0.0, 0.0, 0.0]
+    assert grid.centers([[0, 0, 0]]).tolist() == [[0.5, 0.5, 0.5]]
+    assert np.array_equal(grid.occupied_centers, centers)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.origin[0] = 5.0
 
 
 # -- round-trip property ----------------------------------------------------------
