@@ -21,14 +21,17 @@ import numpy as np
 from .contacts import ContactCluster
 from .ergonomics import HumanModel
 from .grasping import GripperModel
-from .voxelgeom import VoxelGrid, cos_sin_deg, read_only
+from .voxelgeom import VoxelGrid, cos_sin_deg, read_only, row_dots
 
 DEFAULT_STEP_DEG = 45.0
-MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, each checked for feasibility by a search
+MIN_ORIENTATION_STEP = 15.0  # degrees; 6,384 rotations, cone-tested as one array by a search
 OBJECTIVE_TIE_TOL = 1e-9  # objectives this close are tie-broken by rotation angle
 MIN_OBJECT_HEIGHT = 0.40
 BODY_CAPSULE_RADIUS = 0.20
 APPROACH_CONE_DEG = 120.0
+_CONE_COS = math.cos(math.radians(APPROACH_CONE_DEG))
+_CONE_EDGE = 1e-9  # a cosine this near _CONE_COS takes the scalar angle test
+_OUTSIDE_CONE = "approach axis outside delivery cone"
 BODY_PROXY_DIMS = (0.5, 0.5, 1.1)  # robot stand-in box: footprint x, y, height
 BOUND_MARGIN = 1e-6  # m; a check is skipped only when its bound clears by this
 
@@ -45,6 +48,11 @@ def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
     to the elevation tangent, after a roll about +x. The (0, 0, 0) node is
     the identity. At a pole every azimuth repeats azimuth 0's rotations, so
     a pole keeps azimuth 0 only; no other two nodes coincide."""
+    return list(_orientation_stack(step))
+
+
+def _orientation_stack(step: float) -> np.ndarray:
+    """sample_orientations as one read-only (N, 3, 3) array."""
     step = float(step)
     if step <= 0 or 360.0 % step != 0.0:
         raise ValueError("step must be positive and divide 360")
@@ -59,7 +67,7 @@ def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
     rolls = np.stack([one, zero, zero, zero, cr, -sr, zero, sr, cr], -1)
     keep = (az == 0.0)[:, None] | (np.abs(el) != 90.0)
     rotations = (frames.reshape(*keep.shape, 1, 3, 3) @ rolls.reshape(-1, 3, 3))[keep].reshape(-1, 3, 3)
-    return list(read_only(rotations))
+    return read_only(rotations)
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,19 @@ def _hits_receiver(ctx: DeliveryContext, points: np.ndarray) -> bool:
     return bool((d2 < BODY_CAPSULE_RADIUS * BODY_CAPSULE_RADIUS).any())
 
 
+def _outside_cone(ctx: DeliveryContext, rotations: np.ndarray) -> np.ndarray:
+    """For each rotation of an (N, 3, 3) stack, whether its approach axis
+    lies more than APPROACH_CONE_DEG from the robot-to-human direction. The
+    cosines round as the per-rotation np.dot does; one within _CONE_EDGE of
+    the cone's gets the angle test, where acos could round it across."""
+    axes = ctx.approach_axis(rotations)
+    cos = row_dots(axes, np.broadcast_to(ctx.robot_to_human, axes.shape))
+    outside = cos < _CONE_COS
+    for k in np.flatnonzero(np.abs(cos - _CONE_COS) <= _CONE_EDGE).tolist():
+        outside[k] = math.degrees(math.acos(min(max(float(cos[k]), -1.0), 1.0))) > APPROACH_CONE_DEG
+    return outside
+
+
 def feasibility_reason(ctx: DeliveryContext, rotation: np.ndarray) -> str | None:
     """None when the rotation is deliverable, else a short reason label.
     The checks run in the order of their reasons below; a per-point check
@@ -188,9 +209,8 @@ def feasibility_reason(ctx: DeliveryContext, rotation: np.ndarray) -> str | None
             return "object penetrates receiver"
     if not gripper_clear and _hits_receiver(ctx, ctx.gripper_points(rotation)):
         return "gripper penetrates receiver"
-    cos_angle = float(np.dot(ctx.approach_axis(rotation), ctx.robot_to_human))
-    if math.degrees(math.acos(min(max(cos_angle, -1.0), 1.0))) > APPROACH_CONE_DEG:
-        return "approach axis outside delivery cone"
+    if _outside_cone(ctx, np.asarray(rotation)[None])[0]:
+        return _OUTSIDE_CONE
     return None
 
 
@@ -215,7 +235,9 @@ def _exposure(ctx: DeliveryContext, cluster: ContactCluster):
 def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
                               step: float = DEFAULT_STEP_DEG) -> HandoverPose:
     """Minimizes the contact-to-eye exposure objective over the feasible
-    sampled rotations. Objectives within 1e-9 of each other count as tied;
+    sampled rotations. feasibility_reason runs per rotation, or, where
+    `ctx.always_clear` skips every point check, its cone test runs once on
+    the rotation stack. Objectives within 1e-9 of each other count as tied;
     ties break by the smaller geodesic angle from identity, then by sample
     order. The objective of m contacts at offsets c_i, sum_i |ee + R c_i -
     eye|, is at least |m (ee - eye) + R sum_i c_i|: rotations are scored in
@@ -224,23 +246,26 @@ def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
     its objective and the trace of every sampled rotation."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
-    rotations = sample_orientations(step)
+    stack = _orientation_stack(step)
     score = _exposure(ctx, cluster)
-    candidates = [OrientationCandidate(r, reason is None, reason, score)
-                  for r in rotations for reason in [feasibility_reason(ctx, r)]]
-    ok = np.flatnonzero([c.feasible for c in candidates])
+    if all(ctx.always_clear):
+        reasons = [_OUTSIDE_CONE if out else None for out in _outside_cone(ctx, stack).tolist()]
+    else:
+        reasons = [feasibility_reason(ctx, r) for r in stack]
+    candidates = [OrientationCandidate(r, reason is None, reason, score) for r, reason in zip(stack, reasons)]
+    ok = np.flatnonzero([reason is None for reason in reasons])
     if not len(ok):
         raise ValueError("no feasible handover orientation")
     offsets = (ctx.grid.centers(cluster.member_indices) - ctx.held_point).sum(axis=0)
     bounds = np.linalg.norm(cluster.size * (ctx.ee_position - ctx.human.eye_point)
-                            + np.stack(rotations)[ok] @ offsets, axis=1)
+                            + stack[ok] @ offsets, axis=1)
     best = None  # ((quantized objective, angle, index), objective)
     for bound, k in sorted(zip(bounds.tolist(), ok.tolist())):  # equal bounds in sample order
         if best is not None and bound > best[1] + BOUND_MARGIN:
             break
         obj = candidates[k].objective
-        key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(rotations[k]), k)
+        key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(stack[k]), k)
         if best is None or key < best[0]:
             best = (key, obj)
     (*_, k), obj = best
-    return HandoverPose(rotations[k], obj, candidates)
+    return HandoverPose(candidates[k].rotation, obj, candidates)

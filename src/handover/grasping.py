@@ -415,10 +415,7 @@ def rank_grasps(candidates, cluster: ContactCluster, lam: float, gripper: Grippe
 
 def order_grasps(candidates, occlusions, lam: float) -> list[RankedGrasp]:
     """rank_grasps for occlusions already scored, one per candidate in input
-    order: score each pair at `lam` and sort best-first with its tie-breaks."""
-    ranked = [
-        (i, RankedGrasp(cand, occ, contact_score(cand.confidence, occ, lam)))
-        for i, (cand, occ) in enumerate(zip(candidates, occlusions))
-    ]
-    ranked.sort(key=lambda item: (-item[1].score, -item[1].candidate.confidence, item[1].occlusion, item[0]))
-    return [rg for _, rg in ranked]
+    order: score each pair at `lam` and sort best-first with its tie-breaks,
+    the last of which, input position, is the sort's stability."""
+    ranked = [RankedGrasp(c, occ, contact_score(c.confidence, occ, lam)) for c, occ in zip(candidates, occlusions)]
+    return sorted(ranked, key=lambda rg: (-rg.score, -rg.candidate.confidence, rg.occlusion))

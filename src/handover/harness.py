@@ -490,21 +490,10 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
         failure = f"{stages[-1]}: {exc}"
     except Exception as exc:  # any other fault still names its stage
         failure = f"{stages[-1]}: {type(exc).__name__}: {exc}"
-    duration = time.perf_counter() - t_start
-    return HandoverReport(
-        object_name=scene.name,
-        mode=mode.value,
-        seed=seed,
-        params={**asdict(params), "seed": seed},
-        stages=stages,
-        grasp=grasp_rec,
-        position=position_rec,
-        delivery=delivery_rec,
-        metrics=metrics_rec,
-        success=ok,
-        failure=failure,
-        duration_seconds=duration,
-    )
+    return HandoverReport(object_name=scene.name, mode=mode.value, seed=seed, params={**asdict(params), "seed": seed},
+                          stages=stages, grasp=grasp_rec, position=position_rec, delivery=delivery_rec,
+                          metrics=metrics_rec, success=ok, failure=failure,
+                          duration_seconds=time.perf_counter() - t_start)
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -531,14 +520,13 @@ def aggregate(reports) -> dict:
         if len(ks) > 1 or len(lams) > 1:
             raise ValueError(f"mode {mode}: mixed k or lam across aggregated reports")
         vis, reach = zip(*map(_medians, group))
-        succ = [1.0 if rep.success else 0.0 for rep in group]
-        by_object: dict[str, list[float]] = {}
+        by_object: dict[str, list[bool]] = {}
         for rep in group:
-            by_object.setdefault(rep.object_name, []).append(1.0 if rep.success else 0.0)
+            by_object.setdefault(rep.object_name, []).append(rep.success)
         summary["modes"][mode] = {
             "visibility_mean": float(np.mean(vis)),
             "reachability_mean": float(np.mean(reach)),
-            "success_rate": float(np.mean(succ)),
+            "success_rate": float(np.mean([rep.success for rep in group])),
             "success_rate_by_object": {
                 name: float(np.mean(vals)) for name, vals in sorted(by_object.items())
             },
@@ -559,13 +547,7 @@ def _medians(rep: HandoverReport) -> tuple[float, float]:
 
 
 def summary_csv(summary: dict) -> str:
-    lines = ["Mode,Visibility,Reachability,SuccessRate"]
-    for mode in (m.value for m in AblationMode):
-        if mode not in summary["modes"]:
-            continue
-        row = summary["modes"][mode]
-        lines.append(
-            f"{mode},{row['visibility_mean']:.6f},{row['reachability_mean']:.6f},"
-            f"{row['success_rate']:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(m.value, summary["modes"][m.value]) for m in AblationMode if m.value in summary["modes"]]
+    body = "".join(f"{m},{r['visibility_mean']:.6f},{r['reachability_mean']:.6f},{r['success_rate']:.6f}\n"
+                   for m, r in rows)
+    return "Mode,Visibility,Reachability,SuccessRate\n" + body

@@ -44,20 +44,15 @@ def success(visibility_scores, reachability_scores, threshold: float = 0.5) -> b
     """Handover succeeds iff both lower medians strictly exceed the threshold."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    return (
-        lower_median(visibility_scores) > threshold
-        and lower_median(reachability_scores) > threshold
-    )
+    return lower_median(visibility_scores) > threshold and lower_median(reachability_scores) > threshold
 
 
 def _robot_proxy_box(ctx: DeliveryContext):
     if ctx.body_proxy_dims is None:
         return None
     fx, fy, h = ctx.body_proxy_dims
-    base = ctx.robot_base
-    lo = np.array([base[0] - fx / 2, base[1] - fy / 2, base[2]])
-    hi = np.array([base[0] + fx / 2, base[1] + fy / 2, base[2] + h])
-    return lo, hi
+    half = np.array([fx / 2, fy / 2, 0.0])
+    return ctx.robot_base - half, ctx.robot_base + half + [0.0, 0.0, h]
 
 
 def _contacts(cm: ContactMap):

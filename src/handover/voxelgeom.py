@@ -39,6 +39,8 @@ class Mesh:
             raise ValueError("vertices must be (n, 3)")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("faces must be (m, 3)")
+        if ((self.faces < 0) | (self.faces >= len(self.vertices))).any():
+            raise ValueError(f"faces must be vertex indices in [0, {len(self.vertices)})")
 
 
 def load_obj(path) -> Mesh:
@@ -79,10 +81,10 @@ def load_obj(path) -> Mesh:
             # other record types (vn, vt, o, g, s, usemtl, ...) are ignored
     if not faces:
         raise ValueError(f"{path}: empty mesh")
-    faces_arr = np.asarray(faces, dtype=int)
-    if faces_arr.min() < 0 or faces_arr.max() >= len(vertices):
-        raise ValueError(f"{path}: face index out of range")
-    return Mesh(np.asarray(vertices, dtype=float), faces_arr)
+    try:
+        return Mesh(np.asarray(vertices, dtype=float).reshape(-1, 3), faces)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(eq=False)
@@ -510,12 +512,6 @@ def _parse_header(lines, path, magic):
         parsed.append(vals)
     dims, (voxel_size,), origin = parsed
     return tuple(dims), voxel_size, np.array(origin, dtype=float)
-
-
-def read_grid_file(path, magic: str, floats: bool = False):
-    """read_grid_rows, the values as one float array indexed [x, y, z]."""
-    dims, voxel_size, origin, rows = read_grid_rows(path, magic, floats)
-    return dims, voxel_size, origin, rows.astype(float, copy=False).reshape(dims[::-1]).T
 
 
 def read_grid_rows(path, magic: str, floats: bool):

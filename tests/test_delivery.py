@@ -8,6 +8,7 @@ import pytest
 from handover import delivery
 from handover.contacts import ContactCluster, cluster_contacts, largest_cluster, predict_contacts_heuristic
 from handover.delivery import (
+    APPROACH_CONE_DEG,
     BODY_CAPSULE_RADIUS,
     BOUND_MARGIN,
     MIN_OBJECT_HEIGHT,
@@ -560,6 +561,85 @@ def test_offsets_that_cancel_leave_every_feasible_rotation_scored(monkeypatch):
     scored.clear()
     assert [c.objective for c in pose.candidates] and not scored  # each objective is computed once
     assert np.array_equal(pose.object_rotation, np.eye(3))
+
+
+def cone_edge_context(cos):
+    """make_ctx with a grasp frame whose approach axis, at the identity
+    rotation, has cosine `cos` with the robot-to-human direction (-x), bit
+    for bit: the approach is -(column 2), so that cosine is entry [0, 2]."""
+    s = math.sqrt(1.0 - cos * cos)
+    return make_ctx([0.6, 0.0, 1.0], grasp_rotation=np.array([[0.0, s, cos], [0.0, -cos, s], [1.0, 0.0, 0.0]]))
+
+
+def ulps_from(x, n):
+    """x stepped |n| representable doubles up (n > 0) or down (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+CONE_COS = math.cos(math.radians(APPROACH_CONE_DEG))
+# the cone's cosine and 1-4 ulps either side (acos reads <= 120 degrees down
+# to 3 ulps below it; 4 below is -0.5, outside), and 1e-9 away: just inside,
+# at and just past the band that takes the scalar test
+CONE_EDGE_COSINES = ([ulps_from(CONE_COS, n) for n in range(-4, 5)]
+                     + [ulps_from(CONE_COS + d, n) for d in (-1e-9, 1e-9) for n in (-1, 0, 1)])
+
+
+@pytest.mark.parametrize("cos", CONE_EDGE_COSINES, ids=repr)
+def test_cone_edge_reasons_equal_the_scalar_oracle(cos):
+    """A cosine at or within 1e-9 of the cone's gets the scalar verdict, in
+    the search's one-array test and in feasibility_reason alike."""
+    ctx = cone_edge_context(cos)
+    assert float(np.dot(ctx.approach_axis(np.eye(3)), ctx.robot_to_human)) == cos
+    assert all(ctx.always_clear)  # so the search tests the cone on the whole stack
+    pose = plan_handover_orientation(ctx, ContactCluster([(1, 1, 1)]))
+    rotations = sample_orientations(45.0)
+    identity = next(k for k, r in enumerate(rotations) if np.array_equal(r, np.eye(3)))
+    expect = [oracle_feasibility_reason(ctx, r) for r in rotations]
+    assert [c.reason for c in pose.candidates] == expect
+    assert [feasibility_reason(ctx, r) for r in rotations] == expect
+    inside = math.degrees(math.acos(cos)) <= APPROACH_CONE_DEG
+    assert pose.candidates[identity].feasible is inside
+
+
+def test_cone_edge_cosines_cover_both_verdicts_and_a_naive_disagreement():
+    verdicts = [math.degrees(math.acos(c)) > APPROACH_CONE_DEG for c in CONE_EDGE_COSINES]
+    assert True in verdicts and False in verdicts
+    assert any(v != (c < CONE_COS) for c, v in zip(CONE_EDGE_COSINES, verdicts))
+
+
+def count_feasibility_calls(monkeypatch) -> list:
+    """Wrap the feasibility_reason the search looks up; each call appends one entry."""
+    calls, real = [], delivery.feasibility_reason
+    monkeypatch.setattr(delivery, "feasibility_reason", lambda ctx, r: calls.append(1) or real(ctx, r))
+    return calls
+
+
+@pytest.mark.parametrize("margins", [-2.0, -0.5, 0.5, 1.5, 2.0])
+@pytest.mark.parametrize("step", [45.0, 30.0])
+def test_search_with_point_checks_equals_the_oracle(margins, step, monkeypatch):
+    """On each bound edge context the search runs feasibility_reason per
+    rotation unless always_clear skips every point check, and equals the
+    exhaustive oracle bit for bit either way."""
+    calls = count_feasibility_calls(monkeypatch)
+    for check, _, ctx in bound_contexts(margins * BOUND_MARGIN):
+        cluster = ContactCluster(np.argwhere(ctx.grid.occupancy)[:1])
+        calls.clear()
+        pose = plan_handover_orientation(ctx, cluster, step)
+        assert len(calls) == (0 if all(ctx.always_clear) else len(pose.candidates)), check
+        assert_search_equals_the_oracle(pose, ctx, cluster, step, (check, margins))
+
+
+def test_search_on_a_bundled_context_calls_no_scalar_check(bundled_stages, monkeypatch):
+    """Every bundled FULL context skips all point checks, so its search
+    decides every rotation in the one-array cone test."""
+    calls = count_feasibility_calls(monkeypatch)
+    (scene, shared, *_) = bundled_stages[("mug", 0)]
+    ctx = pipeline_context(scene, shared, scene.params.lam)
+    assert all(ctx.always_clear)
+    pose = plan_handover_orientation(ctx, shared.cluster(), 30.0)
+    assert len(pose.candidates) == len(sample_orientations(30.0)) and not calls
 
 
 def test_empty_cluster_rejected():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import box_grid, by_index, contact_map, make_grid
 from handover import suite
 from handover.contacts import ContactMap, load_contact_map, predict_contacts_heuristic, save_contact_map
-from handover.voxelgeom import VoxelGrid, _parse_header, load_vgrid, read_grid_file, save_vgrid, write_grid_file
+from handover.voxelgeom import VoxelGrid, _parse_header, load_vgrid, read_grid_rows, save_vgrid, write_grid_file
 
 
 # -- per-cell reference writers (the loops the array codec replaced) ----------
@@ -234,6 +234,12 @@ def test_reader_rejects_malformed_file_naming_file_and_field(magic, lines, messa
         else:
             load_contact_map(path, _GRID)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def read_grid_file(path, magic, floats=False):
+    """read_grid_rows, the values as one float array indexed [x, y, z]."""
+    dims, voxel_size, origin, rows = read_grid_rows(path, magic, floats)
+    return dims, voxel_size, origin, rows.astype(float, copy=False).reshape(dims[::-1]).T
 
 
 def oracle_read_grid_file(path, magic, floats=False):

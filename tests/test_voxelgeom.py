@@ -64,6 +64,18 @@ class TestVoxelize:
         with pytest.raises(ValueError, match="empty mesh"):
             voxelize_mesh(mesh)
 
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_face_index_outside_the_vertices_names_faces(self, index):
+        with pytest.raises(ValueError, match=re.escape("faces must be vertex indices in [0, 3)")):
+            voxelize_mesh(Mesh(np.eye(3), [(0, 1, index)]), (4, 4, 4))
+
+    @pytest.mark.parametrize("face", ["f 1 2 4", "f 1 2 0", "f 1 2 -4"])
+    def test_obj_face_index_outside_the_vertices_names_file_and_faces(self, face, tmp_path):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: faces must be vertex indices in [0, 3)")):
+            load_obj(path)
+
     def test_sphere_volume_within_10_percent(self):
         r = 0.5
         grid = voxelize_mesh(icosphere_mesh(r, 3), dims=(64, 64, 64), padding=0.05)
