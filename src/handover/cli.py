@@ -104,6 +104,7 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"scenes {stems[stem]} and {path} share the report name {stem!r}")
         stems[stem] = path
     scenes = [load_scene(path) for path in scene_paths]
+    os.makedirs(args.out, exist_ok=True)
     groups = [(scene, seed, modes, args.emit_diagnostics) for scene in scenes for seed in seeds]
     if args.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -112,7 +113,6 @@ def _cmd_bench(args) -> int:
         runs = [_run_group(group) for group in groups]
     # run order is (scene, seed, mode): each mode's reports come in (scene,
     # seed) order, which fixes the summary's float sums
-    os.makedirs(args.out, exist_ok=True)
     reports = []
     for stem, group in zip((s for s in stems for _ in seeds), runs):
         for report in group:

@@ -160,14 +160,34 @@ class OrientationCandidate:
 
 @dataclass
 class HandoverPose:
-    """What the orientation search found: the chosen delta rotation about
-    the held point, its exposure objective, and every rotation it sampled.
-    The delivered object and gripper poses follow from the rotation and the
-    DeliveryContext the search ran on."""
+    """What the orientation search found: the chosen row of the read-only
+    rotation stack it searched, that delta rotation about the held point and
+    its exposure objective, one reason per row (None where feasible), and the
+    objectives it scored, by row. The delivered object and gripper poses
+    follow from the rotation and the DeliveryContext the search ran on."""
 
-    object_rotation: np.ndarray
+    index: int
     objective: float
-    candidates: list[OrientationCandidate] = field(repr=False)
+    rotations: np.ndarray = field(repr=False)  # (N, 3, 3), in sample order
+    reasons: list[str | None] = field(repr=False)
+    scored: dict[int, float] = field(repr=False)
+    score: Callable[[np.ndarray], float] = field(repr=False, compare=False)  # the exposure objective
+
+    @cached_property
+    def object_rotation(self) -> np.ndarray:
+        return self.rotations[self.index]
+
+    @cached_property
+    def candidates(self) -> list[OrientationCandidate]:
+        """Every sampled rotation as an OrientationCandidate, built when first
+        read. The chosen one holds object_rotation itself, and each holds the
+        objective the search scored for it, if any."""
+        rows = list(self.rotations)
+        rows[self.index] = self.object_rotation
+        built = [OrientationCandidate(r, reason is None, reason, self.score) for r, reason in zip(rows, self.reasons)]
+        for k, obj in self.scored.items():
+            vars(built[k])["objective"] = obj  # where cached_property keeps a value it computed
+        return built
 
 
 def _capsule_d2(points: np.ndarray, base: np.ndarray, height: float) -> np.ndarray:
@@ -242,8 +262,8 @@ def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
     order. The objective of m contacts at offsets c_i, sum_i |ee + R c_i -
     eye|, is at least |m (ee - eye) + R sum_i c_i|: rotations are scored in
     increasing order of that bound until it exceeds the best objective by
-    BOUND_MARGIN, so none later can win or tie. Returns the winning rotation,
-    its objective and the trace of every sampled rotation."""
+    BOUND_MARGIN, so none later can win or tie. Returns the winning row, its
+    objective, and the stack with every row's reason and each score taken."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
     stack = _orientation_stack(step)
@@ -252,20 +272,20 @@ def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
         reasons = [_OUTSIDE_CONE if out else None for out in _outside_cone(ctx, stack).tolist()]
     else:
         reasons = [feasibility_reason(ctx, r) for r in stack]
-    candidates = [OrientationCandidate(r, reason is None, reason, score) for r, reason in zip(stack, reasons)]
     ok = np.flatnonzero([reason is None for reason in reasons])
     if not len(ok):
         raise ValueError("no feasible handover orientation")
     offsets = (ctx.grid.centers(cluster.member_indices) - ctx.held_point).sum(axis=0)
     bounds = np.linalg.norm(cluster.size * (ctx.ee_position - ctx.human.eye_point)
                             + stack[ok] @ offsets, axis=1)
+    scored: dict[int, float] = {}
     best = None  # ((quantized objective, angle, index), objective)
     for bound, k in sorted(zip(bounds.tolist(), ok.tolist())):  # equal bounds in sample order
         if best is not None and bound > best[1] + BOUND_MARGIN:
             break
-        obj = candidates[k].objective
+        obj = scored[k] = score(stack[k])
         key = (round(obj / OBJECTIVE_TIE_TOL), rotation_angle_deg(stack[k]), k)
         if best is None or key < best[0]:
             best = (key, obj)
     (*_, k), obj = best
-    return HandoverPose(candidates[k].rotation, obj, candidates)
+    return HandoverPose(k, obj, stack, reasons, scored, score)

@@ -16,6 +16,8 @@ import json
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .voxelgeom import VoxelGrid, check_fields, check_value, load_vgrid, rule
 A4_FORWARD = 0.6  # tucked gripper: meters in front of the robot base
 A4_HEIGHT = 0.8  # meters above the robot base
 _SCALAR = json.JSONEncoder(allow_nan=False).encode  # write_json's text of a str, number, bool or None
+_RECORD_KEYS = frozenset({"reason", "rotation"})  # a rejected rotation's keys, which _records_text renders
 
 
 class AblationMode(enum.Enum):
@@ -227,12 +230,15 @@ def write_json(data, path) -> None:
 
 
 def _json_text(data, indent: str = "") -> str:
-    """json.dumps(data, indent=2, sort_keys=True, allow_nan=False) nested at `indent`. A scalar, a float list
-    and a flat dict (json's C encoder) skip json's pure-Python walk; other nonempty containers recurse."""
+    """json.dumps(data, indent=2, sort_keys=True, allow_nan=False) nested at `indent`. A scalar, a float list,
+    a flat dict (json's C encoder) and a list of rejected-rotation records (_records_text) skip json's
+    pure-Python walk; other nonempty containers recurse."""
     inner, sep = indent + "  ", ",\n" + indent + "  "
     if isinstance(data, (list, tuple)) and data:
         if not all(map(float.__instancecheck__, data)):
-            return f"[\n{inner}" + sep.join([_json_text(v, inner) for v in data]) + f"\n{indent}]"
+            if (body := _records_text(data, inner)) is None:
+                body = sep.join([_json_text(v, inner) for v in data])
+            return f"[\n{inner}{body}\n{indent}]"
         if "n" not in (body := sep.join(map(float.__repr__, data))):  # "nan" or "inf": json raises below
             return f"[\n{inner}{body}\n{indent}]"
     elif isinstance(data, dict) and data and all(map(str.__instancecheck__, data)):
@@ -244,6 +250,41 @@ def _json_text(data, indent: str = "") -> str:
     elif not isinstance(data, (dict, list, tuple)):
         return _SCALAR(data)
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + indent)
+
+
+def _records_text(data, indent: str) -> str | None:
+    """The entries of _json_text(data) joined at `indent`, when each is a
+    {"reason": str, "rotation": 3x3 list of finite floats} record, else None.
+    Every record fills one text template, and each distinct float is rendered
+    once, told apart by its bits: np.unique on the values would merge -0.0
+    with 0.0."""
+    if set(map(type, data)) != {dict} or set(map(frozenset, data)) != {_RECORD_KEYS}:
+        return None
+    reasons, mats = list(map(itemgetter("reason"), data)), list(map(itemgetter("rotation"), data))
+    if not all(map(str.__instancecheck__, reasons)) or not _lists_of_three(mats):
+        return None
+    rows = list(chain.from_iterable(mats))
+    if not _lists_of_three(rows):
+        return None
+    values = list(chain.from_iterable(rows))
+    if not all(map(float.__instancecheck__, values)):
+        return None  # json's walk renders an int as one
+    values = np.array(values)
+    if not np.isfinite(values).all():
+        return None  # json's walk refuses NaN and inf
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    cells = np.empty((len(data), 10), dtype=object)
+    cells[:, 0] = list(map({r: _SCALAR(r) for r in set(reasons)}.__getitem__, reasons))
+    cells[:, 1:] = texts[inverse].reshape(-1, 9)
+    i1, i2, i3 = (indent + "  " * n for n in (1, 2, 3))
+    row = f"[\n{i3}%s,\n{i3}%s,\n{i3}%s\n{i2}]"
+    record = f'{{\n{i1}"reason": %s,\n{i1}"rotation": [\n{i2}{row},\n{i2}{row},\n{i2}{row}\n{i1}]\n{indent}}}'
+    return f",\n{indent}".join([record] * len(data)) % tuple(cells.ravel().tolist())
+
+
+def _lists_of_three(items: list) -> bool:
+    return set(map(type, items)) == {list} and set(map(len, items)) == {3}
 
 
 def save_report(report: HandoverReport, path) -> None:
@@ -284,8 +325,9 @@ def _delivery_record(ctx: DeliveryContext, rotation: np.ndarray, objective: floa
         "objective": objective,
     }
     if searched is not None:
-        rec["rejected_candidates"] = [{"rotation": c.rotation.tolist(), "reason": c.reason}
-                                      for c in searched.candidates if not c.feasible]
+        rejected = [k for k, reason in enumerate(searched.reasons) if reason is not None]
+        rec["rejected_candidates"] = [{"rotation": r, "reason": searched.reasons[k]}
+                                      for k, r in zip(rejected, searched.rotations[rejected].tolist())]
     return rec
 
 
@@ -403,8 +445,9 @@ class SharedStages:
                 return ctx, pose.object_rotation, pose.objective, pose
             rotation = np.eye(3)
             if kind == "random":  # the planned search scored this same context; it raises when none is feasible
-                feas = [c.rotation for c in self.delivery(top, "planned")[3].candidates if c.feasible]
-                rotation = feas[int(np.random.default_rng([self.seed, 7]).integers(len(feas)))]
+                pose = self.delivery(top, "planned")[3]
+                feas = [k for k, reason in enumerate(pose.reasons) if reason is None]
+                rotation = pose.rotations[feas[int(np.random.default_rng([self.seed, 7]).integers(len(feas)))]]
             return ctx, rotation, exposure_objective(ctx, rotation, self.cluster()), None
 
         return self._once(("delivery", id(top), kind), deliver)

@@ -431,6 +431,20 @@ def test_bench_rejects_two_scenes_that_share_a_stem(suite_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+def test_bench_out_that_cannot_be_a_directory_exits_1_before_any_run(suite_dir, tmp_path, capsys, monkeypatch,
+                                                                    sub):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: runs.append(a))
+    code, stdout, stderr = run_cli(["bench", str(suite_dir / "mug.scene.json"), "--seeds", "0",
+                                    "--out", str(afile / sub)], capsys)
+    assert (code, stdout, runs) == (1, "", [])
+    assert stderr.startswith("error:")
+    assert afile.read_text() == "kept"
+
+
 # --------------------------------------------------------------------- suite
 
 def test_suite_writes_all_objects(tmp_path, capsys):

@@ -563,6 +563,24 @@ def test_offsets_that_cancel_leave_every_feasible_rotation_scored(monkeypatch):
     assert np.array_equal(pose.object_rotation, np.eye(3))
 
 
+def test_candidates_hold_the_scores_the_search_took(monkeypatch):
+    """Reading pose.candidates scores nothing the search scored: those
+    objectives are filled in, and each other feasible one is computed once,
+    when first read."""
+    eye = HumanModel().eye_point
+    ctx = make_ctx(eye + [0.0, 0.6, 0.0], dims=(3, 3, 5), lo=(1, 1, 1), hi=(1, 1, 3), held=(1, 1, 3))
+    scored = count_scores(monkeypatch)
+    pose = plan_handover_orientation(ctx, ContactCluster([(1, 1, 1)]))
+    searched = len(scored)
+    assert searched == len(pose.scored)
+    assert [pose.candidates[k].objective for k in pose.scored] == list(pose.scored.values())
+    assert len(scored) == searched
+    feasible = [c for c in pose.candidates if c.feasible]
+    first = [c.objective for c in feasible]
+    assert [c.objective for c in feasible] == first
+    assert len(scored) == len(feasible) > searched
+
+
 def cone_edge_context(cos):
     """make_ctx with a grasp frame whose approach axis, at the identity
     rotation, has cosine `cos` with the robot-to-human direction (-x), bit

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from handover import grasping, harness, metrics
+from handover import delivery, grasping, harness, metrics
 from handover.contacts import cluster_contacts, largest_cluster, predict_contacts_heuristic
 from handover.delivery import DeliveryContext, feasible, sample_orientations
 from handover.grasping import rank_grasps
@@ -177,6 +177,21 @@ def test_diagnostics_payload(scenes):
         )
 
 
+def test_diagnostics_and_the_random_draw_build_no_orientation_candidate(scenes, monkeypatch):
+    """The report's rejected rotations and A2's draw read the search's
+    arrays: a FULL run with diagnostics and an A2 run of one (scene, seed)
+    build no OrientationCandidate until the pose's candidates are read."""
+    built, real = [], delivery.OrientationCandidate
+    monkeypatch.setattr(delivery, "OrientationCandidate", lambda *args: built.append(args) or real(*args))
+    scene = scenes["mug"]
+    shared = SharedStages(scene, 0)
+    full, a2 = (run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared) for mode in ("FULL", "A2"))
+    assert full.failure is None and a2.failure is None and full.delivery["rejected_candidates"]
+    assert built == []
+    pose = shared.delivery(shared.ranking(scene.params.lam)[0].candidate, "planned")[3]
+    assert len(pose.candidates) == len(built) == len(pose.rotations) == len(sample_orientations(45.0))
+
+
 def test_diagnostics_reuse_the_scoring_pass(scenes, monkeypatch):
     # the bitmaps come from the flags evaluate_maps already computed: one
     # visibility call for the delivery, on the union of the maps' contacts,
@@ -262,6 +277,11 @@ _JSON_DATA = st.recursive(
         st.dictionaries(st.text(max_size=4), inner, max_size=4),
         st.lists(_FINITE | st.sampled_from([-0.0, 5e-324, 1e16]) | _FINITE.map(np.float64), max_size=5),
         st.dictionaries(st.text(max_size=4), _SCALARS, max_size=40),  # flat dicts of every size
+        st.lists(st.fixed_dictionaries({  # rejected rotations, as the diagnostics list them
+            "reason": st.text(max_size=4),
+            "rotation": st.lists(st.lists(_FINITE | st.sampled_from([-0.0, 0.0]), min_size=3, max_size=3),
+                                 min_size=3, max_size=3),
+        }), min_size=1, max_size=4),
     ),
     max_leaves=30,
 )
@@ -274,6 +294,14 @@ _JSON_DATA = st.recursive(
 @example({})
 @example({"a": [], "b": {}, "c": [[], {}], "d": [[[]]]})
 @example([[1.0, 2.5], [True, 1, 0.0], (3, "x")])
+@example([{"reason": 'a "quoted" r\u00e9ason \U0001f600',
+           "rotation": [[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [5e-324, -0.0, 0.5]]},
+          {"rotation": [[0.0, 0.0, -0.0], [1e16, np.float64(-0.0), 0.1], [0.0, 0.0, 0.0]], "reason": ""}])
+@example({"d": [{"reason": "r", "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "x": None}]})
+@example([{"reason": "r", "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}])
+@example([{"reason": "r", "rotation": [[1.0, 0.0, 0.0], [0.0, 1, 0.0], [0.0, 0.0, 1.0]]}])
+@example([{"reason": "r", "rotation": [[1.0, 0.0, 0.0], (0.0, 1.0, 0.0), [0.0, 0.0, 1.0]]}])
+@example([{"reason": None, "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}])
 def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, data):
     harness.write_json(data, tmp_path / "d.json")
     assert (tmp_path / "d.json").read_text(encoding="utf-8") == _json_oracle(data)
@@ -282,6 +310,8 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, data):
 @pytest.mark.parametrize("data", [
     float("nan"), [1.0, float("inf")], (0.5, float("-inf")), [np.float64("nan")], {"a": 1, "b": float("nan")},
     {"a": [1, {"b": -float("inf")}]}, [[0.0], [float("nan")]], {"c": [1.0, 2.0], "d": {"e": float("inf")}},
+    [{"reason": "r", "rotation": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]}],
+    {"d": [{"reason": "r", "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -float("inf")]]}]},
 ])
 def test_write_json_refuses_nan_and_inf_before_opening_the_file(data, tmp_path):
     with pytest.raises(ValueError):
@@ -300,6 +330,15 @@ def test_bundled_reports_and_summary_are_written_as_json_dumps(scenes, tmp_path)
     for data in [r.to_dict() for r in reports] + [aggregate(reports)]:
         harness.write_json(data, tmp_path / "r.json")
         assert (tmp_path / "r.json").read_text(encoding="utf-8") == _json_oracle(data)
+
+
+def test_a_report_at_the_finest_orientation_step_is_written_as_json_dumps(scenes, tmp_path):
+    """FULL on the bundled mug at 15 degrees, with diagnostics: 1,732
+    rejected rotations, written as json.dumps writes them."""
+    report = run_pipeline(scene_with(scenes["mug"], orientation_step=15.0), "FULL", 0, emit_diagnostics=True)
+    assert report.failure is None and len(report.delivery["rejected_candidates"]) == 1732
+    save_report(report, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == _json_oracle(report.to_dict())
 
 
 def test_save_report_refuses_nan(scenes, tmp_path):
