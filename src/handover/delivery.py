@@ -75,8 +75,8 @@ class DeliveryContext:
     """Everything feasibility and metric checks need about the final scene:
     the grasped object, where it is held, and who stands where. With one
     delta rotation it describes the whole delivered pose. Frozen, with
-    read-only copies of the array fields, because the offsets and bounds
-    below are cached from its fields."""
+    read-only copies of the array fields, because the offsets and the
+    per-point cull below are cached from its fields."""
 
     grid: VoxelGrid
     gripper: GripperModel
@@ -105,9 +105,6 @@ class DeliveryContext:
         local = self.gripper.surface_points(self.width, self.grid.voxel_size)
         return local @ self.grasp_rotation.T
 
-    def object_points(self, rotation: np.ndarray) -> np.ndarray:
-        return self.ee_position + self.object_offsets @ rotation.T
-
     def gripper_points(self, rotation: np.ndarray) -> np.ndarray:
         return self.ee_position + self.gripper_offsets @ rotation.T
 
@@ -118,19 +115,22 @@ class DeliveryContext:
         return rotation @ (-self.grasp_rotation[:, 2])
 
     @cached_property
-    def always_clear(self) -> tuple[bool, bool, bool]:
-        """Whether the height, object-capsule and gripper-capsule checks of
-        feasibility_reason pass for every rotation. A rotation about the held
-        point keeps each offset's length, so with r the longest object offset
-        no object point lies below `ee_z - r` or nearer the receiver's
-        segment than `dist(ee, segment) - r`; the gripper likewise with its
-        own r. A check is clear when its bound passes by BOUND_MARGIN."""
+    def near_offsets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The offsets each per-point check of `_reasons` must test: the
+        object offsets that could fall below MIN_OBJECT_HEIGHT, the object
+        offsets and the gripper offsets that could enter the receiver's body
+        capsule. A rotation about the held point keeps each offset's length
+        |o|, so its point lies no lower than `ee_z - |o|` and no nearer the
+        receiver's segment than `dist(ee, segment) - |o|`. An offset is
+        dropped from a check when that bound clears its limit by
+        BOUND_MARGIN."""
         ee, human = self.ee_position, self.human
-        r_obj, r_grip = (np.linalg.norm(o, axis=1).max() for o in (self.object_offsets, self.gripper_offsets))
+        obj, grip = self.object_offsets, self.gripper_offsets
+        r_obj, r_grip = (np.linalg.norm(o, axis=1) for o in (obj, grip))
         to_axis = math.sqrt(_capsule_d2(ee[None], human.base_position, human.height)[0])
         limit = BODY_CAPSULE_RADIUS + BOUND_MARGIN
-        return (bool(ee[2] - r_obj >= MIN_OBJECT_HEIGHT + BOUND_MARGIN),
-                bool(to_axis - r_obj >= limit), bool(to_axis - r_grip >= limit))
+        return (obj[ee[2] - r_obj < MIN_OBJECT_HEIGHT + BOUND_MARGIN],
+                obj[to_axis - r_obj < limit], grip[to_axis - r_grip < limit])
 
     @cached_property
     def robot_to_human(self) -> np.ndarray:
@@ -197,12 +197,6 @@ def _capsule_d2(points: np.ndarray, base: np.ndarray, height: float) -> np.ndarr
     return rel[:, 0] ** 2 + rel[:, 1] ** 2 + (rel[:, 2] - z) ** 2
 
 
-def _hits_receiver(ctx: DeliveryContext, points: np.ndarray) -> bool:
-    """Any point within the receiver's body capsule?"""
-    d2 = _capsule_d2(points, ctx.human.base_position, ctx.human.height)
-    return bool((d2 < BODY_CAPSULE_RADIUS * BODY_CAPSULE_RADIUS).any())
-
-
 def _outside_cone(ctx: DeliveryContext, rotations: np.ndarray) -> np.ndarray:
     """For each rotation of an (N, 3, 3) stack, whether its approach axis
     lies more than APPROACH_CONE_DEG from the robot-to-human direction. The
@@ -216,22 +210,30 @@ def _outside_cone(ctx: DeliveryContext, rotations: np.ndarray) -> np.ndarray:
     return outside
 
 
+def _reasons(ctx: DeliveryContext, rotations: np.ndarray) -> list[str | None]:
+    """feasibility_reason for each rotation of an (N, 3, 3) stack. The cone
+    is tested once on the whole stack; each per-point check tests only its
+    `ctx.near_offsets`, rotation by rotation, and the loop is skipped when
+    all three are empty. A rotation takes the reason of the first check it
+    fails, in the order height, object capsule, gripper capsule, cone."""
+    reasons = [_OUTSIDE_CONE if out else None for out in _outside_cone(ctx, rotations).tolist()]
+    low, near_obj, near_grip = ctx.near_offsets
+    ee, base, height = ctx.ee_position, ctx.human.base_position, ctx.human.height
+    r2 = BODY_CAPSULE_RADIUS * BODY_CAPSULE_RADIUS
+    for k, r in enumerate(rotations if len(low) or len(near_obj) or len(near_grip) else ()):
+        if len(low) and ((ee + low @ r.T)[:, 2] < MIN_OBJECT_HEIGHT).any():
+            reasons[k] = "object below clearance height"
+        elif len(near_obj) and (_capsule_d2(ee + near_obj @ r.T, base, height) < r2).any():
+            reasons[k] = "object penetrates receiver"
+        elif len(near_grip) and (_capsule_d2(ee + near_grip @ r.T, base, height) < r2).any():
+            reasons[k] = "gripper penetrates receiver"
+    return reasons
+
+
 def feasibility_reason(ctx: DeliveryContext, rotation: np.ndarray) -> str | None:
-    """None when the rotation is deliverable, else a short reason label.
-    The checks run in the order of their reasons below; a per-point check
-    that `ctx.always_clear` proves passes is skipped."""
-    above, object_clear, gripper_clear = ctx.always_clear
-    if not (above and object_clear):
-        obj_pts = ctx.object_points(rotation)
-        if not above and float(obj_pts[:, 2].min()) < MIN_OBJECT_HEIGHT:
-            return "object below clearance height"
-        if not object_clear and _hits_receiver(ctx, obj_pts):
-            return "object penetrates receiver"
-    if not gripper_clear and _hits_receiver(ctx, ctx.gripper_points(rotation)):
-        return "gripper penetrates receiver"
-    if _outside_cone(ctx, np.asarray(rotation)[None])[0]:
-        return _OUTSIDE_CONE
-    return None
+    """None when the rotation is deliverable, else a short reason label:
+    `_reasons` on a one-row stack."""
+    return _reasons(ctx, np.asarray(rotation)[None])[0]
 
 
 def feasible(ctx: DeliveryContext, rotation: np.ndarray) -> bool:
@@ -255,23 +257,19 @@ def _exposure(ctx: DeliveryContext, cluster: ContactCluster):
 def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
                               step: float = DEFAULT_STEP_DEG) -> HandoverPose:
     """Minimizes the contact-to-eye exposure objective over the feasible
-    sampled rotations. feasibility_reason runs per rotation, or, where
-    `ctx.always_clear` skips every point check, its cone test runs once on
-    the rotation stack. Objectives within 1e-9 of each other count as tied;
-    ties break by the smaller geodesic angle from identity, then by sample
-    order. The objective of m contacts at offsets c_i, sum_i |ee + R c_i -
-    eye|, is at least |m (ee - eye) + R sum_i c_i|: rotations are scored in
-    increasing order of that bound until it exceeds the best objective by
-    BOUND_MARGIN, so none later can win or tie. Returns the winning row, its
+    sampled rotations. `_reasons` decides the whole rotation stack in one
+    call, with feasibility_reason's verdicts. Objectives within 1e-9 of each
+    other count as tied; ties break by the smaller geodesic angle from
+    identity, then by sample order. The objective of m contacts at offsets
+    c_i, sum_i |ee + R c_i - eye|, is at least |m (ee - eye) + R sum_i c_i|:
+    rotations are scored in increasing order of that bound until it exceeds
+    the best objective by BOUND_MARGIN, so none later can win or tie. Returns the winning row, its
     objective, and the stack with every row's reason and each score taken."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
     stack = _orientation_stack(step)
     score = _exposure(ctx, cluster)
-    if all(ctx.always_clear):
-        reasons = [_OUTSIDE_CONE if out else None for out in _outside_cone(ctx, stack).tolist()]
-    else:
-        reasons = [feasibility_reason(ctx, r) for r in stack]
+    reasons = _reasons(ctx, stack)
     ok = np.flatnonzero([reason is None for reason in reasons])
     if not len(ok):
         raise ValueError("no feasible handover orientation")

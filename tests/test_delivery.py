@@ -261,7 +261,7 @@ def test_coincident_bases_rejected():
 
 def test_context_is_frozen():
     ctx = make_ctx([0.6, 0.0, 1.0])
-    ctx.object_offsets, ctx.always_clear  # fill the caches a reassignment would leave stale
+    ctx.object_offsets, ctx.near_offsets  # fill the caches a reassignment would leave stale
     with pytest.raises(FrozenInstanceError):
         ctx.held_point = np.zeros(3)
     moved = replace(ctx, ee_position=np.array([0.6, 0.0, 0.35]))
@@ -330,32 +330,33 @@ def bound_contexts(slack):
             (2, "gripper penetrates receiver", grip)]
 
 
+def count_capsule_rows(monkeypatch) -> list:
+    """Wrap delivery._capsule_d2; each call appends the number of points it
+    was given."""
+    rows, real = [], delivery._capsule_d2
+    monkeypatch.setattr(delivery, "_capsule_d2", lambda points, *rest: rows.append(len(points)) or real(points, *rest))
+    return rows
+
+
 @pytest.mark.parametrize("margins", [-2.0, -0.5, 0.5, 1.5, 2.0])
 def test_bound_edges_skip_or_fall_back_like_the_oracle(margins, monkeypatch):
-    """Each bound within 2 margins of its limit: a check is skipped only when
-    its bound clears by BOUND_MARGIN, a check that runs rejects exactly when
-    a point crosses the limit, and every reason equals the oracle's."""
+    """Each bound within 2 margins of its limit: a check's kept offsets are
+    empty exactly when its bound clears by BOUND_MARGIN, a check that keeps
+    some rejects exactly when a point crosses the limit, and every reason
+    equals the oracle's."""
     rotations = sample_orientations(45.0) + sample_orientations(30.0)
     skipped = margins > 1.0
-    runs = {"object_points": 0, "gripper_points": 0}
-    for method in ("object_points", "gripper_points"):
-        def counting(self, rotation, method=method, real=getattr(DeliveryContext, method)):
-            runs[method] += 1
-            return real(self, rotation)
-
-        monkeypatch.setattr(DeliveryContext, method, counting)
+    rows = count_capsule_rows(monkeypatch)
     reasons = set()
     for check, reason, ctx in bound_contexts(margins * BOUND_MARGIN):
-        assert ctx.always_clear == tuple(i != check or skipped for i in range(3))
+        assert [len(o) == 0 for o in ctx.near_offsets] == [i != check or skipped for i in range(3)]
         assert (feasibility_reason(ctx, np.eye(3)) == reason) is (margins < 0)
         expect = [oracle_feasibility_reason(ctx, r) for r in rotations]
-        runs.update(object_points=0, gripper_points=0)
+        rows.clear()
         got = [feasibility_reason(ctx, r) for r in rotations]
         assert got == expect, check
-        # the points of a check are built once per rotation, and only if it runs
-        ran = 0 if skipped else len(rotations)
-        assert runs == {"object_points": ran if check < 2 else 0,
-                        "gripper_points": ran if check == 2 else 0}
+        # a capsule check tests its kept offsets once per rotation, and none if it keeps none
+        assert sum(rows) == (0 if check == 0 else len(rotations) * len(ctx.near_offsets[check])), check
         reasons.update(got)
     assert "approach axis outside delivery cone" in reasons and None in reasons
     if margins < 0:
@@ -610,7 +611,7 @@ def test_cone_edge_reasons_equal_the_scalar_oracle(cos):
     the search's one-array test and in feasibility_reason alike."""
     ctx = cone_edge_context(cos)
     assert float(np.dot(ctx.approach_axis(np.eye(3)), ctx.robot_to_human)) == cos
-    assert all(ctx.always_clear)  # so the search tests the cone on the whole stack
+    assert not any(map(len, ctx.near_offsets))  # so the search decides every rotation by the cone
     pose = plan_handover_orientation(ctx, ContactCluster([(1, 1, 1)]))
     rotations = sample_orientations(45.0)
     identity = next(k for k, r in enumerate(rotations) if np.array_equal(r, np.eye(3)))
@@ -637,27 +638,76 @@ def count_feasibility_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("margins", [-2.0, -0.5, 0.5, 1.5, 2.0])
 @pytest.mark.parametrize("step", [45.0, 30.0])
 def test_search_with_point_checks_equals_the_oracle(margins, step, monkeypatch):
-    """On each bound edge context the search runs feasibility_reason per
-    rotation unless always_clear skips every point check, and equals the
-    exhaustive oracle bit for bit either way."""
+    """On each bound edge context the search never calls feasibility_reason,
+    whether or not a check keeps offsets, and equals the exhaustive oracle
+    bit for bit either way."""
     calls = count_feasibility_calls(monkeypatch)
     for check, _, ctx in bound_contexts(margins * BOUND_MARGIN):
         cluster = ContactCluster(np.argwhere(ctx.grid.occupancy)[:1])
         calls.clear()
         pose = plan_handover_orientation(ctx, cluster, step)
-        assert len(calls) == (0 if all(ctx.always_clear) else len(pose.candidates)), check
+        assert not calls and any(map(len, ctx.near_offsets)) is (margins < 1.0), check
         assert_search_equals_the_oracle(pose, ctx, cluster, step, (check, margins))
 
 
 def test_search_on_a_bundled_context_calls_no_scalar_check(bundled_stages, monkeypatch):
-    """Every bundled FULL context skips all point checks, so its search
-    decides every rotation in the one-array cone test."""
+    """Every bundled FULL context at seeds 0-4 keeps no offset for any point
+    check, so its search decides every rotation in the one-array cone test,
+    and calls no feasibility_reason."""
     calls = count_feasibility_calls(monkeypatch)
+    for (scene, shared, *_) in bundled_stages.values():
+        assert not any(map(len, pipeline_context(scene, shared, scene.params.lam).near_offsets)), scene.name
     (scene, shared, *_) = bundled_stages[("mug", 0)]
     ctx = pipeline_context(scene, shared, scene.params.lam)
-    assert all(ctx.always_clear)
     pose = plan_handover_orientation(ctx, shared.cluster(), 30.0)
     assert len(pose.candidates) == len(sample_orientations(30.0)) and not calls
+
+
+@pytest.fixture(scope="module")
+def live_contexts(scenes, bundled_stages):
+    """Contexts whose point checks keep offsets, as {label: (context, the
+    cluster it plans on)}: the FULL contexts of mug, hammer and rodball at
+    seed 0 with 0.25 m thick fingers, and the bundled mug's held 0.24 m in
+    front of the receiver's base, 0.44 m up."""
+    out = {}
+    for name in ("mug", "hammer", "rodball"):
+        scene = replace(scenes[name], gripper=replace(scenes[name].gripper, finger_thickness=0.25))
+        shared = SharedStages(scene, 0)
+        out[name + "-wide"] = (pipeline_context(scene, shared, scene.params.lam), shared.cluster())
+    (scene, shared, *_) = bundled_stages[("mug", 0)]
+    ctx = pipeline_context(scene, shared, scene.params.lam)
+    out["mug-close"] = (replace(ctx, ee_position=ctx.human.base_position + [0.24, 0.0, 0.44]), shared.cluster())
+    return out
+
+
+def test_live_point_checks_equal_the_oracle(live_contexts):
+    """Where the point checks keep offsets, feasibility_reason and the search
+    give the unbounded scalar check's reason on every rotation at 30 degrees,
+    and the search equals the exhaustive oracle bit for bit. All three point
+    reasons occur."""
+    rotations = sample_orientations(30.0)
+    reasons = set()
+    for label, (ctx, cluster) in live_contexts.items():
+        assert any(map(len, ctx.near_offsets)), label
+        expect = [oracle_feasibility_reason(ctx, r) for r in rotations]
+        assert [feasibility_reason(ctx, r) for r in rotations] == expect, label
+        pose = plan_handover_orientation(ctx, cluster, 30.0)
+        assert_search_equals_the_oracle(pose, ctx, cluster, 30.0, label)
+        reasons.update(expect)
+    assert {"object below clearance height", "object penetrates receiver",
+            "gripper penetrates receiver"} <= reasons
+
+
+def test_wide_gripper_search_tests_only_the_kept_gripper_offsets(live_contexts, monkeypatch):
+    """The 0.25 m thick fingers of the wide mug context reach the receiver
+    from only a few of their 76,188 offsets: a 30-degree search tests at most
+    those in the capsule check per rotation, not every gripper point."""
+    ctx, cluster = live_contexts["mug-wide"]
+    low, near_obj, near_grip = ctx.near_offsets
+    assert len(low) == len(near_obj) == 0 and 0 < len(near_grip) < len(ctx.gripper_offsets) // 10
+    rows = count_capsule_rows(monkeypatch)
+    pose = plan_handover_orientation(ctx, cluster, 30.0)
+    assert 0 < sum(rows) <= len(pose.rotations) * len(near_grip)
 
 
 def test_empty_cluster_rejected():
