@@ -104,6 +104,12 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"scenes {stems[stem]} and {path} share the report name {stem!r}")
         stems[stem] = path
     scenes = [load_scene(path) for path in scene_paths]
+    # the summary cannot mix k or lam settings (aggregate): refuse them before any run
+    settings = [(scene.params.k, scene.params.lam) for scene in scenes]
+    for path, setting in zip(scene_paths, settings):
+        if setting != settings[0]:
+            raise ValueError(f"scenes {scene_paths[0]} (k, lam) = {settings[0]} and {path} (k, lam) = {setting} "
+                             "differ; one summary cannot mix them")
     os.makedirs(args.out, exist_ok=True)
     groups = [(scene, seed, modes, args.emit_diagnostics) for scene in scenes for seed in seeds]
     if args.jobs > 1:

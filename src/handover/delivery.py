@@ -42,17 +42,13 @@ def rotation_angle_deg(rotation: np.ndarray) -> float:
     return math.degrees(math.acos(min(max(t, -1.0), 1.0)))
 
 
-def sample_orientations(step: float = DEFAULT_STEP_DEG) -> list[np.ndarray]:
-    """Read-only rotations in (azimuth, elevation, roll) order: each takes +x
-    to the (azimuth, elevation) direction, +y to the azimuth tangent and +z
-    to the elevation tangent, after a roll about +x. The (0, 0, 0) node is
-    the identity. At a pole every azimuth repeats azimuth 0's rotations, so
-    a pole keeps azimuth 0 only; no other two nodes coincide."""
-    return list(_orientation_stack(step))
-
-
-def _orientation_stack(step: float) -> np.ndarray:
-    """sample_orientations as one read-only (N, 3, 3) array."""
+def sample_orientations(step: float = DEFAULT_STEP_DEG) -> np.ndarray:
+    """The rotation grid as one read-only (N, 3, 3) array, in (azimuth,
+    elevation, roll) order: each rotation takes +x to the (azimuth,
+    elevation) direction, +y to the azimuth tangent and +z to the elevation
+    tangent, after a roll about +x. The (0, 0, 0) node is the identity. At a
+    pole every azimuth repeats azimuth 0's rotations, so a pole keeps
+    azimuth 0 only; no other two nodes coincide."""
     step = float(step)
     if step <= 0 or 360.0 % step != 0.0:
         raise ValueError("step must be positive and divide 360")
@@ -94,11 +90,6 @@ class DeliveryContext:
             object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float).reshape(shape)))
 
     @cached_property
-    def object_offsets(self) -> np.ndarray:
-        """Occupied voxel centers relative to the held point."""
-        return self.grid.occupied_centers - self.held_point
-
-    @cached_property
     def gripper_offsets(self) -> np.ndarray:
         """Gripper surface samples (pitch = voxel size) in world frame at
         grasp time, relative to the held point."""
@@ -119,13 +110,14 @@ class DeliveryContext:
         """The offsets each per-point check of `_reasons` must test: the
         object offsets that could fall below MIN_OBJECT_HEIGHT, the object
         offsets and the gripper offsets that could enter the receiver's body
-        capsule. A rotation about the held point keeps each offset's length
-        |o|, so its point lies no lower than `ee_z - |o|` and no nearer the
-        receiver's segment than `dist(ee, segment) - |o|`. An offset is
+        capsule; an object offset is an occupied voxel center relative to the
+        held point. A rotation about the held point keeps each offset's
+        length |o|, so its point lies no lower than `ee_z - |o|` and no nearer
+        the receiver's segment than `dist(ee, segment) - |o|`. An offset is
         dropped from a check when that bound clears its limit by
         BOUND_MARGIN."""
         ee, human = self.ee_position, self.human
-        obj, grip = self.object_offsets, self.gripper_offsets
+        obj, grip = self.grid.occupied_centers - self.held_point, self.gripper_offsets
         r_obj, r_grip = (np.linalg.norm(o, axis=1) for o in (obj, grip))
         to_axis = math.sqrt(_capsule_d2(ee[None], human.base_position, human.height)[0])
         limit = BODY_CAPSULE_RADIUS + BOUND_MARGIN
@@ -267,7 +259,7 @@ def plan_handover_orientation(ctx: DeliveryContext, cluster: ContactCluster,
     objective, and the stack with every row's reason and each score taken."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
-    stack = _orientation_stack(step)
+    stack = sample_orientations(step)
     score = _exposure(ctx, cluster)
     reasons = _reasons(ctx, stack)
     ok = np.flatnonzero([reason is None for reason in reasons])

@@ -61,9 +61,13 @@ class GripperModel:
 
     def in_closing_region(self, rotation, translation, width, points) -> np.ndarray:
         """Boolean mask: which world points lie in the closing region (with a
-        1e-9 boundary inflation so grasped-pair centers count as inside)."""
+        REGION_EPS boundary inflation so grasped-pair centers count as
+        inside). A stack of R poses, as (R, 3, 3) rotations, (R, 1, 3)
+        translations and (R,) widths, gives an (R, points) mask."""
         local = (np.atleast_2d(points) - translation) @ rotation
-        return _inside(local, *self.closing_region(width))
+        lo, hi = np.moveaxis(self.closing_region(width), -2, 0)[..., None, :]
+        inside = (local >= lo - REGION_EPS) & (local <= hi + REGION_EPS)
+        return inside[..., 0] & inside[..., 1] & inside[..., 2]  # faster than all() over 3
 
     def surface_points(self, width: float, pitch: float) -> np.ndarray:
         """Points sampled on the faces of all three boxes at the given pitch,
@@ -81,12 +85,6 @@ class GripperModel:
                     face[:, v] = gv.ravel()
                     pts.append(face)
         return np.vstack(pts)
-
-
-def _inside(local, lo, hi) -> np.ndarray:
-    """Which local points (xyz on the last axis) lie in [lo, hi] +- REGION_EPS."""
-    inside = (local >= lo - REGION_EPS) & (local <= hi + REGION_EPS)
-    return inside[..., 0] & inside[..., 1] & inside[..., 2]  # faster than all() over 3
 
 
 @dataclass
@@ -315,8 +313,7 @@ def _hits(candidates, rays, gripper) -> np.ndarray:
         rot = np.array([c.rotation for c in chunk])
         t = np.array([c.translation for c in chunk])[:, None, :]
         w = np.array([c.width for c in chunk])
-        region = gripper.closing_region(w)[:, :, None, :]
-        covered = _inside((centers - t) @ rot, region[:, 0], region[:, 1])
+        covered = gripper.in_closing_region(rot, t, w, centers)
         hits[start : start + block] = np.count_nonzero(covered, axis=1)
         o_loc = (origins - t) @ rot
         d_loc = nrm @ rot

@@ -47,14 +47,6 @@ def success(visibility_scores, reachability_scores, threshold: float = 0.5) -> b
     return lower_median(visibility_scores) > threshold and lower_median(reachability_scores) > threshold
 
 
-def _robot_proxy_box(ctx: DeliveryContext):
-    if ctx.body_proxy_dims is None:
-        return None
-    fx, fy, h = ctx.body_proxy_dims
-    half = np.array([fx / 2, fy / 2, 0.0])
-    return ctx.robot_base - half, ctx.robot_base + half + [0.0, 0.0, h]
-
-
 def _contacts(cm: ContactMap):
     """Contact voxels in lexicographic order, their weights and the total
     weight. Every sum of weights runs in that order, from the first: np.sum
@@ -80,8 +72,7 @@ def _toward(off: np.ndarray) -> np.ndarray:
         return np.where(n > 0, off / n, [0.0, 0.0, 1.0])
 
 
-def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
-               include_gripper: bool = True):
+def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap):
     """(score, flags) for the contact voxels the receiver's eye can see.
 
     Sight lines aim at a point floated 1.5 voxel edges off the contact face
@@ -92,10 +83,11 @@ def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
     the voxel center is not covered by the closing region. A voxel whose aim
     point is the eye itself counts as seen.
 
-    All sight lines are built as arrays and tested against the closing
-    region and each box at once (segments_hit_boxes; the proxy's far end is
-    open). The lines nothing else blocks then walk the object grid together,
-    in one ray_cast call.
+    All sight lines are built as arrays. The closing region, each gripper
+    box and the proxy always run, each on every line at once
+    (segments_hit_boxes; a line that only touches the proxy at its aim point
+    passes). The lines nothing else blocks then walk the object grid
+    together, in one ray_cast call.
     """
     grid = ctx.grid
     contact, weights, denom = _contacts(cm)
@@ -111,21 +103,20 @@ def visibility(ctx: DeliveryContext, rotation: np.ndarray, cm: ContactMap,
     dist = np.sqrt(row_dots(to_aim, to_aim))  # np.linalg.norm per row
     rays = np.flatnonzero(dist > 0)
     t_max = dist[rays]
-    blocked = np.zeros(len(rays), dtype=bool)
-    proxy = _robot_proxy_box(ctx)
-    if include_gripper or proxy is not None:
-        world_aims = ctx.ee_position + _rotate(rotation, aims[rays] - ctx.held_point)
-        dirs = (world_aims - eye) / t_max[:, None]
-    if include_gripper:
-        grip_rot, grip_t = ctx.gripper_pose(rotation)
-        world = ctx.ee_position + _rotate(rotation, centers[rays] - ctx.held_point)
-        blocked |= ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)
-        eye_loc = grip_rot.T @ (eye - grip_t)
-        dirs_loc = _rotate(grip_rot.T, dirs)
-        for lo, hi in ctx.gripper.boxes(ctx.width):
-            blocked |= segments_hit_boxes(eye_loc, dirs_loc, t_max, lo, hi)
-    if proxy is not None:
-        blocked |= segments_hit_boxes(eye, dirs, t_max, *proxy, open_end=True)
+    world_aims = ctx.ee_position + _rotate(rotation, aims[rays] - ctx.held_point)
+    dirs = (world_aims - eye) / t_max[:, None]
+    grip_rot, grip_t = ctx.gripper_pose(rotation)
+    world = ctx.ee_position + _rotate(rotation, centers[rays] - ctx.held_point)
+    blocked = ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)
+    eye_loc = grip_rot.T @ (eye - grip_t)
+    dirs_loc = _rotate(grip_rot.T, dirs)
+    for lo, hi in ctx.gripper.boxes(ctx.width):
+        blocked |= segments_hit_boxes(eye_loc, dirs_loc, t_max, lo, hi)
+    if ctx.body_proxy_dims is not None:  # footprint x, y and height, standing on robot_base
+        fx, fy, h = ctx.body_proxy_dims
+        half = np.array([fx / 2, fy / 2, 0.0])
+        lo, hi = ctx.robot_base - half, ctx.robot_base + half + [0.0, 0.0, h]
+        blocked |= segments_hit_boxes(eye, dirs, t_max, lo, hi, open_end=True)
     clear = ~blocked
     blocked[clear] = ray_cast(grid, eye_grid, to_aim[rays[clear]] / t_max[clear, None], t_max[clear])
     visible = np.ones(len(contact), dtype=bool)

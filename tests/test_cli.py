@@ -299,7 +299,18 @@ def test_bench_summary_is_aggregate_in_scene_mode_seed_order(suite_dir, tmp_path
     assert (out / "summary.csv").read_bytes() == harness.summary_csv(summary).encode()
 
 
+def run_reports(out) -> dict:
+    """The bytes of each per-run report bench wrote to `out`, by file name,
+    with the duration_seconds line dropped."""
+    reports = {p.name: re.sub(rb'\n  "duration_seconds": [^\n]*', b"", p.read_bytes())
+               for p in out.glob("*.json") if p.name != "summary.json"}
+    assert not any(b"duration_seconds" in text for text in reports.values())
+    return reports
+
+
 def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
+    """Reruns and --jobs 3 write the summaries of --jobs 1 byte for byte, and
+    each per-run report too once its duration is dropped."""
     paths = [str(suite_dir / "hammer.scene.json"), str(suite_dir / "knife.scene.json")]
     outputs = []
     for i, jobs in enumerate(("1", "1", "3")):
@@ -311,6 +322,9 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
         if i:
             assert (out / "summary.json").read_bytes() == (tmp_path / "run0" / "summary.json").read_bytes()
     assert outputs[0] == outputs[1] == outputs[2]
+    serial = run_reports(tmp_path / "run0")
+    assert len(serial) == 8
+    assert run_reports(tmp_path / "run2") == serial
 
 
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
@@ -428,6 +442,27 @@ def test_bench_rejects_two_scenes_that_share_a_stem(suite_dir, tmp_path, capsys)
     assert code == 1
     assert stdout == ""
     assert f"scenes {paths[0]} and {paths[1]} share the report name 'x'" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["k", "lam"])
+def test_bench_rejects_mixed_k_or_lam_before_any_run(suite_dir, tmp_path, capsys, monkeypatch, key):
+    """One summary row cannot fold reports of different k or lam (aggregate
+    refuses them), so bench refuses such scenes before it makes --out or
+    runs anything, naming both files."""
+    cfg = absolutized_config(suite_dir, "mug")
+    cfg["params"][key] = 0.4
+    mug = tmp_path / "mug.scene.json"
+    mug.write_text(json.dumps(cfg))
+    hammer = str(suite_dir / "hammer.scene.json")
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: runs.append(a))
+    out = tmp_path / "bench"
+    code, stdout, stderr = run_cli(["bench", hammer, str(mug), "--seeds", "0", "--out", str(out)], capsys)
+    assert (code, stdout, runs) == (1, "", [])
+    assert stderr.startswith("error: scenes ") and "differ; one summary cannot mix them" in stderr
+    assert hammer in stderr and str(mug) in stderr
+    assert "(0.5, 0.5)" in stderr and ("(0.4, 0.5)" if key == "k" else "(0.5, 0.4)") in stderr
     assert not out.exists()
 
 

@@ -165,6 +165,7 @@ def test_accepted_steps_are_every_step_the_rule_takes():
 @pytest.mark.parametrize("step", ACCEPTED_STEPS)
 def test_closed_form_grid_is_bitwise_the_stack_dedup(step):
     got = sample_orientations(step)
+    assert got.shape == (len(got), 3, 3) and not got.flags.writeable
     assert [r.tobytes() for r in got] == [r.tobytes() for r in stack_dedup_rotations(step)]
     assert not any(r.flags.writeable for r in got)
 
@@ -261,7 +262,7 @@ def test_coincident_bases_rejected():
 
 def test_context_is_frozen():
     ctx = make_ctx([0.6, 0.0, 1.0])
-    ctx.object_offsets, ctx.near_offsets  # fill the caches a reassignment would leave stale
+    ctx.gripper_offsets, ctx.near_offsets  # fill the caches a reassignment would leave stale
     with pytest.raises(FrozenInstanceError):
         ctx.held_point = np.zeros(3)
     moved = replace(ctx, ee_position=np.array([0.6, 0.0, 0.35]))
@@ -324,7 +325,8 @@ def bound_contexts(slack):
     grip = make_ctx([BODY_CAPSULE_RADIUS + r_grip + slack, 0.0, 1.0],
                     grasp_rotation=basis_to(far / r_grip, np.array([-1.0, 0.0, 0.0])))
     for ctx in (down, toward):
-        assert np.linalg.norm(ctx.object_offsets, axis=1).max() == pytest.approx(rod, abs=1e-15)
+        offsets = ctx.grid.occupied_centers - ctx.held_point
+        assert np.linalg.norm(offsets, axis=1).max() == pytest.approx(rod, abs=1e-15)
     return [(0, "object below clearance height", down),
             (1, "object penetrates receiver", toward),
             (2, "gripper penetrates receiver", grip)]
@@ -344,7 +346,7 @@ def test_bound_edges_skip_or_fall_back_like_the_oracle(margins, monkeypatch):
     empty exactly when its bound clears by BOUND_MARGIN, a check that keeps
     some rejects exactly when a point crosses the limit, and every reason
     equals the oracle's."""
-    rotations = sample_orientations(45.0) + sample_orientations(30.0)
+    rotations = np.concatenate([sample_orientations(45.0), sample_orientations(30.0)])
     skipped = margins > 1.0
     rows = count_capsule_rows(monkeypatch)
     reasons = set()

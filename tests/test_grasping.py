@@ -724,6 +724,23 @@ def test_boxes_and_region_of_a_width_array_are_each_widths_bitwise(bundled_grasp
             GRIPPER.boxes(np.append(widths, bad))
 
 
+def test_closing_region_of_a_pose_stack_is_each_poses_bitwise(bundled_grasps):
+    """in_closing_region on a stack of (rotation, translation, width) poses,
+    as _hits calls it, gives each pose's own call bit for bit: over the
+    planning cluster's centers and the sampled contact pairs, which lie on
+    the region's boundary."""
+    for name, (scene, cands, cluster) in bundled_grasps.items():
+        cands, gripper = cands[:40], scene.gripper
+        pairs = np.array([p for c in cands for p in c.contact_pair], dtype=float)
+        points = np.concatenate([scene.grid.centers(cluster.member_indices), scene.grid.centers(pairs)])
+        rot = np.array([c.rotation for c in cands])
+        t = np.array([c.translation for c in cands])[:, None, :]
+        got = gripper.in_closing_region(rot, t, np.array([c.width for c in cands]), points)
+        assert got.shape == (len(cands), len(points)) and got.any() and not got.all(), name
+        for row, c in zip(got, cands):
+            assert np.array_equal(row, gripper.in_closing_region(c.rotation, c.translation, c.width, points)), name
+
+
 def assert_ranking_matches_oracle(cands, cluster, scene, lam):
     grid, gripper = scene.grid, scene.gripper
     ranked = rank_grasps(cands, cluster, lam, gripper, grid)

@@ -146,6 +146,22 @@ def test_report_roundtrip_lossless(scenes, tmp_path):
     assert again.to_dict() == report.to_dict()
 
 
+def test_load_report_names_the_file_and_the_field(scenes, tmp_path):
+    """A report without one of its fields, or whose top level is not a JSON
+    object, is a ValueError naming the file (and the field), not a KeyError."""
+    data = run_pipeline(scenes["hammer"], "A4", seed=0).to_dict()
+    del data["stages"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as missing:
+        load_report(path)
+    assert str(missing.value) == f"{path}: missing report field 'stages'"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError) as listed:
+        load_report(path)
+    assert str(listed.value) == f"{path}: a report must be a JSON object, got a list"
+
+
 def test_pipeline_deterministic_modulo_duration(scenes):
     a = run_pipeline(scenes["hammer"], "FULL", seed=2).to_dict()
     b = run_pipeline(scenes["hammer"], "FULL", seed=2).to_dict()

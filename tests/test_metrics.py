@@ -102,13 +102,13 @@ def keyed(cm, result):
 def test_eye_facing_face_fully_visible():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 1.0
+    assert visibility(ctx, I3, cm)[0] == 1.0
 
 
 def test_face_behind_slab_invisible():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, FAR)
-    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 0.0
+    assert visibility(ctx, I3, cm)[0] == 0.0
 
 
 def test_visibility_weights_mixed_faces():
@@ -117,14 +117,14 @@ def test_visibility_weights_mixed_faces():
         grid,
         {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}},
     )
-    got, _ = visibility(ctx, I3, cm, include_gripper=False)
+    got, _ = visibility(ctx, I3, cm)
     assert got == pytest.approx((9 * 0.9) / (9 * 0.9 + 9 * 0.6), abs=1e-12)
 
 
 def test_visibility_detail_flags_consistent():
     grid, ctx = slab_ctx(body_proxy_dims=None)
     cm = ones_map(grid, NEAR + FAR)
-    score, flags = keyed(cm, visibility(ctx, I3, cm, include_gripper=False))
+    score, flags = keyed(cm, visibility(ctx, I3, cm))
     assert set(flags) == set(map(tuple, cm.contacts()[0].tolist()))
     assert score == pytest.approx(sum(flags.values()) / len(flags))
     assert all(flags[i] for i in NEAR)
@@ -137,8 +137,9 @@ def test_closing_region_hides_held_contacts():
     # gripper boxes themselves never cross the sight lines
     grid, ctx = slab_ctx(held_idx=(2, 5, 5), body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 1.0
-    assert visibility(ctx, I3, cm, include_gripper=True)[0] == 0.0
+    # held one voxel deeper, the face lies outside the region and is clear
+    assert visibility(slab_ctx(body_proxy_dims=None)[1], I3, cm)[0] == 1.0
+    assert visibility(ctx, I3, cm)[0] == 0.0
 
 
 def test_palm_toward_eye_blocks_sight_lines():
@@ -146,8 +147,9 @@ def test_palm_toward_eye_blocks_sight_lines():
     # between eye and contacts
     grid, ctx = slab_ctx(grasp_rotation=rot_y(-90.0), body_proxy_dims=None)
     cm = ones_map(grid, NEAR)
-    clear, _ = visibility(ctx, I3, cm, include_gripper=False)
-    blocked, _ = visibility(ctx, I3, cm, include_gripper=True)
+    # the same slab grasped with the palm away from the eye hides nothing
+    clear, _ = visibility(slab_ctx(body_proxy_dims=None)[1], I3, cm)
+    blocked, _ = visibility(ctx, I3, cm)
     assert clear == 1.0
     assert blocked < clear
 
@@ -156,8 +158,8 @@ def test_robot_proxy_blocks_sight_lines():
     grid, ctx = slab_ctx()
     ctx = replace(ctx, robot_base=np.array([0.3, 0.0, 0.0]), body_proxy_dims=(0.5, 0.5, 1.55))
     cm = ones_map(grid, NEAR)
-    assert visibility(replace(ctx, body_proxy_dims=None), I3, cm, include_gripper=False)[0] == 1.0
-    assert visibility(ctx, I3, cm, include_gripper=False)[0] == 0.0
+    assert visibility(replace(ctx, body_proxy_dims=None), I3, cm)[0] == 1.0
+    assert visibility(ctx, I3, cm)[0] == 0.0
 
 
 def test_empty_contact_map_rejected():
@@ -293,7 +295,7 @@ def oracle_ray_blocked(gripper, rotation, translation, width, origin, direction,
     return False
 
 
-def oracle_visibility(ctx, rotation, cm, include_gripper=True):
+def oracle_visibility(ctx, rotation, cm):
     grid = ctx.grid
     values = by_index(cm.keys, cm.values.tolist())
     contact = list(map(tuple, cm.contacts()[0].tolist()))
@@ -324,15 +326,14 @@ def oracle_visibility(ctx, rotation, cm, include_gripper=True):
         dist = float(np.linalg.norm(to_aim))
         visible = True
         if dist > 0:
-            if include_gripper:
-                if bool(ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)[0]):
+            if bool(ctx.gripper.in_closing_region(grip_rot, grip_t, ctx.width, world)[0]):
+                visible = False
+            else:
+                world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
+                direction = (world_aim - eye) / dist
+                if oracle_ray_blocked(ctx.gripper, grip_rot, grip_t, ctx.width, eye,
+                                      direction, dist):
                     visible = False
-                else:
-                    world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
-                    direction = (world_aim - eye) / dist
-                    if oracle_ray_blocked(ctx.gripper, grip_rot, grip_t, ctx.width, eye,
-                                          direction, dist):
-                        visible = False
             if visible and proxy is not None:
                 world_aim = ctx.ee_position + rotation @ (aim_grid - ctx.held_point)
                 direction = (world_aim - eye) / dist
@@ -401,9 +402,7 @@ def test_oracles_cover_every_branch_on_slab():
         cm = contact_map(grid, {**{i: 0.9 for i in NEAR}, **{i: 0.6 for i in FAR}, **interior})
         assert not set(interior) & set(by_index(grid.surface, grid.normals))
         for c in (ctx, replace(ctx, body_proxy_dims=None)):
-            for grip in (True, False):
-                assert keyed(cm, visibility(c, I3, cm, grip)) == \
-                    oracle_visibility(c, I3, cm, grip)
+            assert keyed(cm, visibility(c, I3, cm)) == oracle_visibility(c, I3, cm)
         assert keyed(cm, reachability(ctx, I3, cm)) == oracle_reachability(ctx, I3, cm)
 
 
@@ -411,7 +410,7 @@ def test_oracles_cover_every_branch_on_slab():
 def test_batched_metrics_match_per_voxel_oracles(scenes, mode):
     """Equal flags and bitwise-equal scores on every bundled scene, seeds 0-1,
     all three maps, at the pose the pipeline delivers; the robot proxy is
-    also dropped once per scene, and the gripper left out."""
+    also dropped once per scene."""
     for name, scene in scenes.items():
         for seed in (0, 1):
             report = run_pipeline(scene, mode, seed=seed)
@@ -428,8 +427,6 @@ def test_batched_metrics_match_per_voxel_oracles(scenes, mode):
                 cm = scene.contact_maps[0]
                 assert keyed(cm, visibility(bare, rotation, cm)) == \
                     oracle_visibility(bare, rotation, cm), name
-                assert keyed(cm, visibility(ctx, rotation, cm, include_gripper=False)) == \
-                    oracle_visibility(ctx, rotation, cm, include_gripper=False), name
 
 
 def test_evaluate_maps_carries_the_flags():
