@@ -65,8 +65,8 @@ class GripperModel:
         inside). A stack of R poses, as (R, 3, 3) rotations, (R, 1, 3)
         translations and (R,) widths, gives an (R, points) mask."""
         local = (np.atleast_2d(points) - translation) @ rotation
-        lo, hi = np.moveaxis(self.closing_region(width), -2, 0)[..., None, :]
-        inside = (local >= lo - REGION_EPS) & (local <= hi + REGION_EPS)
+        # the region is symmetric and fl(-hi - eps) == -fl(hi + eps): one abs, one bound
+        inside = np.abs(local, out=local) <= self.closing_region(width)[..., 1, None, :] + REGION_EPS
         return inside[..., 0] & inside[..., 1] & inside[..., 2]  # faster than all() over 3
 
     def surface_points(self, width: float, pitch: float) -> np.ndarray:
@@ -129,8 +129,9 @@ _ROLL_COS, _ROLL_SIN = (np.array([[f(theta)] for theta in _ROLLS]) for f in (mat
 # surface voxels probed together. Under tracemalloc, sampling the bundled mug
 # peaked at 1.7 MB with 64 and at 7.8 MB with its whole surface in one chunk.
 SAMPLE_CHUNK = 64
-# slack (m) of the collision cull's bounds: its dot products and _collisions'
-# local frame may round differently in the last bits
+# slack (m) of the collision cull's bounds, which need only keep every point _collisions finds. Expanded about the
+# grid's middle, |o|^2 - 2 o . m + |m|^2 rounds by about 1e-15 R^2 m^2 for points R m from it (1.4e-11 at 125 m,
+# 2e-17 on the bundled grids); the margin widens the squared bounds by finger_length / 2 * 1e-6 m^2 or more.
 CULL_MARGIN = 1e-6
 
 
@@ -163,7 +164,10 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
     and given their roll frames as arrays. A pair's frames are
     collision-tested only against the voxels in a finger band (width / 2 to
     width / 2 + finger_thickness along the axis) or the palm ring (at least
-    finger_length / 2 off it), with every bound widened by CULL_MARGIN.
+    finger_length / 2 off it), with every bound widened by CULL_MARGIN. The
+    cull is one (2, 3) @ (3, N) product per pair, of its closing axis and
+    midpoint m against the occupied centres o, held once per call centred on
+    the grid's middle: o's distance along the axis, and |o - m|^2 expanded.
     """
     surface, nrm = grid.surface, grid.normals
     if not len(surface):
@@ -171,6 +175,9 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
     vs = grid.voxel_size
     order = np.random.default_rng(seed).permutation(len(surface))
     occupied = grid.occupied_centers
+    middle = grid.origin + 0.5 * vs * np.array(grid.dims)
+    centred = np.ascontiguousarray((occupied - middle).T)  # the cull's points as (3, N) rows, and their squared norms
+    sq_norms = np.einsum("ij,ij->j", centred, centred)
     cos_limit = math.cos(math.radians(MAX_NORMAL_OPPOSITION_DEG))
     centers = grid.centers(surface)
     pool_cap = max(8 * max_candidates, 64)
@@ -182,13 +189,16 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
 
     def test(job):
         """Collision-test the rolls of pair k of a chunk, fill in its row of free; returns its free count."""
-        free, k, rots, mid, axis, width = job
-        rel = occupied - mid[k]
-        along = np.abs(rel @ axis[k])
-        r2 = np.einsum("ij,ij->i", rel, rel) - along * along
+        free, k, rots, mid, width, frame, offsets = job
+        axis_m, m2 = offsets[k]
+        along, r2 = frame[k] @ centred  # o . axis and -2 o . m of each centred point o
+        np.abs(np.subtract(along, axis_m, out=along), out=along)  # |(o - m) . axis|
+        r2 += sq_norms
+        r2 -= along * along  # |o - m|^2 - along^2, less |m|^2
         lo, hi = width[k] / 2.0 - CULL_MARGIN, width[k] / 2.0 + ft + CULL_MARGIN
         # in reach, and in a finger band or the palm ring
-        touch = (along <= hi) & (r2 <= radial_sq) & ((along >= lo) | (r2 >= ring_sq))
+        touch = (along <= hi) & (r2 <= radial_sq - m2)
+        touch &= (along >= lo) | (r2 >= ring_sq - m2)
         free[k] = ~_collisions(gripper, rots[k], mid[k], width[k], occupied[touch])
         return int(np.count_nonzero(free[k]))
 
@@ -219,9 +229,11 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
         z = -(_ROLL_COS * b0[:, None] + _ROLL_SIN * b1[:, None])  # minus the approach, per pair and roll
         rots = np.stack([_cross(axis[:, None], z), np.broadcast_to(axis[:, None], z.shape), z], axis=-1)
         free = np.zeros((len(rows), len(_ROLLS)), dtype=bool)
+        m = mid - middle  # per pair: the rows of its cull's product, then m . axis and |m|^2
+        frame, offsets = np.stack([axis, -2.0 * m], axis=1), np.stack([row_dots(axis, m), row_dots(m, m)], 1).tolist()
         chunks.append((pi, qi, width, confidence, mid, rots, free))
         for k, voxel_end in enumerate((np.diff(rows, append=-1) != 0).tolist()):  # pair k is its voxel's last
-            job = (free, k, rots, mid, axis, width)
+            job = (free, k, rots, mid, width, frame, offsets)
             if confidence[k] != 1.0:
                 queue.append(job)
             elif (top := top + test(job)) >= max_candidates:
@@ -248,9 +260,10 @@ def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
     fall inside a gripper box but outside the closing region? Fused form of
     the boxes()/closing_region() tests: every box spans |x| <= hx, and |y|,
     one value per point (column 1 of each frame is the closing axis), leaves
-    it one colliding z range: a finger band's, the palm above the region's."""
+    it one colliding z range: a finger band's, the palm above the region's.
+    The sampler's cull picks the points; x, y and z view one product of them."""
     ft, hfl, hw = gripper.finger_thickness, gripper.finger_length / 2.0, width / 2.0
-    x, y, z = np.ascontiguousarray(((points - translation) @ rotations).transpose(2, 0, 1))
+    x, y, z = ((points - translation) @ rotations).transpose(2, 0, 1)  # views, no copy
     ay = np.abs(y[0])
     z_lo = np.where(ay <= hw + REGION_EPS, np.nextafter(hfl + REGION_EPS, np.inf), -hfl)
     z_lo[ay > hw + ft] = np.inf

@@ -292,16 +292,18 @@ def save_report(report: HandoverReport, path) -> None:
 
 
 def load_report(path) -> HandoverReport:
-    """The report in JSON file `path`. A top level that is not a JSON object,
-    or a missing field, is a ValueError naming the file and the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a report must be a JSON object, got a {type(data).__name__}")
+    """The report in JSON file `path`. Bytes that are not UTF-8 JSON, a top level that is not
+    a JSON object, or a missing field, is a ValueError naming the file (and the field)."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)  # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        if not isinstance(data, dict):
+            raise ValueError(f"a report must be a JSON object, got a {type(data).__name__}")
         return HandoverReport.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing report field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _grasp_record(rg) -> dict:

@@ -28,6 +28,7 @@ from handover.grasping import (
     rank_grasps,
     sample_grasps,
 )
+from handover.voxelgeom import VoxelGrid
 
 
 GRIPPER = GripperModel()
@@ -448,6 +449,16 @@ def test_sampler_stops_where_the_per_roll_oracle_stops(scenes, name, max_candida
     assert_sampler_matches_oracle(grid, scene.gripper, max_candidates, 1, monkeypatch)
 
 
+@pytest.mark.parametrize("max_candidates", [600, 20])
+def test_sampler_matches_the_oracle_far_from_the_world_origin(scenes, max_candidates, monkeypatch):
+    """The cull expands |o - m|^2 about the grid's middle: with the mug's
+    grid moved to (1000, -1000, 500) m it still keeps every point the
+    per-roll oracle can hit."""
+    grid, scene = scenes["mug"].grid, scenes["mug"]
+    far = VoxelGrid(grid.dims, grid.voxel_size, grid.origin + [1000.0, -1000.0, 500.0], grid.occupancy)
+    assert_sampler_matches_oracle(far, scene.gripper, max_candidates, 1, monkeypatch)
+
+
 def stacked_cubes():
     """Two stacked 3 cm cubes: a probe from the top face pairs with the
     bottom of the upper cube and then with the bottom of the lower one, so
@@ -739,6 +750,41 @@ def test_closing_region_of_a_pose_stack_is_each_poses_bitwise(bundled_grasps):
         assert got.shape == (len(cands), len(points)) and got.any() and not got.all(), name
         for row, c in zip(got, cands):
             assert np.array_equal(row, gripper.in_closing_region(c.rotation, c.translation, c.width, points)), name
+
+
+def two_sided_region(gripper, rotation, translation, width, points) -> np.ndarray:
+    """in_closing_region as lo - REGION_EPS <= local <= hi + REGION_EPS per axis."""
+    local = (np.atleast_2d(points) - translation) @ rotation
+    lo, hi = np.moveaxis(gripper.closing_region(width), -2, 0)[..., None, :]
+    return ((local >= lo - REGION_EPS) & (local <= hi + REGION_EPS)).all(axis=-1)
+
+
+def test_closing_region_faces_match_the_two_sided_test():
+    """Points at +-(hi + REGION_EPS) on each axis, and one ulp inside and
+    outside: the one-sided |local| test gives the two-sided form's mask, for
+    one pose and for a stack of poses."""
+    widths = np.array([0.02, 0.05, GRIPPER.max_width])
+    points = []
+    for hi in GRIPPER.closing_region(widths)[:, 1]:
+        for axis, sign in itertools.product(range(3), (1.0, -1.0)):
+            face = sign * (hi[axis] + REGION_EPS)
+            for v in (face, np.nextafter(face, 0.0), np.nextafter(face, sign * np.inf)):
+                point = np.zeros(3)
+                point[axis] = v
+                points.append(point)
+    points = np.array(points)
+    single = GRIPPER.in_closing_region(np.eye(3), np.zeros(3), widths[0], points)
+    assert np.array_equal(single, two_sided_region(GRIPPER, np.eye(3), np.zeros(3), widths[0], points))
+    assert single[:18].tolist() == [True, True, False] * 6  # its own faces: on, inside, outside
+    turn = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])  # axes swapped and flipped, exactly
+    rot = np.array([np.eye(3), turn, turn.T])
+    t = np.array([[0.0, 0.0, 0.0], [0.25, -0.5, 0.125], [0.0, 0.0, 0.0]])[:, None, :]
+    world = np.concatenate([points, (points @ turn.T) + t[1], points @ turn])  # each pose's faces in the world
+    stack = GRIPPER.in_closing_region(rot, t, widths, world)
+    assert stack.shape == (3, len(world)) and stack.any() and not stack.all()
+    assert np.array_equal(stack, two_sided_region(GRIPPER, rot, t, widths, world))
+    for r, tr, w in zip(rot, t, widths):
+        assert np.array_equal(GRIPPER.in_closing_region(r, tr, w, world), two_sided_region(GRIPPER, r, tr, w, world))
 
 
 def assert_ranking_matches_oracle(cands, cluster, scene, lam):

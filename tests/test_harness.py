@@ -147,8 +147,9 @@ def test_report_roundtrip_lossless(scenes, tmp_path):
 
 
 def test_load_report_names_the_file_and_the_field(scenes, tmp_path):
-    """A report without one of its fields, or whose top level is not a JSON
-    object, is a ValueError naming the file (and the field), not a KeyError."""
+    """A report without one of its fields, whose top level is not a JSON
+    object, that breaks off mid-JSON or that is not UTF-8 is a ValueError
+    naming the file (and the field), not a KeyError or a bare decode error."""
     data = run_pipeline(scenes["hammer"], "A4", seed=0).to_dict()
     del data["stages"]
     path = tmp_path / "report.json"
@@ -160,6 +161,12 @@ def test_load_report_names_the_file_and_the_field(scenes, tmp_path):
     with pytest.raises(ValueError) as listed:
         load_report(path)
     assert str(listed.value) == f"{path}: a report must be a JSON object, got a list"
+    for text, reason in ((b'{"object": ', "Expecting value: line 1 column 12 (char 11)"),
+                         (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")):
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as broken:
+            load_report(path)
+        assert type(broken.value) is ValueError and str(broken.value) == f"{path}: {reason}"
 
 
 def test_pipeline_deterministic_modulo_duration(scenes):
