@@ -39,6 +39,7 @@ from .ergonomics import (
 )
 from .grasping import (
     GraspCandidate,
+    GraspSet,
     GripperModel,
     RankedGrasp,
     contact_score,

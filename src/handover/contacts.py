@@ -164,7 +164,7 @@ def predict_contacts_heuristic(grid: VoxelGrid) -> ContactMap:
 
 # -- clustering ---------------------------------------------------------------
 
-NEIGHBOR_CHUNK_PAIRS = 2048  # candidate pairs distance-tested at a time, whatever eps is
+STENCIL_CHUNK = 2048  # (point, stencil run) lookups per chunk; a chunk also stops at 4x as many candidate pairs
 
 
 def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DEFAULT_MIN_PTS):
@@ -175,14 +175,14 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
     are core points in lexicographic voxel-index order, which pins border
     point assignment (to the first cluster that reaches it). Noise is
     dropped. Clusters come back sorted by size descending, ties by lowest
-    member index. All neighborhoods are built first, as arrays; a cluster
-    then grows from its seed one ring of core points at a time."""
+    member index. All neighborhoods are built first, as arrays, from a lattice
+    stencil; a cluster then grows from its seed one ring of core points at a time."""
     grid = cm.grid
     eps = EPS_VOXELS * grid.voxel_size if eps is None else eps
     points = cm.contacts()[0]
     if not len(points):
         raise ValueError("empty contact map")
-    start, nbr = _neighborhoods(grid.centers(points), eps, max(eps, grid.voxel_size))
+    start, nbr = _neighborhoods(grid, points, eps)
     core = np.diff(start) >= min_pts
     labels = np.full(len(points), -1)  # -1: in no cluster (yet)
     cid = 0
@@ -199,32 +199,43 @@ def cluster_contacts(cm: ContactMap, eps: float | None = None, min_pts: int = DE
     return sorted((ContactCluster(points[labels == c]) for c in range(cid)), key=ContactCluster.rank)
 
 
-def _neighborhoods(centers, eps: float, cell: float):
+def _neighborhoods(grid: VoxelGrid, points, eps: float):
     """Every neighborhood as CSR arrays (start, nbr): point i's neighbors are
-    nbr[start[i]:start[i + 1]], the points of the 27 buckets of edge `cell`
-    (>= eps) around its own with d0*d0 + d1*d1 + d2*d2 <= eps*eps."""
-    keys = np.floor(centers / cell).astype(int)
-    keys -= keys.min(axis=0) - 1  # every key and its lower neighbor >= 0
-    span = keys.max(axis=0) + 2
-    bucket = np.ravel_multi_index(keys.T, span)
-    order = np.argsort(bucket, kind="stable").astype(np.int32)  # so nbr takes 4 bytes a pair
-    by_bucket = bucket[order]
-    buckets = by_bucket[np.flatnonzero(np.diff(by_bucket, prepend=-1))]  # np.unique's first call: +1.5 MB RSS
-    inverse = np.searchsorted(buckets, bucket)
-    around = buckets[:, None] + (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ [span[1] * span[2], span[2], 1]
-    first, stop = (np.searchsorted(by_bucket, around, side=side) for side in ("left", "right"))
-    size = stop - first
-    per_point = size.sum(axis=1)[inverse]
-    step = max(1, NEIGHBOR_CHUNK_PAIRS // int(per_point.max()))
-    count, nbr = np.zeros(len(centers), dtype=int), []
-    for a in range(0, len(centers), step):
-        rows = inverse[a : a + step]
-        j = order[_ranges(first[rows].ravel(), size[rows].ravel())]
-        i = np.repeat(np.arange(a, a + len(rows)), per_point[a : a + step])
-        d = centers[j] - centers[i]
-        near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= eps * eps
-        nbr.append(j[near])
-        count[a : a + step] = np.bincount(i[near] - a, minlength=len(rows))
+    the j in nbr[start[i]:start[i + 1]] with d0*d0 + d1*d1 + d2*d2 <= eps*eps
+    for d = centers[j] - centers[i]. j is gathered only at the lattice offsets
+    within eps / voxel_size plus 1e-12 of the centers' scale in voxels (the
+    test rounds by under 1e-15 of it). A (dx, dy) column's z range, padded so
+    it cannot wrap, is one run of the sorted keys, found by two searchsorted
+    calls; the columns of a dx row that span the points' box in z are one."""
+    centers, vs = grid.centers(points), grid.voxel_size
+    low = points.min(axis=0)
+    ext = points.max(axis=0) - low + 1
+    scale = (np.abs(centers).max() + np.abs(grid.origin).max()) / vs + 1.0
+    reach = min(eps / vs + 1e-12 * (eps / vs + scale), float(ext.sum()))  # the box holds no longer offset
+    pad = np.minimum(int(reach), ext - 1)
+    span = ext + 2 * pad
+    dx, dy = np.ogrid[-pad[0] : pad[0] + 1, -pad[1] : pad[1] + 1]
+    rem = reach * reach - dx * dx - dy * dy
+    hz = np.minimum(np.sqrt(np.maximum(rem, 0.0)).astype(int), pad[2])
+    full = (rem >= 0) & (hz == ext[2] - 1)  # symmetric in dy: the first full column's run reaches the last
+    run = (rem >= 0) & (~full | (np.cumsum(full, axis=1) == 1))
+    lo = (dx * (span[1] * span[2]) + dy * span[2] - hz)[run][:, None]
+    hi = (dx * (span[1] * span[2]) + np.where(full, -dy, dy) * span[2] + hz)[run][:, None]
+    keys = (points - low + pad) @ np.array([span[1] * span[2], span[2], 1])  # ascending, as points are
+    step = max(1, STENCIL_CHUNK // len(lo))
+    count, nbr, a = np.zeros(len(points), dtype=int), [], 0
+    while a < len(points):
+        at = keys[a : a + step]
+        first = np.searchsorted(keys, lo + at)  # (run, point): each run's queries ascend
+        size = np.searchsorted(keys, hi + at, side="right") - first
+        per = size.sum(axis=0)  # >= 1: every point gathers itself
+        k = max(1, int(np.searchsorted(np.cumsum(per), 4 * STENCIL_CHUNK, side="right")))
+        j = _ranges(first[:, :k].T.ravel(), size[:, :k].T.ravel())
+        d = np.square(centers.take(j, axis=0) - np.repeat(centers[a : a + k], per[:k], axis=0))
+        near = d[:, 0] + d[:, 1] + d[:, 2] <= eps * eps
+        nbr.append(j[near].astype(np.int32))  # 4 bytes a pair
+        count[a : a + k] = np.add.reduceat(near, np.cumsum(per[:k]) - per[:k], dtype=int)
+        a += k
     return np.concatenate([[0], np.cumsum(count)]), np.concatenate(nbr)
 
 

@@ -8,12 +8,12 @@ the midpoint of the grasped contact pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .contacts import ContactCluster
-from .voxelgeom import Index, VoxelGrid, check_fields, row_dots, rule, segments_hit_boxes
+from .voxelgeom import Index, VoxelGrid, check_fields, read_only, row_dots, rule, segments_hit_boxes
 
 MAX_NORMAL_OPPOSITION_DEG = 30.0  # antipodal pair filter
 MIN_CONFIDENCE = 0.23  # alignment score floor for kept candidates
@@ -87,7 +87,7 @@ class GripperModel:
         return np.vstack(pts)
 
 
-@dataclass
+@dataclass(slots=True)
 class GraspCandidate:
     rotation: np.ndarray  # (3,3), columns are gripper axes in world
     translation: np.ndarray  # held point (midpoint of the contact pair)
@@ -108,7 +108,41 @@ class GraspCandidate:
         return m
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class GraspSet:
+    """Grasp candidates as aligned read-only arrays, one row each: rotation
+    (n, 3, 3), translation (n, 3), width, confidence and contact_pair (n, 2,
+    3). An integer index builds that row's GraspCandidate; a slice or an
+    index array gives a GraspSet of those rows."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    width: np.ndarray
+    confidence: np.ndarray
+    contact_pair: np.ndarray
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            read_only(a)
+
+    @classmethod
+    def of(cls, candidates) -> GraspSet:
+        """`candidates` itself if a GraspSet, else its GraspCandidates stacked once."""
+        if isinstance(candidates, cls):
+            return candidates
+        return cls(*(np.array([getattr(c, f.name) for c in candidates]) for f in fields(cls)))  # GraspCandidate's names
+
+    def __len__(self) -> int:
+        return len(self.width)
+
+    def __getitem__(self, k):
+        if not isinstance(k, (int, np.integer)):
+            return GraspSet(*(a[k] for a in vars(self).values()))
+        (p, q), w, c = self.contact_pair[k].tolist(), float(self.width[k]), float(self.confidence[k])
+        return GraspCandidate(self.rotation[k], self.translation[k], w, c, (tuple(p), tuple(q)))
+
+
+@dataclass(slots=True)
 class RankedGrasp:
     candidate: GraspCandidate
     occlusion: float
@@ -137,7 +171,7 @@ CULL_MARGIN = 1e-6
 
 def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 200, seed: int = 0):
     """Antipodal grasp sampling over the surface voxels of `grid`, with
-    their normals in grid.normals.
+    their normals in grid.normals; the candidates come back as one GraspSet.
 
     For each surface voxel p (in seeded random order) the sampler steps
     through the body along -normal(p) and pairs p with every surface voxel
@@ -171,7 +205,7 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
     """
     surface, nrm = grid.surface, grid.normals
     if not len(surface):
-        return []
+        return GraspSet.of([])
     vs = grid.voxel_size
     order = np.random.default_rng(seed).permutation(len(surface))
     occupied = grid.occupied_centers
@@ -247,12 +281,10 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
     if top < max_candidates:  # no ceiling stop: every queued pair can enter the result
         sum(map(test, queue))
     pair, roll = np.nonzero(np.concatenate([chunk[-1] for chunk in chunks]))  # every free (pair, roll)
-    pi, qi, width, confidence, mid, rots = (np.concatenate(v)[pair] for v in list(zip(*chunks))[:-1])
-    rots = rots[np.arange(len(pair)), roll]
-    best = np.argsort(-confidence, kind="stable")[:max_candidates]
-    fields = zip(best, surface[pi[best]].tolist(), surface[qi[best]].tolist(), width[best].tolist(),
-                 confidence[best].tolist())
-    return [GraspCandidate(rots[i], mid[i], w, c, (tuple(p), tuple(q))) for i, p, q, w, c in fields]
+    pi, qi, width, confidence, mid, rots = (np.concatenate(v) for v in list(zip(*chunks))[:-1])
+    best = np.argsort(-confidence[pair], kind="stable")[:max_candidates]
+    pair, roll = pair[best], roll[best]
+    return GraspSet(rots[pair, roll], mid[pair], width[pair], confidence[pair], surface[np.stack([pi, qi], 1)[pair]])
 
 
 def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
@@ -308,34 +340,36 @@ def _rays(cluster, grid):
     return centers, centers + 1.5 * grid.voxel_size * nrm, nrm
 
 
-def _hits(candidates, rays, gripper) -> np.ndarray:
-    """How many of the `rays` (as _rays gives them) each candidate hides:
-    the voxel center lies in its closing region, or the voxel's ray meets a
-    gripper box within OCCLUSION_RAY_FACTOR finger lengths. Pairs are tested
-    in blocks of at most OCCLUSION_BLOCK_PAIRS (candidate, ray) pairs. A
-    segment that misses the union box of the three gripper boxes misses each
-    of them, since (lo - o) / d rounds monotonically in lo. The pairs that
-    hit it get the three box tests once about OCCLUSION_FLUSH_PAIRS have
-    gathered."""
+def _hits(candidates: GraspSet, rays, gripper, rows=None) -> np.ndarray:
+    """How many of the `rays` (as _rays gives them) each candidate, or each
+    of its `rows`, hides: the voxel center lies in its closing region, or the
+    voxel's ray meets a gripper box within OCCLUSION_RAY_FACTOR finger
+    lengths. Pairs are tested in blocks of at most OCCLUSION_BLOCK_PAIRS
+    (candidate, ray) pairs. A segment that misses the union box of the three
+    gripper boxes (each bound the boxes() expression that wins it) misses
+    each of them, since (lo - o) / d rounds monotonically in lo. The pairs
+    that hit it get the three box tests once about OCCLUSION_FLUSH_PAIRS
+    have gathered."""
     centers, origins, nrm = rays
-    max_dist = OCCLUSION_RAY_FACTOR * gripper.finger_length
-    hits, since, pending = np.zeros(len(candidates), dtype=int), 0, []  # blocks as (widths, cand - since, o, d)
+    rows = np.arange(len(candidates)) if rows is None else rows
+    ft, fl = gripper.finger_thickness, gripper.finger_length
+    max_dist = OCCLUSION_RAY_FACTOR * fl
+    hits, since, pending = np.zeros(len(rows), dtype=int), 0, []  # blocks as (widths, cand - since, o, d)
     block = max(1, OCCLUSION_BLOCK_PAIRS // len(centers))
-    for start in range(0, len(candidates), block):
-        chunk = candidates[start : start + block]
-        rot = np.array([c.rotation for c in chunk])
-        t = np.array([c.translation for c in chunk])[:, None, :]
-        w = np.array([c.width for c in chunk])
+    for start in range(0, len(rows), block):
+        at = rows[start : start + block]
+        rot, t, w = candidates.rotation[at], candidates.translation[at, None], candidates.width[at]
         covered = gripper.in_closing_region(rot, t, w, centers)
         hits[start : start + block] = np.count_nonzero(covered, axis=1)
         o_loc = (origins - t) @ rot
         d_loc = nrm @ rot
-        boxes = gripper.boxes(w)  # [candidate, box, lo/hi, xyz]
-        lo, hi = boxes[:, None, :, 0].min(axis=2), boxes[:, None, :, 1].max(axis=2)  # union box
+        hw = w[:, None, None] / 2.0  # the union box, [candidate, 1, xyz]
+        lo = np.concatenate(np.broadcast_arrays(-ft / 2.0, -hw - ft, -fl / 2), axis=-1)
+        hi = np.concatenate(np.broadcast_arrays(ft / 2.0, hw + ft, fl / 2 + gripper.palm_depth), axis=-1)
         c, v = np.nonzero(segments_hit_boxes(o_loc, d_loc, max_dist, lo, hi) & ~covered)
         pending.append((w, c + (start - since), o_loc[c, v], d_loc[c, v]))
         del covered, o_loc, d_loc, c, v  # before the next block's arrays
-        if sum(len(p[1]) for p in pending) >= OCCLUSION_FLUSH_PAIRS or start + block >= len(candidates):
+        if sum(len(p[1]) for p in pending) >= OCCLUSION_FLUSH_PAIRS or start + block >= len(rows):
             hits[since : start + block] += _box_hits(pending, gripper)
             since = start + block
     return hits
@@ -354,7 +388,7 @@ def _box_hits(pending, gripper) -> np.ndarray:
 
 def _occlusions(candidates, cluster, gripper, grid) -> list[float]:
     """occlusion_fraction of every candidate: its _hits over the whole cluster."""
-    return (_hits(candidates, _rays(cluster, grid), gripper) / cluster.size).tolist()
+    return (_hits(GraspSet.of(candidates), _rays(cluster, grid), gripper) / cluster.size).tolist()
 
 
 def contenders(candidates, cluster, gripper, grid) -> list:
@@ -370,25 +404,26 @@ def contenders(candidates, cluster, gripper, grid) -> list:
     for every live candidate. After each chunk it completes the counts of
     the live candidates with the fewest hits so far, as many as one block
     of OCCLUSION_BLOCK_PAIRS holds, then drops every candidate that a
-    completed one dominates by that rule.
+    completed one dominates by that rule. The scan reads a GraspSet's rows
+    (a list is stacked once); only the kept candidates are GraspCandidates.
     """
     rays = _rays(cluster, grid)
     if not candidates:
         return []
+    grasps = GraspSet.of(candidates)
     order = np.random.default_rng(0).permutation(cluster.size)  # neighbours tend to hit together
-    rays = [r[order] for r in rays]
-    confidence = np.array([c.confidence for c in candidates])
+    rays, confidence = [r[order] for r in rays], grasps.confidence
     hits = np.zeros(len(candidates), dtype=int)
     live, done = np.ones(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=bool)
     for start in range(0, cluster.size, CONTENDER_CHUNK):
         scan, end = np.flatnonzero(live & ~done), start + CONTENDER_CHUNK
         if not scan.size:
             break
-        hits[scan] += _hits([candidates[i] for i in scan], [r[start:end] for r in rays], gripper)
+        hits[scan] += _hits(grasps, [r[start:end] for r in rays], gripper, scan)
         if end < cluster.size:
             fill = max(1, OCCLUSION_BLOCK_PAIRS // (cluster.size - end))  # as many as one block holds
             j = scan[np.argsort(hits[scan], kind="stable")[:fill]]
-            hits[j] += _hits([candidates[i] for i in j], [r[end:] for r in rays], gripper)
+            hits[j] += _hits(grasps, [r[end:] for r in rays], gripper, j)
             done[j] = True
         else:
             done[scan] = True
@@ -398,7 +433,7 @@ def contenders(candidates, cluster, gripper, grid) -> list:
         least = np.minimum.accumulate(hits[ref])
         above = np.searchsorted(-confidence[ref], -confidence, side="right")
         live &= ~((above > 0) & (least[above - 1] < hits))
-    return [c for c, keep in zip(candidates, live) if keep]
+    return [candidates[k] for k in np.flatnonzero(live)]
 
 
 def contact_score(confidence: float, occlusion: float, lam: float) -> float:
@@ -412,15 +447,17 @@ def rank_grasps(candidates, cluster: ContactCluster, lam: float, gripper: Grippe
     """Score candidates and order them best-first.
 
     Ties break by higher confidence, then lower occlusion, then candidate
-    position in the input list. Occlusion is scored for blocks of candidates
+    position in the input. Occlusion is scored for blocks of candidates
     at once; a block holds at most OCCLUSION_BLOCK_PAIRS (candidate, cluster
     voxel) pairs, so memory stays bounded whatever the candidate count.
+    Each ranked GraspCandidate of a GraspSet is built from its row.
     """
     if not candidates:
         raise ValueError("no grasp candidates")
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    return order_grasps(candidates, _occlusions(candidates, cluster, gripper, grid), lam)
+    occlusions = _occlusions(candidates, cluster, gripper, grid)
+    return order_grasps(list(candidates), occlusions, lam)
 
 
 def order_grasps(candidates, occlusions, lam: float) -> list[RankedGrasp]:

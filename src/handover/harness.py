@@ -40,7 +40,7 @@ from .delivery import (
     plan_handover_orientation,
 )
 from .ergonomics import MIN_POSITION_STEP, HumanModel, candidates_csv, plan_handover_position
-from .grasping import GraspCandidate, GripperModel, contenders, order_grasps, rank_grasps, sample_grasps
+from .grasping import GraspCandidate, GraspSet, GripperModel, contenders, order_grasps, rank_grasps, sample_grasps
 from .metrics import MetricScores, evaluate_maps
 from .voxelgeom import VoxelGrid, check_fields, check_value, load_vgrid, rule
 
@@ -387,7 +387,7 @@ class SharedStages:
             raise exc
         return value
 
-    def candidates(self) -> list:
+    def candidates(self) -> GraspSet:
         def sample():
             found = sample_grasps(self.scene.grid, self.scene.gripper, self.params.max_grasps, self.seed)
             if not found:

@@ -151,6 +151,11 @@ class VoxelGrid:
         """Flat indices into `padded` of the occupied cells, in (x, y, z) order."""
         return read_only(np.flatnonzero(self.padded.reshape(-1) == 1))
 
+    @cached_property
+    def surface_keys(self) -> np.ndarray:
+        """The surface's linear keys, ascending, closed by a sentinel no cell reaches."""
+        return read_only(np.append(np.ravel_multi_index(tuple(self.surface.T), self.dims), self.occupancy.size))
+
     def indices(self, cells) -> np.ndarray:  # the (n, 3) index of each flat index into `padded`
         return np.stack(np.unravel_index(cells, self.padded.shape), axis=-1) - 1
 
@@ -160,10 +165,8 @@ class VoxelGrid:
         idx = np.asarray(indices)
         keys = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.dims, mode="clip")
         keys[~((idx >= 0) & (idx < self.dims)).all(axis=-1)] = -1  # off the grid
-        # ascending, as the surface is in lexicographic order; closed by a sentinel no cell reaches
-        surface_keys = np.append(np.ravel_multi_index(tuple(self.surface.T), self.dims), self.occupancy.size)
-        rows = np.searchsorted(surface_keys, keys)
-        return np.where(surface_keys[rows] == keys, rows, -1)
+        rows = np.searchsorted(self.surface_keys, keys)
+        return np.where(self.surface_keys[rows] == keys, rows, -1)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

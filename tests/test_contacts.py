@@ -20,6 +20,7 @@ from conftest import (
 from handover import suite
 from handover.contacts import (
     ContactMap,
+    _neighborhoods,
     _surface_run_lengths,
     cluster_contacts,
     largest_cluster,
@@ -27,7 +28,7 @@ from handover.contacts import (
     predict_contacts_heuristic,
     save_contact_map,
 )
-from handover.voxelgeom import load_vgrid, save_vgrid, write_grid_file
+from handover.voxelgeom import VoxelGrid, load_vgrid, save_vgrid, write_grid_file
 
 
 def write_vcontact(path, grid, entries):
@@ -411,6 +412,80 @@ def test_clusters_equal_the_per_point_oracle_on_bundled_maps(scenes, eps_voxels,
         want = oracle_cluster_contacts(cm, eps, min_pts)
         assert [c.member_indices.tolist() for c in got] == [c.member_indices.tolist() for c in want], label
         assert got or min_pts > 1, label
+
+
+def brute_neighborhoods(cm, eps) -> list[list[int]]:
+    """Each contact point's neighbours by the float test over every other
+    point, sorted: the sets _neighborhoods must give in any order."""
+    centers = cm.grid.centers(cm.contacts()[0])
+    out = []
+    for a in range(0, len(centers), 64):
+        d = centers[None] - centers[a : a + 64, None]
+        near = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2] <= eps * eps
+        out += [np.flatnonzero(row).tolist() for row in near]
+    return out
+
+
+def assert_neighborhoods_and_clusters(label, cm, eps, min_pts=4):
+    start, nbr = _neighborhoods(cm.grid, cm.contacts()[0], eps)
+    got = [sorted(nbr[start[i] : start[i + 1]].tolist()) for i in range(len(start) - 1)]
+    assert got == brute_neighborhoods(cm, eps), label
+    with np.errstate(invalid="ignore"):  # eps 1e-300: the oracle's bucket keys overflow into one bucket
+        want = oracle_cluster_contacts(cm, eps, min_pts)
+    got = cluster_contacts(cm, eps, min_pts)
+    assert [c.member_indices.tolist() for c in got] == [c.member_indices.tolist() for c in want], label
+    return got
+
+
+def far_mug_maps(scenes):
+    """The mug's contact maps and heuristic map on its grid moved to origin + (1000, -1000, 500) m."""
+    grid = scenes["mug"].grid
+    far = VoxelGrid(grid.dims, grid.voxel_size, grid.origin + [1000.0, -1000.0, 500.0], grid.occupancy)
+    maps = [(f"far mug[{i}]", ContactMap(far, cm.keys, cm.values)) for i, cm in enumerate(scenes["mug"].contact_maps)]
+    return maps + [("far mug[heuristic]", predict_contacts_heuristic(far))]
+
+
+@pytest.mark.parametrize("edge", [np.sqrt(8.0), 3.0, np.sqrt(10.0)])
+def test_stencil_neighborhoods_are_exact_at_lattice_distances(scenes, edge):
+    """eps at a lattice distance (sqrt(8), 3 and sqrt(10) voxel edges) and
+    one ulp either side of it, where the float test decides a whole shell of
+    offsets: the stencil gathers exactly the neighbours of the float test
+    over all points, and clusters as the per-point oracle does, on every
+    bundled and heuristic map and on the mug moved far from the world origin."""
+    for label, cm in [*bundled_and_heuristic_maps(scenes), *far_mug_maps(scenes)]:
+        eps = edge * cm.grid.voxel_size
+        for e in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf)):
+            assert_neighborhoods_and_clusters(f"{label} at {e!r}", cm, float(e))
+
+
+def test_stencil_at_extreme_eps(scenes):
+    """eps 1e300 m makes every point a neighbour of every other (one
+    cluster); eps 1e-300 m leaves each point alone (all noise). Maps of at
+    most 200 contact points, where the oracles' n^2 work stays small."""
+    small = [(label, cm) for label, cm in bundled_and_heuristic_maps(scenes) if len(cm.contacts()[0]) <= 200]
+    assert len(small) >= 8
+    for label, cm in small:
+        n = len(cm.contacts()[0])
+        assert [c.size for c in assert_neighborhoods_and_clusters(label, cm, 1e300)] == [n], label
+        assert assert_neighborhoods_and_clusters(label, cm, 1e-300) == [], label
+
+
+def test_stencil_memory_on_a_sparse_map_across_a_long_grid():
+    """Two 4-voxel cubes at opposite ends of a 512 x 8 x 8 grid: the
+    stencil's keys span the whole box between them, yet clustering stays
+    under the bound of the largest heuristic map below."""
+    occ = np.zeros((512, 8, 8), dtype=bool)
+    occ[:4, :4, :4] = occ[-4:, -4:, -4:] = True
+    grid = make_grid(occ, voxel_size=0.003)
+    cm = ContactMap(grid, grid.surface, np.ones(len(grid.surface)))
+    tracemalloc.start()
+    try:
+        clusters = cluster_contacts(cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.size for c in clusters] == [56, 56]
+    assert peak <= 750_000
 
 
 def test_cluster_memory_peak_on_the_largest_heuristic_map(scenes):

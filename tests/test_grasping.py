@@ -21,6 +21,7 @@ from handover.grasping import (
     REGION_EPS,
     ROLL_STEP_DEG,
     GraspCandidate,
+    GraspSet,
     GripperModel,
     contact_score,
     contenders,
@@ -71,7 +72,8 @@ class TestSampling:
         xs, ys, zs = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
         occ = (xs - c) ** 2 + (ys - c) ** 2 + (zs - c) ** 2 <= 7.0**2  # 0.14 m across
         grid = make_grid(occ, voxel_size=0.01)
-        assert sample_default(grid, max_candidates=50, seed=1) == []
+        found = sample_default(grid, max_candidates=50, seed=1)
+        assert isinstance(found, GraspSet) and len(found) == 0
 
     def test_rod_candidates_confident_and_collision_free(self):
         grid = box_grid((30, 8, 8), (4, 3, 3), (25, 4, 4))  # 22 cm, 2 cm square
@@ -701,6 +703,37 @@ def test_contenders_keep_the_top_of_any_order_and_confidences(bundled_grasps, da
         assert (got.occlusion, got.score) == (want.occlusion, want.score), lam
 
 
+def grasp_rows(candidates) -> list:
+    """Each candidate's fields, its arrays as bytes: equal lists hold the same grasps bit for bit."""
+    return [(c.rotation.tobytes(), c.translation.tobytes(), c.width, c.confidence, c.contact_pair) for c in candidates]
+
+
+def test_grasp_set_rows_are_read_only_and_stay_aligned(bundled_grasps):
+    """The sampler's GraspSet holds read-only aligned arrays; an index builds
+    that row's GraspCandidate, a slice or an index array gives a GraspSet of
+    the same rows, and a list of candidates stacks back to the same arrays."""
+    cands = bundled_grasps["mug"][1]
+    n = len(cands)
+    assert isinstance(cands, GraspSet) and n > 40
+    arrays = [cands.rotation, cands.translation, cands.width, cands.confidence, cands.contact_pair]
+    assert [a.shape for a in arrays] == [(n, 3, 3), (n, 3), (n,), (n,), (n, 2, 3)]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        cands.width[0] = 0.01
+    one = cands[7]
+    assert isinstance(one, GraspCandidate) and isinstance(one.width, float) and isinstance(one.confidence, float)
+    assert one.contact_pair == tuple(map(tuple, cands.contact_pair[7].tolist()))
+    for part, rows in ((cands[3:40:7], range(3, 40, 7)), (cands[np.array([5, 0, n - 1, 5])], [5, 0, n - 1, 5]),
+                       (cands[-2:], [n - 2, n - 1])):
+        assert isinstance(part, GraspSet) and len(part) == len(rows)
+        assert not any(a.flags.writeable for a in (part.rotation, part.translation, part.width, part.contact_pair))
+        assert grasp_rows(part) == grasp_rows(cands[k] for k in rows)
+    stacked = GraspSet.of(list(cands))
+    assert GraspSet.of(cands) is cands and grasp_rows(stacked) == grasp_rows(cands)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(
+        (stacked.rotation, stacked.translation, stacked.width, stacked.confidence, stacked.contact_pair), arrays))
+
+
 def test_contenders_of_nothing_and_of_an_empty_cluster(bundled_grasps):
     scene, cands, cluster = bundled_grasps["hammer"]
     grid = scene.grid
@@ -795,7 +828,10 @@ def assert_ranking_matches_oracle(cands, cluster, scene, lam):
         range(len(cands)),
         key=lambda i: (-contact_score(cands[i].confidence, occ[i], lam), -cands[i].confidence, occ[i], i),
     )
-    assert [id(rg.candidate) for rg in ranked] == [id(cands[i]) for i in order]
+    def row(c):  # a sampled GraspSet builds each row's candidate anew: compare what the row holds
+        return c.contact_pair, c.rotation.tobytes(), c.translation.tobytes(), c.width, c.confidence
+
+    assert [row(rg.candidate) for rg in ranked] == [row(cands[i]) for i in order]
     assert [rg.occlusion for rg in ranked] == [occ[i] for i in order]
 
 

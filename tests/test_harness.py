@@ -215,6 +215,20 @@ def test_diagnostics_and_the_random_draw_build_no_orientation_candidate(scenes, 
     assert len(pose.candidates) == len(built) == len(pose.rotations) == len(sample_orientations(45.0))
 
 
+def test_a_full_plan_builds_grasp_candidates_only_for_the_contenders(scenes, monkeypatch):
+    """Sampling and the contender scan read the GraspSet's rows: one FULL
+    plan of mug (seed 0) builds one GraspCandidate per contender, the ones
+    rank_grasps returns, and none for the other sampled candidates."""
+    built, real = [], grasping.GraspCandidate
+    monkeypatch.setattr(grasping, "GraspCandidate", lambda *args: built.append(args) or real(*args))
+    scene = scenes["mug"]
+    shared = SharedStages(scene, 0)
+    assert run_pipeline(scene, "FULL", 0, shared=shared).failure is None
+    ranked = shared.ranking(scene.params.lam)
+    assert len(built) == len(ranked) < len(shared.candidates())
+    assert sorted(args[4] for args in built) == sorted(rg.candidate.contact_pair for rg in ranked)
+
+
 def test_diagnostics_reuse_the_scoring_pass(scenes, monkeypatch):
     # the bitmaps come from the flags evaluate_maps already computed: one
     # visibility call for the delivery, on the union of the maps' contacts,
