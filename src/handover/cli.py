@@ -67,10 +67,10 @@ def _cmd_plan(args) -> int:
 
 
 def _run_group(job):
-    """All modes of one (scene, seed), in order, sharing their mode-independent stages."""
-    scene, seed, modes, emit = job
-    shared = harness.SharedStages(scene, seed)
-    return [run_pipeline(scene, mode, seed, emit_diagnostics=emit, shared=shared) for mode in modes]
+    """Every (seed, mode) run of one scene, in that order, on one SharedStages."""
+    scene, seeds, modes, emit = job
+    shared = harness.SharedStages(scene)
+    return [run_pipeline(scene, mode, seed, emit_diagnostics=emit, shared=shared) for seed in seeds for mode in modes]
 
 
 def _entries(flag: str, text: str, parse) -> list:
@@ -111,7 +111,7 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"scenes {scene_paths[0]} (k, lam) = {settings[0]} and {path} (k, lam) = {setting} "
                              "differ; one summary cannot mix them")
     os.makedirs(args.out, exist_ok=True)
-    groups = [(scene, seed, modes, args.emit_diagnostics) for scene in scenes for seed in seeds]
+    groups = [(scene, seeds, modes, args.emit_diagnostics) for scene in scenes]
     if args.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             runs = list(pool.map(_run_group, groups))
@@ -120,7 +120,7 @@ def _cmd_bench(args) -> int:
     # run order is (scene, seed, mode): each mode's reports come in (scene,
     # seed) order, which fixes the summary's float sums
     reports = []
-    for stem, group in zip((s for s in stems for _ in seeds), runs):
+    for stem, group in zip(stems, runs):
         for report in group:
             save_report(report, os.path.join(args.out, f"{stem}_{report.mode}_{report.seed}.json"))
         reports += group

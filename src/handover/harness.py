@@ -355,46 +355,50 @@ def resolve_seed(seed, params: PipelineParams | None = None) -> int:
 
 
 class SharedStages:
-    """The stage results of one (scene, seed) that several modes share.
+    """The stage results of one scene that several runs share.
 
-    Grasp sampling, the largest cluster of the planning contact map, the arm
-    plan, and the contenders and their occlusion scores behind every ranking
-    do not depend on the ablation mode. The delivery of a top grasp and its
-    metric scores depend only on that candidate object and the delivery kind
-    (DELIVERY_KINDS), so FULL and A1 share them whenever the same candidate
-    ranks first for both, and so do A2 and A3. Each is computed the first
-    time a mode asks for it and kept here, together with any exception it
-    raised, so every later mode reports what a run of its own would report.
-    The object is bound to one scene object, that scene's params object and
-    one seed. The caller creates it and passes it to the run_pipeline calls
-    of one (scene, seed), all from one thread.
+    No stage depends on the ablation mode, and the largest cluster of the
+    planning contact map and the arm plan do not depend on the seed either.
+    Sampling, ranking, delivery and scores do; their methods take the seed
+    (resolve_seed) first. A delivery and its scores depend only on the top
+    candidate object and the delivery kind (DELIVERY_KINDS), so FULL and A1
+    share them whenever one candidate ranks first for both, and so do A2 and
+    A3. Each is computed the first time a run asks for it and kept, with any
+    exception it raised, so every later run reports what a run of its own
+    would: a seed-free entry for the object's lifetime, a seeded one until
+    another seed is asked for. The object is bound to one scene object and
+    its params object. The caller creates it and passes it to the
+    run_pipeline calls of one scene, one seed after another, from one thread.
     """
 
-    def __init__(self, scene: Scene, seed: int | None = None):
+    def __init__(self, scene: Scene):
         self.scene = scene
         self.params = scene.params
-        self.seed = resolve_seed(seed, self.params)
-        self._results: dict = {}
+        self._results: dict = {}  # the seed-free entries
+        self._seed, self._seeded = (), {}  # one (seed,) and its entries
 
-    def _once(self, key, compute):
-        if key not in self._results:
+    def _once(self, key, compute, *seed):  # compute(*seed) or its exception, kept under key
+        if seed and (seed := (resolve_seed(*seed, self.params),)) != self._seed:
+            self._seed, self._seeded = seed, {}  # another seed: drop the last one's entries
+        results = self._seeded if seed else self._results
+        if key not in results:
             try:
-                self._results[key] = (compute(), None)
+                results[key] = (compute(*seed), None, None)
             except Exception as exc:
-                self._results[key] = (None, exc)
-        value, exc = self._results[key]
-        if exc is not None:
-            raise exc
+                results[key] = (None, exc, exc.__traceback__)
+        value, exc, tb = results[key]
+        if exc is not None:  # from its own traceback, so no earlier raise's frames pile up on it
+            raise exc.with_traceback(tb)
         return value
 
-    def candidates(self) -> GraspSet:
-        def sample():
-            found = sample_grasps(self.scene.grid, self.scene.gripper, self.params.max_grasps, self.seed)
+    def candidates(self, seed: int) -> GraspSet:
+        def sample(seed):
+            found = sample_grasps(self.scene.grid, self.scene.gripper, self.params.max_grasps, seed)
             if not found:
                 raise ValueError("no grasp candidates")
             return found
 
-        return self._once("grasp", sample)
+        return self._once("grasp", sample, seed)
 
     def cluster(self) -> ContactCluster:
         def largest(scene=self.scene, p=self.params):
@@ -408,17 +412,17 @@ class SharedStages:
 
         return self._once("contacts", largest)
 
-    def ranking(self, lam: float) -> list:
-        """The contenders (grasping.contenders) ranked at `lam`: their one
+    def ranking(self, seed: int, lam: float) -> list:
+        """`seed`'s contenders (grasping.contenders) ranked at `lam`: their one
         rank_grasps ranking, at the scene's lam, re-sorted by order_grasps.
         That is rank_grasps at `lam` bit for bit: order_grasps breaks a tie by
         input position only between equal confidence and occlusion, which
         score alike at every lam and which rank_grasps left in contender order."""
-        def rank(args=(self.scene.gripper, self.scene.grid)):
-            shortlist = contenders(self.candidates(), self.cluster(), *args)
+        def rank(seed, args=(self.scene.gripper, self.scene.grid)):
+            shortlist = contenders(self.candidates(seed), self.cluster(), *args)
             return rank_grasps(shortlist, self.cluster(), self.params.lam, *args)
 
-        ranked = self._once("ranking", rank)
+        ranked = self._once("ranking", rank, seed)
         return order_grasps([rg.candidate for rg in ranked], [rg.occlusion for rg in ranked], lam)
 
     def position(self):
@@ -434,15 +438,15 @@ class SharedStages:
     def bitmap_keys(self) -> list:  # _bitmap_keys of each contact map
         return self._once("bitmap_keys", lambda: [_bitmap_keys(cm) for cm in self.scene.contact_maps])
 
-    def delivery(self, top: GraspCandidate, kind: str):
-        """(ctx, rotation, objective, pose): `top`, a candidate of ranking(),
+    def delivery(self, seed: int, top: GraspCandidate, kind: str):
+        """(ctx, rotation, objective, pose): `top`, a candidate of ranking(seed),
         delivered the `kind` way. "planned" searches the orientations at the
         planned hand position, and pose is that search's HandoverPose; the
-        other kinds have none. "random" draws, with the [seed, 7] generator, one
-        of the feasible rotations that delivery(top, "planned") found, and fails
-        as that search fails. "tucked" (A4) keeps the grasp rotation, held in
-        front of the robot."""
-        def deliver(scene=self.scene, p=self.params):
+        other kinds have none. "random" draws, with the [seed, 7] generator,
+        one of the feasible rotations that delivery(seed, top, "planned")
+        found, and fails as that search fails. "tucked" (A4) keeps the grasp
+        rotation, held in front of the robot."""
+        def deliver(seed, scene=self.scene, p=self.params):
             if kind == "tucked":
                 ee = scene.robot_base + A4_FORWARD * -scene.human.facing + np.array([0.0, 0.0, A4_HEIGHT])
             else:
@@ -455,18 +459,18 @@ class SharedStages:
                 return ctx, pose.object_rotation, pose.objective, pose
             rotation = np.eye(3)
             if kind == "random":  # the planned search scored this same context; it raises when none is feasible
-                pose = self.delivery(top, "planned")[3]
+                pose = self.delivery(seed, top, "planned")[3]
                 feas = [k for k, reason in enumerate(pose.reasons) if reason is None]
-                rotation = pose.rotations[feas[int(np.random.default_rng([self.seed, 7]).integers(len(feas)))]]
+                rotation = pose.rotations[feas[int(np.random.default_rng([seed, 7]).integers(len(feas)))]]
             return ctx, rotation, exposure_objective(ctx, rotation, self.cluster()), None
 
-        return self._once(("delivery", id(top), kind), deliver)
+        return self._once(("delivery", id(top), kind), deliver, seed)
 
-    def scores(self, top: GraspCandidate, kind: str) -> MetricScores:
-        """evaluate_maps on every contact map at delivery(top, kind)."""
-        ctx, rotation = self.delivery(top, kind)[:2]
+    def scores(self, seed: int, top: GraspCandidate, kind: str) -> MetricScores:
+        """evaluate_maps on every contact map at delivery(seed, top, kind)."""
+        ctx, rotation = self.delivery(seed, top, kind)[:2]
         return self._once(("scores", id(top), kind),
-                          lambda: evaluate_maps(ctx, rotation, self.scene.contact_maps, self.params.k))
+                          lambda _: evaluate_maps(ctx, rotation, self.scene.contact_maps, self.params.k), seed)
 
 
 def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, seed: int | None = None,
@@ -474,21 +478,17 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
     """Execute one handover attempt. Never raises on a stage failure: the
     report carries the failing stage and message instead.
 
-    `shared` carries the stages this run can share with the other modes of
-    this (scene, seed); a fresh one is made when it is None. A seed that
-    breaks the `seed` rule, or shared stages bound to another scene, params
-    object or seed, is a caller error (ValueError).
+    `shared` carries the stages this run can share with the other runs of
+    this scene; a fresh one is made when it is None. A seed that breaks the
+    `seed` rule, or shared stages bound to another scene or params object,
+    is a caller error (ValueError).
     """
     mode = AblationMode(mode) if not isinstance(mode, AblationMode) else mode
     params = scene.params
     seed = resolve_seed(seed, params)
-    if shared is None:
-        shared = SharedStages(scene, seed)
-    elif shared.scene is not scene or shared.params is not params or shared.seed != seed:
-        raise ValueError(
-            f"shared stages of scene {shared.scene.name!r} seed {shared.seed} "
-            f"passed to a run of scene {scene.name!r} seed {seed}"
-        )
+    shared = SharedStages(scene) if shared is None else shared
+    if shared.scene is not scene or shared.params is not params:
+        raise ValueError(f"shared stages of scene {shared.scene.name!r} passed to a run of scene {scene.name!r}")
     t_start = time.perf_counter()
     stages: list[str] = []  # each stage is appended as it starts
     grasp_rec = position_rec = delivery_rec = metrics_rec = None
@@ -496,14 +496,14 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
     ok = False
     try:
         stages.append("grasp")
-        shared.candidates()  # ranking reads them; here only a failure matters
+        shared.candidates(seed)  # ranking reads them; here only a failure matters
 
         stages.append("contacts")
         shared.cluster()
 
         stages.append("ranking")
         lam = 1.0 if mode in CONFIDENCE_ONLY_MODES else params.lam
-        top = shared.ranking(lam)[0]
+        top = shared.ranking(seed, lam)[0]
         grasp_rec = _grasp_record(top)
 
         if mode is AblationMode.A4:
@@ -519,12 +519,12 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
             }
             stages.append("orientation")
 
-        ctx, rotation, objective, pose = shared.delivery(top.candidate, DELIVERY_KINDS[mode])
+        ctx, rotation, objective, pose = shared.delivery(seed, top.candidate, DELIVERY_KINDS[mode])
         delivery_rec = _delivery_record(ctx, rotation, objective, pose if emit_diagnostics else None)
 
         if stages[-1] != "metrics":
             stages.append("metrics")
-        scores = shared.scores(top.candidate, DELIVERY_KINDS[mode])
+        scores = shared.scores(seed, top.candidate, DELIVERY_KINDS[mode])
         per_map = zip(scores.visibility, scores.reachability)
         metrics_rec = {
             "per_map": [{"visibility": v, "reachability": r} for v, r in per_map],

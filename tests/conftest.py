@@ -374,8 +374,10 @@ def oracle_block_occlusions(candidates, cluster, gripper, grid) -> list[float]:
 
 def oracle_cluster_contacts(cm, eps=None, min_pts=4) -> list[ContactCluster]:
     """DBSCAN with each neighbourhood found when the loop first needs it,
-    from the 27 buckets (edge eps) around the point. The oracle for
-    contacts.cluster_contacts."""
+    from the 27 buckets around the point. The buckets' edge is the larger of
+    eps and the voxel size: any edge of at least eps keeps that search
+    exact, and the voxel size keeps the bucket keys in int64 for a tiny eps.
+    The oracle for contacts.cluster_contacts."""
     grid = cm.grid
     if eps is None:
         eps = EPS_VOXELS * grid.voxel_size
@@ -384,7 +386,7 @@ def oracle_cluster_contacts(cm, eps=None, min_pts=4) -> list[ContactCluster]:
     n = len(points)
     eps2 = eps * eps
     buckets: dict = {}
-    keys = np.floor(centers / eps).astype(int)
+    keys = np.floor(centers / max(eps, grid.voxel_size)).astype(int)
     for i in range(n):
         buckets.setdefault((int(keys[i, 0]), int(keys[i, 1]), int(keys[i, 2])), []).append(i)
 
@@ -492,9 +494,9 @@ def oracle_register(grid, dense) -> dict:
     return values
 
 
-def pipeline_context(scene: Scene, shared: SharedStages, lam: float) -> DeliveryContext:
-    """The DeliveryContext run_pipeline plans on, for the top grasp at `lam`."""
-    top = shared.ranking(lam)[0].candidate
+def pipeline_context(scene: Scene, shared: SharedStages, seed: int, lam: float) -> DeliveryContext:
+    """The DeliveryContext run_pipeline plans on at `seed`, for the top grasp at `lam`."""
+    top = shared.ranking(seed, lam)[0].candidate
     return DeliveryContext(
         grid=scene.grid, gripper=scene.gripper, grasp_rotation=top.rotation,
         held_point=top.translation, width=top.width, ee_position=shared.position()[0],
@@ -525,11 +527,11 @@ def scenes(suite_dir) -> dict[str, Scene]:
 
 @pytest.fixture(scope="session")
 def bundled_stages(scenes):
-    """Per bundled scene and seed 0-4: a SharedStages ranked FULL-first (the
-    scene's lam, then 1.0), one ranked A1-first (1.0, then the scene's lam),
-    rank_grasps of the contenders (grasping.contenders) computed directly at
-    each of the two lams, and the lam of every rank_grasps call the two
-    SharedStages made."""
+    """Per bundled scene and seed 0-4: a SharedStages asked only for that
+    seed and ranked FULL-first (the scene's lam, then 1.0), one ranked
+    A1-first (1.0, then the scene's lam), rank_grasps of the contenders
+    (grasping.contenders) computed directly at each of the two lams, and the
+    lam of every rank_grasps call the two SharedStages made."""
     out = {}
     real = harness.rank_grasps
     for name, scene in scenes.items():
@@ -542,13 +544,13 @@ def bundled_stages(scenes):
                 return real(candidates, cluster, lam, *rest)
 
             for lams in ((scene.params.lam, 1.0), (1.0, scene.params.lam)):
-                shared = SharedStages(scene, seed)
+                shared = SharedStages(scene)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(harness, "rank_grasps", recording)
                     for lam in lams:
-                        shared.ranking(lam)
+                        shared.ranking(seed, lam)
                 pair.append(shared)
-            shortlist = contenders(shared.candidates(), shared.cluster(), *args)
+            shortlist = contenders(shared.candidates(seed), shared.cluster(), *args)
             fresh = {lam: real(shortlist, shared.cluster(), lam, *args) for lam in (scene.params.lam, 1.0)}
             out[name, seed] = (scene, *pair, fresh, calls)
     return out

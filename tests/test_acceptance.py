@@ -523,7 +523,7 @@ def test_criterion_08_ablation_direction(scenes):
     a4_reach = []
     for scene in scenes.values():
         for seed in range(5):
-            shared = SharedStages(scene, seed)
+            shared = SharedStages(scene)
             for mode in succ:
                 rep = run_pipeline(scene, mode, seed=seed, shared=shared)
                 succ[mode].append(1.0 if rep.success else 0.0)

@@ -328,13 +328,14 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
 
 
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):
-    """Bench runs the modes of one (scene, seed) as one group that shares its
-    stages: one sampling, one clustering of the planning map, one arm plan,
-    and one rank_grasps call, on the contenders at the scene's lam, whatever
-    --jobs is. FULL/A2 rank at the scene's lam and A1/A3/A4 at 1.0; each lam
-    re-sorts that one ranking. FULL and A1 rank one candidate first,
-    so it is searched once and scored once per delivery kind (planned,
-    random, tucked), and A2/A3 draw from that search's feasible rotations."""
+    """Bench runs every (seed, mode) of one scene as one group that shares its
+    stages, whatever --jobs is: one clustering of the planning map and one arm
+    plan per scene, and per seed one sampling and one rank_grasps call, on the
+    contenders at the scene's lam. FULL/A2 rank at the scene's lam and
+    A1/A3/A4 at 1.0; each lam re-sorts that one ranking. FULL and A1 rank one
+    candidate first, so it is searched once and scored once per delivery kind
+    (planned, random, tucked), and A2/A3 draw from that search's feasible
+    rotations."""
     names = ("sample_grasps", "cluster_contacts", "rank_grasps", "plan_handover_position",
              "predict_contacts_heuristic", "plan_handover_orientation", "evaluate_maps", "feasible")
     calls = {}
@@ -367,6 +368,12 @@ def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys
         assert code == 0
         assert len(list(out.glob(f"{stem}_*_0.json"))) == 5
         assert calls == expect
+    calls.update(dict.fromkeys(names, 0))
+    code, _, _ = run_cli(["bench", str(heuristic), "--seeds", "0,1", "--jobs", "3",
+                          "--out", str(tmp_path / "seeds")], capsys)
+    assert code == 0
+    per_seed = ("sample_grasps", "rank_grasps", "plan_handover_orientation", "evaluate_maps")
+    assert calls == {**once, "predict_contacts_heuristic": 1} | {name: 2 * once[name] for name in per_seed}
 
 
 def test_bench_accepts_glob(suite_dir, tmp_path, capsys):

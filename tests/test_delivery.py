@@ -273,10 +273,10 @@ def test_context_owns_read_only_copies_of_its_arrays(scenes):
     """The hammer's FULL context at seed 0 shares no memory with the arm plan
     every mode reads or with the top candidate, and refuses in-place writes."""
     scene = scenes["hammer"]
-    shared = SharedStages(scene, 0)
-    top = shared.ranking(scene.params.lam)[0].candidate
+    shared = SharedStages(scene)
+    top = shared.ranking(0, scene.params.lam)[0].candidate
     base = scene.robot_base
-    ctx = replace(pipeline_context(scene, shared, scene.params.lam), robot_base=base)
+    ctx = replace(pipeline_context(scene, shared, 0, scene.params.lam), robot_base=base)
     ee = shared.position()[0]
     plan_z = float(ee[2])
     for name, source in (("ee_position", ee), ("held_point", top.translation),
@@ -295,7 +295,7 @@ def test_feasibility_matches_scalar_oracle_on_bundled_contexts(bundled_stages, s
     rotations = sample_orientations(step)
     for (name, seed), (scene, shared, *_) in bundled_stages.items():
         for lam in (scene.params.lam, 1.0):
-            ctx = pipeline_context(scene, shared, lam)
+            ctx = pipeline_context(scene, shared, seed, lam)
             got = [feasibility_reason(ctx, r) for r in rotations]
             assert got == [oracle_feasibility_reason(ctx, r) for r in rotations], (name, seed, lam)
 
@@ -518,7 +518,7 @@ def test_bound_ordered_search_equals_the_exhaustive_oracle(bundled_stages, step,
         if name not in heuristic:
             heuristic[name] = largest_cluster(cluster_contacts(predict_contacts_heuristic(scene.grid),
                                                               p.eps, p.min_pts))
-        ctx = pipeline_context(scene, shared, p.lam)
+        ctx = pipeline_context(scene, shared, seed, p.lam)
         map0 = largest_cluster(cluster_contacts(scene.contact_maps[0], p.eps, p.min_pts))
         for kind, cluster in (("map-0", map0), ("heuristic", heuristic[name])):
             scored.clear()
@@ -657,10 +657,10 @@ def test_search_on_a_bundled_context_calls_no_scalar_check(bundled_stages, monke
     check, so its search decides every rotation in the one-array cone test,
     and calls no feasibility_reason."""
     calls = count_feasibility_calls(monkeypatch)
-    for (scene, shared, *_) in bundled_stages.values():
-        assert not any(map(len, pipeline_context(scene, shared, scene.params.lam).near_offsets)), scene.name
+    for (_, seed), (scene, shared, *_) in bundled_stages.items():
+        assert not any(map(len, pipeline_context(scene, shared, seed, scene.params.lam).near_offsets)), scene.name
     (scene, shared, *_) = bundled_stages[("mug", 0)]
-    ctx = pipeline_context(scene, shared, scene.params.lam)
+    ctx = pipeline_context(scene, shared, 0, scene.params.lam)
     pose = plan_handover_orientation(ctx, shared.cluster(), 30.0)
     assert len(pose.candidates) == len(sample_orientations(30.0)) and not calls
 
@@ -674,10 +674,10 @@ def live_contexts(scenes, bundled_stages):
     out = {}
     for name in ("mug", "hammer", "rodball"):
         scene = replace(scenes[name], gripper=replace(scenes[name].gripper, finger_thickness=0.25))
-        shared = SharedStages(scene, 0)
-        out[name + "-wide"] = (pipeline_context(scene, shared, scene.params.lam), shared.cluster())
+        shared = SharedStages(scene)
+        out[name + "-wide"] = (pipeline_context(scene, shared, 0, scene.params.lam), shared.cluster())
     (scene, shared, *_) = bundled_stages[("mug", 0)]
-    ctx = pipeline_context(scene, shared, scene.params.lam)
+    ctx = pipeline_context(scene, shared, 0, scene.params.lam)
     out["mug-close"] = (replace(ctx, ee_position=ctx.human.base_position + [0.24, 0.0, 0.44]), shared.cluster())
     return out
 

@@ -1,5 +1,7 @@
 """Scene loading, the end-to-end pipeline, ablation modes, and aggregation."""
+import gc
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -112,8 +114,8 @@ def test_heuristic_planning_map(scenes):
     scene = replace(scenes["mug"], planning_map="heuristic")
     p = scene.params
     want = largest_cluster(cluster_contacts(predict_contacts_heuristic(scene.grid), p.eps, p.min_pts))
-    assert SharedStages(scene, 0).cluster().member_indices.tolist() == want.member_indices.tolist()
-    assert SharedStages(scenes["mug"], 0).cluster().member_indices.tolist() != want.member_indices.tolist()
+    assert SharedStages(scene).cluster().member_indices.tolist() == want.member_indices.tolist()
+    assert SharedStages(scenes["mug"]).cluster().member_indices.tolist() != want.member_indices.tolist()
 
 
 # ------------------------------------------------------------- full pipeline
@@ -207,11 +209,11 @@ def test_diagnostics_and_the_random_draw_build_no_orientation_candidate(scenes, 
     built, real = [], delivery.OrientationCandidate
     monkeypatch.setattr(delivery, "OrientationCandidate", lambda *args: built.append(args) or real(*args))
     scene = scenes["mug"]
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     full, a2 = (run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared) for mode in ("FULL", "A2"))
     assert full.failure is None and a2.failure is None and full.delivery["rejected_candidates"]
     assert built == []
-    pose = shared.delivery(shared.ranking(scene.params.lam)[0].candidate, "planned")[3]
+    pose = shared.delivery(0, shared.ranking(0, scene.params.lam)[0].candidate, "planned")[3]
     assert len(pose.candidates) == len(built) == len(pose.rotations) == len(sample_orientations(45.0))
 
 
@@ -222,10 +224,10 @@ def test_a_full_plan_builds_grasp_candidates_only_for_the_contenders(scenes, mon
     built, real = [], grasping.GraspCandidate
     monkeypatch.setattr(grasping, "GraspCandidate", lambda *args: built.append(args) or real(*args))
     scene = scenes["mug"]
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     assert run_pipeline(scene, "FULL", 0, shared=shared).failure is None
-    ranked = shared.ranking(scene.params.lam)
-    assert len(built) == len(ranked) < len(shared.candidates())
+    ranked = shared.ranking(0, scene.params.lam)
+    assert len(built) == len(ranked) < len(shared.candidates(0))
     assert sorted(args[4] for args in built) == sorted(rg.candidate.contact_pair for rg in ranked)
 
 
@@ -269,7 +271,7 @@ def test_ergonomics_csv_is_rendered_once_per_scene_seed(scenes, monkeypatch):
     real = harness.candidates_csv
     calls = []
     monkeypatch.setattr(harness, "candidates_csv", lambda kept: calls.append(kept) or real(kept))
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     reports = [run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared) for mode in AblationMode]
     assert len(calls) == 1 and calls[0] is shared.position()[2]
     got = [r.metrics.get("diagnostics", {}).get("ergonomics_csv") for r in reports]
@@ -284,7 +286,7 @@ def test_bitmap_keys_are_rendered_once_per_scene_seed(scenes, monkeypatch):
     real = harness._bitmap_keys
     calls = []
     monkeypatch.setattr(harness, "_bitmap_keys", lambda cm: calls.append(cm) or real(cm))
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     reports = [run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared) for mode in AblationMode]
     assert calls == list(scene.contact_maps)
     monkeypatch.undo()
@@ -361,7 +363,7 @@ def test_bundled_reports_and_summary_are_written_as_json_dumps(scenes, tmp_path)
     diagnostics, and their summary: write_json's bytes are json.dumps'."""
     reports = []
     for scene in scenes.values():
-        shared = SharedStages(scene, 0)
+        shared = SharedStages(scene)
         reports += [run_pipeline(scene, mode, 0, emit_diagnostics=emit, shared=shared)
                     for emit in (True, False) for mode in AblationMode]
     for data in [r.to_dict() for r in reports] + [aggregate(reports)]:
@@ -476,11 +478,56 @@ def test_shared_stages_reports_equal_fresh_runs(scenes):
     # fills the shared stages, A2 and A3 once before any planned search
     for emit in (False, True):
         for i, scene in enumerate(scenes.values()):
-            shared = SharedStages(scene, 0)
+            shared = SharedStages(scene)
             for mode in MODES[i:] + MODES[:i]:
                 fresh = run_pipeline(scene, mode, 0, emit_diagnostics=emit)
                 via_shared = run_pipeline(scene, mode, 0, emit_diagnostics=emit, shared=shared)
                 assert report_bytes(via_shared) == report_bytes(fresh), (scene.name, mode, emit)
+
+
+def test_shared_stages_over_seeds_0_1_0_report_as_fresh_runs(scenes):
+    """One SharedStages per bundled scene, asked for every mode of seed 0,
+    then 1, then 0 again, with diagnostics: each report equals a fresh run's.
+    Seed 1 drops seed 0's entries, so the second seed 0 computes them anew."""
+    for scene in scenes.values():
+        fresh = {(seed, mode): report_bytes(run_pipeline(scene, mode, seed, emit_diagnostics=True))
+                 for seed in (0, 1) for mode in MODES}
+        shared = SharedStages(scene)
+        for seed in (0, 1, 0):
+            for mode in MODES:
+                report = run_pipeline(scene, mode, seed, emit_diagnostics=True, shared=shared)
+                assert report_bytes(report) == fresh[seed, mode], (scene.name, seed, mode)
+
+
+def retained_bytes(scene, seeds) -> int:
+    """The traced bytes a SharedStages of `scene` still holds after every
+    mode of each of `seeds`, in order: what deleting it frees."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        shared = SharedStages(scene)
+        for seed in seeds:
+            for mode in MODES:
+                run_pipeline(scene, mode, seed, shared=shared)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del shared
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("min_pts", [4, 100000], ids=["bundled", "no-cluster"])
+def test_shared_stages_hold_one_seed_at_a_time(scenes, min_pts):
+    """After seeds 0-4, a SharedStages of mug holds no more than after seed
+    0 alone, plus 10%: each new seed drops the last one's entries. Bundled,
+    both hold about 0.37 MB (numpy 2.4, x86_64); keeping every seed's held
+    1.7 MB. With no cluster, every run raises the one kept clustering
+    failure, which must not keep the frames of the runs that raised it."""
+    scene = scene_with(scenes["mug"], min_pts=min_pts)
+    one = retained_bytes(scene, [0])
+    assert 0 < retained_bytes(scene, range(5)) <= 1.1 * one
 
 
 def lower_confidences(monkeypatch):
@@ -520,11 +567,11 @@ def test_modes_with_different_tops_each_deliver_their_own(scenes, monkeypatch):
     fresh = {mode: report_bytes(run_pipeline(scene, mode, 0, emit_diagnostics=True)) for mode in MODES}
     searched, scored, scanned = (record_contexts(monkeypatch, name)
                                  for name in ("plan_handover_orientation", "evaluate_maps", "feasible"))
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     for mode in MODES:
         report = run_pipeline(scene, mode, 0, emit_diagnostics=True, shared=shared)
         assert report_bytes(report) == fresh[mode], mode
-    tops = [shared.ranking(lam)[0].candidate for lam in (scene.params.lam, 1.0)]
+    tops = [shared.ranking(0, lam)[0].candidate for lam in (scene.params.lam, 1.0)]
     assert tops[0] is not tops[1]
     held = [top.translation.tobytes() for top in tops]
     assert [ctx.held_point.tobytes() for ctx in searched] == held
@@ -555,14 +602,14 @@ def test_kept_delivery_failure_reports_as_a_fresh_run(scenes, monkeypatch, name,
     calls = record_contexts(monkeypatch, name, RuntimeError("stage broken"))
     fresh = {mode: run_pipeline(scene, mode, 0) for mode in MODES}
     calls.clear()
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     reached = set()
     for mode in AblationMode:
         report = run_pipeline(scene, mode, 0, shared=shared)
         assert report_bytes(report) == report_bytes(fresh[mode.value]), mode
         if report.failure == f"{stage}: RuntimeError: stage broken":
             lam = 1.0 if mode in harness.CONFIDENCE_ONLY_MODES else scene.params.lam
-            reached.add((id(shared.ranking(lam)[0].candidate), harness.DELIVERY_KINDS[mode]))
+            reached.add((id(shared.ranking(0, lam)[0].candidate), harness.DELIVERY_KINDS[mode]))
     assert (len(calls), len(reached)) == (runs, kinds)
 
 
@@ -586,7 +633,7 @@ def test_shared_position_failure_spares_a4(scenes, monkeypatch):
         raise ValueError("arm model broken")
 
     monkeypatch.setattr(harness, "plan_handover_position", broken)
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     for mode in MODES:
         report = run_pipeline(scene, mode, 0, shared=shared)
         if mode == "A4":
@@ -606,7 +653,7 @@ def test_any_stage_exception_names_the_stage(scenes, monkeypatch):
         raise RuntimeError("solver diverged")
 
     monkeypatch.setattr(harness, "plan_handover_position", broken)
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     for mode in MODES:
         for report in (run_pipeline(scene, mode, 0), run_pipeline(scene, mode, 0, shared=shared)):
             if mode == "A4":
@@ -643,7 +690,7 @@ def full_tops(bundled_stages):
     out = {}
     for key, (scene, shared, *_) in bundled_stages.items():
         grid = scene.grid
-        out[key] = {lam: ranking_bits(rank_grasps(shared.candidates(), shared.cluster(), lam,
+        out[key] = {lam: ranking_bits(rank_grasps(shared.candidates(key[1]), shared.cluster(), lam,
                                                   scene.gripper, grid)[:1]) for lam in (0.0, 0.5, 1.0)}
     return out
 
@@ -657,8 +704,8 @@ def test_shared_ranking_equals_fresh_rank_grasps_bitwise(bundled_stages, full_to
         assert calls == [scene.params.lam] * 2, (name, seed)
         for lam in fresh:
             expect = ranking_bits(fresh[lam])
-            assert ranking_bits(full_first.ranking(lam)) == expect, (name, seed, lam)
-            assert ranking_bits(a1_first.ranking(lam)) == expect, (name, seed, lam)
+            assert ranking_bits(full_first.ranking(seed, lam)) == expect, (name, seed, lam)
+            assert ranking_bits(a1_first.ranking(seed, lam)) == expect, (name, seed, lam)
             assert expect[:1] == full_tops[name, seed][lam], (name, seed, lam)
 
 
@@ -671,7 +718,7 @@ def test_shared_ranking_keeps_every_tie_break_on_constructed_contenders(scenes, 
     assert scene.params.lam == 0.5
     pairs = [(0.9, 0.25), (1.0, 0.5), (0.5, 0.0), (0.9, 0.25), (0.75, 0.25), (1.0, 0.75), (1.0, 0.5),
              (0.9, 0.5), (0.75, 0.0), (0.5, 0.0), (0.625, 0.0), (0.9, 0.25)]
-    base = SharedStages(scene, 0).candidates()
+    base = SharedStages(scene).candidates(0)
     built = [replace(c, confidence=conf) for c, (conf, _) in zip(base, pairs)]
     occlusion = {id(c): occ for c, (_, occ) in zip(built, pairs)}
     monkeypatch.setattr(grasping, "_occlusions", lambda cands, *args: [occlusion[id(c)] for c in cands])
@@ -682,9 +729,9 @@ def test_shared_ranking_keeps_every_tie_break_on_constructed_contenders(scenes, 
     real = harness.rank_grasps
     monkeypatch.setattr(harness, "rank_grasps", lambda *args: calls.append(args[2]) or real(*args))
     for order in (lams, lams[::-1]):
-        shared = SharedStages(scene, 0)
+        shared = SharedStages(scene)
         for lam in order:
-            assert ranking_bits(shared.ranking(lam)) == fresh[lam], (order, lam)
+            assert ranking_bits(shared.ranking(0, lam)) == fresh[lam], (order, lam)
     assert calls == [0.5, 0.5]
 
 
@@ -696,8 +743,8 @@ def test_shared_top_is_the_top_of_every_candidate_bitwise(bundled_stages, full_t
     for (name, seed), (scene, full_first, a1_first, *_) in bundled_stages.items():
         for lam, expect in full_tops[name, seed].items():
             for shared in (full_first, a1_first):
-                assert ranking_bits(shared.ranking(lam)[:1]) == expect, (name, seed, lam)
-            assert len(full_first.ranking(lam)) < len(full_first.candidates()), (name, seed)
+                assert ranking_bits(shared.ranking(seed, lam)[:1]) == expect, (name, seed, lam)
+            assert len(full_first.ranking(seed, lam)) < len(full_first.candidates(seed)), (name, seed)
 
 
 def test_shared_ranking_failure_is_raised_for_every_lam(scenes, monkeypatch):
@@ -708,7 +755,7 @@ def test_shared_ranking_failure_is_raised_for_every_lam(scenes, monkeypatch):
         raise RuntimeError("occlusion kernel broken")
 
     monkeypatch.setattr(harness, "rank_grasps", broken)
-    shared = SharedStages(scenes["hammer"], 0)
+    shared = SharedStages(scenes["hammer"])
     for mode in ("FULL", "A1", "A4"):
         report = run_pipeline(scenes["hammer"], mode, 0, shared=shared)
         assert report.failure == "ranking: RuntimeError: occlusion kernel broken", mode
@@ -717,7 +764,7 @@ def test_shared_ranking_failure_is_raised_for_every_lam(scenes, monkeypatch):
 
 def test_shared_empty_cluster_fails_every_mode_alike(scenes):
     scene = scene_with(scenes["hammer"], min_pts=100000)
-    shared = SharedStages(scene, 0)
+    shared = SharedStages(scene)
     for mode in MODES:
         fresh = run_pipeline(scene, mode, 0)
         report = run_pipeline(scene, mode, 0, shared=shared)
@@ -726,14 +773,12 @@ def test_shared_empty_cluster_fails_every_mode_alike(scenes):
         )
 
 
-def test_shared_stages_bound_to_scene_params_and_seed(scenes):
+def test_shared_stages_bound_to_scene_and_params(scenes):
     scene = scenes["hammer"]
-    with pytest.raises(ValueError, match="seed 0 passed to a run of scene 'hammer' seed 1"):
-        run_pipeline(scene, "A4", 1, shared=SharedStages(scene, 0))
-    with pytest.raises(ValueError, match="scene 'mug'"):
-        run_pipeline(scene, "A4", 0, shared=SharedStages(scenes["mug"], 0))
+    with pytest.raises(ValueError, match="shared stages of scene 'mug' passed to a run of scene 'hammer'"):
+        run_pipeline(scene, "A4", 0, shared=SharedStages(scenes["mug"]))
     twin = scene_with(scene)
-    shared = SharedStages(twin)  # seed None binds the scene's own seed
+    shared = SharedStages(twin)
     twin.params = PipelineParams.from_dict(asdict(twin.params))
     with pytest.raises(ValueError, match="shared stages"):
         run_pipeline(twin, "A4", shared=shared)
@@ -742,11 +787,17 @@ def test_shared_stages_bound_to_scene_params_and_seed(scenes):
 @pytest.mark.parametrize("seed", [2.5, True, -1])
 def test_seed_outside_its_rule_is_a_caller_error(scenes, seed):
     """A seed argument keeps the scene's `seed` rule, in run_pipeline and in
-    SharedStages alike: 2.5 is not truncated to 2, nor True read as 1."""
-    with pytest.raises(ValueError, match=r"parameter 'seed' must be an integer in \[0, inf\)"):
+    every seeded SharedStages method alike: 2.5 is not truncated to 2, nor
+    True read as 1."""
+    message = r"parameter 'seed' must be an integer in \[0, inf\)"
+    with pytest.raises(ValueError, match=message):
         run_pipeline(scenes["hammer"], "A4", seed)
-    with pytest.raises(ValueError, match="parameter 'seed'"):
-        SharedStages(scenes["hammer"], seed)
+    shared = SharedStages(scenes["hammer"])
+    top = shared.ranking(0, 0.5)[0].candidate
+    for ask in (lambda: shared.candidates(seed), lambda: shared.ranking(seed, 0.5),
+                lambda: shared.delivery(seed, top, "planned"), lambda: shared.scores(seed, top, "tucked")):
+        with pytest.raises(ValueError, match=message):
+            ask()
 
 
 # --------------------------------------------------------------- aggregation
