@@ -60,14 +60,18 @@ class GripperModel:
         return out
 
     def in_closing_region(self, rotation, translation, width, points) -> np.ndarray:
-        """Boolean mask: which world points lie in the closing region (with a
-        REGION_EPS boundary inflation so grasped-pair centers count as
-        inside). A stack of R poses, as (R, 3, 3) rotations, (R, 1, 3)
-        translations and (R,) widths, gives an (R, points) mask."""
-        local = (np.atleast_2d(points) - translation) @ rotation
+        """Boolean mask: which world points (xyz last) lie in the closing
+        region (with a REGION_EPS boundary inflation so grasped-pair centers
+        count as inside). A stack of R poses, as (R, 3, 3) rotations, (R, 1,
+        3) or (R, 3, 1) translations and (R,) widths, gives an (R, points)
+        mask. The local frame is rot^T @ (points^T - t^T), axes-first, so
+        each pass runs over the points: the transpose of (points - t) @ rot,
+        bit for bit where the BLAS rounds both products alike."""
+        t = np.reshape(translation, np.shape(rotation)[:-1] + (1,))
+        local = np.swapaxes(rotation, -1, -2) @ (np.atleast_2d(points).T - t)
         # the region is symmetric and fl(-hi - eps) == -fl(hi + eps): one abs, one bound
-        inside = np.abs(local, out=local) <= self.closing_region(width)[..., 1, None, :] + REGION_EPS
-        return inside[..., 0] & inside[..., 1] & inside[..., 2]  # faster than all() over 3
+        inside = np.abs(local, out=local) <= self.closing_region(width)[..., 1, :, None] + REGION_EPS
+        return inside[..., 0, :] & inside[..., 1, :] & inside[..., 2, :]  # faster than all() over 3
 
     def surface_points(self, width: float, pitch: float) -> np.ndarray:
         """Points sampled on the faces of all three boxes at the given pitch,
@@ -208,12 +212,13 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
         return GraspSet.of([])
     vs = grid.voxel_size
     order = np.random.default_rng(seed).permutation(len(surface))
-    occupied = grid.occupied_centers
+    occupied = np.ascontiguousarray(grid.occupied_centers.T)  # (3, N) rows; each pair's cull gathers columns
     middle = grid.origin + 0.5 * vs * np.array(grid.dims)
-    centred = np.ascontiguousarray((occupied - middle).T)  # the cull's points as (3, N) rows, and their squared norms
+    centred = occupied - middle[:, None]  # the cull's points, and their squared norms
     sq_norms = np.einsum("ij,ij->j", centred, centred)
     cos_limit = math.cos(math.radians(MAX_NORMAL_OPPOSITION_DEG))
     centers = grid.centers(surface)
+    centers_t, nrm_t = np.ascontiguousarray(centers.T), np.ascontiguousarray(nrm.T)
     pool_cap = max(8 * max_candidates, 64)
     step_lens = np.arange(0.5 * vs, gripper.max_width + 2 * vs, 0.5 * vs)
     ft, hfl = gripper.finger_thickness, gripper.finger_length / 2.0
@@ -233,15 +238,15 @@ def sample_grasps(grid: VoxelGrid, gripper: GripperModel, max_candidates: int = 
         # in reach, and in a finger band or the palm ring
         touch = (along <= hi) & (r2 <= radial_sq - m2)
         touch &= (along >= lo) | (r2 >= ring_sq - m2)
-        free[k] = ~_collisions(gripper, rots[k], mid[k], width[k], occupied[touch])
+        free[k] = ~_collisions(gripper, rots[k], mid[k], width[k], np.compress(touch, occupied, axis=1).T)
         return int(np.count_nonzero(free[k]))
 
     # free candidates of the tested pairs: top at confidence 1.0, below under it
     top, below, chunks, queue = 0, 0, [], []
     for start in range(0, len(order), SAMPLE_CHUNK):
         block = order[start : start + SAMPLE_CHUNK]
-        probe = centers[block, None] - step_lens[:, None] * nrm[block, None]
-        passed = grid.surface_rows(np.floor((probe - grid.origin) / vs).astype(int))
+        probe = centers_t[:, block, None] - step_lens * nrm_t[:, block, None]  # [xyz, voxel, step]
+        passed = grid.surface_rows(np.moveaxis(np.floor((probe - grid.origin[:, None, None]) / vs).astype(int), 0, -1))
         hit = (passed >= 0) & (passed != block[:, None])
         hit[:, 1:] &= passed[:, 1:] != passed[:, :-1]  # a straight probe enters each cell once
         rows, cols = np.nonzero(hit)
@@ -293,9 +298,11 @@ def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
     the boxes()/closing_region() tests: every box spans |x| <= hx, and |y|,
     one value per point (column 1 of each frame is the closing axis), leaves
     it one colliding z range: a finger band's, the palm above the region's.
-    The sampler's cull picks the points; x, y and z view one product of them."""
+    The sampler's cull picks the points, as the (n, 3) view of (3, n) rows;
+    x, y and z are blocks of one axes-first product (see in_closing_region)."""
     ft, hfl, hw = gripper.finger_thickness, gripper.finger_length / 2.0, width / 2.0
-    x, y, z = ((points - translation) @ rotations).transpose(2, 0, 1)  # views, no copy
+    x, y, z = local = np.empty((3, len(rotations), len(points)))  # [xyz, roll, point]: each axis one block
+    np.matmul(np.swapaxes(rotations, -1, -2), points.T - translation[:, None], out=local.transpose(1, 0, 2))
     ay = np.abs(y[0])
     z_lo = np.where(ay <= hw + REGION_EPS, np.nextafter(hfl + REGION_EPS, np.inf), -hfl)
     z_lo[ay > hw + ft] = np.inf
@@ -308,7 +315,7 @@ def _collisions(gripper, rotations, translation, width, points) -> np.ndarray:
 
 # (candidate, cluster voxel) pairs per occlusion block, and pairs gathered for
 # the box tests: rank_grasps on rodball peaks near 0.41 MB under tracemalloc,
-# contenders near 0.47 MB.
+# contenders near 0.45 MB.
 OCCLUSION_BLOCK_PAIRS, OCCLUSION_FLUSH_PAIRS = 3072, 512
 # cluster voxels each round of the contender scan counts for every live candidate
 CONTENDER_CHUNK = 64
@@ -328,16 +335,16 @@ def occlusion_fraction(grasp: GraspCandidate, cluster: ContactCluster, gripper: 
 
 def _rays(cluster, grid):
     """(centers, ray origins, ray directions) of the cluster voxels, one row
-    each; every voxel must be a surface voxel of `grid`."""
+    each, as (n, 3) views of (3, n) rows; every voxel must be a surface
+    voxel of `grid`."""
     if cluster.size == 0:
         raise ValueError("empty contact map")
     members = cluster.member_indices
     rows = grid.surface_rows(members)
     if (rows < 0).any():
         raise ValueError(f"cluster voxel {tuple(members[np.argmin(rows)].tolist())} has no surface normal")
-    centers = grid.centers(members)
-    nrm = grid.normals[rows]
-    return centers, centers + 1.5 * grid.voxel_size * nrm, nrm
+    centers, nrm = np.ascontiguousarray(grid.centers(members).T), np.ascontiguousarray(grid.normals[rows].T)
+    return centers.T, (centers + 1.5 * grid.voxel_size * nrm).T, nrm.T
 
 
 def _hits(candidates: GraspSet, rays, gripper, rows=None) -> np.ndarray:
@@ -349,7 +356,8 @@ def _hits(candidates: GraspSet, rays, gripper, rows=None) -> np.ndarray:
     gripper boxes (each bound the boxes() expression that wins it) misses
     each of them, since (lo - o) / d rounds monotonically in lo. The pairs
     that hit it get the three box tests once about OCCLUSION_FLUSH_PAIRS
-    have gathered."""
+    have gathered. Local frames are axes-first (see in_closing_region),
+    stored [xyz, candidate, ray] and read through [candidate, ray, xyz] views."""
     centers, origins, nrm = rays
     rows = np.arange(len(candidates)) if rows is None else rows
     ft, fl = gripper.finger_thickness, gripper.finger_length
@@ -358,14 +366,16 @@ def _hits(candidates: GraspSet, rays, gripper, rows=None) -> np.ndarray:
     block = max(1, OCCLUSION_BLOCK_PAIRS // len(centers))
     for start in range(0, len(rows), block):
         at = rows[start : start + block]
-        rot, t, w = candidates.rotation[at], candidates.translation[at, None], candidates.width[at]
+        rot, t, w = candidates.rotation[at], candidates.translation[at, :, None], candidates.width[at]
         covered = gripper.in_closing_region(rot, t, w, centers)
         hits[start : start + block] = np.count_nonzero(covered, axis=1)
-        o_loc = (origins - t) @ rot
-        d_loc = nrm @ rot
-        hw = w[:, None, None] / 2.0  # the union box, [candidate, 1, xyz]
-        lo = np.concatenate(np.broadcast_arrays(-ft / 2.0, -hw - ft, -fl / 2), axis=-1)
-        hi = np.concatenate(np.broadcast_arrays(ft / 2.0, hw + ft, fl / 2 + gripper.palm_depth), axis=-1)
+        rot_t, shape = np.swapaxes(rot, 1, 2), (3, len(at), len(centers))
+        o_loc = np.matmul(rot_t, origins.T - t, out=np.empty(shape).transpose(1, 0, 2)).transpose(0, 2, 1)
+        d_loc = np.matmul(rot_t, nrm.T, out=np.empty(shape).transpose(1, 0, 2)).transpose(0, 2, 1)
+        hw = w[:, None] / 2.0  # the union box, [candidate, 1, xyz]
+        lo, hi = np.empty((2, len(at), 1, 3))
+        lo[..., 0], lo[..., 1], lo[..., 2] = -ft / 2.0, -hw - ft, -fl / 2
+        hi[..., 0], hi[..., 1], hi[..., 2] = ft / 2.0, hw + ft, fl / 2 + gripper.palm_depth
         c, v = np.nonzero(segments_hit_boxes(o_loc, d_loc, max_dist, lo, hi) & ~covered)
         pending.append((w, c + (start - since), o_loc[c, v], d_loc[c, v]))
         del covered, o_loc, d_loc, c, v  # before the next block's arrays
@@ -412,7 +422,7 @@ def contenders(candidates, cluster, gripper, grid) -> list:
         return []
     grasps = GraspSet.of(candidates)
     order = np.random.default_rng(0).permutation(cluster.size)  # neighbours tend to hit together
-    rays, confidence = [r[order] for r in rays], grasps.confidence
+    rays, confidence = [r.T[:, order].T for r in rays], grasps.confidence  # still views of (3, n) rows
     hits = np.zeros(len(candidates), dtype=int)
     live, done = np.ones(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=bool)
     for start in range(0, cluster.size, CONTENDER_CHUNK):

@@ -161,10 +161,12 @@ class VoxelGrid:
 
     def surface_rows(self, indices) -> np.ndarray:
         """Row in `surface` of each integer index (xyz on the last axis), -1
-        off the surface: one sorted lookup of the cells' linear keys."""
-        idx = np.asarray(indices)
-        keys = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.dims, mode="clip")
-        keys[~((idx >= 0) & (idx < self.dims)).all(axis=-1)] = -1  # off the grid
+        off the surface: one sorted lookup of the cells' linear keys. Each
+        axis is read as one row, fastest when the indices are the moveaxis
+        view of axes-first (3, ...) rows."""
+        idx = np.moveaxis(np.asarray(indices), -1, 0)
+        keys = np.ravel_multi_index(tuple(idx), self.dims, mode="clip")
+        keys[np.logical_or.reduce([(i < 0) | (i >= d) for i, d in zip(idx, self.dims)])] = -1  # off the grid
         rows = np.searchsorted(self.surface_keys, keys)
         return np.where(self.surface_keys[rows] == keys, rows, -1)
 

@@ -562,7 +562,10 @@ def test_collision_cull_keeps_every_answer(scenes, monkeypatch):
 
 def test_sampler_memory_peak_on_mug(scenes):
     """Probing in chunks bounds the temporaries: with every surface voxel of
-    mug in one chunk the sampler peaked at 7.8 MB, with chunks of 64 at 1.7 MB."""
+    mug in one chunk the sampler peaked at 7.8 MB, with chunks of 64 at 1.7 MB.
+    Holding the occupied centres, surface centres and normals as (3, n) rows
+    once per call took a full tier-1 run's peak from 1,349,433 B to 1,487,969
+    B (2,139,540 B with this test run alone; numpy 2.4, x86_64)."""
     scene = scenes["mug"]
     grid = scene.grid
     _ = grid.normals, grid.occupied_centers  # fill the grid's caches: they are not the sampler's
@@ -597,6 +600,34 @@ def test_collisions_equal_the_mask_oracle_on_every_mug_call(scenes, monkeypatch)
     for *args, out in calls:
         want = oracle_collisions(*args)
         assert out.dtype == want.dtype and np.array_equal(out, want)
+
+
+def test_axes_first_local_frames_round_like_xyz_last():
+    """The collision, closing-region and occlusion kernels take local frames
+    as rot^T @ (P^T - t^T) on (3, n) rows. The bitwise oracles hold only if
+    the BLAS rounds that (3, 3) @ (3, n) product exactly as the transpose of
+    (P - t) @ rot: this pins it on seeded stacks shaped like each call site
+    (8 rolls x 1-3,400 points; up to 64 poses x 64-1,000 voxels; one
+    rotation), near the origin and 125 m from it, on contiguous rows and on
+    transposed (n, 3) stacks, so a numpy or BLAS change that breaks it fails here."""
+    rng = np.random.default_rng(37)
+
+    def frames(k):
+        return np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
+
+    for far, _ in itertools.product((0.0, 125.0), range(12)):
+        n, poses, voxels = int(rng.integers(1, 3401)), int(rng.integers(1, 65)), int(rng.integers(64, 1001))
+        sites = [(frames(8), n, (3,)), (frames(poses), voxels, (poses, 1, 3)), (frames(1)[0], voxels, (3,))]
+        for rot, count, t_shape in sites:
+            points = far + 0.05 * rng.normal(size=(count, 3))
+            t = far + 0.05 * rng.normal(size=t_shape)
+            want = (points - t) @ rot
+            t_t = np.swapaxes(np.atleast_2d(t), -1, -2)  # t^T
+            for rows in (np.ascontiguousarray(points.T), points.T):
+                got = np.swapaxes(rot, -1, -2) @ (rows - t_t)
+                assert np.array_equal(np.swapaxes(got, -1, -2), want), (far, count, t_shape)
+            dirs = rng.normal(size=(count, 3))  # ray directions: no translation
+            assert np.array_equal(np.swapaxes(np.swapaxes(rot, -1, -2) @ np.ascontiguousarray(dirs.T), -1, -2), dirs @ rot)
 
 
 @pytest.mark.parametrize("flush", [1, OCCLUSION_FLUSH_PAIRS, 1024, 10**9])
@@ -638,7 +669,9 @@ def test_rank_memory_peak_on_rodball(bundled_grasps):
     tracemalloc (numpy 2.4, x86_64), and 472,261 B with the union-box cull:
     the pairs that meet the union box are gathered in bounded batches.
     Freeing each block before the next and gathering 512 pairs, not 1024,
-    took it to 410,049 B."""
+    took it to 410,049 B. With axes-first local frames it peaks at 406,735 B
+    in a full tier-1 run and at 461,672 B with this test run alone, whose
+    first call fills CPython's free lists."""
     scene, cands, cluster = rodball_seed0(bundled_grasps)
     grid = scene.grid
     peak = traced_peak(lambda: rank_grasps(cands, cluster, scene.params.lam, scene.gripper, grid))
@@ -648,7 +681,11 @@ def test_rank_memory_peak_on_rodball(bundled_grasps):
 def test_contenders_memory_peak_on_rodball(bundled_grasps):
     """The contender scan runs the same blocks and keeps the shuffled rays
     and a few per-candidate arrays: on rodball's 600 seed-0 candidates it
-    peaked at 473,680 B (numpy 2.4, x86_64)."""
+    peaks at 448,480 B in a full tier-1 run and at 449,552 B with this test
+    run alone (numpy 2.4, x86_64). Its peak is the union-box slab test. Local
+    frames read through swapaxes views of [candidate, xyz, ray] products gave
+    473,104 B: a ufunc over a view it cannot flatten to one stride buffers
+    it. Stored [xyz, candidate, ray], each axis the slab reads is one block."""
     scene, cands, cluster = rodball_seed0(bundled_grasps)
     grid = scene.grid
     peak = traced_peak(lambda: contenders(cands, cluster, scene.gripper, grid))

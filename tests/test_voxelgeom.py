@@ -416,6 +416,28 @@ class TestNormals:
         assert grid.surface_rows(grid.surface[::-1, None]).tolist() == [[r] for r in reversed(range(n))]
         off = [(2, 2, 2), (0, 0, 0), (-1, 2, 2), (5, 2, 2), (2, 2, 9)]  # interior, empty, off the grid
         assert grid.surface_rows(off).tolist() == [-1] * len(off)
+        # off the grid on y; then a box filling the grid, whose faces are surface, so every index off
+        # the grid has a clipped key that lands on a surface voxel
+        wall = box_grid((5, 5, 5), (0, 0, 0), (4, 4, 4))
+        cases = [(grid, [(2, -1, 2), (2, 5, 2), (1, -7, 1), (3, 12, 3)]),
+                 (wall, [(-1, 2, 2), (5, 2, 2), (2, -1, 2), (2, 5, 2), (2, 2, -1), (2, 2, 5), (-3, 7, 2), (0, 0, 0)])]
+        for g, idx in cases:
+            assert g.surface_rows(idx).tolist() == looped_surface_rows(g, idx).tolist()
+        assert looped_surface_rows(wall, cases[1][1]).tolist() == [-1] * 7 + [0]
+        # the sampler's call form: the (B, S, 3) moveaxis view of axes-first (3, B, S) probe cells
+        stack = np.random.default_rng(0).integers(-1, 6, size=(3, 8, 40))
+        for g in (grid, wall):
+            want = looped_surface_rows(g, np.moveaxis(stack, 0, -1))
+            assert 0 < np.count_nonzero(want >= 0) < want.size
+            assert np.array_equal(g.surface_rows(np.moveaxis(stack, 0, -1)), want)
+
+
+def looped_surface_rows(grid, indices) -> np.ndarray:
+    """VoxelGrid.surface_rows one index at a time: its row in grid.surface,
+    -1 off the surface (an index off the grid is on no surface voxel)."""
+    idx = np.asarray(indices)
+    row_of = {s: r for r, s in enumerate(map(tuple, grid.surface.tolist()))}
+    return np.array([row_of.get(tuple(i), -1) for i in idx.reshape(-1, 3).tolist()]).reshape(idx.shape[:-1])
 
 
 def _cells(dims, *occupied):
