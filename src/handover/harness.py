@@ -1,7 +1,7 @@
 """End-to-end pipeline: grasp -> contacts -> ranking -> position ->
 orientation -> metrics, plus the ablation ladder and result aggregation.
 
-Modes:
+Modes (MODE_PLANS is their one definition; A2 and A3 draw on the planned delivery's context):
   FULL  contact-aware ranking, planned position, planned orientation
   A1    confidence-only ranking (occlusion ignored), planned position/orientation
   A2    contact-aware ranking, planned position, random feasible orientation
@@ -22,6 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .contacts import (
+    CONTACT_THRESHOLD,
     EPS_VOXELS,
     ContactCluster,
     ContactMap,
@@ -58,10 +59,9 @@ class AblationMode(enum.Enum):
     A4 = "A4"
 
 
-CONFIDENCE_ONLY_MODES = (AblationMode.A1, AblationMode.A3, AblationMode.A4)
-# how each mode delivers its top grasp; modes of one kind deliver one grasp alike
-DELIVERY_KINDS = {AblationMode.FULL: "planned", AblationMode.A1: "planned", AblationMode.A2: "random",
-                  AblationMode.A3: "random", AblationMode.A4: "tucked"}
+# mode: (ranking lam, None for the scene's; delivery kind); modes of one kind deliver one grasp alike
+MODE_PLANS = {AblationMode.FULL: (None, "planned"), AblationMode.A1: (1.0, "planned"),
+              AblationMode.A2: (None, "random"), AblationMode.A3: (1.0, "random"), AblationMode.A4: (1.0, "tucked")}
 
 
 @dataclass
@@ -176,6 +176,8 @@ def load_scene(path) -> Scene:
         if not grid.occupancy.any():
             raise ValueError(f"object field 'vgrid': {vgrid} has no occupied voxel")
         maps = [_read("scene field 'contact_maps'", load_contact_map, resolve(p), grid) for p in paths]
+        if low := [p for p, cm in zip(paths, maps) if cm.values.max() < CONTACT_THRESHOLD]:
+            raise ValueError(f"scene field 'contact_maps': {low[0]} has no value of at least {CONTACT_THRESHOLD}")
         return Scene(
             name=cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
             grid=grid,
@@ -361,9 +363,10 @@ class SharedStages:
     planning contact map and the arm plan do not depend on the seed either.
     Sampling, ranking, delivery and scores do; their methods take the seed
     (resolve_seed) first. A delivery and its scores depend only on the top
-    candidate object and the delivery kind (DELIVERY_KINDS), so FULL and A1
-    share them whenever one candidate ranks first for both, and so do A2 and
-    A3. Each is computed the first time a run asks for it and kept, with any
+    candidate object and the delivery kind (MODE_PLANS), so FULL and A1 share
+    them whenever one candidate ranks first for both, and so do A2 and A3,
+    whose random kind draws on the planned delivery's own context and adds
+    none. Each is computed the first time a run asks for it and kept, with any
     exception it raised, so every later run reports what a run of its own
     would: a seed-free entry for the object's lifetime, a seeded one until
     another seed is asked for. The object is bound to one scene object and
@@ -444,25 +447,23 @@ class SharedStages:
         planned hand position, and pose is that search's HandoverPose; the
         other kinds have none. "random" draws, with the [seed, 7] generator,
         one of the feasible rotations that delivery(seed, top, "planned")
-        found, and fails as that search fails. "tucked" (A4) keeps the grasp
-        rotation, held in front of the robot."""
+        found, on that delivery's ctx, and fails as that search fails.
+        "tucked" (A4) keeps the grasp rotation, held in front of the robot."""
         def deliver(seed, scene=self.scene, p=self.params):
-            if kind == "tucked":
-                ee = scene.robot_base + A4_FORWARD * -scene.human.facing + np.array([0.0, 0.0, A4_HEIGHT])
-            else:
-                ee = self.position()[0]
+            if kind == "random":  # the planned search's own context and rotations; it raises when none is feasible
+                ctx, _, _, pose = self.delivery(seed, top, "planned")
+                feas = [k for k, reason in enumerate(pose.reasons) if reason is None]
+                rotation = pose.rotations[feas[int(np.random.default_rng([seed, 7]).integers(len(feas)))]]
+                return ctx, rotation, exposure_objective(ctx, rotation, self.cluster()), None
+            ee = (self.position()[0] if kind == "planned"
+                  else scene.robot_base + A4_FORWARD * -scene.human.facing + np.array([0.0, 0.0, A4_HEIGHT]))
             ctx = DeliveryContext(grid=scene.grid, gripper=scene.gripper, grasp_rotation=top.rotation,
                                   held_point=top.translation, width=top.width, ee_position=ee, human=scene.human,
                                   robot_base=scene.robot_base, body_proxy_dims=scene.body_proxy_dims)
             if kind == "planned":
                 pose = plan_handover_orientation(ctx, self.cluster(), p.orientation_step)
                 return ctx, pose.object_rotation, pose.objective, pose
-            rotation = np.eye(3)
-            if kind == "random":  # the planned search scored this same context; it raises when none is feasible
-                pose = self.delivery(seed, top, "planned")[3]
-                feas = [k for k, reason in enumerate(pose.reasons) if reason is None]
-                rotation = pose.rotations[feas[int(np.random.default_rng([seed, 7]).integers(len(feas)))]]
-            return ctx, rotation, exposure_objective(ctx, rotation, self.cluster()), None
+            return ctx, np.eye(3), exposure_objective(ctx, np.eye(3), self.cluster()), None
 
         return self._once(("delivery", id(top), kind), deliver, seed)
 
@@ -502,13 +503,11 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
         shared.cluster()
 
         stages.append("ranking")
-        lam = 1.0 if mode in CONFIDENCE_ONLY_MODES else params.lam
-        top = shared.ranking(seed, lam)[0]
+        lam, kind = MODE_PLANS[mode]
+        top = shared.ranking(seed, params.lam if lam is None else lam)[0]
         grasp_rec = _grasp_record(top)
 
-        if mode is AblationMode.A4:
-            # position/orientation planners intentionally skipped, so the
-            # rest of the run is the metrics stage
+        if kind == "tucked":  # position and orientation planning skipped: the rest of the run is metrics
             stages.append("metrics")
         else:
             stages.append("position")
@@ -519,12 +518,12 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
             }
             stages.append("orientation")
 
-        ctx, rotation, objective, pose = shared.delivery(seed, top.candidate, DELIVERY_KINDS[mode])
+        ctx, rotation, objective, pose = shared.delivery(seed, top.candidate, kind)
         delivery_rec = _delivery_record(ctx, rotation, objective, pose if emit_diagnostics else None)
 
         if stages[-1] != "metrics":
             stages.append("metrics")
-        scores = shared.scores(seed, top.candidate, DELIVERY_KINDS[mode])
+        scores = shared.scores(seed, top.candidate, kind)
         per_map = zip(scores.visibility, scores.reachability)
         metrics_rec = {
             "per_map": [{"visibility": v, "reachability": r} for v, r in per_map],

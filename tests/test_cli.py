@@ -3,9 +3,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from handover import cli, harness
+from handover.contacts import ContactMap, load_contact_map, save_contact_map
 from handover.voxelgeom import load_vgrid
 
 from conftest import absolutized_config, cube_mesh, write_obj
@@ -156,6 +158,15 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
     assert stdout == ""
 
 
+def low_contact_maps(cfg, tmp_path):
+    """The scene's map paths, map 2 rewritten to 0.3 wherever it is nonzero:
+    it loads, but holds no contact, so every run would fail."""
+    grid = load_vgrid(cfg["object"]["vgrid"])
+    cm = load_contact_map(cfg["contact_maps"][2], grid)
+    save_contact_map(ContactMap(grid, cm.keys, np.full(len(cm.values), 0.3)), tmp_path / "low.vcontact")
+    return cfg["contact_maps"][:2] + [str(tmp_path / "low.vcontact")]
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("layout", "standoff", -1.2), ("layout", "standoff", 0.0), ("layout", "standoff", float("nan")),
     ("layout", "standoff", "far"), ("layout", "start_distance", -0.5),
@@ -186,6 +197,8 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
     # past the bounds that keep a run finite and short; never run
     ("params", "orientation_step", 0.5), ("human", "height", 1e308), ("params", "object_mass", 1e308),
     ("human", "arm_plane_offset", 1e308), ("gripper", "max_width", 1e308),
+    # a file map that loads but has no value at CONTACT_THRESHOLD, so no contact to plan or score on
+    ("scene", "contact_maps", low_contact_maps),
 ])
 def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_path, capsys,
                                                                section, key, value):
@@ -196,7 +209,7 @@ def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_pa
         target = cfg["robot"].setdefault("gripper", {})
     else:
         target = cfg.setdefault(section, {})
-    target[key] = value
+    target[key] = value(cfg, tmp_path) if callable(value) else value
     path = tmp_path / "bad.scene.json"
     path.write_text(json.dumps(cfg))
     code, stdout, stderr = run_cli(["plan", str(path), "--seed", "0"], capsys)
@@ -208,6 +221,8 @@ def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_pa
         assert (f"{section} field '{key}'" if section else f"{key} out of range") in stderr
         if key not in harness.SCENE_FIELDS[section or "scene"]:
             assert f"unknown {section} field '{key}'" in stderr
+    if value is low_contact_maps:
+        assert "low.vcontact has no value of at least 0.5" in stderr
     assert stdout == ""
 
 

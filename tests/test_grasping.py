@@ -565,10 +565,13 @@ def test_sampler_memory_peak_on_mug(scenes):
     mug in one chunk the sampler peaked at 7.8 MB, with chunks of 64 at 1.7 MB.
     Holding the occupied centres, surface centres and normals as (3, n) rows
     once per call took a full tier-1 run's peak from 1,349,433 B to 1,487,969
-    B (2,139,540 B with this test run alone; numpy 2.4, x86_64)."""
+    B. Warming numpy.random's lazy import and grid.surface_keys, which are
+    not the sampler's, took the peak of a first call in a fresh process from
+    2,251,963 B to 1,503,159 B (a second call: 1,485,905 B; numpy 2.4, x86_64)."""
     scene = scenes["mug"]
     grid = scene.grid
-    _ = grid.normals, grid.occupied_centers  # fill the grid's caches: they are not the sampler's
+    _ = grid.normals, grid.occupied_centers, grid.surface_keys  # fill the grid's caches
+    np.random.default_rng(0)  # a process's first call imports numpy.random's generator modules
     tracemalloc.start()
     try:
         sample_grasps(grid, scene.gripper, 600, 0)

@@ -608,8 +608,8 @@ def test_kept_delivery_failure_reports_as_a_fresh_run(scenes, monkeypatch, name,
         report = run_pipeline(scene, mode, 0, shared=shared)
         assert report_bytes(report) == report_bytes(fresh[mode.value]), mode
         if report.failure == f"{stage}: RuntimeError: stage broken":
-            lam = 1.0 if mode in harness.CONFIDENCE_ONLY_MODES else scene.params.lam
-            reached.add((id(shared.ranking(0, lam)[0].candidate), harness.DELIVERY_KINDS[mode]))
+            lam, kind = harness.MODE_PLANS[mode]
+            reached.add((id(shared.ranking(0, scene.params.lam if lam is None else lam)[0].candidate), kind))
     assert (len(calls), len(reached)) == (runs, kinds)
 
 
@@ -621,6 +621,16 @@ def test_lone_random_delivery_searches_once(scenes, monkeypatch, mode):
     report = run_pipeline(scenes["hammer"], mode, 0)
     assert report.failure is None
     assert (len(searched), scanned) == (1, [])
+
+
+def test_random_delivery_draws_on_the_planned_context(scenes):
+    """The random kind adds no context: it delivers on its top's planned one,
+    for the FULL top and the A1 top of every bundled scene."""
+    for scene in scenes.values():
+        shared = SharedStages(scene)
+        for lam in (scene.params.lam, 1.0):
+            top = shared.ranking(0, lam)[0].candidate
+            assert shared.delivery(0, top, "random")[0] is shared.delivery(0, top, "planned")[0], scene.name
 
 
 def test_shared_position_failure_spares_a4(scenes, monkeypatch):
