@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contacts import ContactCluster
-from .voxelgeom import Index, VoxelGrid, check_fields, read_only, row_dots, rule, segments_hit_boxes
+from .voxelgeom import (AIM_OFFSET_VOXELS, Index, VoxelGrid, check_fields, read_only, row_dots, rule,
+                        segments_hit_boxes)
 
 MAX_NORMAL_OPPOSITION_DEG = 30.0  # antipodal pair filter
 MIN_CONFIDENCE = 0.23  # alignment score floor for kept candidates
@@ -344,7 +345,7 @@ def _rays(cluster, grid):
     if (rows < 0).any():
         raise ValueError(f"cluster voxel {tuple(members[np.argmin(rows)].tolist())} has no surface normal")
     centers, nrm = np.ascontiguousarray(grid.centers(members).T), np.ascontiguousarray(grid.normals[rows].T)
-    return centers.T, (centers + 1.5 * grid.voxel_size * nrm).T, nrm.T
+    return centers.T, (centers + AIM_OFFSET_VOXELS * grid.voxel_size * nrm).T, nrm.T
 
 
 def _hits(candidates: GraspSet, rays, gripper, rows=None) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import json
 import os
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import chain
 from operator import itemgetter
@@ -110,6 +109,11 @@ class Scene:
         check_fields(self, "scene field")
         if not self.contact_maps:
             raise ValueError("scene field 'contact_maps' needs at least one contact map")
+        for i, cm in enumerate(self.contact_maps):
+            if cm.grid is not self.grid:
+                raise ValueError(f"scene field 'contact_maps': map {i} is not on the scene's grid")
+            if not (cm.values >= CONTACT_THRESHOLD).any():
+                raise ValueError(f"scene field 'contact_maps': map {i} has no value of at least {CONTACT_THRESHOLD}")
         planning = self.planning_map
         is_index = isinstance(planning, int) and not isinstance(planning, bool)
         if planning != "heuristic" and not (is_index and 0 <= planning < len(self.contact_maps)):
@@ -176,8 +180,6 @@ def load_scene(path) -> Scene:
         if not grid.occupancy.any():
             raise ValueError(f"object field 'vgrid': {vgrid} has no occupied voxel")
         maps = [_read("scene field 'contact_maps'", load_contact_map, resolve(p), grid) for p in paths]
-        if low := [p for p, cm in zip(paths, maps) if cm.values.max() < CONTACT_THRESHOLD]:
-            raise ValueError(f"scene field 'contact_maps': {low[0]} has no value of at least {CONTACT_THRESHOLD}")
         return Scene(
             name=cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
             grid=grid,
@@ -208,7 +210,6 @@ class HandoverReport:
     metrics: dict | None
     success: bool
     failure: str | None
-    duration_seconds: float
 
     # serialized under "object"; every other key is the field name
     def to_dict(self) -> dict:
@@ -490,7 +491,6 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
     shared = SharedStages(scene) if shared is None else shared
     if shared.scene is not scene or shared.params is not params:
         raise ValueError(f"shared stages of scene {shared.scene.name!r} passed to a run of scene {scene.name!r}")
-    t_start = time.perf_counter()
     stages: list[str] = []  # each stage is appended as it starts
     grasp_rec = position_rec = delivery_rec = metrics_rec = None
     failure = None
@@ -544,8 +544,7 @@ def run_pipeline(scene: Scene, mode: AblationMode | str = AblationMode.FULL, see
         failure = f"{stages[-1]}: {type(exc).__name__}: {exc}"
     return HandoverReport(object_name=scene.name, mode=mode.value, seed=seed, params={**asdict(params), "seed": seed},
                           stages=stages, grasp=grasp_rec, position=position_rec, delivery=delivery_rec,
-                          metrics=metrics_rec, success=ok, failure=failure,
-                          duration_seconds=time.perf_counter() - t_start)
+                          metrics=metrics_rec, success=ok, failure=failure)
 
 
 # -- aggregation ----------------------------------------------------------------

@@ -15,9 +15,7 @@ import numpy as np
 
 from .contacts import ContactMap
 from .delivery import DeliveryContext
-from .voxelgeom import ray_cast, row_dots, segments_hit_boxes
-
-AIM_OFFSET_VOXELS = 1.5  # sight lines aim this far off the contact face
+from .voxelgeom import AIM_OFFSET_VOXELS, ray_cast, row_dots, segments_hit_boxes
 
 
 @dataclass

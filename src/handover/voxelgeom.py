@@ -19,6 +19,7 @@ Index = tuple[int, int, int]
 
 # 26-neighborhood offsets, fixed order (lexicographic, no zero vector: row 13 of the 27)
 _OFFSETS_26 = np.delete(np.indices((3, 3, 3)).reshape(3, -1).T - 1, 13, axis=0).astype(float)
+AIM_OFFSET_VOXELS = 1.5  # sight lines and occlusion rays meet a contact voxel this many edges off its face
 
 
 @dataclass

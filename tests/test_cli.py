@@ -160,7 +160,7 @@ def test_invalid_parameter_rejected_at_load_naming_the_field(suite_dir, capsys, 
 
 def low_contact_maps(cfg, tmp_path):
     """The scene's map paths, map 2 rewritten to 0.3 wherever it is nonzero:
-    it loads, but holds no contact, so every run would fail."""
+    the file parses, but the map holds no contact, so every run would fail."""
     grid = load_vgrid(cfg["object"]["vgrid"])
     cm = load_contact_map(cfg["contact_maps"][2], grid)
     save_contact_map(ContactMap(grid, cm.keys, np.full(len(cm.values), 0.3)), tmp_path / "low.vcontact")
@@ -222,7 +222,7 @@ def test_invalid_scene_field_rejected_at_load_naming_the_field(suite_dir, tmp_pa
         if key not in harness.SCENE_FIELDS[section or "scene"]:
             assert f"unknown {section} field '{key}'" in stderr
     if value is low_contact_maps:
-        assert "low.vcontact has no value of at least 0.5" in stderr
+        assert "scene field 'contact_maps': map 2 has no value of at least 0.5" in stderr
     assert stdout == ""
 
 
@@ -265,6 +265,16 @@ def test_plan_emit_diagnostics(suite_dir, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert "visibility_bitmaps" in report["metrics"]
     assert "rejected_candidates" in report["delivery"]
+
+
+def test_plan_out_rewrites_the_same_bytes(suite_dir, tmp_path, capsys):
+    runs = []
+    for name in ("a.json", "b.json"):
+        code, _, _ = run_cli(["plan", str(suite_dir / "knife.scene.json"), "--seed", "0",
+                              "--emit-diagnostics", "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+        runs.append((tmp_path / name).read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_plan_negative_seed_is_a_usage_error(suite_dir, capsys):
@@ -314,18 +324,9 @@ def test_bench_summary_is_aggregate_in_scene_mode_seed_order(suite_dir, tmp_path
     assert (out / "summary.csv").read_bytes() == harness.summary_csv(summary).encode()
 
 
-def run_reports(out) -> dict:
-    """The bytes of each per-run report bench wrote to `out`, by file name,
-    with the duration_seconds line dropped."""
-    reports = {p.name: re.sub(rb'\n  "duration_seconds": [^\n]*', b"", p.read_bytes())
-               for p in out.glob("*.json") if p.name != "summary.json"}
-    assert not any(b"duration_seconds" in text for text in reports.values())
-    return reports
-
-
 def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
-    """Reruns and --jobs 3 write the summaries of --jobs 1 byte for byte, and
-    each per-run report too once its duration is dropped."""
+    """A rerun and --jobs 3 write every file of --jobs 1 byte for byte: the
+    8 per-run reports and both summaries."""
     paths = [str(suite_dir / "hammer.scene.json"), str(suite_dir / "knife.scene.json")]
     outputs = []
     for i, jobs in enumerate(("1", "1", "3")):
@@ -333,13 +334,9 @@ def test_bench_glob_rerun_and_parallel_identical(suite_dir, tmp_path, capsys):
         code, _, _ = run_cli(["bench", *paths, "--out", str(out), "--jobs", jobs,
                               *BENCH_ARGS], capsys)
         assert code == 0
-        outputs.append((out / "summary.csv").read_bytes())
-        if i:
-            assert (out / "summary.json").read_bytes() == (tmp_path / "run0" / "summary.json").read_bytes()
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 10
     assert outputs[0] == outputs[1] == outputs[2]
-    serial = run_reports(tmp_path / "run0")
-    assert len(serial) == 8
-    assert run_reports(tmp_path / "run2") == serial
 
 
 def test_bench_parallel_samples_each_scene_seed_once(suite_dir, tmp_path, capsys, monkeypatch):

@@ -35,7 +35,8 @@ def small_scenes(draw):
     maps = []
     for _ in range(draw(st.integers(1, 3))):
         keys = draw(st.lists(st.sampled_from(surface), min_size=1, unique=True))
-        values = [draw(st.floats(0.0, 1.0, exclude_min=True)) for _ in keys]
+        # the first key holds a contact, as a scene requires of every map
+        values = [draw(st.floats(0.5, 1.0))] + [draw(st.floats(0.0, 1.0, exclude_min=True)) for _ in keys[1:]]
         maps.append(contact_map(grid, dict(zip(keys, values))))
     params = PipelineParams(
         lam=draw(st.floats(0.0, 1.0)),
