@@ -408,15 +408,16 @@ def contenders(candidates, cluster, gripper, grid) -> list:
     candidates, ...)[0] at every lam.
 
     contact_score does not fall with confidence nor rise with occlusion, so
-    a candidate j with conf_j >= conf_i that hides fewer cluster voxels than
-    i scores at least as high at every lam and wins each tie-break: i never
-    ranks first. The scan counts hits (_hits, as rank_grasps does) over a
-    fixed shuffle of the cluster voxels, CONTENDER_CHUNK voxels at a time,
-    for every live candidate. After each chunk it completes the counts of
-    the live candidates with the fewest hits so far, as many as one block
-    of OCCLUSION_BLOCK_PAIRS holds, then drops every candidate that a
-    completed one dominates by that rule. The scan reads a GraspSet's rows
-    (a list is stacked once); only the kept candidates are GraspCandidates.
+    a candidate j with conf_j >= conf_i that hides no more cluster voxels
+    than i scores at least as high at every lam and, unless the two tie in
+    both and i comes first, wins each tie-break: i never ranks first. The
+    scan counts hits (_hits, as rank_grasps does) over a fixed shuffle of
+    the cluster voxels, CONTENDER_CHUNK voxels at a time, for every live
+    candidate. After each chunk it completes the counts of the live
+    candidates with the fewest hits so far, as many as one block of
+    OCCLUSION_BLOCK_PAIRS holds, then drops every candidate that a completed
+    one dominates by that rule. The scan reads a GraspSet's rows (a list is
+    stacked once); only the kept candidates are GraspCandidates.
     """
     rays = _rays(cluster, grid)
     if not candidates:
@@ -438,12 +439,13 @@ def contenders(candidates, cluster, gripper, grid) -> list:
             done[j] = True
         else:
             done[scan] = True
-        # each candidate's least complete count among those at equal or higher confidence
+        # the least key (hits * n + position) of the completed ones at higher, and at equal or higher, confidence
         ref = np.flatnonzero(done & live)
         ref = ref[np.argsort(-confidence[ref], kind="stable")]
-        least = np.minimum.accumulate(hits[ref])
-        above = np.searchsorted(-confidence[ref], -confidence, side="right")
-        live &= ~((above > 0) & (least[above - 1] < hits))
+        key = hits * len(hits) + np.arange(len(hits))
+        least = np.minimum.accumulate(np.append((hits.max() + 1) * len(hits), key[ref]))  # least[m]: of the first m
+        higher, at_least = (np.searchsorted(-confidence[ref], -confidence, side=s) for s in ("left", "right"))
+        live &= (least[higher] >= (hits + 1) * len(hits)) & (least[at_least] >= key)
     return [candidates[k] for k in np.flatnonzero(live)]
 
 

@@ -153,6 +153,12 @@ class VoxelGrid:
         return read_only(np.flatnonzero(self.padded.reshape(-1) == 1))
 
     @cached_property
+    def occupied_box(self) -> np.ndarray:
+        """The first and last occupied index per axis, as rows [lo, hi]; an empty grid's lo exceeds its hi."""
+        idx = self.indices(self.cells)
+        return read_only(np.array([idx.min(axis=0, initial=max(self.dims)), idx.max(axis=0, initial=-1)]))
+
+    @cached_property
     def surface_keys(self) -> np.ndarray:
         """The surface's linear keys, ascending, closed by a sentinel no cell reaches."""
         return read_only(np.append(np.ravel_multi_index(tuple(self.surface.T), self.dims), self.occupancy.size))
@@ -342,6 +348,26 @@ def segments_hit_boxes(origins, dirs, t_max, lo, hi, open_end=False) -> np.ndarr
     return ok & (t0 < t_max) if open_end else ok
 
 
+def _sum_steps(h, td, k) -> np.ndarray:
+    """h after k sequential h += td (td >= 0), elementwise and bit for bit. While
+    h stays below 2**53 of its ulps u, each add moves it rint(td / u) ulps, so
+    those adds are one multiply-add; the add past them, a half-ulp tie from an
+    odd h / u (after it h is even) and a head without a finite u > 0 take a real add."""
+    h, rows = np.array(h, dtype=float), np.flatnonzero(k > 0)
+    flat, td, k = h.reshape(-1), td.reshape(-1), k.reshape(-1)[rows]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge or infinite head or step
+        while len(rows):
+            x, t = flat[rows], td[rows]
+            s = np.rint(q := t / (u := np.spacing(x)))
+            xi, si = (x / u).astype(np.int64), s.astype(np.int64)  # exact where fast
+            fast = (0 < u) & (u < np.inf) & (s < 2.0**53) & ((np.abs(q - s) != 0.5) | (xi & 1 == 0))
+            j = np.where(fast, np.minimum(k, (2**53 - 1 - xi) // np.maximum(si, 1)), 0)  # adds within the binade
+            x = np.where(j > 0, x + (j * si) * u, x)
+            flat[rows], k = np.where(k > j, x + t, x), k - j - (k > j)
+            rows, k = rows[k > 0], k[k > 0]
+    return h
+
+
 def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     """Blocked mask: does the segment o + t d, 0 <= t <= t_max, pass through
     an occupied cell of `grid`? One entry per segment.
@@ -359,29 +385,46 @@ def ray_cast(grid: VoxelGrid, origins, dirs, t_max) -> np.ndarray:
     Like the cells it holds, the grid box is half-open on its upper faces: a
     segment with a direction component of exactly 0 that lies on such a face
     misses it.
+
+    Only cells of grid.occupied_box can block, so a walk starts at the first
+    one it would reach, with the t_next its adds would give (_sum_steps), once
+    the exact heads confirm the crossing that enters the box; a line that
+    cannot enter it by t_max is clear, and an unconfirmed one walks as above.
     """
-    origins, dirs, t_max = np.broadcast_arrays(
-        np.atleast_2d(origins), np.atleast_2d(dirs), np.asarray(t_max, dtype=float)[..., None]
-    )
-    vs = grid.voxel_size
-    lo = grid.origin
-    dims = np.asarray(grid.dims)
+    origins, dirs, t_max = np.broadcast_arrays(np.atleast_2d(origins), np.atleast_2d(dirs),
+                                               np.asarray(t_max, dtype=float)[..., None])
+    vs, lo, dims = grid.voxel_size, grid.origin, np.asarray(grid.dims)
     hi = lo + dims * vs
     t0, t1, live = _slab(origins, dirs, t_max[:, 0], lo, hi)
     live &= ~((dirs == 0.0) & (origins >= hi)).any(axis=-1)
     blocked = np.zeros(len(live), dtype=bool)
     rows = np.flatnonzero(live)
     o, d, t1 = origins[rows], dirs[rows], t1[rows]
-    p = o + d * t0[rows, None]
-    cell = np.clip(np.floor((p - lo) / vs), 0, dims - 1).astype(int)
+    cell = np.clip(np.floor((o + d * t0[rows, None] - lo) / vs), 0, dims - 1).astype(int)
     strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
     flat = (cell + 1) @ strides
     jump = np.sign(d).astype(int) * strides
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_next = np.where(d == 0.0, np.inf, ((cell + (d > 0)) * vs + lo - o) / d)
         t_delta = np.where(d == 0.0, np.inf, np.abs(vs / d))
+        near, far = np.where(d < 0, cell - grid.occupied_box[::-1, None], grid.occupied_box[:, None] - cell)
+        near = np.maximum(near, 0)  # crossings along d into the box's slab; far: the most before leaving it
+        guess = np.where(near > 0, t_next + (near - 1) * t_delta, -np.inf)  # each slab entry, to a few ulps
+        own = np.arange(3) == (b := 2 - np.argmax(guess[:, ::-1], axis=1))[:, None]  # the last to enter, by (t, axis)
+        k0 = np.ceil((guess.max(axis=1, keepdims=True) - t_next) / t_delta) - 1  # about one below each count
+        k0 = np.where(own, near - 1, np.fmin(np.fmax(k0, 0), far + 1)).astype(int)
+        g0 = _sum_steps(t_next, t_delta, k0)
+        g1, t_in = g0 + t_delta, g0[own][:, None]  # heads after k0 and k0 + 1 crossings; b's entry
+        lim = np.where(np.arange(3) < b[:, None], np.nextafter(t_in, np.inf), t_in)  # a head below it goes first
+        b0, b1 = g0 < lim, g1 < lim
+        count = np.where(own, near, k0 + b0 + b1)
+        known = own | (k0 == 0) | b0  # the count is exact, or a lower bound if b1
+        outside = ~((near == 0) & (far >= 0)).all(axis=1)
+        clear = outside & (((near > far) | known & (count > far)).any(axis=1) | (t_in[:, 0] > t1))
+        ok = outside & ~clear & (own | known & ~b1 & (count >= near)).all(axis=1)  # b did enter last
+        t_next[ok], flat[ok] = np.where(own | b0, g1, g0)[ok], flat[ok] + (count[ok] * jump[ok]).sum(axis=1)
     occ = grid.padded.reshape(-1)
-    state = occ[flat]  # the entry cell lies in the grid
+    state = np.where(clear, 2, occ[flat])  # the entry cell lies in the grid; a clear line reads 2
     # line k's axis a sits at 3 k + a of the (n, 3) arrays read flat
     base, tn, td, jp = np.arange(0, 3 * len(rows), 3), t_next.reshape(-1), t_delta.reshape(-1), jump.reshape(-1)
     n_frozen = 0

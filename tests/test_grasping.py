@@ -743,6 +743,32 @@ def test_contenders_keep_the_top_of_any_order_and_confidences(bundled_grasps, da
         assert (got.occlusion, got.score) == (want.occlusion, want.score), lam
 
 
+def test_contenders_keep_only_the_first_of_a_tie(bundled_grasps):
+    """Candidates tied in confidence and hit count score alike at every lam,
+    and the earlier one ranks first: copies of the best candidate, placed
+    apart from it among candidates that hide more, leave only the first of
+    them, whichever object comes first."""
+    scene, cands, cluster = bundled_grasps["hammer"]
+    args = (scene.gripper, scene.grid)
+    ranked = rank_grasps(cands[:60], cluster, scene.params.lam, *args)
+    best = ranked[0].candidate
+    worse = [rg.candidate for rg in ranked if rg.occlusion > ranked[0].occlusion][:3]
+    twin, other = dataclasses.replace(best), dataclasses.replace(best)
+    for order, first in (([worse[0], best, worse[1], twin, worse[2], other], best),
+                         ([twin, worse[0], worse[1], best, worse[2]], twin)):
+        assert [id(c) for c in contenders(order, cluster, *args)] == [id(first)]
+
+
+def test_contenders_keep_one_candidate_per_bundled_cell(bundled_stages):
+    """Every bundled scene samples its candidates at confidence 1.0, so one
+    contender is left per cell, the first with the fewest hits: at seeds 0-4
+    and max_grasps 600, ranking the contenders ranks one candidate. Before
+    ties went to the earlier candidate, 227 were kept over the 25 cells."""
+    for (name, seed), (scene, _, _, fresh, _) in bundled_stages.items():
+        assert scene.params.max_grasps == 600
+        assert [len(ranked) for ranked in fresh.values()] == [1, 1], (name, seed)
+
+
 def grasp_rows(candidates) -> list:
     """Each candidate's fields, its arrays as bytes: equal lists hold the same grasps bit for bit."""
     return [(c.rotation.tobytes(), c.translation.tobytes(), c.width, c.confidence, c.contact_pair) for c in candidates]

@@ -619,6 +619,102 @@ class TestRayCast:
         assert scalar == expect
         assert ray_cast(grid, origins, (1.0, 0.0, 0.0), t_max).tolist() == expect
 
+    def test_occupied_box_bounds_the_occupied_cells(self):
+        grid = box_grid((9, 7, 5), (2, 0, 1), (6, 3, 4))
+        assert grid.occupied_box.tolist() == [[2, 0, 1], [6, 3, 4]]
+        assert not grid.occupied_box.flags.writeable
+        empty = make_grid(np.zeros((4, 6, 5), dtype=bool))
+        assert (empty.occupied_box[0] > empty.occupied_box[1]).all()  # no line can reach it
+
+
+def literal_steps(h, td, k) -> np.ndarray:
+    """h after k sequential h += td, one row at a time: the walk's own adds."""
+    out = []
+    for x, t, n in zip(h.tolist(), td.tolist(), k.tolist()):
+        for _ in range(n):
+            x += t
+        out.append(x)
+    return np.array(out)
+
+
+def test_sum_steps_equal_a_literal_add_loop_bitwise():
+    """ray_cast starts a line at the occupied box with the heads its walk
+    would have summed there; _sum_steps jumps through each binade in closed
+    form, and every row must come out as the literal adds, bit for bit:
+    heads that cross binades, half-ulp ties (a dyadic step) from odd and
+    even h / ulp, steps at least as large as the head, no steps, and
+    infinite steps (an axis with a zero direction component)."""
+    rng = np.random.default_rng(40)
+    n = 300
+    ulp = 2.0**-53  # of the binade [0.5, 1)
+    odd, even = (0.5 + (2 * rng.integers(0, 2**50, n) + p) * ulp for p in (1, 0))
+    ties = (2 * np.concatenate([rng.integers(0, 4, n // 2), rng.integers(0, 2**40, n - n // 2)]) + 1) * ulp / 2
+    groups = [  # (h, td, k)
+        (rng.uniform(1e-3, 1.0, n), rng.uniform(1e-3, 0.1, n), rng.integers(0, 65, n)),  # across binades
+        (odd, ties, rng.integers(1, 65, n)),
+        (even, ties, rng.integers(1, 65, n)),
+        (rng.uniform(1e-4, 0.01, n), rng.uniform(0.01, 1.0, n), rng.integers(1, 20, n)),  # td >= h
+        (rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 0.5, n), np.zeros(n, dtype=int)),
+        (np.full(n, np.inf), np.full(n, np.inf), rng.integers(0, 5, n)),
+        (rng.uniform(0.0, 2.0, n), np.full(n, np.inf), rng.integers(1, 5, n)),
+    ]
+    h, td, k = (np.concatenate(v) for v in zip(*groups))
+    want = literal_steps(h, td, k)
+    assert (np.abs(np.diff(want[n : 3 * n].reshape(2, n))) > 0).any()  # odd and even heads part on some ties
+    assert np.array_equal(voxelgeom._sum_steps(h, td, k).view(np.int64), want.view(np.int64))
+    shaped = voxelgeom._sum_steps(h.reshape(-1, 3), td.reshape(-1, 3), k.reshape(-1, 3))  # as ray_cast's (n, 3)
+    assert shaped.shape == (len(h) // 3, 3) and np.array_equal(shaped.reshape(-1).view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def box_walk_cases(draw):
+    """A grid of 4 to 16 cells a side that is empty, holds one cell, a box
+    that may touch the grid's faces, or the shell of one; and 60 lines from
+    inside and outside both the grid and the occupied box, some with zero
+    direction components, some lying on a face plane of that box, each
+    ending before, inside or after it (or at its entry)."""
+    dims = tuple(draw(st.integers(4, 16)) for _ in range(3))
+    kind = draw(st.sampled_from(["empty", "one cell", "box", "shell"]))
+    lo = [draw(st.one_of(st.just(0), st.integers(0, d - 1))) for d in dims]
+    hi = [draw(st.one_of(st.just(d - 1), st.integers(a, d - 1))) for a, d in zip(lo, dims)]
+    hi = lo if kind == "one cell" else hi
+    occ = np.zeros(dims, dtype=bool)
+    occ[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = kind != "empty"
+    if kind == "shell":
+        occ[lo[0] + 1 : hi[0], lo[1] + 1 : hi[1], lo[2] + 1 : hi[2]] = False
+    vs = draw(st.sampled_from([0.25, 0.01, 0.037]))
+    grid = make_grid(occ, voxel_size=vs, origin=draw(st.sampled_from([(0.0, 0.0, 0.0), (-0.4, 0.3, 1.1),
+                                                                      (12.5, -7.25, 3.0)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g_lo, g_hi = grid.origin, grid.origin + np.array(dims) * vs
+    b_lo, b_hi = grid.origin + np.array(lo) * vs, grid.origin + (np.array(hi) + 1) * vs
+    n = 60
+    where = rng.choice(4, n, p=[0.35, 0.35, 0.1, 0.2])  # in the grid, around it, in the box, on a box face plane
+    origins = rng.uniform(g_lo - 4 * vs, g_hi + 4 * vs, (n, 3))
+    origins[where == 0] = rng.uniform(g_lo, g_hi, (n, 3))[where == 0]
+    origins[where == 2] = rng.uniform(b_lo, b_hi, (n, 3))[where == 2]
+    aim = rng.uniform(b_lo - vs, b_hi + vs, (n, 3))  # most lines head for the box
+    dirs = np.where((rng.random(n) < 0.8)[:, None], aim - origins, rng.normal(size=(n, 3)))
+    dirs[rng.random((n, 3)) < 0.2] = 0.0
+    face, axis = where == 3, rng.integers(0, 3, n)
+    origins[face, axis[face]] = np.where(rng.random((n, 1)) < 0.5, b_lo, b_hi)[face, axis[face]]
+    dirs[face, axis[face]] = 0.0
+    dirs[~dirs.any(axis=1), 0] = 1.0
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    t0, t1, ok = voxelgeom._slab(origins, dirs, 1e3, b_lo, b_hi)  # the box's span along each line
+    t0, t1 = np.where(ok, t0, 0.5), np.where(ok, t1, 1.0)
+    pick = rng.integers(0, 4, n)
+    t_max = np.choose(pick, [t0 * rng.uniform(0.1, 0.95, n), rng.uniform(t0, t1), 2 * t1 + 1.0, t0])
+    return grid, origins, dirs, np.maximum(t_max, 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(box_walk_cases())
+def test_ray_cast_started_at_the_occupied_box_matches_the_scalar_walk(case):
+    grid, origins, dirs, t_max = case
+    scalar = [oracle_ray_cast(grid, o, d, t) is not None for o, d, t in zip(origins, dirs, t_max)]
+    assert ray_cast(grid, origins, dirs, t_max).tolist() == scalar
+
 
 def oracle_slab(origins, dirs, t_max, lo, hi):
     """The masked slab clip the inf/NaN one replaced: a direction component
